@@ -30,24 +30,22 @@ that convention so the sum identity holds to roundoff.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .errors import InstabilityError, StepFailureError
-from .integrator import SchemeConfig, State, Stepper, simulate
-from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased
+from .integrator import SchemeConfig, State, Stepper, cn_step, simulate
+from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased, fprime_multiplier
 from .spectral import (
     GridSpec,
     ModalField,
     eigenvalues,
     lambda_max,
-    modal_from_values,
-    nodal_values,
     norm_Hs,
     norm_pair,
-    padded_points,
     random_band_limited,
     sup_norm,
 )
@@ -219,7 +217,8 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
     The coupling term L*u enters the v-system Crank-Nicolson style with
     the endpoint average of the freshly advanced u, which makes
     v + w = u an exact identity of the discrete updates (verified here
-    as sum_error, which only measures roundoff accumulation).
+    as sum_error, which only measures roundoff accumulation).  Every
+    step of each system is checked for finiteness (InstabilityError).
     """
     if big_l <= 0:
         raise ValueError("big_l must be positive")
@@ -235,11 +234,8 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
     grid = initial.grid
     lam = np.asarray(eigenvalues(grid))
     lam2 = lam**2
+    lam2_l = lam2 + big_l
     ghat = g.g_modal.resample(grid.n_modes).coeff if g.grid != grid else g.g_modal.coeff
-
-    det0 = 1.0 + h / 2.0 + (h * h / 4.0) * lam2
-    detL = 1.0 + h / 2.0 + (h * h / 4.0) * (lam2 + big_l)
-    one_p = 1.0 + h / 2.0
 
     cu, wu = initial.u.coeff.copy(), initial.v.coeff.copy()
     cv = np.zeros(grid.shape)
@@ -249,49 +245,33 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
     def fhat(c):
         return f_eval_dealiased(ModalField(grid, c), nl).coeff
 
+    def pair_norm(c, w):
+        return float(np.sqrt(np.sum(lam * c**2) + np.sum(w**2 / lam)))
+
     fu_prev = fv_prev = None
-    times, trace = [0.0], [float(np.sqrt(np.sum(lam * cw**2) + np.sum(ww**2 / lam)))]
+    times, trace = [0.0], [pair_norm(cw, ww)]
     sum_abs = sum_rel = 0.0
 
     for n in range(1, n_steps + 1):
+        t = (n - 1) * h
         fu, fv = fhat(cu), fhat(cv)
         nu = fu if fu_prev is None else 1.5 * fu - 0.5 * fu_prev
         nv = fv if fv_prev is None else 1.5 * fv - 0.5 * fv_prev
         fu_prev, fv_prev = fu, fv
 
         # full solution first, so its endpoint average can force v
-        r1 = cu + (h / 2.0) * wu
-        r2 = wu - (h / 2.0) * (wu + lam2 * cu) + h * (ghat - lam * nu)
-        cu_new = (one_p * r1 + (h / 2.0) * r2) / det0
-        wu_new = (r2 - (h / 2.0) * lam2 * r1) / det0
+        cu_new, wu_new = cn_step(cu, wu, ghat - lam * nu, lam2, h, t)
         ubar = 0.5 * (cu + cu_new)
-
-        r1v = cv + (h / 2.0) * wv
-        r2v = wv - (h / 2.0) * (wv + (lam2 + big_l) * cv) + h * (ghat + big_l * ubar - lam * nv)
-        cv_new = (one_p * r1v + (h / 2.0) * r2v) / detL
-        wv_new = (r2v - (h / 2.0) * (lam2 + big_l) * r1v) / detL
-
-        r1w = cw + (h / 2.0) * ww
-        r2w = ww - (h / 2.0) * (ww + (lam2 + big_l) * cw) - h * lam * (nu - nv)
-        cw_new = (one_p * r1w + (h / 2.0) * r2w) / detL
-        ww_new = (r2w - (h / 2.0) * (lam2 + big_l) * r1w) / detL
-
-        cu, wu, cv, wv, cw, ww = cu_new, wu_new, cv_new, wv_new, cw_new, ww_new
+        cv, wv = cn_step(cv, wv, ghat + big_l * ubar - lam * nv, lam2_l, h, t)
+        cw, ww = cn_step(cw, ww, -lam * (nu - nv), lam2_l, h, t)
+        cu, wu = cu_new, wu_new
 
         if n % sample_every == 0 or n == n_steps:
-            if not np.isfinite(cu).all() or not np.isfinite(cv).all():
-                raise InstabilityError(
-                    f"decomposition run lost finiteness at t={n * h:g}", time=n * h
-                )
-            t = n * h
-            wn = float(np.sqrt(np.sum(lam * cw**2) + np.sum(ww**2 / lam)))
-            du, dv = cv + cw - cu, wv + ww - wu
-            err = float(np.sqrt(np.sum(lam * du**2) + np.sum(dv**2 / lam)))
-            un = float(np.sqrt(np.sum(lam * cu**2) + np.sum(wu**2 / lam)))
-            times.append(t)
-            trace.append(wn)
+            err = pair_norm(cv + cw - cu, wv + ww - wu)
+            times.append(n * h)
+            trace.append(pair_norm(cw, ww))
             sum_abs = max(sum_abs, err)
-            sum_rel = max(sum_rel, err / (1.0 + un))
+            sum_rel = max(sum_rel, err / (1.0 + pair_norm(cu, wu)))
 
     t_arr, w_arr = np.asarray(times), np.asarray(trace)
     mask = (t_arr >= fit_window[0]) & (t_arr <= fit_window[1])
@@ -464,41 +444,53 @@ class EquilibriumResult:
         }
 
 
-def _jacobian_op(u_nodal_fp: np.ndarray, grid: GridSpec, lam: np.ndarray):
-    """Matrix-free action of A + f'(u) in modal coordinates (symmetric:
-    A is diagonal and the dealiased multiplier is self-adjoint)."""
-    n = grid.n_modes
+def _stationary_jacobian(u: ModalField, nl: Nonlinearity, lam: np.ndarray) -> LinearOperator:
+    """A + P_n f'(u) in modal coordinates, matrix-free and symmetric."""
+    n = u.grid.n_modes
+    mult = fprime_multiplier(u, nl)
 
     def matvec(vec):
         w = vec.reshape(n, n)
-        prod = modal_from_values(
-            u_nodal_fp * nodal_values(ModalField(grid, w), padded_points(n, 2)), grid.side
-        )[:n, :n]
-        return (lam * w + prod).ravel()
+        return (lam * w + mult(w)).ravel()
 
     return LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
 
 
-def _smallest_rayleigh(u_star: ModalField, nl: Nonlinearity, m_trial: int = 16) -> float:
-    """Smallest Rayleigh quotient of A + f'(u*) over the span of the
-    first m_trial x m_trial modes (dense eigensolve on the restriction;
-    the low modes carry the smallest quotients since A dominates)."""
-    grid = u_star.grid
-    m = min(grid.n_modes, m_trial)
-    lam = np.asarray(eigenvalues(grid))
-    fp = nl.f_prime(nodal_values(u_star, padded_points(grid.n_modes, 2)))
-    k = np.zeros((m * m, m * m))
-    for j in range(m):
-        for i in range(m):
-            w = np.zeros(grid.shape)
-            w[j, i] = 1.0
-            img = modal_from_values(
-                fp * nodal_values(ModalField(grid, w), padded_points(grid.n_modes, 2)), grid.side
-            )[:m, :m]
-            img[j, i] += lam[j, i]
-            k[:, j * m + i] = img.ravel()
-    k = 0.5 * (k + k.T)
-    return float(np.linalg.eigvalsh(k)[0])
+def _inverse_a(lam: np.ndarray) -> LinearOperator:
+    return LinearOperator((lam.size, lam.size),
+                          matvec=lambda vec: (vec.reshape(lam.shape) / lam).ravel(),
+                          dtype=np.float64)
+
+
+def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12,
+                         maxiter: int = 200) -> float:
+    """Smallest eigenvalue of the symmetric operator op = A + P_n f'(u*)
+    on the full n x n space.
+
+    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by
+    A^(-1), from the fixed start e_(1,1) so repeated calls agree
+    bitwise.  Below 5 unknowns LOBPCG would switch to a dense solve
+    with a warning, so that case is solved densely here.  Raises
+    StepFailureError when the eigenresidual stays above tol.
+    """
+    size = lam.size
+    if size < 5:
+        return float(np.linalg.eigvalsh(op.matmat(np.eye(size)))[0])
+    x0 = np.zeros((size, 1))
+    x0[0, 0] = 1.0
+    with warnings.catch_warnings():
+        # non-convergence is checked below and raised, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        vals, vecs = lobpcg(op, x0, M=_inverse_a(lam), tol=tol, maxiter=maxiter,
+                            largest=False)
+    resid = float(np.linalg.norm(op.matvec(vecs[:, 0]) - vals[0] * vecs[:, 0]))
+    if not resid <= tol:
+        raise StepFailureError(
+            f"stability eigensolve stalled: residual {resid:.3e} > {tol:g} "
+            f"after {maxiter} iterations",
+            residual_history=[resid],
+        )
+    return float(vals[0])
 
 
 def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
@@ -511,7 +503,8 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     (residual multiplied back by A, measured in the V' norm) to 10 tol.
     On max_iter exhaustion the best iterate is returned with
     converged=False rather than raising: stationarity failures are
-    findings, not crashes.
+    findings, not crashes.  The stability indicator is the smallest
+    eigenvalue of the Newton operator A + P_N f'(u*) at the result.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -527,9 +520,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     def norms(r):
         return float(np.linalg.norm(r)), float(np.sqrt(np.sum(lam * r**2)))
 
-    pre = LinearOperator((n * n, n * n),
-                         matvec=lambda vec: (vec.reshape(n, n) / lam).ravel(),
-                         dtype=np.float64)
+    pre = _inverse_a(lam)
     c = seed_field.coeff.copy()
     r = residual(c)
     rn, rn_w = norms(r)
@@ -537,8 +528,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     iters = 0
     converged = rn <= tol and rn_w <= 10.0 * tol
     while not converged and iters < max_iter:
-        fp = nl.f_prime(nodal_values(ModalField(grid, c), padded_points(n, 2)))
-        op = _jacobian_op(fp, grid, lam)
+        op = _stationary_jacobian(ModalField(grid, c), nl, lam)
         delta, info = minres(op, -r.ravel(), M=pre, rtol=1e-12, maxiter=1000)
         if info != 0:
             break
@@ -559,7 +549,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
         converged = rn <= tol and rn_w <= 10.0 * tol
     u_star = ModalField(grid, c)
     e = energy(State(u_star, ModalField.zeros(grid)), nl, g).total
-    indicator = _smallest_rayleigh(u_star, nl)
+    indicator = _stability_indicator(_stationary_jacobian(u_star, nl, lam), lam)
     return EquilibriumResult(u_star, rn, iters, e, indicator, converged, history)
 
 

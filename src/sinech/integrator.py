@@ -13,10 +13,10 @@ Two schemes:
   MINRES inner solves).  First order, very robust; also accepts
   negative dt for (experimental) backward-in-time integration.
 
-Both schemes reject a step that increases the energy by more than the
-configured safeguard tolerance: for this equation the energy is
-nonincreasing along forward solutions, so a jump is a reliable
-instability signal.
+Both schemes reject a step that leaves a non-finite state or increases
+the energy by more than the configured safeguard tolerance: for this
+equation the energy is nonincreasing along forward solutions, so a jump
+is a reliable instability signal.
 
 A useful discrete fact (used for the logged cumulative dissipation):
 with Crank-Nicolson the update satisfies, exactly in floating point
@@ -29,7 +29,7 @@ O(dt^2) otherwise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
@@ -48,19 +48,13 @@ from .model import (
     SourceTerm,
     default_diagnostic_params,
     diagnostic_F,
+    energy,
+    f_eval_dealiased,
+    fprime_multiplier,
     higher_functionals,
     nonlinear_term_and_potential,
 )
-from .spectral import (
-    GridSpec,
-    ModalField,
-    check_same_grid,
-    eigenvalues,
-    modal_from_values,
-    nodal_values,
-    norm_pair,
-    padded_points,
-)
+from .spectral import GridSpec, ModalField, check_same_grid, eigenvalues, norm_pair
 
 _CKPT_VERSION = 1
 SCHEMES = ("imex_cn_ab2", "implicit_newton")
@@ -166,8 +160,35 @@ class Checkpoint:
     nl: Nonlinearity
     g: SourceTerm
     step_count: int = 0
-    rng_seed: int = 0
     fhat_prev: np.ndarray | None = None  # AB2 history (previous nonlinear term)
+
+
+def _require_finite(t: float, *arrays: np.ndarray) -> None:
+    """InstabilityError (at time t) unless every coefficient is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise InstabilityError(
+            f"non-finite state at t={t:g}; reduce dt or the resolution/nonlinearity "
+            "stiffness",
+            time=t,
+        )
+
+
+def cn_step(c: np.ndarray, w: np.ndarray, rhs: np.ndarray, lam2: np.ndarray,
+            h: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Crank-Nicolson step from time t of the per-mode systems
+    c' = w, w' = -w - lam2 c + rhs, with the forcing rhs held fixed over
+    the step; each mode's 2x2 system is solved in closed form.
+
+    Raises InstabilityError (at t + h) when the new state is not finite.
+    """
+    half = h / 2.0
+    det = 1.0 + half + (h * h / 4.0) * lam2
+    r1 = c + half * w
+    r2 = w - half * (w + lam2 * c) + h * rhs
+    c_new = ((1.0 + half) * r1 + half * r2) / det
+    w_new = (r2 - half * lam2 * r1) / det
+    _require_finite(t + h, c_new, w_new)
+    return c_new, w_new
 
 
 class Stepper:
@@ -187,10 +208,6 @@ class Stepper:
         self.lam2 = self.lam**2
         self._fhat_prev = None if fhat_prev is None else np.array(fhat_prev, dtype=np.float64)
         self._cur = None  # (fhat, potential) for self.state.u
-        self._coeff_dt = None
-        self._coeffs = None
-
-    # -- energy pieces (array form, fused with the nonlinear cache) --------
 
     def _ensure_current(self):
         if self._cur is None:
@@ -198,38 +215,21 @@ class Stepper:
             self._cur = (fh.coeff, pot)
         return self._cur
 
-    def _energy(self, c: np.ndarray, w: np.ndarray, pot: float) -> float:
-        quad = 0.5 * float(np.sum(self.lam * c**2) + np.sum(w**2 / self.lam))
-        forcing = float(np.sum(self.g.g_modal.coeff * c / self.lam))
-        return quad + pot - forcing
-
     def energy_total(self) -> float:
-        _, pot = self._ensure_current()
-        return self._energy(self.state.u.coeff, self.state.v.coeff, pot)
+        return energy(self.state, self.nl, self.g, self._ensure_current()[1]).total
 
     # -- schemes ------------------------------------------------------------
 
-    def _cn_coeffs(self, h: float):
-        if self._coeff_dt != h:
-            det = 1.0 + h / 2.0 + (h * h / 4.0) * self.lam2
-            self._coeffs = (det, 1.0 + h / 2.0)
-            self._coeff_dt = h
-        return self._coeffs
-
     def _advance_imex(self, h: float):
-        c, w = self.state.u.coeff, self.state.v.coeff
         fhat, _ = self._ensure_current()
         if self._fhat_prev is None:
             nstar = fhat  # start-up: nonlinearity explicit at the left endpoint
         else:
             nstar = 1.5 * fhat - 0.5 * self._fhat_prev
-        det, one_p = self._cn_coeffs(h)
-        ghat = self.g.g_modal.coeff
-        r1 = c + (h / 2.0) * w
-        r2 = w - (h / 2.0) * (w + self.lam2 * c) + h * (ghat - self.lam * nstar)
-        c_new = (one_p * r1 + (h / 2.0) * r2) / det
-        w_new = (r2 - (h / 2.0) * self.lam2 * r1) / det
-        return c_new, w_new, fhat
+        self._fhat_prev = fhat
+        rhs = self.g.g_modal.coeff - self.lam * nstar
+        return cn_step(self.state.u.coeff, self.state.v.coeff, rhs, self.lam2, h,
+                       self.state.time)
 
     def _advance_newton(self, h: float):
         c, w = self.state.u.coeff, self.state.v.coeff
@@ -239,47 +239,38 @@ class Stepper:
         lam, lam2 = self.lam, self.lam2
         lam_sqrt = np.sqrt(lam)
         diag = 1.0 + h + h * h * lam2
+        pre = LinearOperator((n * n, n * n), matvec=lambda vec: vec / diag.ravel(),
+                             dtype=np.float64)
 
         def residual(x):
-            fh, _ = nonlinear_term_and_potential(ModalField(grid, x), self.nl)
+            fh = f_eval_dealiased(ModalField(grid, x), self.nl)
             return (1.0 + h) * (x - c) + h * h * (lam2 * x + lam * fh.coeff - ghat) - h * w
+
+        def failure(msg):
+            return StepFailureError(f"{msg} at t={self.state.time:g}",
+                                    residual_history=history, time=self.state.time)
 
         x = c + h * w  # explicit predictor
         res = residual(x)
         history = [float(np.linalg.norm(res)) / abs(h)]
         tol = self.cfg.newton_tol
         it = 0
-        pad = padded_points(n, 2)
         while history[-1] > tol:
             if it >= self.cfg.newton_max_iter:
-                raise StepFailureError(
-                    f"Newton did not reach tol={tol:g} in {it} iterations "
-                    f"at t={self.state.time:g}",
-                    residual_history=history,
-                    time=self.state.time,
-                )
-            # frozen dealiased multiplier f'(u) for the Jacobian
-            fp = self.nl.f_prime(nodal_values(ModalField(grid, x), pad))
-            side = grid.side
+                raise failure(f"Newton did not reach tol={tol:g} in {it} iterations")
+            # frozen dealiased multiplier f'(u) for the Jacobian, symmetrized
+            # by delta = Lam^{1/2} delta'
+            mult = fprime_multiplier(ModalField(grid, x), self.nl)
 
             def matvec(vec):
-                d = (lam_sqrt * vec.reshape(n, n))
-                prod = modal_from_values(fp * nodal_values(ModalField(grid, d), pad), side)[:n, :n]
-                return (diag * vec.reshape(n, n) + h * h * lam_sqrt * prod).ravel()
+                vec = vec.reshape(n, n)
+                return (diag * vec + h * h * lam_sqrt * mult(lam_sqrt * vec)).ravel()
 
             op = LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
-            pre = LinearOperator(
-                (n * n, n * n), matvec=lambda vec: vec / diag.ravel(), dtype=np.float64
-            )
-            # symmetrized system: delta = Lam^{1/2} delta'
             rhs = -(res / lam_sqrt).ravel()
             sol, info = minres(op, rhs, M=pre, rtol=1e-12, maxiter=400)
             if info != 0:
-                raise StepFailureError(
-                    f"inner MINRES stalled (info={info}) at t={self.state.time:g}",
-                    residual_history=history,
-                    time=self.state.time,
-                )
+                raise failure(f"inner MINRES stalled (info={info})")
             delta = lam_sqrt * sol.reshape(n, n)
             # damped update: halve until the residual decreases
             step_scale = 1.0
@@ -290,68 +281,49 @@ class Stepper:
                     break
                 step_scale *= 0.5
             else:
-                raise StepFailureError(
-                    f"Newton line search failed at t={self.state.time:g}",
-                    residual_history=history,
-                    time=self.state.time,
-                )
+                raise failure("Newton line search failed")
             x, res = x_try, res_try
             history.append(float(np.linalg.norm(res)) / abs(h))
             it += 1
-        c_new = x
-        w_new = (c_new - c) / h
-        fhat, _ = nonlinear_term_and_potential(ModalField(grid, c_new), self.nl)
-        return c_new, w_new, fhat.coeff
+        w_new = (x - c) / h
+        _require_finite(self.state.time + h, x, w_new)
+        return x, w_new
 
-    def advance(self) -> float:
-        """One step; returns the dissipation increment
-        dt * ||(v_n + v_{n+1})/2||_{V'}^2 of the step."""
-        h = self.cfg.dt
-        c, w = self.state.u.coeff, self.state.v.coeff
-        _, pot_before = self._ensure_current()
-        e_before = self._energy(c, w, pot_before)
-
+    def advance(self, dt: float | None = None) -> float:
+        """One step of size dt (default cfg.dt); returns the dissipation
+        increment dt * ||(v_n + v_{n+1})/2||_{V'}^2 of the step."""
+        h = self.cfg.dt if dt is None else dt
+        e_before = self.energy_total()
+        w = self.state.v.coeff
         if self.cfg.scheme == "imex_cn_ab2":
-            c_new, w_new, fhat_cur = self._advance_imex(h)
-            fh_new, pot_after = nonlinear_term_and_potential(
-                ModalField(self.state.grid, c_new), self.nl
-            )
-            next_cache = (fh_new.coeff, pot_after)
-            self._fhat_prev = fhat_cur
+            c_new, w_new = self._advance_imex(h)
         else:
-            c_new, w_new, _ = self._advance_newton(h)
-            fh_new, pot_after = nonlinear_term_and_potential(
-                ModalField(self.state.grid, c_new), self.nl
-            )
-            next_cache = (fh_new.coeff, pot_after)
-
-        e_after = self._energy(c_new, w_new, pot_after)
-        if h > 0.0 and e_after - e_before > self.cfg.safeguard_tol:
+            c_new, w_new = self._advance_newton(h)
+        grid = self.state.grid
+        new = State(ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h)
+        fh_new, pot_after = nonlinear_term_and_potential(new.u, self.nl)
+        rise = energy(new, self.nl, self.g, pot_after).total - e_before
+        if h > 0.0 and not (rise <= self.cfg.safeguard_tol):
             raise InstabilityError(
-                f"energy increased by {e_after - e_before:.3e} in one step at "
-                f"t={self.state.time:g} (safeguard {self.cfg.safeguard_tol:g}); "
+                f"energy increased by {rise:.3e} in the step to t={new.time:g} "
+                f"(safeguard {self.cfg.safeguard_tol:g}); "
                 "reduce dt or the resolution/nonlinearity stiffness",
-                time=self.state.time,
+                time=new.time,
             )
         vbar = 0.5 * (w + w_new)
         dissip = h * float(np.sum(vbar**2 / self.lam))
-
-        grid = self.state.grid
-        self.state = State(
-            ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h
-        )
+        self.state = new
         self.step_count += 1
-        self._cur = next_cache
+        self._cur = (fh_new.coeff, pot_after)
         return dissip
 
-    def checkpoint(self, rng_seed: int = 0) -> Checkpoint:
+    def checkpoint(self) -> Checkpoint:
         return Checkpoint(
             state=self.state.copy(),
             cfg=self.cfg,
             nl=self.nl,
             g=self.g,
             step_count=self.step_count,
-            rng_seed=rng_seed,
             fhat_prev=None if self._fhat_prev is None else self._fhat_prev.copy(),
         )
 
@@ -443,27 +415,19 @@ def resume_simulation(ckpt: Checkpoint, t_end: float, sample_every: int = 1,
 
 def _run(stepper: Stepper, span: float, sample_every: int,
          keep_states: bool, diag: DiagnosticParams) -> TrajectoryLog:
-    cfg = stepper.cfg
     log = TrajectoryLog()
     _sample(log, stepper, 0.0, diag, keep_states)
     if span == 0.0:
         return log
-    n_steps = max(1, int(round(span / cfg.dt)))
-    dt_eff = span / n_steps
-    if abs(dt_eff - cfg.dt) > 1e-9 * abs(cfg.dt):
-        stepper.cfg = SchemeConfig(
-            dt=dt_eff,
-            scheme=cfg.scheme,
-            newton_tol=cfg.newton_tol,
-            newton_max_iter=cfg.newton_max_iter,
-            safeguard_tol=cfg.safeguard_tol,
-        )
+    dt = stepper.cfg.dt
+    n_steps = max(1, int(round(span / dt)))
+    if abs(span / n_steps - dt) > 1e-9 * abs(dt):
+        dt = span / n_steps  # snap to the horizon; cfg.dt when it divides evenly
     dissip = 0.0
     for n in range(1, n_steps + 1):
-        dissip += stepper.advance()
+        dissip += stepper.advance(dt)
         if n % sample_every == 0 or n == n_steps:
             _sample(log, stepper, dissip, diag, keep_states)
-    stepper.cfg = cfg
     return log
 
 
@@ -536,6 +500,9 @@ def exact_linear_mode(lam: float, u0: float, v0: float, t):
 # checkpoint files (.ckpt)
 # ---------------------------------------------------------------------------
 
+_CKPT_BLOCKS = ("u", "ut", "g", "fhat_prev")
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """One JSON header line, then contiguous little-endian float64
     blocks as listed in header['blocks'] (u and ut always; the source
@@ -551,22 +518,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "side": ckpt.state.grid.side,
         "time": ckpt.state.time,
         "step_count": ckpt.step_count,
-        "rng_seed": ckpt.rng_seed,
-        "scheme": {
-            "dt": ckpt.cfg.dt,
-            "scheme": ckpt.cfg.scheme,
-            "newton_tol": ckpt.cfg.newton_tol,
-            "newton_max_iter": ckpt.cfg.newton_max_iter,
-            "safeguard_tol": ckpt.cfg.safeguard_tol,
-        },
-        "nonlinearity": {
-            "a3": ckpt.nl.a3,
-            "a2": ckpt.nl.a2,
-            "a1": ckpt.nl.a1,
-            "lambda_bound": ckpt.nl.lambda_bound,
-            "m_bound": ckpt.nl.m_bound,
-            "r0": ckpt.nl.r0,
-        },
+        "scheme": asdict(ckpt.cfg),
+        "nonlinearity": asdict(ckpt.nl),
         "blocks": blocks,
     }
     arrays = {
@@ -581,49 +534,48 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
 
 
+def _from_header(cls, block: dict):
+    """Rebuild a config dataclass from its header block; every field is
+    required."""
+    return cls(**{f.name: block[f.name] for f in fields(cls)})
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a .ckpt file.  A malformed header, block list or block raises
+    FileFormatError; header keys the format does not use are ignored."""
     with open(path, "rb") as fh:
         raw = fh.readline()
         try:
             header = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FileFormatError(f"{path}: bad checkpoint header") from exc
-        if header.get("format") != "sinech-checkpoint":
+        if not isinstance(header, dict) or header.get("format") != "sinech-checkpoint":
             raise FileFormatError(f"{path}: not a checkpoint file")
         if header.get("version") != _CKPT_VERSION:
             raise CheckpointVersionError(
                 f"{path}: version {header.get('version')} != {_CKPT_VERSION}"
             )
-        n = int(header["n_modes"])
-        grid = GridSpec(n, float(header["side"]))
-        arrays = {}
-        for name in header["blocks"]:
-            blob = fh.read(8 * n * n)
-            if len(blob) != 8 * n * n:
-                raise FileFormatError(f"{path}: truncated block '{name}'")
-            arrays[name] = np.frombuffer(blob, dtype="<f8").reshape(n, n).copy()
-    sch = header["scheme"]
-    nlh = header["nonlinearity"]
-    state = State(
-        ModalField(grid, arrays["u"]), ModalField(grid, arrays["ut"]),
-        float(header["time"]),
-    )
-    return Checkpoint(
-        state=state,
-        cfg=SchemeConfig(
-            dt=float(sch["dt"]),
-            scheme=str(sch["scheme"]),
-            newton_tol=float(sch["newton_tol"]),
-            newton_max_iter=int(sch["newton_max_iter"]),
-            safeguard_tol=float(sch["safeguard_tol"]),
-        ),
-        nl=Nonlinearity(
-            a3=float(nlh["a3"]), a2=float(nlh["a2"]), a1=float(nlh["a1"]),
-            lambda_bound=float(nlh["lambda_bound"]), m_bound=float(nlh["m_bound"]),
-            r0=float(nlh["r0"]),
-        ),
-        g=SourceTerm(ModalField(grid, arrays["g"])),
-        step_count=int(header["step_count"]),
-        rng_seed=int(header["rng_seed"]),
-        fhat_prev=arrays.get("fhat_prev"),
-    )
+        try:
+            n = int(header["n_modes"])
+            grid = GridSpec(n, float(header["side"]))
+            blocks = header["blocks"]
+            if not set(_CKPT_BLOCKS[:3]) <= set(blocks) <= set(_CKPT_BLOCKS):
+                raise FileFormatError(f"{path}: block list {blocks} is not u, ut, g "
+                                      "and optionally fhat_prev")
+            arrays = {}
+            for name in blocks:
+                blob = fh.read(8 * n * n)
+                if len(blob) != 8 * n * n:
+                    raise FileFormatError(f"{path}: truncated block '{name}'")
+                arrays[name] = np.frombuffer(blob, dtype="<f8").reshape(n, n).copy()
+            return Checkpoint(
+                state=State(ModalField(grid, arrays["u"]), ModalField(grid, arrays["ut"]),
+                            float(header["time"])),
+                cfg=_from_header(SchemeConfig, header["scheme"]),
+                nl=_from_header(Nonlinearity, header["nonlinearity"]),
+                g=SourceTerm(ModalField(grid, arrays["g"])),
+                step_count=int(header["step_count"]),
+                fhat_prev=arrays.get("fhat_prev"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FileFormatError(f"{path}: bad checkpoint header ({exc!r})") from exc

@@ -193,106 +193,108 @@ def default_diagnostic_params(nl: Nonlinearity) -> DiagnosticParams:
 # dealiased nonlinear term and exact integrals
 # ---------------------------------------------------------------------------
 
-def _cube_integral(u: ModalField) -> float:
-    """Exact integral of u^3 (odd type): alias-free 3n transform, then
-    contraction with the basis integrals."""
-    n3 = padded_points(u.grid.n_modes, 3)
-    vals = nodal_values(u, n3) ** 3
-    prod = ModalField(GridSpec(n3, u.grid.side), modal_from_values(vals, u.grid.side))
-    return field_integral(prod)
-
-
 def _odd_product_integral(side: float, *factors: np.ndarray) -> float:
     """Exact integral of a pointwise product sampled on a 3n grid whose
-    sine expansion is alias-free there (odd-type triple products)."""
+    sine expansion is alias-free there (odd-type triple products): the
+    product's sine coefficients contracted with the basis integrals."""
     vals = np.multiply.reduce(factors)
     m = vals.shape[0]
     prod = ModalField(GridSpec(m, side), modal_from_values(vals, side))
     return field_integral(prod)
 
 
-def _f_values_and_sums(un: np.ndarray, nl: Nonlinearity):
-    """(f at the nodes, sum un^2, sum un^4) in one temporary.
+def _truncated(values: np.ndarray, grid: GridSpec) -> ModalField:
+    """P_n of a field sampled on a padded collocation grid."""
+    n = grid.n_modes
+    return ModalField(grid, modal_from_values(values, grid.side)[:n, :n])
 
-    Hot path: the padded arrays dominate the step cost at large n, so
-    the square is reused for the quartic sum and then consumed in place
-    by the Horner evaluation."""
+
+def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity) -> tuple[np.ndarray, float]:
+    """f(u) on the 2n grid and integral F(u): the one evaluation of both.
+
+    Even powers of the potential by the interior quadrature sum on the
+    2n grid (exact: boundary-vanishing cosine type); the cubic term, if
+    present, by the alias-free modal contraction.  Hot path: the padded
+    arrays dominate the step cost at large n, so the square is reused
+    for the quartic sum and then consumed in place by the Horner
+    evaluation of f.
+    """
+    m = padded_points(u.grid.n_modes, 2)
+    un = nodal_values(u, m)
     fv = un * un
     s2 = float(np.vdot(un, un))
     s4 = float(np.vdot(fv, fv))
-    quad = nl.a2 * fv if nl.a2 != 0.0 else None
+    pot = quadrature_weight(u.grid.side, m) * (0.25 * nl.a3 * s4 + 0.5 * nl.a1 * s2)
+    quad = None
+    if nl.a2 != 0.0:
+        u3 = nodal_values(u, padded_points(u.grid.n_modes, 3))
+        pot += (nl.a2 / 3.0) * _odd_product_integral(u.grid.side, u3, u3, u3)
+        quad = nl.a2 * fv
     fv *= nl.a3
     fv += nl.a1
     fv *= un
     if quad is not None:
         fv += quad
-    return fv, s2, s4
-
-
-def f_eval_dealiased(u: ModalField, nl: Nonlinearity) -> ModalField:
-    """Modal coefficients of P_n f(u), exactly dealiased.
-
-    The field is evaluated on a 2x zero-padded nodal grid, f applied
-    pointwise, and the result transformed back and truncated: with the
-    cubic degree the retained block is alias-free at padding >= 2n.
-    """
-    n = u.grid.n_modes
-    if nl.is_zero:
-        return ModalField.zeros(u.grid)
-    un = nodal_values(u, padded_points(n, 2))
-    fvals, _, _ = _f_values_and_sums(un, nl)
-    fhat = modal_from_values(fvals, u.grid.side)
-    return ModalField(u.grid, fhat[:n, :n].copy())
-
-
-def potential_integral(u: ModalField, nl: Nonlinearity) -> float:
-    """integral of F(u) over the square, exact for the resolved field.
-
-    Even powers by the interior quadrature sum on the 2n grid (exact:
-    boundary-vanishing cosine type); the cubic term, if present, by the
-    alias-free modal contraction.
-    """
-    if nl.is_zero:
-        return 0.0
-    m = padded_points(u.grid.n_modes, 2)
-    un = nodal_values(u, m)
-    un2 = un * un
-    w = quadrature_weight(u.grid.side, m)
-    val = w * (0.25 * nl.a3 * float(np.vdot(un2, un2))
-               + 0.5 * nl.a1 * float(np.vdot(un, un)))
-    if nl.a2 != 0.0:
-        val += (nl.a2 / 3.0) * _cube_integral(u)
-    return val
+    return fv, pot
 
 
 def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity) -> tuple[ModalField, float]:
-    """Fused evaluation of (P_n f(u), integral F(u)) sharing one padded
-    transform; used by the time stepper's energy safeguard."""
-    n = u.grid.n_modes
+    """(P_n f(u), integral F(u)), exactly dealiased and sharing one
+    padded transform; the time stepper caches both per state.
+
+    f is applied pointwise on a 2x zero-padded nodal grid and the result
+    transformed back and truncated: with the cubic degree the retained
+    block is alias-free at padding >= 2n.
+    """
     if nl.is_zero:
         return ModalField.zeros(u.grid), 0.0
-    m = padded_points(n, 2)
-    un = nodal_values(u, m)
-    fvals, s2, s4 = _f_values_and_sums(un, nl)
-    pot = quadrature_weight(u.grid.side, m) * (0.25 * nl.a3 * s4 + 0.5 * nl.a1 * s2)
-    if nl.a2 != 0.0:
-        pot += (nl.a2 / 3.0) * _cube_integral(u)
-    fhat = modal_from_values(fvals, u.grid.side)
-    return ModalField(u.grid, fhat[:n, :n].copy()), pot
+    fv, pot = _nodal_f_and_potential(u, nl)
+    return _truncated(fv, u.grid), pot
 
 
-def energy(state, nl: Nonlinearity, g: SourceTerm) -> EnergyBreakdown:
+def f_eval_dealiased(u: ModalField, nl: Nonlinearity) -> ModalField:
+    """Modal coefficients of P_n f(u) (see nonlinear_term_and_potential)."""
+    if nl.is_zero:
+        return ModalField.zeros(u.grid)
+    return _truncated(_nodal_f_and_potential(u, nl)[0], u.grid)
+
+
+def potential_integral(u: ModalField, nl: Nonlinearity) -> float:
+    """integral of F(u) over the square, exact for the resolved field."""
+    return 0.0 if nl.is_zero else _nodal_f_and_potential(u, nl)[1]
+
+
+def fprime_multiplier(u: ModalField, nl: Nonlinearity):
+    """The dealiased multiplier v -> P_n(f'(u) v) on (n, n) coefficient
+    arrays, with f'(u) sampled once on the 2n grid.
+
+    Exact for cubic f (the product is a sine polynomial of band 3n) and
+    symmetric for any f: both transforms are the same orthogonal DST-I.
+    Newton's Jacobians and the stability indicator are built on it.
+    """
+    grid = u.grid
+    m = padded_points(grid.n_modes, 2)
+    fp = nl.f_prime(nodal_values(u, m))
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        return _truncated(fp * nodal_values(ModalField(grid, v), m), grid).coeff
+
+    return apply
+
+
+def energy(state, nl: Nonlinearity, g: SourceTerm, potential: float | None = None) -> EnergyBreakdown:
     """Energy E(u, u_t) = 1/2 ||(u, u_t)||_0^2 + int F(u) - <g, A^{-1} u>.
 
     Along solutions E(t) - E(s) = -int_s^t ||u_t||_{V'}^2 (energy
     equality); the integrator's safeguard and the dissipativity checks
-    rest on this breakdown.
+    rest on this breakdown.  potential, when given, is int F(u) as
+    already computed by nonlinear_term_and_potential.
     """
     u, v = state.u, state.v
     check_same_grid(u, g.g_modal)
-    quad = 0.5 * norm_pair(u, v, 0.0) ** 2
-    pot = potential_integral(u, nl)
     lam = eigenvalues(u.grid)
+    quad = 0.5 * float(np.sum(lam * u.coeff**2) + np.sum(v.coeff**2 / lam))
+    pot = potential_integral(u, nl) if potential is None else potential
     forcing = float(np.sum(g.g_modal.coeff * u.coeff / lam))
     return EnergyBreakdown(quad=quad, potential=pot, forcing=forcing, total=quad + pot - forcing)
 
@@ -302,22 +304,13 @@ def acceleration_from_state(state, nl: Nonlinearity, g: SourceTerm) -> ModalFiel
     u, v = state.u, state.v
     check_same_grid(u, g.g_modal)
     lam = eigenvalues(u.grid)
-    acc = g.g_modal.coeff - v.coeff - lam**2 * u.coeff
-    if not nl.is_zero:
-        acc = acc - lam * f_eval_dealiased(u, nl).coeff
+    acc = g.g_modal.coeff - v.coeff - lam**2 * u.coeff - lam * f_eval_dealiased(u, nl).coeff
     return ModalField(u.grid, acc)
 
 
 def pde_residual(state, u_tt: ModalField, nl: Nonlinearity, g: SourceTerm) -> float:
     """|| u_tt + u_t + A^2 u + A f(u) - g ||_{V'} for given acceleration."""
-    u, v = state.u, state.v
-    check_same_grid(u, u_tt)
-    check_same_grid(u, g.g_modal)
-    lam = eigenvalues(u.grid)
-    res = u_tt.coeff + v.coeff + lam**2 * u.coeff - g.g_modal.coeff
-    if not nl.is_zero:
-        res = res + lam * f_eval_dealiased(u, nl).coeff
-    return norm_Hs(ModalField(u.grid, res), -0.5)
+    return norm_Hs(u_tt - acceleration_from_state(state, nl, g), -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +328,7 @@ class AssumptionReport:
     lambda_bound_valid: bool
     m_bound_valid: bool
     r0_valid: bool
-    liminf_f_over_r: float
     lambda1: float | None
-    relaxed_condition_holds: bool
 
     @property
     def all_valid(self) -> bool:
@@ -352,9 +343,7 @@ class AssumptionReport:
             "lambda_bound_valid": self.lambda_bound_valid,
             "m_bound_valid": self.m_bound_valid,
             "r0_valid": self.r0_valid,
-            "liminf_f_over_r": self.liminf_f_over_r,
             "lambda1": self.lambda1,
-            "relaxed_condition_holds": self.relaxed_condition_holds,
             "all_valid": self.all_valid,
         }
 
@@ -363,10 +352,10 @@ def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> Assumpt
     """Verify the claimed structural bounds of the nonlinearity.
 
     Samples f' on [-1000, 1000] (10^6 + 1 points) against lambda_bound,
-    checks the growth bound on f'' and the sign radius r0, and evaluates
-    the relaxed dissipativity condition liminf f(r)/r > -lambda_1
-    (always +inf for a coercive cubic; lambda_1 is reported when a grid
-    is supplied).  Overridden bounds that fail the sampling are flagged.
+    checks the growth bound on f'' and the sign radius r0, and reports
+    lambda_1 when a grid is supplied (the relaxed dissipativity condition
+    liminf f(r)/r > -lambda_1 holds for every coercive cubic).
+    Overridden bounds that fail the sampling are flagged.
     """
     if nl.a3 <= 0.0:
         raise UnsupportedNonlinearityError(
@@ -392,9 +381,7 @@ def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> Assumpt
         lambda_bound_valid=lam_ok,
         m_bound_valid=m_ok,
         r0_valid=r0_ok,
-        liminf_f_over_r=math.inf,
         lambda1=lam1,
-        relaxed_condition_holds=True,
     )
 
 

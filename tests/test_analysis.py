@@ -1,11 +1,14 @@
 """Verification toolkit: convergence, decomposition, equilibria, probes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sinech.analysis import (
+    _stability_indicator,
+    _stationary_jacobian,
     absorbing_probe,
     bg_ratio,
     brezis_gallouet_scan,
@@ -18,11 +21,13 @@ from sinech.analysis import (
     random_pair_state,
     _log_linear_fit,
 )
+from sinech.errors import InstabilityError, StepFailureError
 from sinech.integrator import SchemeConfig, State
 from sinech.model import Nonlinearity, SourceTerm, pde_residual
 from sinech.spectral import (
     GridSpec,
     ModalField,
+    eigenvalues,
     norm_Hs,
     norm_pair,
     random_band_limited,
@@ -154,6 +159,17 @@ def test_decomposition_validations():
         )
 
 
+def test_decomposition_nan_raises_on_first_step():
+    # every step is checked, not only the sampled ones
+    grid = GridSpec(8, PI)
+    init = random_pair_state(grid, 2, 1.0, seed=0)
+    init.v.coeff[1, 0] = np.nan
+    with pytest.raises(InstabilityError) as exc:
+        decomposition_run(init, DOUBLE_WELL, SourceTerm.zero(grid),
+                          SchemeConfig(dt=1e-3), 10.0, 1.0, sample_every=25)
+    assert exc.value.time == 1e-3
+
+
 def test_decompose_with_retries_passthrough():
     grid = GridSpec(16, PI)
     g = SourceTerm(random_band_limited(grid, 4, 0.5, seed=40))
@@ -267,6 +283,51 @@ def test_nontrivial_equilibrium_and_sign_symmetry():
     zero = ModalField.zeros(grid)
     st = State(plus.u_star, zero)
     assert pde_residual(st, zero, STIFF_WELL, g) <= 10.0 * 1e-10
+
+
+def _jacobian_at(u, nl):
+    lam = np.asarray(eigenvalues(u.grid))
+    return _stationary_jacobian(u, nl, lam), lam
+
+
+def test_stability_indicator_repeats_bitwise():
+    grid = GridSpec(16, PI)
+    g = SourceTerm.zero(grid)
+    seed_field = ModalField.single_mode(grid, 1, 1, 2.0)
+    a = find_equilibrium(seed_field, STIFF_WELL, g)
+    b = find_equilibrium(seed_field, STIFF_WELL, g)
+    assert a.stability_indicator == b.stability_indicator
+
+
+def test_stability_indicator_matches_dense_full_operator():
+    # the smallest eigenvalue over the whole N x N space, not over a
+    # low-mode restriction (which misses this one by ~3e-6)
+    grid = GridSpec(24, PI)
+    u = random_band_limited(grid, 8, 6.0, seed=2)
+    op, lam = _jacobian_at(u, STIFF_WELL)
+    dense = op.matmat(np.eye(lam.size))
+    assert np.abs(dense - dense.T).max() <= 1e-12
+    smallest = float(np.linalg.eigvalsh(dense)[0])
+    assert _stability_indicator(op, lam) == pytest.approx(smallest, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stability_indicator_tiny_grids_exact(n):
+    # A + f'(0) = A - 3: the smallest eigenvalue is lam_11 - 3 = -1
+    grid = GridSpec(n, PI)
+    op, lam = _jacobian_at(ModalField.zeros(grid), STIFF_WELL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = _stability_indicator(op, lam)
+    assert value == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_stability_indicator_nonconvergence_raises():
+    grid = GridSpec(24, PI)
+    op, lam = _jacobian_at(random_band_limited(grid, 8, 6.0, seed=2), STIFF_WELL)
+    with pytest.raises(StepFailureError) as exc:
+        _stability_indicator(op, lam, maxiter=2)
+    assert exc.value.residual_history[-1] > 1e-12
 
 
 def test_equilibrium_nonconvergence_is_reported():

@@ -1,5 +1,6 @@
 """Time stepping: oracle accuracy, energy bookkeeping, checkpoints."""
 
+import json
 import math
 
 import numpy as np
@@ -404,10 +405,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, scheme):
     half = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
     _run_stepper(half, 7)
     path = tmp_path / "run.ckpt"
-    save_checkpoint(path, half.checkpoint(rng_seed=70))
+    save_checkpoint(path, half.checkpoint())
     loaded = load_checkpoint(path)
     assert loaded.step_count == 7
-    assert loaded.rng_seed == 70
     resumed = Stepper.from_checkpoint(loaded)
     _run_stepper(resumed, 10)
 
@@ -469,3 +469,76 @@ def test_checkpoint_file_corruption(tmp_path):
     alien.write_bytes(b'{"format": "something-else"}\n' + rest)
     with pytest.raises(FileFormatError):
         load_checkpoint(alien)
+
+
+def test_checkpoint_ignores_retired_header_keys(tmp_path):
+    # version-1 files written before rng_seed was dropped still load and
+    # resume bitwise: the loader ignores header keys it does not use
+    grid = GridSpec(8, PI)
+    cfg = SchemeConfig(dt=1e-3)
+    st = random_pair_state(grid, 4, 1.0, seed=72)
+    ref = Stepper(st.copy(), DOUBLE_WELL, SourceTerm.zero(grid), cfg)
+    _run_stepper(ref, 9)
+    half = Stepper(st.copy(), DOUBLE_WELL, SourceTerm.zero(grid), cfg)
+    _run_stepper(half, 4)
+    path = tmp_path / "old.ckpt"
+    save_checkpoint(path, half.checkpoint())
+    head, _, rest = path.read_bytes().partition(b"\n")
+    assert b"rng_seed" not in head
+    path.write_bytes(head.replace(b'"step_count": 4', b'"step_count": 4, "rng_seed": 70')
+                     + b"\n" + rest)
+    resumed = Stepper.from_checkpoint(load_checkpoint(path))
+    _run_stepper(resumed, 5)
+    assert np.array_equal(resumed.state.u.coeff, ref.state.u.coeff)
+    assert np.array_equal(resumed.state.v.coeff, ref.state.v.coeff)
+
+
+def _drop_key(key):
+    def edit(header):
+        del header[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_key("n_modes"),
+    _drop_key("side"),
+    _drop_key("scheme"),
+    _drop_key("nonlinearity"),
+    _drop_key("blocks"),
+    lambda header: header["blocks"].append("rng_state"),   # unknown block
+    lambda header: header["blocks"].remove("ut"),          # u, ut, g are required
+    lambda header: header["blocks"].remove("g"),
+], ids=["no-n_modes", "no-side", "no-scheme", "no-nonlinearity", "no-blocks",
+        "unknown-block", "no-ut-block", "no-g-block"])
+def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
+    grid = GridSpec(4, PI)
+    stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
+                      SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
+    _run_stepper(stepper, 2)
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, stepper.checkpoint())
+    head, _, rest = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    edit(header)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    with pytest.raises(FileFormatError):
+        load_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# non-finite states
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("scheme", ["imex_cn_ab2", "implicit_newton"])
+def test_nan_coefficient_raises_on_first_step(scheme):
+    # NaN compares False with everything, so an energy test of the form
+    # "rise > tol" alone would let it through
+    grid = GridSpec(8, PI)
+    st = random_pair_state(grid, 4, 1.0, seed=74)
+    st.u.coeff[2, 3] = np.nan
+    stepper = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid),
+                      SchemeConfig(dt=1e-3, scheme=scheme))
+    with pytest.raises(InstabilityError) as exc:
+        stepper.advance()
+    assert exc.value.time == 1e-3
+    assert stepper.step_count == 0 and stepper.state.time == 0.0

@@ -12,6 +12,8 @@ import pytest
 
 from oracles import (
     exact_projection_of_square,
+    naive_modal,
+    naive_nodal,
     oracle_pointwise_projection,
     oracle_poly_integral,
 )
@@ -30,6 +32,7 @@ from sinech.model import (
     diagnostic_F,
     energy,
     f_eval_dealiased,
+    fprime_multiplier,
     higher_functionals,
     pde_residual,
     potential_integral,
@@ -109,8 +112,6 @@ def test_check_assumptions_values():
     assert rep.r0 == 1.0
     assert rep.all_valid
     assert rep.min_f_prime_sampled >= -rep.lambda_bound - 1e-6
-    assert rep.liminf_f_over_r == math.inf
-    assert rep.relaxed_condition_holds
     assert rep.lambda1 == pytest.approx(2.0, rel=1e-14)
 
     rep2 = check_assumptions(Nonlinearity(1.0, 0.0, 0.0))
@@ -197,6 +198,30 @@ def test_f_eval_even_part_bias_shrinks():
     assert e8 > 1e-8          # the bias is real, not roundoff
     assert e16 <= e8 / 2.5    # and decays at second order, give or take
     assert e32 <= e16 / 2.5
+
+
+@pytest.mark.parametrize("nl", [DOUBLE_WELL, Nonlinearity(2.5, 0.0, 0.5)])
+def test_fprime_multiplier_matches_oracle(nl):
+    # for odd cubic f, f'(u) v is a sine polynomial of band 3N, so the
+    # padded product is the exact projection of the dense-matrix oracle
+    grid = GridSpec(8, PI)
+    u = random_band_limited(grid, 8, 2.0, seed=61)
+    v = random_band_limited(grid, 8, 1.0, seed=62)
+    fast = fprime_multiplier(u, nl)(v.coeff)
+    side, m = grid.side, 4 * grid.n_modes
+    vals = nl.f_prime(naive_nodal(u.coeff, side, m)) * naive_nodal(v.coeff, side, m)
+    slow = naive_modal(vals, side)[:8, :8]
+    assert np.abs(fast - slow).max() <= 1e-10 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("nl", [DOUBLE_WELL, Nonlinearity(1.0, 0.7, -1.0)])
+def test_fprime_multiplier_symmetric(nl):
+    # <w, P(f'(u) v)> = <v, P(f'(u) w)>, with or without the even a2 term
+    grid = GridSpec(8, PI)
+    apply = fprime_multiplier(random_band_limited(grid, 8, 2.0, seed=61), nl)
+    v = random_band_limited(grid, 8, 1.0, seed=62).coeff
+    w = random_band_limited(grid, 8, 1.0, seed=63).coeff
+    assert np.vdot(w, apply(v)) == pytest.approx(np.vdot(v, apply(w)), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
