@@ -594,9 +594,8 @@ def lojasiewicz_probe(initial: State, nl: Nonlinearity, g: SourceTerm,
     n_steps = max(1, int(round((t_end - initial.time) / h)))
     if sample_every is None:
         sample_every = max(1, n_steps // 256)
-    log = simulate(initial, nl, g, cfg, t_end, sample_every=sample_every,
-                   keep_states=True)
-    final = log.states[-1]
+    log = simulate(initial, nl, g, cfg, t_end, sample_every=sample_every)
+    final = log.final
     eq = find_equilibrium(final.u, nl, g)
     return LojReport(
         tol=tol,

@@ -220,9 +220,8 @@ def cmd_simulate(cfg: dict, outdir: Path, args) -> int:
     state = _build_state(cfg, grid)
     scheme = _build_scheme(cfg)
     log = simulate(state, nl, g, scheme, float(cfg["t_end"]),
-                   sample_every=int(cfg["sample_every"]), keep_states=True)
-    final = log.states[-1]
-    log.states = []
+                   sample_every=int(cfg["sample_every"]))
+    final = log.final
     log.write_csv(outdir / "trajectory.csv")
     save_field(outdir / "final_u.mfld", final.u, final.time, "u")
     save_field(outdir / "final_ut.mfld", final.v, final.time, "ut")

@@ -115,7 +115,8 @@ class TrajectoryLog:
     Columns: time, the pair norms at s = 0 and s = 2, ||u_t||_{V'}, the
     energy, the velocity diagnostic, the two higher functionals, and the
     running dissipation integral int ||u_t||_{V'}^2 (trapezoid rule,
-    accumulated every step regardless of the sampling stride).
+    accumulated every step regardless of the sampling stride).  final is
+    the last sampled state, kept whether or not states are.
     """
 
     t: list = field(default_factory=list)
@@ -128,6 +129,7 @@ class TrajectoryLog:
     cal_h: list = field(default_factory=list)
     dissip_cum: list = field(default_factory=list)
     states: list = field(default_factory=list)
+    final: State | None = None
 
     CSV_HEADER = "t,norm0,norm2,ut_Vprime,energy,calF,calG,calH,dissip_cum"
 
@@ -226,7 +228,6 @@ class Stepper:
             nstar = fhat  # start-up: nonlinearity explicit at the left endpoint
         else:
             nstar = 1.5 * fhat - 0.5 * self._fhat_prev
-        self._fhat_prev = fhat
         rhs = self.g.g_modal.coeff - self.lam * nstar
         return cn_step(self.state.u.coeff, self.state.v.coeff, rhs, self.lam2, h,
                        self.state.time)
@@ -312,6 +313,8 @@ class Stepper:
             )
         vbar = 0.5 * (w + w_new)
         dissip = h * float(np.sum(vbar**2 / self.lam))
+        if self.cfg.scheme == "imex_cn_ab2":
+            self._fhat_prev = self._cur[0]  # AB2 history, committed with the step
         self.state = new
         self.step_count += 1
         self._cur = (fh_new.coeff, pot_after)
@@ -354,18 +357,22 @@ def step(state: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig) -> St
 def _sample(log: TrajectoryLog, stepper: Stepper, dissip: float,
             diag: DiagnosticParams, keep_states: bool) -> None:
     s = stepper.state
-    hf = higher_functionals(s, stepper.nl, stepper.g)
+    # both functionals share one padded-grid set and the step's P_n f(u)
+    fhat = stepper._ensure_current()[0]
+    nodal = {}
+    hf = higher_functionals(s, stepper.nl, stepper.g, nodal)
     log.t.append(s.time)
     log.norm0.append(norm_pair(s.u, s.v, 0.0))
     log.norm2.append(norm_pair(s.u, s.v, 2.0))
     log.ut_vprime.append(float(np.sqrt(np.sum(s.v.coeff**2 / stepper.lam))))
     log.energy.append(stepper.energy_total())
-    log.cal_f.append(diagnostic_F(s, stepper.nl, stepper.g, diag))
+    log.cal_f.append(diagnostic_F(s, stepper.nl, stepper.g, diag, nodal, fhat))
     log.cal_g.append(hf.g)
     log.cal_h.append(hf.h)
     log.dissip_cum.append(dissip)
     if keep_states:
         log.states.append(s.copy())
+    log.final = s  # a reference: the stepper replaces its state, never mutates it
 
 
 def simulate(initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,

@@ -46,6 +46,7 @@ from .spectral import (
     norm_pair,
     padded_points,
     quadrature_weight,
+    work_array,
 )
 
 
@@ -204,9 +205,10 @@ def _odd_product_integral(side: float, *factors: np.ndarray) -> float:
 
 
 def _truncated(values: np.ndarray, grid: GridSpec) -> ModalField:
-    """P_n of a field sampled on a padded collocation grid."""
+    """P_n of a field sampled on a padded grid.  Consumes values: the
+    transform runs in place there, so the retained block is copied out."""
     n = grid.n_modes
-    return ModalField(grid, modal_from_values(values, grid.side)[:n, :n])
+    return ModalField(grid, modal_from_values(values, grid.side, overwrite=True)[:n, :n].copy())
 
 
 def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity) -> tuple[np.ndarray, float]:
@@ -217,11 +219,12 @@ def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity) -> tuple[np.ndarray,
     present, by the alias-free modal contraction.  Hot path: the padded
     arrays dominate the step cost at large n, so the square is reused
     for the quartic sum and then consumed in place by the Horner
-    evaluation of f.
+    evaluation of f.  Both padded arrays are pooled work arrays, so the
+    returned values hold only until the next call.
     """
     m = padded_points(u.grid.n_modes, 2)
-    un = nodal_values(u, m)
-    fv = un * un
+    un = nodal_values(u, m, out=work_array("f.u", (m, m)))
+    fv = np.multiply(un, un, out=work_array("f.values", (m, m)))
     s2 = float(np.vdot(un, un))
     s4 = float(np.vdot(fv, fv))
     pot = quadrature_weight(u.grid.side, m) * (0.25 * nl.a3 * s4 + 0.5 * nl.a1 * s2)
@@ -299,12 +302,16 @@ def energy(state, nl: Nonlinearity, g: SourceTerm, potential: float | None = Non
     return EnergyBreakdown(quad=quad, potential=pot, forcing=forcing, total=quad + pot - forcing)
 
 
-def acceleration_from_state(state, nl: Nonlinearity, g: SourceTerm) -> ModalField:
-    """u_tt solved from the equation: g - u_t - A^2 u - A f(u), modal."""
+def acceleration_from_state(state, nl: Nonlinearity, g: SourceTerm,
+                            fhat: np.ndarray | None = None) -> ModalField:
+    """u_tt solved from the equation: g - u_t - A^2 u - A f(u), modal.
+    fhat, when given, is P_n f(u) as already computed for this state."""
     u, v = state.u, state.v
     check_same_grid(u, g.g_modal)
     lam = eigenvalues(u.grid)
-    acc = g.g_modal.coeff - v.coeff - lam**2 * u.coeff - lam * f_eval_dealiased(u, nl).coeff
+    if fhat is None:
+        fhat = f_eval_dealiased(u, nl).coeff
+    acc = g.g_modal.coeff - v.coeff - lam**2 * u.coeff - lam * fhat
     return ModalField(u.grid, acc)
 
 
@@ -389,7 +396,26 @@ def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> Assumpt
 # diagnostic functionals
 # ---------------------------------------------------------------------------
 
-def _fprime_quadratic_form(u: ModalField, v: ModalField, nl: Nonlinearity) -> float:
+def _row_values(name: str, z: ModalField, m: int, nodal: dict | None) -> np.ndarray:
+    """z on the m grid, in the work array `name`; with a shared dict (see
+    higher_functionals), transformed once per state and then reused."""
+    vals = None if nodal is None else nodal.get((name, m))
+    if vals is None:
+        vals = nodal_values(z, m, out=work_array("row." + name, (m, m)))
+        if nodal is not None:
+            nodal[(name, m)] = vals
+    return vals
+
+
+def _product_sum(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
+    """sum((x * y) * z), evaluated in a work array."""
+    p = np.multiply(x, y, out=work_array("row.product", x.shape))
+    p *= z
+    return float(np.sum(p))
+
+
+def _fprime_quadratic_form(u: ModalField, v: ModalField, nl: Nonlinearity,
+                           nodal: dict | None = None) -> float:
     """(f'(u) v, v), exact: even parts on the 2n grid, the a2 cross term
     (odd type) through the 3n modal contraction."""
     if nl.is_zero:
@@ -398,35 +424,39 @@ def _fprime_quadratic_form(u: ModalField, v: ModalField, nl: Nonlinearity) -> fl
     val = nl.a1 * float(np.sum(v.coeff**2))
     if nl.a3 != 0.0:
         m = padded_points(n, 2)
-        un = nodal_values(u, m)
-        vn = nodal_values(v, m)
+        un = _row_values("u", u, m, nodal)
+        vn = _row_values("v", v, m, nodal)
         w = quadrature_weight(u.grid.side, m)
-        val += 3.0 * nl.a3 * w * float(np.sum(un**2 * vn**2))
+        v2 = np.square(vn, out=work_array("row.square", (m, m)))
+        val += 3.0 * nl.a3 * w * _product_sum(un, un, v2)
     if nl.a2 != 0.0:
         n3 = padded_points(n, 3)
         val += 2.0 * nl.a2 * _odd_product_integral(
-            u.grid.side, nodal_values(u, n3), nodal_values(v, n3) ** 2
+            u.grid.side, _row_values("u", u, n3, nodal), _row_values("v", v, n3, nodal) ** 2
         )
     return val
 
 
-def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, params: DiagnosticParams | None = None) -> float:
+def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, params: DiagnosticParams | None = None,
+                 nodal: dict | None = None, fhat: np.ndarray | None = None) -> float:
     """Velocity diagnostic functional for V = (u_t, u_tt):
 
         F = 1/2 ||V||_0^2 + beta <u_tt, A^{-1} u_t> + beta/2 ||u_t||_{V'}^2
             + 1/2 (f'(u) u_t, u_t) + big_l ||u_t||_{V'}^2.
 
     With the default (beta, big_l) it is coercive: F >= sigma ||V||_0^2.
+    nodal shares padded-grid values with higher_functionals on the same
+    state; fhat is P_n f(u) when already computed (the stepper caches it).
     """
     if params is None:
         params = default_diagnostic_params(nl)
     u, v = state.u, state.v
-    vt = acceleration_from_state(state, nl, g)
+    vt = acceleration_from_state(state, nl, g, fhat)
     lam = eigenvalues(u.grid)
     half_v0 = 0.5 * norm_pair(v, vt, 0.0) ** 2
     cross = float(np.sum(vt.coeff * v.coeff / lam))
     vprime2 = float(np.sum(v.coeff**2 / lam))
-    quad_form = _fprime_quadratic_form(u, v, nl)
+    quad_form = _fprime_quadratic_form(u, v, nl, nodal)
     return (
         half_v0
         + params.beta * cross
@@ -445,7 +475,8 @@ class HigherFunctionals:
     h: float
 
 
-def higher_functionals(state, nl: Nonlinearity, src: SourceTerm) -> HigherFunctionals:
+def higher_functionals(state, nl: Nonlinearity, src: SourceTerm,
+                       nodal: dict | None = None) -> HigherFunctionals:
     """Quasi-strong functionals of the flow.
 
         G0 = 1/2 ||U||_2^2 - <g, A u> + 1/2 int f'(u) |lap u|^2
@@ -457,6 +488,11 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm) -> HigherFuncti
     All integrals are evaluated exactly for the resolved field (see the
     module docstring), so G and H are independent of the grid size once
     the state is band-limited within it.
+
+    nodal, one dict shared by the functionals of this state (a log row
+    passes it to diagnostic_F too), keeps u, u_t, A u and A u_t on the
+    padded grids so each is transformed once; it holds pooled work
+    arrays, valid until the next padded-grid evaluation.
     """
     u, v = state.u, state.v
     check_same_grid(u, src.g_modal)
@@ -478,29 +514,23 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm) -> HigherFuncti
     t_gradpair = 0.0  # <A u_t, f''(u) |grad u|^2>
     t_gradlap = 0.0  # int f''(u) |grad u|^2 lap u
 
-    if a3 != 0.0 or a2 != 0.0:
+    if a3 != 0.0:  # a3 = 0 forces a2 = 0
         m2 = padded_points(n, 2)
         w2 = quadrature_weight(side, m2)
-        au = ModalField(u.grid, lam * u.coeff)
-        aut = ModalField(u.grid, lam * v.coeff)
-        un = nodal_values(u, m2)
-        vn = nodal_values(v, m2)
-        aun = nodal_values(au, m2)
-        autn = nodal_values(aut, m2)
-        gx, gy = gradient_values(u, m2)
-        grad2 = gx**2 + gy**2
-        lapn = -aun
-        if a3 != 0.0:
-            fprime_lap += 3.0 * a3 * w2 * float(np.sum(un**2 * aun**2))
-            t_ut_lap += 6.0 * a3 * w2 * float(np.sum(un * vn * aun**2))
-            t_gradpair += 6.0 * a3 * w2 * float(np.sum(autn * un * grad2))
-            t_gradlap += 6.0 * a3 * w2 * float(np.sum(un * grad2 * lapn))
+        fields = (("u", u), ("v", v), ("au", ModalField(u.grid, lam * u.coeff)),
+                  ("aut", ModalField(u.grid, lam * v.coeff)))
+        un, vn, aun, autn = (_row_values(name, z, m2, nodal) for name, z in fields)
+        gx, gy = gradient_values(u, m2, out=(work_array("row.gx", (m2, m2)),
+                                             work_array("row.gy", (m2, m2))))
+        grad2 = np.add(np.square(gx, out=gx), np.square(gy, out=gy), out=gx)  # |grad u|^2
+        au2 = np.square(aun, out=work_array("row.square", (m2, m2)))
+        fprime_lap += 3.0 * a3 * w2 * _product_sum(un, un, au2)
+        t_ut_lap += 6.0 * a3 * w2 * _product_sum(un, vn, au2)
+        t_gradpair += 6.0 * a3 * w2 * _product_sum(autn, un, grad2)
+        t_gradlap -= 6.0 * a3 * w2 * _product_sum(un, grad2, aun)  # lap u = -A u
         if a2 != 0.0:
             m3 = padded_points(n, 3)
-            un3 = nodal_values(u, m3)
-            vn3 = nodal_values(v, m3)
-            aun3 = nodal_values(au, m3)
-            autn3 = nodal_values(aut, m3)
+            un3, vn3, aun3, autn3 = (_row_values(name, z, m3, nodal) for name, z in fields)
             gx3, gy3 = gradient_values(u, m3)
             grad23 = gx3**2 + gy3**2
             fprime_lap += 2.0 * a2 * _odd_product_integral(side, un3, aun3**2)

@@ -189,40 +189,51 @@ def padded_points(n_modes: int, factor: int = 2) -> int:
 # transforms
 # ---------------------------------------------------------------------------
 
-# reused zero-padded staging buffers, keyed by (pad, block) size; the
-# tail beyond the block stays zero across calls (the transform does not
-# write into its input), so only the corner is refreshed per call.
+# Work arrays of the padded-grid hot paths (the stepper's f(u), a log
+# row's nodal values, gradients and products), keyed by (name, shape) and
+# reused so the large grids are not reallocated on every call: an array
+# keeps its contents only until the next user of the same slot.
 # Single-threaded use assumed, as everywhere in this package.
-_pad_pool: dict = {}
+_work_pool: dict = {}
 
 
-def nodal_values(z: ModalField, n_points: int | None = None) -> np.ndarray:
+def work_array(name: str, shape: tuple) -> np.ndarray:
+    """The pooled float64 work array `name` of this shape (uninitialised)."""
+    buf = _work_pool.get((name, shape))
+    if buf is None:
+        buf = _work_pool[(name, shape)] = np.empty(shape)
+    return buf
+
+
+def nodal_values(z: ModalField, n_points: int | None = None,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate the sine series on the interior grid with n_points per axis.
 
     n_points >= n_modes (defaults to n_modes).  Zero-padding the
     coefficients before the inverse DST-I gives exact point values of
-    the band-limited field on the finer grid.
+    the band-limited field on the finer grid.  The values are written
+    into out (a C-contiguous float64 array of the grid's shape) when
+    given, else into a fresh array; the transform runs in place there.
     """
     n = z.grid.n_modes
     m = n if n_points is None else int(n_points)
     if m < n:
         raise ValueError(f"n_points={m} < n_modes={n}")
-    if m == n:
-        c = z.coeff
-    else:
-        c = _pad_pool.get((m, n))
-        if c is None:
-            c = _pad_pool[(m, n)] = np.zeros((m, m))
-        c[:n, :n] = z.coeff
-    vals = sfft.dstn(c, type=1)
+    vals = np.empty((m, m)) if out is None else out
+    if vals.shape != (m, m):
+        raise ValueError(f"out has shape {vals.shape}, need {(m, m)}")
+    vals[...] = 0.0
+    vals[:n, :n] = z.coeff
+    sfft.dstn(vals, type=1, overwrite_x=True)
     vals /= 2.0 * z.grid.side
     return vals
 
 
-def modal_from_values(values: np.ndarray, side: float) -> np.ndarray:
-    """Sine coefficients interpolating nodal values on their own grid."""
+def modal_from_values(values: np.ndarray, side: float, overwrite: bool = False) -> np.ndarray:
+    """Sine coefficients interpolating nodal values on their own grid;
+    overwrite=True transforms in place, consuming values."""
     m = values.shape[0]
-    out = sfft.dstn(values, type=1)
+    out = sfft.dstn(values, type=1, overwrite_x=overwrite)
     out *= side / (2.0 * (m + 1) ** 2)
     return out
 
@@ -249,13 +260,15 @@ def field_integral(z: ModalField) -> float:
     return (8.0 * z.grid.side / np.pi**2) * float(w @ z.coeff @ w)
 
 
-def gradient_values(z: ModalField, n_points: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gradient_values(z: ModalField, n_points: int | None = None,
+                    out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodal values of (du/dx, du/dy) on the interior n_points grid.
 
     Differentiating the sine series gives a cosine series along the
     differentiated axis; it is evaluated by a type-I DCT on the closed
     grid (boundary points carry no sine content) and sliced back to the
-    interior points.
+    interior points.  out, a pair of C-contiguous float64 arrays of the
+    grid's shape, receives the values when given (as in nodal_values).
     """
     n = z.grid.n_modes
     m = n if n_points is None else int(n_points)
@@ -263,19 +276,22 @@ def gradient_values(z: ModalField, n_points: int | None = None) -> tuple[np.ndar
         raise ValueError(f"n_points={m} < n_modes={n}")
     side = z.grid.side
     freq = np.arange(1, n + 1) * np.pi / side
+    ux, uy = (np.empty((m, m)), np.empty((m, m))) if out is None else out
+    a = work_array("gradient.a", (n, m))
+    b = work_array("gradient.b", (m + 2, m))
 
-    def _ddx(coeff):
+    def _ddx(coeff, dest):
         # coefficients of the cosine-in-x, sine-in-y series of du/dx
-        d = coeff * (2.0 / side) * freq[:, None]
-        a = np.zeros((n, m))
-        a[:, :n] = d / 2.0
-        t = sfft.dst(a, type=1, axis=1)  # sine evaluation along y
-        b = np.zeros((m + 2, m))
-        b[1 : n + 1, :] = t / 2.0
-        return sfft.dct(b, type=1, axis=0)[1 : m + 1, :]  # cos eval along x
+        a[:, :n] = coeff * (2.0 / side) * freq[:, None] / 2.0
+        a[:, n:] = 0.0
+        sfft.dst(a, type=1, axis=1, overwrite_x=True)  # sine evaluation along y
+        b[...] = 0.0
+        np.divide(a, 2.0, out=b[1 : n + 1])
+        sfft.dct(b, type=1, axis=0, overwrite_x=True)  # cos eval along x
+        dest[...] = b[1 : m + 1]
 
-    ux = _ddx(z.coeff)
-    uy = _ddx(z.coeff.T).T
+    _ddx(z.coeff, ux)
+    _ddx(z.coeff.T, uy.T)
     return ux, uy
 
 
@@ -378,20 +394,27 @@ def save_field(path, z: ModalField, time: float = 0.0, kind: str = "u") -> None:
 
 
 def load_field(path) -> tuple[ModalField, float, str]:
-    """Read a .mfld snapshot; returns (field, time, kind)."""
+    """Read a .mfld snapshot; returns (field, time, kind).  A malformed
+    header or a short block raises FileFormatError."""
     with open(path, "rb") as fh:
         raw = fh.readline()
         try:
             header = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FileFormatError(f"{path}: bad snapshot header") from exc
+        if not isinstance(header, dict):
+            raise FileFormatError(f"{path}: snapshot header is not a JSON object")
         for key in ("n_modes", "side", "time", "kind"):
             if key not in header:
                 raise FileFormatError(f"{path}: header missing '{key}'")
-        n = int(header["n_modes"])
-        blob = fh.read(8 * n * n)
-        if len(blob) != 8 * n * n:
+        try:
+            grid = GridSpec(int(header["n_modes"]), float(header["side"]))
+            time, kind = float(header["time"]), str(header["kind"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FileFormatError(f"{path}: bad snapshot header ({exc})") from exc
+        n = grid.n_modes
+        blob = fh.read()  # not read(8 n^2): a huge claimed n_modes would allocate that much
+        if len(blob) < 8 * n * n:
             raise FileFormatError(f"{path}: truncated coefficient block")
-        coeff = np.frombuffer(blob, dtype="<f8").reshape(n, n).copy()
-    grid = GridSpec(n, float(header["side"]))
-    return ModalField(grid, coeff), float(header["time"]), str(header["kind"])
+        coeff = np.frombuffer(blob, dtype="<f8", count=n * n).reshape(n, n).copy()
+    return ModalField(grid, coeff), time, kind

@@ -51,5 +51,8 @@ def test_tracer_sees_every_layer():
         assert tracer.count[label + ".calls"] > 0, label
     assert tracer.count["integrator.advance.calls"] == 3
     assert tracer.count["model.diagnostics.rows"] == 4
+    # a row transforms u, u_t, A u, A u_t once and takes one gradient; P_n f(u)
+    # comes from the step
+    assert tracer.count["model.diagnostics.transforms"] == 5 * tracer.count["model.diagnostics.rows"]
     assert originals == (spectral.nodal_values, analysis.find_equilibrium,
                          integrator.Stepper.advance, integrator.minres, analysis.minres)

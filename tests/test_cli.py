@@ -7,6 +7,7 @@ import pytest
 
 from sinech.cli import DEFAULTS, main
 from sinech.integrator import exact_linear_mode
+from sinech.spectral import GridSpec, ModalField, save_field
 
 
 def run_cli(*argv):
@@ -219,6 +220,23 @@ def test_simulate_unknown_preset(tmp_path):
     )
     assert run_cli("simulate", "--config", cfg,
                    "--output-dir", str(tmp_path / "o")) == 2
+
+
+@pytest.mark.parametrize("field,value", [("n_modes", "abc"), ("side", -1.0)])
+def test_simulate_bad_snapshot_header_names_the_key(tmp_path, capsys, field, value):
+    snap = tmp_path / "u0.mfld"
+    save_field(snap, ModalField.single_mode(GridSpec(8, math.pi), 1, 1, 0.5))
+    head, _, rest = snap.read_bytes().partition(b"\n")
+    header = dict(json.loads(head), **{field: value})
+    snap.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    cfg = write_config(
+        tmp_path,
+        grid={"n_modes": 8},
+        initial={"u": {"preset": "file", "path": str(snap)}},
+        t_end=0.0,
+    )
+    assert run_cli("simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
+    assert "initial.u.path" in capsys.readouterr().err
 
 
 def test_simulate_instability_exit_code(tmp_path):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import resource
 
 import numpy as np
 import pytest
@@ -26,10 +27,19 @@ from sinech.integrator import (
     load_checkpoint,
     resume_simulation,
     save_checkpoint,
+    _sample,
     simulate,
     step,
 )
-from sinech.model import Nonlinearity, SourceTerm, acceleration_from_state, energy
+from sinech.model import (
+    Nonlinearity,
+    SourceTerm,
+    acceleration_from_state,
+    default_diagnostic_params,
+    diagnostic_F,
+    energy,
+    higher_functionals,
+)
 from sinech.spectral import (
     GridSpec,
     ModalField,
@@ -542,3 +552,88 @@ def test_nan_coefficient_raises_on_first_step(scheme):
         stepper.advance()
     assert exc.value.time == 1e-3
     assert stepper.step_count == 0 and stepper.state.time == 0.0
+
+
+# ---------------------------------------------------------------------------
+# failed steps, log rows and the last sampled state
+# ---------------------------------------------------------------------------
+
+def test_failed_step_keeps_ab2_history():
+    # the AB2 history is committed with an accepted step only, so a retry
+    # at a smaller dt takes the step a fresh stepper would
+    grid = GridSpec(16, PI)
+    st = State(random_band_limited(grid, 4, 8.0, seed=3), ModalField.zeros(grid))
+    stepper = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=2.0))
+    with pytest.raises(InstabilityError):
+        stepper.advance()
+    assert stepper.state.time == 0.0 and stepper._fhat_prev is None
+    fresh = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
+    for _ in range(2):  # the start-up step, then the first AB2 step
+        stepper.advance(1e-3)
+        fresh.advance()
+        assert np.array_equal(stepper.state.u.coeff, fresh.state.u.coeff)
+        assert np.array_equal(stepper.state.v.coeff, fresh.state.v.coeff)
+        with pytest.raises(InstabilityError):
+            stepper.advance(2.0)
+        assert np.array_equal(stepper._fhat_prev, fresh._fhat_prev)
+
+
+@pytest.mark.parametrize("n", [8, 33, 64])
+@pytest.mark.parametrize("case", ["double_well", "quadratic_with_source"])
+def test_logged_functionals_equal_standalone(n, case):
+    # a log row shares one padded-grid set and the step's P_n f(u) between
+    # the functionals; it logs exactly what the standalone calls return
+    grid = GridSpec(n, PI)
+    if case == "double_well":
+        nl, g = DOUBLE_WELL, SourceTerm.zero(grid)
+        st = State(random_band_limited(grid, 4, 1.0, seed=5), ModalField.zeros(grid))
+    else:
+        nl, g = Nonlinearity(1.0, 0.5, -1.0), SourceTerm.single_mode(grid, 1, 2, 0.3)
+        st = State(random_band_limited(grid, 4, 1.0, seed=7),
+                   random_band_limited(grid, 3, 0.5, seed=8))
+    log = simulate(st, nl, g, SchemeConfig(dt=1e-3), 3e-3, keep_states=True)
+    diag = default_diagnostic_params(nl)
+    assert len(log.states) == 4
+    for k, s in enumerate(log.states):
+        hf = higher_functionals(s, nl, g)
+        assert log.cal_g[k] == hf.g and log.cal_h[k] == hf.h
+        assert log.cal_f[k] == diagnostic_F(s, nl, g, diag)
+
+
+def test_log_final_is_last_sampled_state():
+    grid = GridSpec(8, PI)
+    st = random_pair_state(grid, 4, 1.0, seed=75)
+    cfg = SchemeConfig(dt=1e-3)
+    kept = simulate(st, DOUBLE_WELL, SourceTerm.zero(grid), cfg, 7e-3, sample_every=3,
+                    keep_states=True)
+    log = simulate(st, DOUBLE_WELL, SourceTerm.zero(grid), cfg, 7e-3, sample_every=3)
+    assert log.states == [] and log.final.time == kept.t[-1] == log.t[-1]
+    assert np.array_equal(log.final.u.coeff, kept.states[-1].u.coeff)
+    assert np.array_equal(log.final.v.coeff, kept.states[-1].v.coeff)
+    still = simulate(st, DOUBLE_WELL, SourceTerm.zero(grid), cfg, 0.0)
+    assert np.array_equal(still.final.u.coeff, st.u.coeff)
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+@pytest.mark.parametrize("n,what", [(128, "step"), (64, "row"), (128, "row")])
+def test_hot_paths_reuse_work_arrays(n, what):
+    # the padded grids of a step and of a log row live in pooled work
+    # arrays; allocating them afresh makes the allocator map and unmap
+    # them, hundreds of minor page faults per step or row
+    grid = GridSpec(n, PI)
+    st = State(random_band_limited(grid, 8, 1.0, seed=76), ModalField.zeros(grid))
+    stepper = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
+    log, diag = TrajectoryLog(), default_diagnostic_params(DOUBLE_WELL)
+    for _ in range(5):  # warm-up: pools, FFT plans, allocator thresholds
+        stepper.advance()
+        _sample(log, stepper, 0.0, diag, False)
+    before = _minor_faults()
+    for _ in range(50):
+        if what == "step":
+            stepper.advance()
+        else:
+            _sample(log, stepper, 0.0, diag, False)
+    assert (_minor_faults() - before) / 50 < 10

@@ -34,6 +34,7 @@ from sinech.model import (
     f_eval_dealiased,
     fprime_multiplier,
     higher_functionals,
+    nonlinear_term_and_potential,
     pde_residual,
     potential_integral,
 )
@@ -212,6 +213,20 @@ def test_fprime_multiplier_matches_oracle(nl):
     vals = nl.f_prime(naive_nodal(u.coeff, side, m)) * naive_nodal(v.coeff, side, m)
     slow = naive_modal(vals, side)[:8, :8]
     assert np.abs(fast - slow).max() <= 1e-10 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_nonlinear_term_does_not_alias_work_arrays(n):
+    # f(u) is evaluated in pooled work arrays and transformed in place; the
+    # truncated result must be a fresh array even where a 1 x 1 slice of
+    # the padded grid already counts as contiguous
+    grid = GridSpec(n, PI)
+    u = random_band_limited(grid, n, 1.0, seed=n)
+    first, _ = nonlinear_term_and_potential(u, DOUBLE_WELL)
+    kept = first.coeff.copy()
+    second = f_eval_dealiased(2.0 * u, DOUBLE_WELL)
+    assert not np.shares_memory(first.coeff, second.coeff)
+    assert np.array_equal(first.coeff, kept)
 
 
 @pytest.mark.parametrize("nl", [DOUBLE_WELL, Nonlinearity(1.0, 0.7, -1.0)])

@@ -1,5 +1,6 @@
 """Transform layer: eigenbasis, fast-vs-naive transforms, norms, file IO."""
 
+import json
 import math
 
 import numpy as np
@@ -280,6 +281,41 @@ def test_gradient_values():
 # random fields
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("n,m", [(1, 1), (5, 5), (6, 13), (16, 35), (33, 69)])
+def test_out_arguments_match_default_bitwise(n, m):
+    # the pooled work arrays start with stale contents: NaN must not leak
+    grid = GridSpec(n, 2.5)
+    z = ModalField(grid, np.random.default_rng(n).standard_normal((n, n)))
+    buf = np.full((m, m), np.nan)
+    assert nodal_values(z, m, out=buf) is buf
+    assert np.array_equal(buf, nodal_values(z, m))
+    gx, gy = np.full((m, m), np.nan), np.full((m, m), np.nan)
+    res = gradient_values(z, m, out=(gx, gy))
+    assert res[0] is gx and res[1] is gy
+    ref = gradient_values(z, m)
+    assert np.array_equal(gx, ref[0]) and np.array_equal(gy, ref[1])
+    values = nodal_values(z, m)
+    expected = modal_from_values(values, grid.side)
+    assert np.array_equal(modal_from_values(values, grid.side, overwrite=True), expected)
+    with pytest.raises(ValueError):
+        nodal_values(z, m, out=np.empty((m + 1, m + 1)))
+
+
+@pytest.mark.parametrize("n", [1, 8])
+def test_default_calls_return_fresh_arrays(n):
+    grid = GridSpec(n, PI)
+    z = random_band_limited(grid, n, 1.0, seed=n)
+    m = 2 * n + 1
+    for call in (lambda: nodal_values(z, m), lambda: nodal_values(z),
+                 lambda: gradient_values(z, m)[0], lambda: gradient_values(z, m)[1],
+                 lambda: modal_from_values(nodal_values(z, m), PI)):
+        first = call()
+        kept = first.copy()
+        second = call()
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+
+
 def test_random_band_limited():
     grid = GridSpec(16, PI)
     z1 = random_band_limited(grid, 4, 1.5, seed=123)
@@ -362,6 +398,36 @@ def test_field_file_corruption(tmp_path):
     missing.write_bytes(b'{"n_modes": 8, "side": 3.14}\n' + blob[100:])
     with pytest.raises(FileFormatError):
         load_field(missing)
+
+
+
+def _edit_header(key, value):
+    def edit(header):
+        header[key] = value
+        return header
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_header("n_modes", "abc"),
+    _edit_header("side", -1.0),
+    _edit_header("n_modes", 0),
+    _edit_header("n_modes", -2),
+    _edit_header("n_modes", None),
+    _edit_header("n_modes", 10**6),     # would need an 8 TB block
+    _edit_header("time", "later"),
+    lambda header: [header],             # a JSON array, not an object
+    lambda header: 8,                    # a bare number
+    lambda header: "n_modes side time",  # a string holding the key names
+], ids=["n_modes-abc", "side-negative", "n_modes-zero", "n_modes-negative",
+        "n_modes-null", "n_modes-huge", "time-text", "array", "number", "string"])
+def test_field_file_bad_header_is_file_format_error(tmp_path, edit):
+    path = tmp_path / "snap.mfld"
+    save_field(path, ModalField.zeros(GridSpec(2, PI)))
+    head, _, rest = path.read_bytes().partition(b"\n")
+    path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + rest)
+    with pytest.raises(FileFormatError):
+        load_field(path)
 
 
 # ---------------------------------------------------------------------------
