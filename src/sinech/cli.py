@@ -118,36 +118,55 @@ def _load_config(path: str | None) -> dict:
 # builders
 # ---------------------------------------------------------------------------
 
+def _typed(kind, value, key: str):
+    """kind(value) for the config value at key; a value of the wrong type,
+    or a float that is not finite, is a ConfigError naming the key."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"expected {kind.__name__}, got {value!r}", key=key) from exc
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"expected a finite number, got {value!r}", key=key)
+    return out
+
+
+def _typed_list(kind, value, key: str) -> list:
+    """[kind(x) for x in value], checked as _typed does."""
+    if not isinstance(value, list):
+        raise ConfigError(f"expected a list, got {value!r}", key=key)
+    return [_typed(kind, x, key) for x in value]
+
+
 def _build_grid(cfg: dict) -> GridSpec:
     block = cfg["grid"]
+    n_modes = _typed(int, block["n_modes"], "grid.n_modes")
+    side = _typed(float, block["side"], "grid.side")
     try:
-        return GridSpec(int(block["n_modes"]), float(block["side"]))
+        return GridSpec(n_modes, side)
     except ValueError as exc:
         raise ConfigError(str(exc), key="grid") from exc
 
 
 def _build_nl(cfg: dict) -> Nonlinearity:
     block = cfg["nonlinearity"]
+    coef = [_typed(float, block[name], f"nonlinearity.{name}") for name in ("a3", "a2", "a1")]
     kw = {}
     for name in ("lambda_bound", "m_bound", "r0"):
         if block[name] is not None:
-            kw[name] = float(block[name])
+            kw[name] = _typed(float, block[name], f"nonlinearity.{name}")
     try:
-        return Nonlinearity(float(block["a3"]), float(block["a2"]),
-                            float(block["a1"]), **kw)
+        return Nonlinearity(*coef, **kw)
     except UnsupportedNonlinearityError as exc:
         raise ConfigError(str(exc), key="nonlinearity") from exc
 
 
 def _build_scheme(cfg: dict) -> SchemeConfig:
     block = cfg["scheme"]
+    kw = {name: _typed(kind, block[name], f"scheme.{name}")
+          for name, kind in (("dt", float), ("scheme", str), ("newton_tol", float),
+                             ("newton_max_iter", int), ("safeguard_tol", float))}
     try:
-        return SchemeConfig(
-            dt=float(block["dt"]), scheme=str(block["scheme"]),
-            newton_tol=float(block["newton_tol"]),
-            newton_max_iter=int(block["newton_max_iter"]),
-            safeguard_tol=float(block["safeguard_tol"]),
-        )
+        return SchemeConfig(**kw)
     except ValueError as exc:
         raise ConfigError(str(exc), key="scheme") from exc
 
@@ -158,19 +177,22 @@ def _build_field(block: dict, grid: GridSpec, default_seed: int, label: str) -> 
         return ModalField.zeros(grid)
     if preset == "single_mode":
         try:
-            return ModalField.single_mode(grid, int(block["j"]), int(block["k"]),
-                                          float(block["amp"]))
+            return ModalField.single_mode(grid, _typed(int, block["j"], f"{label}.j"),
+                                          _typed(int, block["k"], f"{label}.k"),
+                                          _typed(float, block["amp"], f"{label}.amp"))
         except IndexError as exc:
             raise ConfigError(str(exc), key=f"{label}.j") from exc
     if preset == "random_band":
-        seed = default_seed if block["seed"] is None else int(block["seed"])
+        seed = (default_seed if block["seed"] is None
+                else _typed(int, block["seed"], f"{label}.seed"))
+        band = _typed(int, block["band"], f"{label}.band")
+        amplitude = _typed(float, block["amplitude"], f"{label}.amplitude")
         try:
-            return random_band_limited(grid, int(block["band"]),
-                                       float(block["amplitude"]), seed)
+            return random_band_limited(grid, band, amplitude, seed)
         except IndexError as exc:
             raise ConfigError(str(exc), key=f"{label}.band") from exc
     if preset == "file":
-        if not block["path"]:
+        if not block["path"] or not isinstance(block["path"], str):
             raise ConfigError("preset 'file' needs a path", key=f"{label}.path")
         try:
             z, _, _ = load_field(block["path"])
@@ -194,7 +216,7 @@ def _build_source(cfg: dict, grid: GridSpec) -> SourceTerm:
 
 
 def _build_state(cfg: dict, grid: GridSpec) -> State:
-    seed = int(cfg["seed"])
+    seed = _typed(int, cfg["seed"], "seed")
     u = _build_field(cfg["initial"]["u"], grid, seed, "initial.u")
     ut = _build_field(cfg["initial"]["ut"], grid, seed + 1, "initial.ut")
     return State(u, ut)
@@ -219,8 +241,8 @@ def cmd_simulate(cfg: dict, outdir: Path, args) -> int:
     g = _build_source(cfg, grid)
     state = _build_state(cfg, grid)
     scheme = _build_scheme(cfg)
-    log = simulate(state, nl, g, scheme, float(cfg["t_end"]),
-                   sample_every=int(cfg["sample_every"]))
+    log = simulate(state, nl, g, scheme, _typed(float, cfg["t_end"], "t_end"),
+                   sample_every=_typed(int, cfg["sample_every"], "sample_every"))
     final = log.final
     log.write_csv(outdir / "trajectory.csv")
     save_field(outdir / "final_u.mfld", final.u, final.time, "u")
@@ -313,8 +335,9 @@ def _check_energy_orders() -> tuple[float, bool]:
 
 def cmd_check(cfg: dict, outdir: Path, args) -> int:
     nl = _build_nl(cfg)
-    rng = np.random.default_rng(int(cfg["seed"]))
-    side = float(cfg["grid"]["side"])
+    rng = np.random.default_rng(_typed(int, cfg["seed"], "seed"))
+    side = _typed(float, cfg["grid"]["side"], "grid.side")
+    n_modes_list = _typed_list(int, cfg["check"]["n_modes_list"], "check.n_modes_list")
     per_grid = {
         "parseval": _check_parseval,
         "roundtrip": _check_roundtrip,
@@ -323,15 +346,15 @@ def cmd_check(cfg: dict, outdir: Path, args) -> int:
         "bg_scale": _check_bg_scale,
     }
     rows = []
-    for n in cfg["check"]["n_modes_list"]:
-        grid = GridSpec(int(n), side)
+    for n in n_modes_list:
+        grid = GridSpec(n, side)
         for name, fn in per_grid.items():
             if args.only and args.only != name:
                 continue
             value, ok = fn(grid, rng)
-            rows.append({"check": name, "n_modes": int(n), "value": value, "pass": ok})
+            rows.append({"check": name, "n_modes": n, "value": value, "pass": ok})
     if not args.only or args.only == "assumptions":
-        grid = GridSpec(int(cfg["check"]["n_modes_list"][0]), side)
+        grid = GridSpec(n_modes_list[0], side)
         value, ok = _check_assumptions_entry(nl, grid)
         rows.append({"check": "assumptions", "n_modes": grid.n_modes,
                      "value": value, "pass": ok})
@@ -353,8 +376,8 @@ def cmd_check(cfg: dict, outdir: Path, args) -> int:
 
 def cmd_converge(cfg: dict, outdir: Path, args) -> int:
     block = cfg["converge"]
-    resolutions = [int(r) for r in block["resolutions"]]
-    n_ref = int(block["n_ref"])
+    resolutions = _typed_list(int, block["resolutions"], "converge.resolutions")
+    n_ref = _typed(int, block["n_ref"], "converge.n_ref")
     if not resolutions or any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ConfigError("resolutions must be strictly increasing", key="converge.resolutions")
     if n_ref < 2 * max(resolutions):
@@ -362,21 +385,23 @@ def cmd_converge(cfg: dict, outdir: Path, args) -> int:
             f"n_ref={n_ref} must be at least 2*max(resolutions)={2 * max(resolutions)}",
             key="converge.n_ref",
         )
-    band = int(block["band"])
+    band = _typed(int, block["band"], "converge.band")
     if band > min(resolutions):
         raise ConfigError("band must not exceed the coarsest resolution",
                           key="converge.band")
-    side = float(cfg["grid"]["side"])
+    side = _typed(float, cfg["grid"]["side"], "grid.side")
     nl = _build_nl(cfg)
     coarse = GridSpec(min(resolutions), side)
     initial = State(
-        random_band_limited(coarse, band, float(block["amplitude"]), int(cfg["seed"])),
+        random_band_limited(coarse, band, _typed(float, block["amplitude"], "converge.amplitude"),
+                            _typed(int, cfg["seed"], "seed")),
         ModalField.zeros(coarse),
     )
     g = _build_source(cfg, coarse)
     rep = analysis.galerkin_convergence(
         initial, nl, g, _build_scheme(cfg), resolutions, n_ref,
-        float(block["t_star"]), sample_every=int(block["sample_every"]),
+        _typed(float, block["t_star"], "converge.t_star"),
+        sample_every=_typed(int, block["sample_every"], "converge.sample_every"),
     )
     _write_json(outdir / "convergence.json", rep.to_dict())
     finite = [x for x in rep.gaps if math.isfinite(x)]
@@ -393,8 +418,9 @@ def cmd_decompose(cfg: dict, outdir: Path, args) -> int:
     g = _build_source(cfg, grid)
     initial = _build_state(cfg, grid)
     run = analysis.decompose_with_retries(
-        initial, nl, g, _build_scheme(cfg), float(block["big_l"]),
-        float(block["t_end"]), max_doublings=int(block["max_doublings"]),
+        initial, nl, g, _build_scheme(cfg), _typed(float, block["big_l"], "decompose.big_l"),
+        _typed(float, block["t_end"], "decompose.t_end"),
+        max_doublings=_typed(int, block["max_doublings"], "decompose.max_doublings"),
     )
     _write_json(outdir / "decomposition.json", run.to_dict())
     ok = run.sum_error_rel <= 1e-9 and run.fitted_kappa > 0 and run.fit_r2 >= 0.9
@@ -408,9 +434,12 @@ def cmd_equilibrium(cfg: dict, outdir: Path, args) -> int:
     grid = _build_grid(cfg)
     nl = _build_nl(cfg)
     g = _build_source(cfg, grid)
-    seed_field = _build_field(cfg["initial"]["u"], grid, int(cfg["seed"]), "initial.u")
-    res = analysis.find_equilibrium(seed_field, nl, g, tol=float(block["tol"]),
-                                    max_iter=int(block["max_iter"]))
+    seed_field = _build_field(cfg["initial"]["u"], grid, _typed(int, cfg["seed"], "seed"),
+                              "initial.u")
+    res = analysis.find_equilibrium(
+        seed_field, nl, g, tol=_typed(float, block["tol"], "equilibrium.tol"),
+        max_iter=_typed(int, block["max_iter"], "equilibrium.max_iter"),
+    )
     save_field(outdir / "u_star.mfld", res.u_star, 0.0, "equilibrium")
     _write_json(outdir / "equilibrium.json", res.to_dict())
     _say(args, f"equilibrium: residual={res.residual:.2e} iters={res.newton_iters} "
@@ -425,7 +454,8 @@ def cmd_lojasiewicz(cfg: dict, outdir: Path, args) -> int:
     g = _build_source(cfg, grid)
     initial = _build_state(cfg, grid)
     rep = analysis.lojasiewicz_probe(initial, nl, g, _build_scheme(cfg),
-                                     float(block["t_end"]), tol=float(block["tol"]))
+                                     _typed(float, block["t_end"], "lojasiewicz.t_end"),
+                                     tol=_typed(float, block["tol"], "lojasiewicz.tol"))
     save_field(outdir / "u_star.mfld", rep.equilibrium.u_star, 0.0, "equilibrium")
     _write_json(outdir / "lojasiewicz.json", rep.to_dict())
     ok = rep.tol_reached and rep.energy_gap >= -1e-10
@@ -440,9 +470,10 @@ def cmd_absorb(cfg: dict, outdir: Path, args) -> int:
     nl = _build_nl(cfg)
     g = _build_source(cfg, grid)
     rep = analysis.absorbing_probe(
-        [float(r) for r in block["radii"]], int(block["n_per_radius"]), nl, g,
-        _build_scheme(cfg), float(block["t_end"]), seed=int(cfg["seed"]),
-        floor=float(block["floor"]),
+        _typed_list(float, block["radii"], "absorb.radii"),
+        _typed(int, block["n_per_radius"], "absorb.n_per_radius"), nl, g,
+        _build_scheme(cfg), _typed(float, block["t_end"], "absorb.t_end"),
+        seed=_typed(int, cfg["seed"], "seed"), floor=_typed(float, block["floor"], "absorb.floor"),
     )
     _write_json(outdir / "absorbing.json", rep.to_dict())
     _say(args, f"absorb: status={rep.status} tail_sup0={['%.3e' % x for x in rep.tail_sup0]}")
@@ -456,12 +487,11 @@ def cmd_lipschitz(cfg: dict, outdir: Path, args) -> int:
     g = _build_source(cfg, grid)
     initial = _build_state(cfg, grid)
     scheme = _build_scheme(cfg)
-    scale = float(block["perturbation_scale"])
-    t_end = float(block["t_end"])
-    full = analysis.lipschitz_dependence(initial, scale, nl, g, scheme, t_end,
-                                         seed=int(cfg["seed"]) + 13)
-    half = analysis.lipschitz_dependence(initial, scale / 2.0, nl, g, scheme, t_end,
-                                         seed=int(cfg["seed"]) + 13)
+    scale = _typed(float, block["perturbation_scale"], "lipschitz.perturbation_scale")
+    t_end = _typed(float, block["t_end"], "lipschitz.t_end")
+    seed = _typed(int, cfg["seed"], "seed") + 13
+    full = analysis.lipschitz_dependence(initial, scale, nl, g, scheme, t_end, seed=seed)
+    half = analysis.lipschitz_dependence(initial, scale / 2.0, nl, g, scheme, t_end, seed=seed)
     stable = abs(full.c7 - half.c7) <= 0.1 * max(abs(full.c7), abs(half.c7)) + 1e-3
     # super-exponential growth: the late-window rate outrunning the
     # early-window rate while positive

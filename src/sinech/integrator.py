@@ -98,6 +98,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
+        if not np.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if self.dt == 0.0:
             raise ValueError("dt must be nonzero")
         if self.dt < 0.0 and self.scheme != "implicit_newton":
@@ -569,12 +571,12 @@ def load_checkpoint(path) -> Checkpoint:
             if not set(_CKPT_BLOCKS[:3]) <= set(blocks) <= set(_CKPT_BLOCKS):
                 raise FileFormatError(f"{path}: block list {blocks} is not u, ut, g "
                                       "and optionally fhat_prev")
-            arrays = {}
-            for name in blocks:
-                blob = fh.read(8 * n * n)
-                if len(blob) != 8 * n * n:
-                    raise FileFormatError(f"{path}: truncated block '{name}'")
-                arrays[name] = np.frombuffer(blob, dtype="<f8").reshape(n, n).copy()
+            size = 8 * n * n
+            blob = fh.read()  # what the file holds, not what a huge n_modes would claim
+            if len(blob) < size * len(blocks):
+                raise FileFormatError(f"{path}: truncated block '{blocks[len(blob) // size]}'")
+            arrays = {name: np.frombuffer(blob, dtype="<f8", count=n * n, offset=i * size)
+                      .reshape(n, n).copy() for i, name in enumerate(blocks)}
             return Checkpoint(
                 state=State(ModalField(grid, arrays["u"]), ModalField(grid, arrays["ut"]),
                             float(header["time"])),
@@ -584,5 +586,5 @@ def load_checkpoint(path) -> Checkpoint:
                 step_count=int(header["step_count"]),
                 fhat_prev=arrays.get("fhat_prev"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FileFormatError(f"{path}: bad checkpoint header ({exc!r})") from exc

@@ -207,8 +207,8 @@ def _odd_product_integral(side: float, *factors: np.ndarray) -> float:
 def _truncated(values: np.ndarray, grid: GridSpec) -> ModalField:
     """P_n of a field sampled on a padded grid.  Consumes values: the
     transform runs in place there, so the retained block is copied out."""
-    n = grid.n_modes
-    return ModalField(grid, modal_from_values(values, grid.side, overwrite=True)[:n, :n].copy())
+    coeff = modal_from_values(values, grid.side, overwrite=True, n_modes=grid.n_modes)
+    return ModalField(grid, coeff.copy())
 
 
 def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity) -> tuple[np.ndarray, float]:

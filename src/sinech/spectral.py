@@ -214,6 +214,10 @@ def nodal_values(z: ModalField, n_points: int | None = None,
     the band-limited field on the finer grid.  The values are written
     into out (a C-contiguous float64 array of the grid's shape) when
     given, else into a fresh array; the transform runs in place there.
+
+    Pruned: the axis-0 pass skips the m - n padding columns, which are
+    zero and would stay zero.  dstn also transforms axis 0 first, so the
+    values are bitwise those of the full 2-D transform.
     """
     n = z.grid.n_modes
     m = n if n_points is None else int(n_points)
@@ -222,18 +226,32 @@ def nodal_values(z: ModalField, n_points: int | None = None,
     vals = np.empty((m, m)) if out is None else out
     if vals.shape != (m, m):
         raise ValueError(f"out has shape {vals.shape}, need {(m, m)}")
-    vals[...] = 0.0
     vals[:n, :n] = z.coeff
-    sfft.dstn(vals, type=1, overwrite_x=True)
+    vals[:n, n:] = 0.0
+    vals[n:] = 0.0
+    sfft.dst(vals[:, :n], type=1, axis=0, overwrite_x=True)  # in place on the view
+    sfft.dst(vals, type=1, axis=1, overwrite_x=True)
     vals /= 2.0 * z.grid.side
     return vals
 
 
-def modal_from_values(values: np.ndarray, side: float, overwrite: bool = False) -> np.ndarray:
+def modal_from_values(values: np.ndarray, side: float, overwrite: bool = False,
+                      n_modes: int | None = None) -> np.ndarray:
     """Sine coefficients interpolating nodal values on their own grid;
-    overwrite=True transforms in place, consuming values."""
+    overwrite=True transforms in place, consuming values.
+
+    With n_modes, only the retained (n_modes, n_modes) block is computed
+    and returned, as a view into the transformed array: the axis-1 pass
+    runs over the first n_modes rows only.  dstn also transforms axis 0
+    first, so the block is bitwise that of the full 2-D transform.
+    """
     m = values.shape[0]
-    out = sfft.dstn(values, type=1, overwrite_x=overwrite)
+    n = m if n_modes is None else int(n_modes)
+    if not (1 <= n <= m):
+        raise ValueError(f"n_modes={n} outside 1..{m}")
+    out = sfft.dst(values, type=1, axis=0, overwrite_x=overwrite)[:n]
+    sfft.dst(out, type=1, axis=1, overwrite_x=True)
+    out = out[:, :n]
     out *= side / (2.0 * (m + 1) ** 2)
     return out
 

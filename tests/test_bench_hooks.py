@@ -45,7 +45,8 @@ def test_tracer_sees_every_layer():
     finally:
         tracer.uninstall()
 
-    for label in ("spectral.inverse", "model.nonlinear", "model.diagnostics",
+    for label in ("spectral.inverse", "spectral.forward", "spectral.gradient",
+                  "model.nonlinear", "model.diagnostics",
                   "integrator.advance", "integrator.minres", "analysis.minres",
                   "analysis.equilibrium"):
         assert tracer.count[label + ".calls"] > 0, label

@@ -239,6 +239,24 @@ def test_simulate_bad_snapshot_header_names_the_key(tmp_path, capsys, field, val
     assert "initial.u.path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"t_end": "abc"}, "t_end"),
+    ({"grid": {"n_modes": None}}, "grid.n_modes"),
+    ({"scheme": {"dt": "nan"}}, "scheme.dt"),
+    ({"scheme": {"dt": math.inf}}, "scheme.dt"),
+    ({"sample_every": "x"}, "sample_every"),
+    ({"seed": [1]}, "seed"),
+    ({"nonlinearity": {"a1": {}}}, "nonlinearity.a1"),
+    ({"initial": {"u": {"preset": "random_band", "band": "four"}}}, "initial.u.band"),
+    ({"initial": {"u": {"preset": "file", "path": ["u.mfld"]}}}, "initial.u.path"),
+], ids=["t_end-text", "n_modes-null", "dt-nan", "dt-inf", "sample_every-text",
+        "seed-list", "a1-object", "band-text", "path-list"])
+def test_simulate_bad_value_type_names_the_key(tmp_path, capsys, overrides, key):
+    cfg = write_config(tmp_path, **overrides)
+    assert run_cli("simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_simulate_instability_exit_code(tmp_path):
     # a violent step trips the energy safeguard; the CLI maps it to 1
     cfg = write_config(

@@ -518,8 +518,10 @@ def _drop_key(key):
     lambda header: header["blocks"].append("rng_state"),   # unknown block
     lambda header: header["blocks"].remove("ut"),          # u, ut, g are required
     lambda header: header["blocks"].remove("g"),
+    lambda header: header.update(n_modes=10**6),          # more than the file holds
+    lambda header: header.update(n_modes=math.inf),
 ], ids=["no-n_modes", "no-side", "no-scheme", "no-nonlinearity", "no-blocks",
-        "unknown-block", "no-ut-block", "no-g-block"])
+        "unknown-block", "no-ut-block", "no-g-block", "huge-n_modes", "inf-n_modes"])
 def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
     grid = GridSpec(4, PI)
     stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
@@ -532,6 +534,20 @@ def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
     edit(header)
     path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
     with pytest.raises(FileFormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [8, 8 * 4 * 4 - 8, 8 * 4 * 4])
+def test_checkpoint_short_last_block_names_it(tmp_path, cut):
+    grid = GridSpec(4, PI)
+    stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
+                      SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
+    _run_stepper(stepper, 2)
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, stepper.checkpoint())
+    last = json.loads(path.read_bytes().partition(b"\n")[0])["blocks"][-1]
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(FileFormatError, match=f"truncated block '{last}'"):
         load_checkpoint(path)
 
 

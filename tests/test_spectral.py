@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from oracles import naive_modal, naive_nodal, sine_matrix
 
@@ -299,6 +300,46 @@ def test_out_arguments_match_default_bitwise(n, m):
     assert np.array_equal(modal_from_values(values, grid.side, overwrite=True), expected)
     with pytest.raises(ValueError):
         nodal_values(z, m, out=np.empty((m + 1, m + 1)))
+
+
+def _full_nodal(z, m):
+    # the unpruned inverse: zero-pad, then one 2-D DST-I over the whole grid
+    n = z.grid.n_modes
+    padded = np.zeros((m, m))
+    padded[:n, :n] = z.coeff
+    out = sfft.dstn(padded, type=1)
+    out /= 2.0 * z.grid.side
+    return out
+
+
+def _full_modal(values, side, n):
+    # the unpruned forward: one 2-D DST-I over the whole grid, then truncate
+    m = values.shape[0]
+    out = sfft.dstn(values, type=1)
+    out *= side / (2.0 * (m + 1) ** 2)
+    return out[:n, :n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 33, 64, 128])
+@pytest.mark.parametrize("grid_size", ["n", "pad2", "pad3", "4n"])
+def test_pruned_transforms_match_full_grid_dstn_bitwise(n, grid_size):
+    m = {"n": n, "pad2": padded_points(n, 2), "pad3": padded_points(n, 3),
+         "4n": 4 * n}[grid_size]
+    side = 2.5
+    z = ModalField(GridSpec(n, side), np.random.default_rng(n).standard_normal((n, n)))
+    expected = _full_nodal(z, m)
+    assert np.array_equal(nodal_values(z, m), expected)
+    buf = np.full((m, m), np.nan)  # stale contents must not leak into the pruned passes
+    assert np.array_equal(nodal_values(z, m, out=buf), expected)
+
+    values = np.random.default_rng(m).standard_normal((m, m))
+    kept = values.copy()
+    expected = _full_modal(values, side, n)
+    assert np.array_equal(modal_from_values(values, side, n_modes=n), expected)
+    assert np.array_equal(values, kept)  # overwrite=False leaves its input untouched
+    assert np.array_equal(modal_from_values(values, side, overwrite=True, n_modes=n), expected)
+    with pytest.raises(ValueError):
+        modal_from_values(kept, side, n_modes=m + 1)
 
 
 @pytest.mark.parametrize("n", [1, 8])
