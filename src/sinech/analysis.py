@@ -99,19 +99,6 @@ class ConvergenceReport:
     c1_estimate: float        # from gap^2 ~ lambda_N^(C1 t* - 1/2)
     failed: list              # resolutions whose run went unstable
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "galerkin_convergence",
-            "resolutions": list(self.resolutions),
-            "gaps": [float(x) for x in self.gaps],
-            "t_star": self.t_star,
-            "n_ref": self.n_ref,
-            "fitted_exponent": self.fitted_exponent,
-            "c1_estimate": self.c1_estimate,
-            "failed": list(self.failed),
-        }
-
 
 def galerkin_convergence(initial: State, nl: Nonlinearity, g: SourceTerm,
                          cfg: SchemeConfig, resolutions: list, n_ref: int,
@@ -188,21 +175,6 @@ class DecompositionRun:
     fit_r2: float
     fit_window: tuple
     doublings: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "decomposition",
-            "big_l": self.big_l,
-            "sum_error": self.sum_error,
-            "sum_error_rel": self.sum_error_rel,
-            "times": [float(x) for x in self.times],
-            "w_norm_trace": [float(x) for x in self.w_norm_trace],
-            "fitted_kappa": self.fitted_kappa,
-            "fit_r2": self.fit_r2,
-            "fit_window": list(self.fit_window),
-            "doublings": self.doublings,
-        }
 
 
 def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
@@ -308,18 +280,6 @@ class LipschitzReport:
     c7: float
     max_rho: float
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "lipschitz",
-            "perturbation_scale": self.perturbation_scale,
-            "times": [float(x) for x in self.times],
-            "rho": [float(x) for x in self.rho],
-            "c6": self.c6,
-            "c7": self.c7,
-            "max_rho": self.max_rho,
-        }
-
 
 def lipschitz_dependence(initial: State, perturbation_scale: float,
                          nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
@@ -371,16 +331,6 @@ class BGReport:
     n_modes: int
     side: float
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "brezis_gallouet",
-            "records": self.records,
-            "max_ratio": self.max_ratio,
-            "n_modes": self.n_modes,
-            "side": self.side,
-        }
-
 
 def bg_ratio(z: ModalField, eps0: float = 1e-30) -> float:
     """||z||_inf / (||z||_V (1 + log^(1/2)(1 + ||z||_DA / ||z||_V))).
@@ -428,20 +378,6 @@ class EquilibriumResult:
     stability_indicator: float
     converged: bool
     residual_history: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "equilibrium",
-            "residual": self.residual,
-            "newton_iters": self.newton_iters,
-            "energy_at": self.energy_at,
-            "stability_indicator": self.stability_indicator,
-            "converged": self.converged,
-            "residual_history": [float(x) for x in self.residual_history],
-            "norm_V": norm_Hs(self.u_star, 0.5),
-            "sup_norm": sup_norm(self.u_star),
-        }
 
 
 def _stationary_jacobian(u: ModalField, nl: Nonlinearity, lam: np.ndarray) -> LinearOperator:
@@ -568,20 +504,6 @@ class LojReport:
     times: list
     ut_trace: list
 
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "lojasiewicz",
-            "tol": self.tol,
-            "tol_reached": self.tol_reached,
-            "ut_final": self.ut_final,
-            "distance_v": self.distance_v,
-            "energy_gap": self.energy_gap,
-            "equilibrium": self.equilibrium.to_dict(),
-            "times": [float(x) for x in self.times],
-            "ut_trace": [float(x) for x in self.ut_trace],
-        }
-
 
 def lojasiewicz_probe(initial: State, nl: Nonlinearity, g: SourceTerm,
                       cfg: SchemeConfig, t_end: float, tol: float = 1e-6,
@@ -621,18 +543,6 @@ class AbsorbReport:
     ratio: float              # max/min of tail_sup0 across radii
     floor: float
     status: str               # pass | inconclusive | fail
-
-    def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "kind": "absorbing",
-            "radii": [float(x) for x in self.radii],
-            "tail_sup0": [float(x) for x in self.tail_sup0],
-            "tail_sup2": [float(x) for x in self.tail_sup2],
-            "ratio": self.ratio,
-            "floor": self.floor,
-            "status": self.status,
-        }
 
 
 def absorbing_probe(radii: list, n_per_radius: int, nl: Nonlinearity,

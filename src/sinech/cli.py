@@ -4,10 +4,12 @@ Subcommands wrap the integrator (`simulate`), the invariant suite
 (`check`), and one wrapper per experiment (`converge`, `decompose`,
 `equilibrium`, `lojasiewicz`, `absorb`, `lipschitz`).
 
-Configuration is a single JSON document; defaults are resolved, echoed
-into the run directory as config_effective.json, and re-running from
-that echo reproduces the run byte for byte (no timestamps are written
-anywhere).  Exit codes: 0 = pass, 1 = assertion or runtime failure,
+Configuration is a single JSON document.  Each value is checked once,
+against the type of its DEFAULTS entry and its key's range; defaults are
+resolved, echoed into the run directory as config_effective.json, and
+re-running from that echo reproduces the run byte for byte (no
+timestamps are written anywhere).  Every report JSON goes through
+_report.  Exit codes: 0 = pass, 1 = assertion or runtime failure,
 2 = usage/config error.
 """
 
@@ -18,6 +20,7 @@ import copy
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +31,6 @@ from .errors import (
     FileFormatError,
     InstabilityError,
     StepFailureError,
-    UnsupportedNonlinearityError,
 )
 from .integrator import (
     SchemeConfig,
@@ -52,6 +54,7 @@ from .spectral import (
     quadrature_weight,
     random_band_limited,
     save_field,
+    sup_norm,
 )
 
 _FIELD_BLOCK = {
@@ -83,92 +86,96 @@ DEFAULTS = {
 }
 
 
+# The type of a leaf whose default is None, by leaf name.
+_NULLABLE = {"lambda_bound": float, "m_bound": float, "r0": float, "seed": int, "path": str}
+
+# Ranges, by key; a list key's bound holds for every element.  The CLI
+# runs forward in time only (dt > 0, t_end >= 0).
+_POSITIVE = {
+    "grid.n_modes", "grid.side", "scheme.dt", "scheme.newton_tol", "scheme.newton_max_iter",
+    "sample_every", "check.n_modes_list", "converge.resolutions", "converge.n_ref",
+    "converge.t_star", "converge.band", "converge.sample_every", "decompose.big_l",
+    "equilibrium.tol", "absorb.radii", "absorb.n_per_radius", "absorb.t_end",
+    "lipschitz.perturbation_scale",
+}
+_NON_NEGATIVE = {
+    "t_end", "seed", "initial.u.seed", "initial.ut.seed", "scheme.safeguard_tol",
+    "decompose.t_end", "decompose.max_doublings", "equilibrium.max_iter",
+    "lojasiewicz.t_end", "lojasiewicz.tol", "absorb.floor", "lipschitz.t_end",
+}
+
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _leaf(default, val, key: str):
+    """The user's value at key, checked against the type of its default
+    and the key's range.  An integer given for a float is promoted; bools
+    and non-integers are not integers."""
+    if isinstance(default, list):
+        if not isinstance(val, list) or not val:
+            raise ConfigError(f"expected a non-empty list, got {val!r}", key=key)
+        return [_leaf(default[0], x, key) for x in val]
+    if default is None:
+        if val is None:
+            return None
+        kind = _NULLABLE[key.rsplit(".", 1)[-1]]
+    else:
+        kind = type(default)
+    if kind is float and type(val) is int:
+        val = float(val) if abs(val) <= sys.float_info.max else math.inf
+    if type(val) is not kind or (kind is float and not math.isfinite(val)):
+        raise ConfigError(f"expected {_EXPECTED[kind]}, got {val!r}", key=key)
+    if key in _POSITIVE and not val > 0:
+        raise ConfigError(f"must be > 0, got {val!r}", key=key)
+    if key in _NON_NEGATIVE and not val >= 0:
+        raise ConfigError(f"must be >= 0, got {val!r}", key=key)
+    return val
+
+
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
-    """Deep merge with unknown-key rejection; errors name the key."""
+    """Deep merge of the user's values into the defaults, each checked by
+    _leaf; unknown keys are rejected.  Errors name the key."""
     out = copy.deepcopy(defaults)
     for key, val in user.items():
         here = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError("unknown key", key=here)
-        if isinstance(defaults[key], dict) and defaults[key]:
+        if isinstance(defaults[key], dict):
             if not isinstance(val, dict):
                 raise ConfigError("expected an object", key=here)
             out[key] = _merge(defaults[key], val, here)
         else:
-            out[key] = val
+            out[key] = _leaf(defaults[key], val, here)
     return out
 
 
 def _load_config(path: str | None) -> dict:
+    """The user's config object, unchecked ({} without a file)."""
     if path is None:
-        return copy.deepcopy(DEFAULTS)
+        return {}
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
         user = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge(DEFAULTS, user)
+    return user
 
 
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
 
-def _typed(kind, value, key: str):
-    """kind(value) for the config value at key; a value of the wrong type,
-    or a float that is not finite, is a ConfigError naming the key."""
+def _build(cls, cfg: dict, block: str):
+    """cls(**cfg[block]) for a block whose keys are cls's fields; a
+    combination of values that cls refuses names the block."""
     try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"expected {kind.__name__}, got {value!r}", key=key) from exc
-    if kind is float and not math.isfinite(out):
-        raise ConfigError(f"expected a finite number, got {value!r}", key=key)
-    return out
-
-
-def _typed_list(kind, value, key: str) -> list:
-    """[kind(x) for x in value], checked as _typed does."""
-    if not isinstance(value, list):
-        raise ConfigError(f"expected a list, got {value!r}", key=key)
-    return [_typed(kind, x, key) for x in value]
-
-
-def _build_grid(cfg: dict) -> GridSpec:
-    block = cfg["grid"]
-    n_modes = _typed(int, block["n_modes"], "grid.n_modes")
-    side = _typed(float, block["side"], "grid.side")
-    try:
-        return GridSpec(n_modes, side)
+        return cls(**cfg[block])
     except ValueError as exc:
-        raise ConfigError(str(exc), key="grid") from exc
-
-
-def _build_nl(cfg: dict) -> Nonlinearity:
-    block = cfg["nonlinearity"]
-    coef = [_typed(float, block[name], f"nonlinearity.{name}") for name in ("a3", "a2", "a1")]
-    kw = {}
-    for name in ("lambda_bound", "m_bound", "r0"):
-        if block[name] is not None:
-            kw[name] = _typed(float, block[name], f"nonlinearity.{name}")
-    try:
-        return Nonlinearity(*coef, **kw)
-    except UnsupportedNonlinearityError as exc:
-        raise ConfigError(str(exc), key="nonlinearity") from exc
-
-
-def _build_scheme(cfg: dict) -> SchemeConfig:
-    block = cfg["scheme"]
-    kw = {name: _typed(kind, block[name], f"scheme.{name}")
-          for name, kind in (("dt", float), ("scheme", str), ("newton_tol", float),
-                             ("newton_max_iter", int), ("safeguard_tol", float))}
-    try:
-        return SchemeConfig(**kw)
-    except ValueError as exc:
-        raise ConfigError(str(exc), key="scheme") from exc
+        raise ConfigError(str(exc), key=block) from exc
 
 
 def _build_field(block: dict, grid: GridSpec, default_seed: int, label: str) -> ModalField:
@@ -177,22 +184,17 @@ def _build_field(block: dict, grid: GridSpec, default_seed: int, label: str) -> 
         return ModalField.zeros(grid)
     if preset == "single_mode":
         try:
-            return ModalField.single_mode(grid, _typed(int, block["j"], f"{label}.j"),
-                                          _typed(int, block["k"], f"{label}.k"),
-                                          _typed(float, block["amp"], f"{label}.amp"))
+            return ModalField.single_mode(grid, block["j"], block["k"], block["amp"])
         except IndexError as exc:
             raise ConfigError(str(exc), key=f"{label}.j") from exc
     if preset == "random_band":
-        seed = (default_seed if block["seed"] is None
-                else _typed(int, block["seed"], f"{label}.seed"))
-        band = _typed(int, block["band"], f"{label}.band")
-        amplitude = _typed(float, block["amplitude"], f"{label}.amplitude")
+        seed = default_seed if block["seed"] is None else block["seed"]
         try:
-            return random_band_limited(grid, band, amplitude, seed)
+            return random_band_limited(grid, block["band"], block["amplitude"], seed)
         except IndexError as exc:
             raise ConfigError(str(exc), key=f"{label}.band") from exc
     if preset == "file":
-        if not block["path"] or not isinstance(block["path"], str):
+        if not block["path"]:
             raise ConfigError("preset 'file' needs a path", key=f"{label}.path")
         try:
             z, _, _ = load_field(block["path"])
@@ -216,10 +218,26 @@ def _build_source(cfg: dict, grid: GridSpec) -> SourceTerm:
 
 
 def _build_state(cfg: dict, grid: GridSpec) -> State:
-    seed = _typed(int, cfg["seed"], "seed")
-    u = _build_field(cfg["initial"]["u"], grid, seed, "initial.u")
-    ut = _build_field(cfg["initial"]["ut"], grid, seed + 1, "initial.ut")
+    u = _build_field(cfg["initial"]["u"], grid, cfg["seed"], "initial.u")
+    ut = _build_field(cfg["initial"]["ut"], grid, cfg["seed"] + 1, "initial.ut")
     return State(u, ut)
+
+
+def _report(kind: str, rep=None, **extra) -> dict:
+    """The JSON form of every report: schema, kind, each dataclass field
+    of rep (tuples as lists; ModalFields are left out) and the extras."""
+    out = {"schema": 1, "kind": kind}
+    for f in fields(rep) if rep is not None else ():
+        val = getattr(rep, f.name)
+        if not isinstance(val, ModalField):
+            out[f.name] = list(val) if isinstance(val, tuple) else val
+    out.update(extra)
+    return out
+
+
+def _equilibrium_report(res: analysis.EquilibriumResult) -> dict:
+    return _report("equilibrium", res, norm_V=norm_Hs(res.u_star, 0.5),
+                   sup_norm=sup_norm(res.u_star))
 
 
 def _write_json(path: Path, obj: dict) -> None:
@@ -236,28 +254,21 @@ def _say(args, *msg) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(cfg: dict, outdir: Path, args) -> int:
-    grid = _build_grid(cfg)
-    nl = _build_nl(cfg)
+    grid = _build(GridSpec, cfg, "grid")
+    nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
     state = _build_state(cfg, grid)
-    scheme = _build_scheme(cfg)
-    log = simulate(state, nl, g, scheme, _typed(float, cfg["t_end"], "t_end"),
-                   sample_every=_typed(int, cfg["sample_every"], "sample_every"))
+    scheme = _build(SchemeConfig, cfg, "scheme")
+    log = simulate(state, nl, g, scheme, cfg["t_end"], sample_every=cfg["sample_every"])
     final = log.final
     log.write_csv(outdir / "trajectory.csv")
     save_field(outdir / "final_u.mfld", final.u, final.time, "u")
     save_field(outdir / "final_ut.mfld", final.v, final.time, "ut")
-    _write_json(outdir / "summary.json", {
-        "schema": 1,
-        "kind": "simulate",
-        "t_final": log.t[-1],
-        "norm0_final": log.norm0[-1],
-        "norm2_final": log.norm2[-1],
-        "energy_initial": log.energy[0],
-        "energy_final": log.energy[-1],
-        "dissipation_integral": log.dissip_cum[-1],
-        "samples": len(log),
-    })
+    _write_json(outdir / "summary.json", _report(
+        "simulate", t_final=log.t[-1], norm0_final=log.norm0[-1], norm2_final=log.norm2[-1],
+        energy_initial=log.energy[0], energy_final=log.energy[-1],
+        dissipation_integral=log.dissip_cum[-1], samples=len(log),
+    ))
     _say(args, f"simulate: {len(log)} samples to t={log.t[-1]:g}, "
                f"energy {log.energy[0]:.6g} -> {log.energy[-1]:.6g}")
     return 0
@@ -334,10 +345,10 @@ def _check_energy_orders() -> tuple[float, bool]:
 
 
 def cmd_check(cfg: dict, outdir: Path, args) -> int:
-    nl = _build_nl(cfg)
-    rng = np.random.default_rng(_typed(int, cfg["seed"], "seed"))
-    side = _typed(float, cfg["grid"]["side"], "grid.side")
-    n_modes_list = _typed_list(int, cfg["check"]["n_modes_list"], "check.n_modes_list")
+    nl = _build(Nonlinearity, cfg, "nonlinearity")
+    rng = np.random.default_rng(cfg["seed"])
+    side = cfg["grid"]["side"]
+    n_modes_list = cfg["check"]["n_modes_list"]
     per_grid = {
         "parseval": _check_parseval,
         "roundtrip": _check_roundtrip,
@@ -364,8 +375,7 @@ def cmd_check(cfg: dict, outdir: Path, args) -> int:
     if args.only and not rows:
         raise ConfigError(f"unknown check {args.only!r}", key="--only")
     all_pass = all(r["pass"] for r in rows)
-    _write_json(outdir / "check_report.json",
-                {"schema": 1, "kind": "check", "all_pass": all_pass, "rows": rows})
+    _write_json(outdir / "check_report.json", _report("check", all_pass=all_pass, rows=rows))
     if not args.quiet:
         for r in rows:
             mark = "PASS" if r["pass"] else "FAIL"
@@ -376,34 +386,27 @@ def cmd_check(cfg: dict, outdir: Path, args) -> int:
 
 def cmd_converge(cfg: dict, outdir: Path, args) -> int:
     block = cfg["converge"]
-    resolutions = _typed_list(int, block["resolutions"], "converge.resolutions")
-    n_ref = _typed(int, block["n_ref"], "converge.n_ref")
-    if not resolutions or any(b <= a for a, b in zip(resolutions, resolutions[1:])):
+    resolutions, n_ref, band = block["resolutions"], block["n_ref"], block["band"]
+    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ConfigError("resolutions must be strictly increasing", key="converge.resolutions")
     if n_ref < 2 * max(resolutions):
         raise ConfigError(
             f"n_ref={n_ref} must be at least 2*max(resolutions)={2 * max(resolutions)}",
             key="converge.n_ref",
         )
-    band = _typed(int, block["band"], "converge.band")
     if band > min(resolutions):
         raise ConfigError("band must not exceed the coarsest resolution",
                           key="converge.band")
-    side = _typed(float, cfg["grid"]["side"], "grid.side")
-    nl = _build_nl(cfg)
-    coarse = GridSpec(min(resolutions), side)
-    initial = State(
-        random_band_limited(coarse, band, _typed(float, block["amplitude"], "converge.amplitude"),
-                            _typed(int, cfg["seed"], "seed")),
-        ModalField.zeros(coarse),
-    )
+    nl = _build(Nonlinearity, cfg, "nonlinearity")
+    coarse = GridSpec(min(resolutions), cfg["grid"]["side"])
+    initial = State(random_band_limited(coarse, band, block["amplitude"], cfg["seed"]),
+                    ModalField.zeros(coarse))
     g = _build_source(cfg, coarse)
     rep = analysis.galerkin_convergence(
-        initial, nl, g, _build_scheme(cfg), resolutions, n_ref,
-        _typed(float, block["t_star"], "converge.t_star"),
-        sample_every=_typed(int, block["sample_every"], "converge.sample_every"),
+        initial, nl, g, _build(SchemeConfig, cfg, "scheme"), resolutions, n_ref,
+        block["t_star"], sample_every=block["sample_every"],
     )
-    _write_json(outdir / "convergence.json", rep.to_dict())
+    _write_json(outdir / "convergence.json", _report("galerkin_convergence", rep))
     finite = [x for x in rep.gaps if math.isfinite(x)]
     monotone = all(b < a for a, b in zip(finite, finite[1:]))
     ok = not rep.failed and monotone
@@ -413,16 +416,15 @@ def cmd_converge(cfg: dict, outdir: Path, args) -> int:
 
 def cmd_decompose(cfg: dict, outdir: Path, args) -> int:
     block = cfg["decompose"]
-    grid = _build_grid(cfg)
-    nl = _build_nl(cfg)
+    grid = _build(GridSpec, cfg, "grid")
+    nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
     initial = _build_state(cfg, grid)
     run = analysis.decompose_with_retries(
-        initial, nl, g, _build_scheme(cfg), _typed(float, block["big_l"], "decompose.big_l"),
-        _typed(float, block["t_end"], "decompose.t_end"),
-        max_doublings=_typed(int, block["max_doublings"], "decompose.max_doublings"),
+        initial, nl, g, _build(SchemeConfig, cfg, "scheme"), block["big_l"], block["t_end"],
+        max_doublings=block["max_doublings"],
     )
-    _write_json(outdir / "decomposition.json", run.to_dict())
+    _write_json(outdir / "decomposition.json", _report("decomposition", run))
     ok = run.sum_error_rel <= 1e-9 and run.fitted_kappa > 0 and run.fit_r2 >= 0.9
     _say(args, f"decompose: L={run.big_l:g} kappa={run.fitted_kappa:.4f} "
                f"R2={run.fit_r2:.4f} sum_error={run.sum_error:.2e}")
@@ -431,17 +433,14 @@ def cmd_decompose(cfg: dict, outdir: Path, args) -> int:
 
 def cmd_equilibrium(cfg: dict, outdir: Path, args) -> int:
     block = cfg["equilibrium"]
-    grid = _build_grid(cfg)
-    nl = _build_nl(cfg)
+    grid = _build(GridSpec, cfg, "grid")
+    nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
-    seed_field = _build_field(cfg["initial"]["u"], grid, _typed(int, cfg["seed"], "seed"),
-                              "initial.u")
-    res = analysis.find_equilibrium(
-        seed_field, nl, g, tol=_typed(float, block["tol"], "equilibrium.tol"),
-        max_iter=_typed(int, block["max_iter"], "equilibrium.max_iter"),
-    )
+    seed_field = _build_field(cfg["initial"]["u"], grid, cfg["seed"], "initial.u")
+    res = analysis.find_equilibrium(seed_field, nl, g, tol=block["tol"],
+                                    max_iter=block["max_iter"])
     save_field(outdir / "u_star.mfld", res.u_star, 0.0, "equilibrium")
-    _write_json(outdir / "equilibrium.json", res.to_dict())
+    _write_json(outdir / "equilibrium.json", _equilibrium_report(res))
     _say(args, f"equilibrium: residual={res.residual:.2e} iters={res.newton_iters} "
                f"stability={res.stability_indicator:.4f}")
     return 0 if res.converged else 1
@@ -449,15 +448,15 @@ def cmd_equilibrium(cfg: dict, outdir: Path, args) -> int:
 
 def cmd_lojasiewicz(cfg: dict, outdir: Path, args) -> int:
     block = cfg["lojasiewicz"]
-    grid = _build_grid(cfg)
-    nl = _build_nl(cfg)
+    grid = _build(GridSpec, cfg, "grid")
+    nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
     initial = _build_state(cfg, grid)
-    rep = analysis.lojasiewicz_probe(initial, nl, g, _build_scheme(cfg),
-                                     _typed(float, block["t_end"], "lojasiewicz.t_end"),
-                                     tol=_typed(float, block["tol"], "lojasiewicz.tol"))
+    rep = analysis.lojasiewicz_probe(initial, nl, g, _build(SchemeConfig, cfg, "scheme"),
+                                     block["t_end"], tol=block["tol"])
     save_field(outdir / "u_star.mfld", rep.equilibrium.u_star, 0.0, "equilibrium")
-    _write_json(outdir / "lojasiewicz.json", rep.to_dict())
+    _write_json(outdir / "lojasiewicz.json", _report(
+        "lojasiewicz", rep, equilibrium=_equilibrium_report(rep.equilibrium)))
     ok = rep.tol_reached and rep.energy_gap >= -1e-10
     _say(args, f"lojasiewicz: |u_t|={rep.ut_final:.2e} dist_V={rep.distance_v:.2e} "
                f"gap={rep.energy_gap:.2e}")
@@ -466,30 +465,26 @@ def cmd_lojasiewicz(cfg: dict, outdir: Path, args) -> int:
 
 def cmd_absorb(cfg: dict, outdir: Path, args) -> int:
     block = cfg["absorb"]
-    grid = _build_grid(cfg)
-    nl = _build_nl(cfg)
+    grid = _build(GridSpec, cfg, "grid")
+    nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
     rep = analysis.absorbing_probe(
-        _typed_list(float, block["radii"], "absorb.radii"),
-        _typed(int, block["n_per_radius"], "absorb.n_per_radius"), nl, g,
-        _build_scheme(cfg), _typed(float, block["t_end"], "absorb.t_end"),
-        seed=_typed(int, cfg["seed"], "seed"), floor=_typed(float, block["floor"], "absorb.floor"),
+        block["radii"], block["n_per_radius"], nl, g, _build(SchemeConfig, cfg, "scheme"),
+        block["t_end"], seed=cfg["seed"], floor=block["floor"],
     )
-    _write_json(outdir / "absorbing.json", rep.to_dict())
+    _write_json(outdir / "absorbing.json", _report("absorbing", rep))
     _say(args, f"absorb: status={rep.status} tail_sup0={['%.3e' % x for x in rep.tail_sup0]}")
     return 0 if rep.status in ("pass", "inconclusive") else 1
 
 
 def cmd_lipschitz(cfg: dict, outdir: Path, args) -> int:
     block = cfg["lipschitz"]
-    grid = _build_grid(cfg)
-    nl = _build_nl(cfg)
+    grid = _build(GridSpec, cfg, "grid")
+    nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
     initial = _build_state(cfg, grid)
-    scheme = _build_scheme(cfg)
-    scale = _typed(float, block["perturbation_scale"], "lipschitz.perturbation_scale")
-    t_end = _typed(float, block["t_end"], "lipschitz.t_end")
-    seed = _typed(int, cfg["seed"], "seed") + 13
+    scheme = _build(SchemeConfig, cfg, "scheme")
+    scale, t_end, seed = block["perturbation_scale"], block["t_end"], cfg["seed"] + 13
     full = analysis.lipschitz_dependence(initial, scale, nl, g, scheme, t_end, seed=seed)
     half = analysis.lipschitz_dependence(initial, scale / 2.0, nl, g, scheme, t_end, seed=seed)
     stable = abs(full.c7 - half.c7) <= 0.1 * max(abs(full.c7), abs(half.c7)) + 1e-3
@@ -502,11 +497,9 @@ def cmd_lipschitz(cfg: dict, outdir: Path, args) -> int:
     early_mask = (t_arr >= t0 + 0.25 * span) & (t_arr <= t0 + 0.5 * span)
     c7_early, _, _ = analysis._log_linear_fit(t_arr[early_mask], r_arr[early_mask])
     flagged = full.c7 > 0 and full.c7 > c7_early + max(0.2 * abs(c7_early), 0.05)
-    out = full.to_dict()
-    out["c7_half_scale"] = half.c7
-    out["c7_stable"] = stable
-    out["super_exponential_flag"] = bool(flagged)
-    _write_json(outdir / "lipschitz.json", out)
+    _write_json(outdir / "lipschitz.json", _report(
+        "lipschitz", full, c7_half_scale=half.c7, c7_stable=stable,
+        super_exponential_flag=bool(flagged)))
     _say(args, f"lipschitz: c7={full.c7:.4f} (half-scale {half.c7:.4f}) "
                f"max_rho={full.max_rho:.4g}")
     return 0 if stable and not flagged else 1
@@ -549,11 +542,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = int(args.seed)
-        if args.output_dir is not None:
-            cfg["output_dir"] = args.output_dir
+        flags = {"seed": args.seed, "output_dir": args.output_dir}
+        cfg = _merge(_merge(DEFAULTS, _load_config(args.config)),
+                     {key: val for key, val in flags.items() if val is not None})
         outdir = Path(cfg["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / "config_effective.json", cfg)

@@ -378,8 +378,7 @@ def _sample(log: TrajectoryLog, stepper: Stepper, dissip: float,
 
 
 def simulate(initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
-             t_end: float, sample_every: int = 1, keep_states: bool = False,
-             diag_params: DiagnosticParams | None = None) -> TrajectoryLog:
+             t_end: float, sample_every: int = 1, keep_states: bool = False) -> TrajectoryLog:
     """Integrate from initial.time to t_end, sampling every
     sample_every steps (plus the endpoints).
 
@@ -395,14 +394,11 @@ def simulate(initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
         raise ValueError(
             f"t_end={t_end} not reachable from t={initial.time} with dt={cfg.dt}"
         )
-    diag = diag_params if diag_params is not None else default_diagnostic_params(nl)
-    stepper = Stepper(initial, nl, g, cfg)
-    return _run(stepper, span, sample_every, keep_states, diag)
+    return _run(Stepper(initial, nl, g, cfg), span, sample_every, keep_states)
 
 
 def resume_simulation(ckpt: Checkpoint, t_end: float, sample_every: int = 1,
                       keep_states: bool = False,
-                      diag_params: DiagnosticParams | None = None,
                       nl: Nonlinearity | None = None,
                       g: SourceTerm | None = None) -> TrajectoryLog:
     """Continue a checkpointed run (bit-for-bit with the original).
@@ -417,13 +413,11 @@ def resume_simulation(ckpt: Checkpoint, t_end: float, sample_every: int = 1,
             raise CheckpointMismatchError("grid does not match the checkpoint")
         if not np.array_equal(g.g_modal.coeff, ckpt.g.g_modal.coeff):
             raise CheckpointMismatchError("source term does not match the checkpoint")
-    diag = diag_params if diag_params is not None else default_diagnostic_params(ckpt.nl)
-    stepper = Stepper.from_checkpoint(ckpt)
-    return _run(stepper, t_end - ckpt.state.time, sample_every, keep_states, diag)
+    return _run(Stepper.from_checkpoint(ckpt), t_end - ckpt.state.time, sample_every, keep_states)
 
 
-def _run(stepper: Stepper, span: float, sample_every: int,
-         keep_states: bool, diag: DiagnosticParams) -> TrajectoryLog:
+def _run(stepper: Stepper, span: float, sample_every: int, keep_states: bool) -> TrajectoryLog:
+    diag = default_diagnostic_params(stepper.nl)
     log = TrajectoryLog()
     _sample(log, stepper, 0.0, diag, keep_states)
     if span == 0.0:

@@ -341,19 +341,6 @@ class AssumptionReport:
     def all_valid(self) -> bool:
         return self.lambda_bound_valid and self.m_bound_valid and self.r0_valid
 
-    def to_dict(self) -> dict:
-        return {
-            "lambda_bound": self.lambda_bound,
-            "m_bound": self.m_bound,
-            "r0": self.r0,
-            "min_f_prime_sampled": self.min_f_prime_sampled,
-            "lambda_bound_valid": self.lambda_bound_valid,
-            "m_bound_valid": self.m_bound_valid,
-            "r0_valid": self.r0_valid,
-            "lambda1": self.lambda1,
-            "all_valid": self.all_valid,
-        }
-
 
 def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> AssumptionReport:
     """Verify the claimed structural bounds of the nonlinearity.

@@ -398,11 +398,13 @@ def test_absorbing_probe_transient_is_inconclusive():
 def test_report_dicts_are_json_ready():
     import json
 
+    from sinech.cli import _report
+
     grid = GridSpec(8, PI)
     g = SourceTerm.zero(grid)
     init = random_pair_state(grid, 2, 0.5, seed=77)
     rep = lipschitz_dependence(init, 1e-3, DOUBLE_WELL, g,
                                SchemeConfig(dt=5e-3), 0.5, band=2)
     eq = find_equilibrium(ModalField.zeros(grid), DOUBLE_WELL, g)
-    for d in (rep.to_dict(), eq.to_dict()):
+    for d in (_report("lipschitz", rep), _report("equilibrium", eq)):
         assert json.loads(json.dumps(d)) == d

@@ -1,9 +1,13 @@
 """End-to-end command line runs (in process, tmp dirs)."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinech.cli import DEFAULTS, main
 from sinech.integrator import exact_linear_mode
@@ -249,12 +253,122 @@ def test_simulate_bad_snapshot_header_names_the_key(tmp_path, capsys, field, val
     ({"nonlinearity": {"a1": {}}}, "nonlinearity.a1"),
     ({"initial": {"u": {"preset": "random_band", "band": "four"}}}, "initial.u.band"),
     ({"initial": {"u": {"preset": "file", "path": ["u.mfld"]}}}, "initial.u.path"),
+    ({"t_end": "0.01"}, "t_end"),
+    ({"grid": {"n_modes": 8.9}}, "grid.n_modes"),
+    ({"grid": {"n_modes": True}}, "grid.n_modes"),
+    ({"seed": 2.5}, "seed"),
+    ({"scheme": {"newton_max_iter": 2.5}}, "scheme.newton_max_iter"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"t_end": -1}, "t_end"),
+    ({"sample_every": 0}, "sample_every"),
 ], ids=["t_end-text", "n_modes-null", "dt-nan", "dt-inf", "sample_every-text",
-        "seed-list", "a1-object", "band-text", "path-list"])
+        "seed-list", "a1-object", "band-text", "path-list", "t_end-numeric-text",
+        "n_modes-float", "n_modes-bool", "seed-float", "newton_max_iter-float",
+        "output_dir-number", "t_end-negative", "sample_every-zero"])
 def test_simulate_bad_value_type_names_the_key(tmp_path, capsys, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert run_cli("simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,overrides,key", [
+    ("check", {"check": {"n_modes_list": []}}, "check.n_modes_list"),
+    ("converge", {"converge": {"resolutions": [0, 8], "band": 0}}, "converge.resolutions"),
+    ("absorb", {"absorb": {"t_end": 0.0}}, "absorb.t_end"),
+    ("lipschitz", {"lipschitz": {"perturbation_scale": 0.0}}, "lipschitz.perturbation_scale"),
+    ("equilibrium", {"equilibrium": {"tol": 0.0}}, "equilibrium.tol"),
+    ("simulate", {"initial": {"u": {"preset": "random_band", "seed": -3}}}, "initial.u.seed"),
+], ids=["n_modes_list-empty", "resolutions-zero", "absorb-t_end-zero",
+        "perturbation_scale-zero", "tol-zero", "seed-negative"])
+def test_out_of_range_value_names_the_key(tmp_path, capsys, command, overrides, key):
+    cfg = write_config(tmp_path, **overrides)
+    assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def _leaves(tree, path=""):
+    for key, val in tree.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(val, dict):
+            yield from _leaves(val, here)
+        else:
+            yield here, val
+
+
+# the leaves whose default is None, and the type each takes when given
+_NULLABLE = {"lambda_bound": float, "m_bound": float, "r0": float, "seed": int, "path": str}
+
+
+def _wrong_type(default, key):
+    """JSON values of a type the key does not take."""
+    texts = st.text(max_size=8)
+    objects = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
+    if isinstance(default, list):
+        bad_elements = st.lists(st.one_of(texts, st.booleans(), st.none()), min_size=1, max_size=3)
+        return st.one_of(texts, st.none(), st.booleans(), st.integers(), st.floats(), objects,
+                         bad_elements)
+    kind = _NULLABLE[key.rsplit(".", 1)[-1]] if default is None else type(default)
+    wrong = [st.booleans(), st.lists(st.integers(), max_size=3), objects]
+    if default is not None:
+        wrong.append(st.none())
+    if kind is int:
+        wrong += [texts, st.floats()]
+    elif kind is float:
+        wrong += [texts, st.sampled_from([math.nan, math.inf, -math.inf])]
+    else:
+        wrong += [st.integers(), st.floats()]
+    return st.one_of(wrong)
+
+
+@pytest.mark.parametrize("key,default", list(_leaves(DEFAULTS)), ids=str)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_wrong_type_for_any_key_exits_2_naming_it(tmp_path_factory, key, default, data):
+    value = data.draw(_wrong_type(default, key))
+    body = {} if key == "output_dir" else {"output_dir": str(tmp_path_factory.getbasetemp())}
+    node = body
+    *blocks, leaf = key.split(".")
+    for name in blocks:
+        node = node.setdefault(name, {})
+    node[leaf] = value
+    cfg = tmp_path_factory.getbasetemp() / "wrong_type.json"
+    cfg.write_text(json.dumps(body))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert run_cli("simulate", "--config", str(cfg)) == 2
+    assert f"'{key}'" in err.getvalue()
+
+
+def test_defaults_pass_their_own_checks():
+    from sinech.cli import _NON_NEGATIVE, _POSITIVE, _merge
+
+    assert _POSITIVE | _NON_NEGATIVE <= dict(_leaves(DEFAULTS)).keys()
+    assert _merge(DEFAULTS, DEFAULTS) == DEFAULTS
+
+
+def test_negative_seed_flag_names_the_key(tmp_path, capsys):
+    assert run_cli("simulate", "--seed", "-1", "--output-dir", str(tmp_path / "o")) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+def test_integer_for_float_key_is_promoted_and_echoed(tmp_path):
+    # "t_end": 1 runs as 1.0 and is echoed as 1.0; the echo reruns the
+    # same bytes, and so does the config written with 1.0
+    outs = [tmp_path / name for name in ("int", "echo", "float")]
+    cfg = _simulate_cfg(tmp_path, t_end=1, scheme={"dt": 0.01})
+    assert run_cli("simulate", "--config", cfg, "--output-dir", str(outs[0])) == 0
+    echo = outs[0] / "config_effective.json"
+    assert '"t_end": 1.0' in echo.read_text()
+    assert run_cli("simulate", "--config", str(echo), "--output-dir", str(outs[1])) == 0
+    cfg = _simulate_cfg(tmp_path, name="float.json", t_end=1.0, scheme={"dt": 0.01})
+    assert run_cli("simulate", "--config", cfg, "--output-dir", str(outs[2])) == 0
+    for name in ("trajectory.csv", "summary.json", "final_u.mfld", "final_ut.mfld"):
+        first = (outs[0] / name).read_bytes()
+        assert all((out / name).read_bytes() == first for out in outs[1:]), name
+    effective = [json.loads((out / "config_effective.json").read_text()) for out in outs]
+    for eff in effective:
+        del eff["output_dir"]
+    assert effective[0] == effective[1] == effective[2]
 
 
 def test_simulate_instability_exit_code(tmp_path):
