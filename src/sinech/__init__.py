@@ -65,13 +65,12 @@ from .integrator import (
     Stepper,
     TrajectoryLog,
     energy_equality_residual,
-    exact_linear_mode,
     higher_energy_residual,
     load_checkpoint,
     resume_simulation,
+    run,
     save_checkpoint,
     simulate,
-    step,
 )
 from .analysis import (
     AbsorbReport,

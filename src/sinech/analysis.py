@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .errors import InstabilityError, StepFailureError
-from .integrator import SchemeConfig, State, Stepper, cn_step, simulate
+from .integrator import SchemeConfig, State, Stepper, cn_step, horizon_steps, run
 from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased, fprime_multiplier
 from .spectral import (
     GridSpec,
@@ -68,6 +68,20 @@ def random_pair_state(grid: GridSpec, band: int, amplitude: float, seed: int,
         return State(ModalField.zeros(grid), ModalField.zeros(grid))
     cur = norm_pair(u, v, s)
     return State(u * (amplitude / cur), v * (amplitude / cur))
+
+
+def _stride(span: float, dt: float, rows: int) -> int:
+    """The step stride that gives about rows samples over span."""
+    return max(1, horizon_steps(span, dt)[0] // rows)
+
+
+def _states(initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
+            t_end: float, sample_every: int) -> list:
+    """The sampled states of a run from initial to t_end."""
+    states = []
+    run(Stepper(initial, nl, g, cfg), t_end, sample_every,
+        lambda stepper, _: states.append(stepper.state))
+    return states
 
 
 def _log_linear_fit(t: np.ndarray, y: np.ndarray):
@@ -125,23 +139,21 @@ def galerkin_convergence(initial: State, nl: Nonlinearity, g: SourceTerm,
     side = initial.grid.side
 
     def run_at(n: int):
-        grid_n = GridSpec(n, side)
         st = State(initial.u.resample(n), initial.v.resample(n), initial.time)
-        g_n = SourceTerm(g.g_modal.resample(n))
-        return simulate(st, nl, g_n, cfg, initial.time + t_star,
-                        sample_every=sample_every, keep_states=True)
+        return _states(st, nl, SourceTerm(g.g_modal.resample(n)), cfg,
+                       initial.time + t_star, sample_every)
 
-    ref_log = run_at(n_ref)
+    ref_states = run_at(n_ref)
     gaps, failed = [], []
     for n in resolutions:
         try:
-            log_n = run_at(n)
+            states_n = run_at(n)
         except (InstabilityError, StepFailureError):
             gaps.append(math.inf)
             failed.append(n)
             continue
         worst = 0.0
-        for s_ref, s_n in zip(ref_log.states, log_n.states):
+        for s_ref, s_n in zip(ref_states, states_n):
             du = s_ref.u.project(n).resample(n) - s_n.u
             dv = s_ref.v.project(n).resample(n) - s_n.v
             worst = max(worst, norm_pair(du, dv, -1.0))
@@ -178,13 +190,13 @@ class DecompositionRun:
 
 
 def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
-                      cfg: SchemeConfig, big_l: float, t_end: float,
-                      sample_every: int | None = None,
-                      fit_window: tuple | None = None) -> DecompositionRun:
+                      cfg: SchemeConfig, big_l: float, t_end: float) -> DecompositionRun:
     """Co-evolve the full solution u, the compact part v (zero data,
     forced by L A^(-1) u + A^(-1) g), and the decaying part w (data U_0,
-    forced by the nonlinearity difference), all with the shared
-    Crank-Nicolson/AB2 discretization and the same dt.
+    forced by the nonlinearity difference) from t = 0 to t_end, all with
+    the shared Crank-Nicolson/AB2 discretization and the steps of
+    horizon_steps.  About 200 samples are taken; the decay rate is fitted
+    over [0.1 t_end, t_end].
 
     The coupling term L*u enters the v-system Crank-Nicolson style with
     the endpoint average of the freshly advanced u, which makes
@@ -196,12 +208,9 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
         raise ValueError("big_l must be positive")
     if cfg.scheme != "imex_cn_ab2":
         raise ValueError("decomposition_run requires the imex_cn_ab2 scheme")
-    h = cfg.dt
-    n_steps = max(1, int(round(t_end / h)))
-    if sample_every is None:
-        sample_every = max(1, n_steps // 200)
-    if fit_window is None:
-        fit_window = (0.1 * t_end, t_end)
+    n_steps, h = horizon_steps(t_end, cfg.dt)
+    sample_every = max(1, n_steps // 200)
+    fit_window = (0.1 * t_end, t_end)
 
     grid = initial.grid
     lam = np.asarray(eigenvalues(grid))
@@ -254,15 +263,15 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
 
 def decompose_with_retries(initial: State, nl: Nonlinearity, g: SourceTerm,
                            cfg: SchemeConfig, big_l: float, t_end: float,
-                           max_doublings: int = 3, **kw) -> DecompositionRun:
+                           max_doublings: int = 3) -> DecompositionRun:
     """decomposition_run, doubling L (up to max_doublings times) until
     the fitted decay rate comes out positive with a decent fit."""
-    result = decomposition_run(initial, nl, g, cfg, big_l, t_end, **kw)
+    result = decomposition_run(initial, nl, g, cfg, big_l, t_end)
     doublings = 0
     while (result.fitted_kappa <= 0 or result.fit_r2 < 0.9) and doublings < max_doublings:
         doublings += 1
         big_l *= 2.0
-        result = decomposition_run(initial, nl, g, cfg, big_l, t_end, **kw)
+        result = decomposition_run(initial, nl, g, cfg, big_l, t_end)
     result.doublings = doublings
     return result
 
@@ -283,11 +292,12 @@ class LipschitzReport:
 
 def lipschitz_dependence(initial: State, perturbation_scale: float,
                          nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
-                         t_end: float, seed: int = 7, band: int | None = None,
-                         sample_every: int | None = None) -> LipschitzReport:
-    """Advance U and U + delta in lockstep and track the growth ratio
-    rho(t) of the gap in the s=0 pair norm; fit rho <= c6 exp(c7 t) over
-    the second half of the window (the transient-free regime)."""
+                         t_end: float, seed: int = 7,
+                         band: int | None = None) -> LipschitzReport:
+    """Run U and U + delta to t_end, pair their (about 200) samples and
+    track the growth ratio rho(t) of the gap in the s=0 pair norm; fit
+    rho <= c6 exp(c7 t) over the second half of the window (the
+    transient-free regime)."""
     if perturbation_scale <= 0:
         raise ValueError("perturbation_scale must be positive")
     grid = initial.grid
@@ -296,22 +306,13 @@ def lipschitz_dependence(initial: State, perturbation_scale: float,
     delta = random_pair_state(grid, band, perturbation_scale, seed)
     pert = State(initial.u + delta.u, initial.v + delta.v, initial.time)
 
-    h = cfg.dt
-    n_steps = max(1, int(round((t_end - initial.time) / h)))
-    if sample_every is None:
-        sample_every = max(1, n_steps // 200)
-    a = Stepper(initial, nl, g, cfg)
-    b = Stepper(pert, nl, g, cfg)
+    every = _stride(t_end - initial.time, cfg.dt, 200)
+    a = _states(initial, nl, g, cfg, t_end, every)
+    b = _states(pert, nl, g, cfg, t_end, every)
     base = norm_pair(delta.u, delta.v, 0.0)
-    times, rho = [initial.time], [1.0]
-    for n in range(1, n_steps + 1):
-        a.advance()
-        b.advance()
-        if n % sample_every == 0 or n == n_steps:
-            du = b.state.u - a.state.u
-            dv = b.state.v - a.state.v
-            times.append(a.state.time)
-            rho.append(norm_pair(du, dv, 0.0) / base)
+    times = [s.time for s in a]
+    rho = [1.0] + [norm_pair(sb.u - sa.u, sb.v - sa.v, 0.0) / base
+                   for sa, sb in zip(a[1:], b[1:])]
     t_arr, r_arr = np.asarray(times), np.asarray(rho)
     half = initial.time + 0.5 * (t_end - initial.time)
     mask = t_arr >= half
@@ -506,28 +507,30 @@ class LojReport:
 
 
 def lojasiewicz_probe(initial: State, nl: Nonlinearity, g: SourceTerm,
-                      cfg: SchemeConfig, t_end: float, tol: float = 1e-6,
-                      sample_every: int | None = None) -> LojReport:
-    """Run to t_end, check the velocity has died (||u_t||_V' <= tol),
-    polish the final u with Newton, and report the V-distance and
-    energy gap to that equilibrium.  A missed tol is reported, not
-    raised: the convergence claim is asymptotic."""
-    h = cfg.dt
-    n_steps = max(1, int(round((t_end - initial.time) / h)))
-    if sample_every is None:
-        sample_every = max(1, n_steps // 256)
-    log = simulate(initial, nl, g, cfg, t_end, sample_every=sample_every)
-    final = log.final
+                      cfg: SchemeConfig, t_end: float, tol: float = 1e-6) -> LojReport:
+    """Run to t_end (about 256 samples of ||u_t||_V'), check the velocity
+    has died (||u_t||_V' <= tol), polish the final u with Newton, and
+    report the V-distance and energy gap to that equilibrium.  A missed
+    tol is reported, not raised: the convergence claim is asymptotic."""
+    stepper = Stepper(initial, nl, g, cfg)
+    times, ut = [], []
+
+    def observe(s: Stepper, _):
+        times.append(s.state.time)
+        ut.append(s.ut_vprime())
+
+    run(stepper, t_end, _stride(t_end - initial.time, cfg.dt, 256), observe)
+    final = stepper.state
     eq = find_equilibrium(final.u, nl, g)
     return LojReport(
         tol=tol,
-        tol_reached=log.ut_vprime[-1] <= tol,
-        ut_final=log.ut_vprime[-1],
+        tol_reached=ut[-1] <= tol,
+        ut_final=ut[-1],
         distance_v=norm_Hs(final.u - eq.u_star, 0.5),
-        energy_gap=log.energy[-1] - eq.energy_at,
+        energy_gap=stepper.energy_total() - eq.energy_at,
         equilibrium=eq,
-        times=list(log.t),
-        ut_trace=list(log.ut_vprime),
+        times=times,
+        ut_trace=ut,
     )
 
 
@@ -563,17 +566,21 @@ def absorbing_probe(radii: list, n_per_radius: int, nl: Nonlinearity,
     grid = g.grid
     if band is None:
         band = max(1, grid.n_modes // 4)
+    every = _stride(t_end, cfg.dt, 100)
     tail0, tail2, late_over_early = [], [], []
     for i, r in enumerate(radii):
         sup0 = sup2 = 0.0
         early = late = 0.0
         for j in range(n_per_radius):
             st = random_pair_state(grid, band, r, seed + 1009 * i + j, s=2.0)
-            log = simulate(st, nl, g, cfg, t_end,
-                           sample_every=max(1, int(round(t_end / cfg.dt)) // 100))
-            t = np.asarray(log.t)
-            n0 = np.asarray(log.norm0)
-            n2 = np.asarray(log.norm2)
+            rows = []
+
+            def observe(stepper: Stepper, _):
+                u, v = stepper.state.u, stepper.state.v
+                rows.append((stepper.state.time, norm_pair(u, v, 0.0), norm_pair(u, v, 2.0)))
+
+            run(Stepper(st, nl, g, cfg), t_end, every, observe)
+            t, n0, n2 = np.array(rows).T
             tail = t >= 0.5 * t_end
             sup0 = max(sup0, float(n0[tail].max()))
             sup2 = max(sup2, float(n2[tail].max()))

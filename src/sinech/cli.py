@@ -186,7 +186,8 @@ def _build_field(block: dict, grid: GridSpec, default_seed: int, label: str) -> 
         try:
             return ModalField.single_mode(grid, block["j"], block["k"], block["amp"])
         except IndexError as exc:
-            raise ConfigError(str(exc), key=f"{label}.j") from exc
+            bad = "j" if not 1 <= block["j"] <= grid.n_modes else "k"
+            raise ConfigError(str(exc), key=f"{label}.{bad}") from exc
     if preset == "random_band":
         seed = default_seed if block["seed"] is None else block["seed"]
         try:

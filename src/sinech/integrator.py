@@ -18,6 +18,10 @@ the energy by more than the configured safeguard tolerance: for this
 equation the energy is nonincreasing along forward solutions, so a jump
 is a reliable instability signal.
 
+``run`` is the one loop that advances a ``Stepper`` to a horizon, calling
+an observer that records what its caller reads at the sample points:
+``simulate`` observes with a ``TrajectoryLog``, the drivers with less.
+
 A useful discrete fact (used for the logged cumulative dissipation):
 with Crank-Nicolson the update satisfies, exactly in floating point
 terms, E_{n+1} - E_n = -dt ||(v_n + v_{n+1})/2||_{V'}^2 for the purely
@@ -43,7 +47,6 @@ from .errors import (
     StepFailureError,
 )
 from .model import (
-    DiagnosticParams,
     Nonlinearity,
     SourceTerm,
     default_diagnostic_params,
@@ -112,13 +115,13 @@ class SchemeConfig:
 
 @dataclass
 class TrajectoryLog:
-    """Sampled scalar history of a run (plus optional state snapshots).
+    """Sampled scalar history of a run; record is its observer for run.
 
     Columns: time, the pair norms at s = 0 and s = 2, ||u_t||_{V'}, the
     energy, the velocity diagnostic, the two higher functionals, and the
     running dissipation integral int ||u_t||_{V'}^2 (trapezoid rule,
     accumulated every step regardless of the sampling stride).  final is
-    the last sampled state, kept whether or not states are.
+    the last sampled state.
     """
 
     t: list = field(default_factory=list)
@@ -130,13 +133,31 @@ class TrajectoryLog:
     cal_g: list = field(default_factory=list)
     cal_h: list = field(default_factory=list)
     dissip_cum: list = field(default_factory=list)
-    states: list = field(default_factory=list)
     final: State | None = None
 
     CSV_HEADER = "t,norm0,norm2,ut_Vprime,energy,calF,calG,calH,dissip_cum"
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def record(self, stepper: "Stepper", dissip_cum: float) -> None:
+        """Append one row for the stepper's current state."""
+        s = stepper.state
+        # both functionals share one padded-grid set and the step's P_n f(u)
+        fhat = stepper._ensure_current()[0]
+        nodal = {}
+        hf = higher_functionals(s, stepper.nl, stepper.g, nodal)
+        self.t.append(s.time)
+        self.norm0.append(norm_pair(s.u, s.v, 0.0))
+        self.norm2.append(norm_pair(s.u, s.v, 2.0))
+        self.ut_vprime.append(stepper.ut_vprime())
+        self.energy.append(stepper.energy_total())
+        self.cal_f.append(diagnostic_F(s, stepper.nl, stepper.g,
+                                       default_diagnostic_params(stepper.nl), nodal, fhat))
+        self.cal_g.append(hf.g)
+        self.cal_h.append(hf.h)
+        self.dissip_cum.append(dissip_cum)
+        self.final = s  # a reference: the stepper replaces its state, never mutates it
 
     def write_csv(self, path) -> None:
         cols = np.column_stack(
@@ -221,6 +242,10 @@ class Stepper:
 
     def energy_total(self) -> float:
         return energy(self.state, self.nl, self.g, self._ensure_current()[1]).total
+
+    def ut_vprime(self) -> float:
+        """||u_t||_{V'} of the current state."""
+        return float(np.sqrt(np.sum(self.state.v.coeff**2 / self.lam)))
 
     # -- schemes ------------------------------------------------------------
 
@@ -344,61 +369,46 @@ class Stepper:
         )
 
 
-def step(state: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig) -> State:
-    """Single stateless step.
+def horizon_steps(span: float, dt: float) -> tuple[int, float]:
+    """(n_steps, h) covering span: none for an empty span, else
+    round(span/dt) >= 1 steps snapped to land on the horizon (h == dt when
+    span divides evenly).  ValueError when dt points away from span."""
+    if span == 0.0:
+        return 0, dt
+    if span / dt <= 0.0:
+        raise ValueError(f"a span of {span} is not reachable with dt={dt}")
+    n_steps = max(1, int(round(span / dt)))
+    if abs(span / n_steps - dt) > 1e-9 * abs(dt):
+        dt = span / n_steps
+    return n_steps, dt
 
-    For imex_cn_ab2 this is the start-up variant (no extrapolation
-    history: the nonlinear term is taken at the left endpoint); use a
-    Stepper or simulate() for multi-step runs with full AB2 accuracy.
-    """
-    st = Stepper(state, nl, g, cfg)
-    st.advance()
-    return st.state
 
-
-def _sample(log: TrajectoryLog, stepper: Stepper, dissip: float,
-            diag: DiagnosticParams, keep_states: bool) -> None:
-    s = stepper.state
-    # both functionals share one padded-grid set and the step's P_n f(u)
-    fhat = stepper._ensure_current()[0]
-    nodal = {}
-    hf = higher_functionals(s, stepper.nl, stepper.g, nodal)
-    log.t.append(s.time)
-    log.norm0.append(norm_pair(s.u, s.v, 0.0))
-    log.norm2.append(norm_pair(s.u, s.v, 2.0))
-    log.ut_vprime.append(float(np.sqrt(np.sum(s.v.coeff**2 / stepper.lam))))
-    log.energy.append(stepper.energy_total())
-    log.cal_f.append(diagnostic_F(s, stepper.nl, stepper.g, diag, nodal, fhat))
-    log.cal_g.append(hf.g)
-    log.cal_h.append(hf.h)
-    log.dissip_cum.append(dissip)
-    if keep_states:
-        log.states.append(s.copy())
-    log.final = s  # a reference: the stepper replaces its state, never mutates it
+def run(stepper: Stepper, t_end: float, sample_every: int, observe) -> None:
+    """Advance stepper to t_end in the steps of horizon_steps, calling
+    observe(stepper, dissip_cum) at step 0, every sample_every steps and
+    at the last step.  dissip_cum accumulates every step; stepper.state is
+    replaced, never mutated, so an observer may keep it without a copy."""
+    if sample_every < 1:
+        raise ValueError("sample_every must be >= 1")
+    n_steps, h = horizon_steps(t_end - stepper.state.time, stepper.cfg.dt)
+    dissip = 0.0
+    observe(stepper, dissip)
+    for n in range(1, n_steps + 1):
+        dissip += stepper.advance(h)
+        if n % sample_every == 0 or n == n_steps:
+            observe(stepper, dissip)
 
 
 def simulate(initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
-             t_end: float, sample_every: int = 1, keep_states: bool = False) -> TrajectoryLog:
-    """Integrate from initial.time to t_end, sampling every
-    sample_every steps (plus the endpoints).
-
-    The horizon is snapped to a whole number of steps: the effective
-    step is (t_end - initial.time)/round((t_end - initial.time)/dt),
-    which equals cfg.dt whenever the horizon divides evenly.  t_end
-    equal to initial.time yields a single-sample log.
-    """
-    if sample_every < 1:
-        raise ValueError("sample_every must be >= 1")
-    span = t_end - initial.time
-    if span != 0.0 and span / cfg.dt <= 0.0:
-        raise ValueError(
-            f"t_end={t_end} not reachable from t={initial.time} with dt={cfg.dt}"
-        )
-    return _run(Stepper(initial, nl, g, cfg), span, sample_every, keep_states)
+             t_end: float, sample_every: int = 1) -> TrajectoryLog:
+    """Integrate from initial.time to t_end (see run), logging a row
+    every sample_every steps plus the endpoints."""
+    log = TrajectoryLog()
+    run(Stepper(initial, nl, g, cfg), t_end, sample_every, log.record)
+    return log
 
 
 def resume_simulation(ckpt: Checkpoint, t_end: float, sample_every: int = 1,
-                      keep_states: bool = False,
                       nl: Nonlinearity | None = None,
                       g: SourceTerm | None = None) -> TrajectoryLog:
     """Continue a checkpointed run (bit-for-bit with the original).
@@ -413,24 +423,8 @@ def resume_simulation(ckpt: Checkpoint, t_end: float, sample_every: int = 1,
             raise CheckpointMismatchError("grid does not match the checkpoint")
         if not np.array_equal(g.g_modal.coeff, ckpt.g.g_modal.coeff):
             raise CheckpointMismatchError("source term does not match the checkpoint")
-    return _run(Stepper.from_checkpoint(ckpt), t_end - ckpt.state.time, sample_every, keep_states)
-
-
-def _run(stepper: Stepper, span: float, sample_every: int, keep_states: bool) -> TrajectoryLog:
-    diag = default_diagnostic_params(stepper.nl)
     log = TrajectoryLog()
-    _sample(log, stepper, 0.0, diag, keep_states)
-    if span == 0.0:
-        return log
-    dt = stepper.cfg.dt
-    n_steps = max(1, int(round(span / dt)))
-    if abs(span / n_steps - dt) > 1e-9 * abs(dt):
-        dt = span / n_steps  # snap to the horizon; cfg.dt when it divides evenly
-    dissip = 0.0
-    for n in range(1, n_steps + 1):
-        dissip += stepper.advance(dt)
-        if n % sample_every == 0 or n == n_steps:
-            _sample(log, stepper, dissip, diag, keep_states)
+    run(Stepper.from_checkpoint(ckpt), t_end, sample_every, log.record)
     return log
 
 
@@ -468,35 +462,6 @@ def higher_energy_residual(log: TrajectoryLog) -> float:
     hh = np.asarray(log.cal_h)
     dgdt = (gg[2:] - gg[:-2]) / (2.0 * mean)
     return float(np.max(np.abs(dgdt + gg[1:-1] - hh[1:-1])))
-
-
-def exact_linear_mode(lam: float, u0: float, v0: float, t):
-    """Closed-form damped mode c'' + c' + lam^2 c = 0, c(0)=u0, c'(0)=v0.
-
-    Returns (u(t), v(t)); handles the underdamped (lam^2 > 1/4),
-    critical, and overdamped branches.  t may be a scalar or array.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    disc = 1.0 - 4.0 * lam * lam
-    if disc < 0.0:  # underdamped
-        om = 0.5 * np.sqrt(-disc)
-        b = v0 + 0.5 * u0
-        env = np.exp(-0.5 * t)
-        u = env * (u0 * np.cos(om * t) + (b / om) * np.sin(om * t))
-        v = env * (v0 * np.cos(om * t) - (0.5 * b / om + om * u0) * np.sin(om * t))
-    elif disc == 0.0:  # critical
-        b = v0 + 0.5 * u0
-        env = np.exp(-0.5 * t)
-        u = env * (u0 + b * t)
-        v = env * (v0 - 0.5 * b * t)
-    else:  # overdamped
-        root = np.sqrt(disc)
-        sp, sm = 0.5 * (-1.0 + root), 0.5 * (-1.0 - root)
-        alpha = (v0 - sm * u0) / (sp - sm)
-        beta = u0 - alpha
-        u = alpha * np.exp(sp * t) + beta * np.exp(sm * t)
-        v = alpha * sp * np.exp(sp * t) + beta * sm * np.exp(sm * t)
-    return u, v
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Independent test oracles: dense sine-matrix transforms and exact integrals.
+"""Independent test oracles: dense sine-matrix transforms, exact
+integrals and the closed-form linear mode.
 
 Everything here is deliberately naive -- direct basis summation with
 dense matrices instead of fast transforms -- so the library's FFT-based
@@ -117,3 +118,32 @@ def exact_projection_of_square(u_field, n_keep: int | None = None) -> np.ndarray
     with np.errstate(divide="ignore", invalid="ignore"):
         I = np.where(den != 0.0, (side / np.pi) * a * num / den, 0.0)
     return (2.0 / side) * (I @ d @ I.T)
+
+
+def exact_linear_mode(lam: float, u0: float, v0: float, t):
+    """Closed-form damped mode c'' + c' + lam^2 c = 0, c(0)=u0, c'(0)=v0.
+
+    Returns (u(t), v(t)); handles the underdamped (lam^2 > 1/4),
+    critical, and overdamped branches.  t may be a scalar or array.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    disc = 1.0 - 4.0 * lam * lam
+    if disc < 0.0:  # underdamped
+        om = 0.5 * np.sqrt(-disc)
+        b = v0 + 0.5 * u0
+        env = np.exp(-0.5 * t)
+        u = env * (u0 * np.cos(om * t) + (b / om) * np.sin(om * t))
+        v = env * (v0 * np.cos(om * t) - (0.5 * b / om + om * u0) * np.sin(om * t))
+    elif disc == 0.0:  # critical
+        b = v0 + 0.5 * u0
+        env = np.exp(-0.5 * t)
+        u = env * (u0 + b * t)
+        v = env * (v0 - 0.5 * b * t)
+    else:  # overdamped
+        root = np.sqrt(disc)
+        sp, sm = 0.5 * (-1.0 + root), 0.5 * (-1.0 - root)
+        alpha = (v0 - sm * u0) / (sp - sm)
+        beta = u0 - alpha
+        u = alpha * np.exp(sp * t) + beta * np.exp(sm * t)
+        v = alpha * sp * np.exp(sp * t) + beta * sm * np.exp(sm * t)
+    return u, v

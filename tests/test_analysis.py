@@ -157,6 +157,8 @@ def test_decomposition_validations():
             init, DOUBLE_WELL, g,
             SchemeConfig(dt=1e-3, scheme="implicit_newton"), 10.0, 1.0,
         )
+    with pytest.raises(ValueError):  # a horizon behind the start
+        decomposition_run(init, DOUBLE_WELL, g, SchemeConfig(dt=1e-3), 10.0, -1.0)
 
 
 def test_decomposition_nan_raises_on_first_step():
@@ -166,7 +168,53 @@ def test_decomposition_nan_raises_on_first_step():
     init.v.coeff[1, 0] = np.nan
     with pytest.raises(InstabilityError) as exc:
         decomposition_run(init, DOUBLE_WELL, SourceTerm.zero(grid),
-                          SchemeConfig(dt=1e-3), 10.0, 1.0, sample_every=25)
+                          SchemeConfig(dt=1e-3), 10.0, 1.0)
+    assert exc.value.time == 1e-3
+
+
+# ---------------------------------------------------------------------------
+# horizons shared by the drivers
+# ---------------------------------------------------------------------------
+
+def test_drivers_snap_to_an_uneven_horizon():
+    # dt = 1e-3 does not divide 0.0105: the drivers take round(10.5) = 10
+    # steps of 1.05e-3 and end on t_end, as simulate does
+    grid = GridSpec(8, PI)
+    init = random_pair_state(grid, 2, 1.0, seed=0)
+    g, cfg = SourceTerm.zero(grid), SchemeConfig(dt=1e-3)
+    lip = lipschitz_dependence(init, 1e-3, DOUBLE_WELL, g, cfg, 0.0105, band=2)
+    dec = decomposition_run(init, DOUBLE_WELL, g, cfg, 10.0, 0.0105)
+    for times in (lip.times, dec.times):
+        assert len(times) == 11
+        assert times[-1] == pytest.approx(0.0105, abs=1e-15)
+
+
+def test_drivers_take_no_step_to_a_zero_horizon():
+    # t_end = 0 (which the CLI accepts for lipschitz and decompose) is a
+    # single sample at t = 0, as in simulate
+    grid = GridSpec(8, PI)
+    init = random_pair_state(grid, 2, 1.0, seed=0)
+    g, cfg = SourceTerm.zero(grid), SchemeConfig(dt=1e-3)
+    lip = lipschitz_dependence(init, 1e-3, DOUBLE_WELL, g, cfg, 0.0, band=2)
+    dec = decomposition_run(init, DOUBLE_WELL, g, cfg, 10.0, 0.0)
+    assert lip.times == dec.times == [0.0]
+    assert lip.rho == [1.0] and dec.sum_error == 0.0
+
+
+def test_nan_never_reaches_a_verdict():
+    # the lipschitz and absorb verdicts compare floats; a NaN in the data
+    # or the source raises on the first step instead
+    grid = GridSpec(8, PI)
+    init = random_pair_state(grid, 2, 1.0, seed=0)
+    init.u.coeff[1, 1] = np.nan
+    cfg = SchemeConfig(dt=1e-3)
+    with pytest.raises(InstabilityError) as exc:
+        lipschitz_dependence(init, 1e-3, DOUBLE_WELL, SourceTerm.zero(grid), cfg, 1.0)
+    assert exc.value.time == 1e-3
+    source = random_band_limited(grid, 2, 0.5, seed=1)
+    source.coeff[0, 1] = np.nan
+    with pytest.raises(InstabilityError) as exc:
+        absorbing_probe([1.0], 1, DOUBLE_WELL, SourceTerm(source), cfg, 1.0)
     assert exc.value.time == 1e-3
 
 
@@ -214,6 +262,8 @@ def test_lipschitz_scale_robustness():
     assert abs(ra.c7 - rb.c7) <= 0.1 * max(abs(ra.c7), abs(rb.c7))
     with pytest.raises(ValueError):
         lipschitz_dependence(base, 0.0, DOUBLE_WELL, g, cfg, 1.0)
+    with pytest.raises(ValueError):  # a horizon behind the start
+        lipschitz_dependence(base, 1e-3, DOUBLE_WELL, g, cfg, -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import exact_linear_mode
 
 from sinech.cli import DEFAULTS, main
-from sinech.integrator import exact_linear_mode
 from sinech.spectral import GridSpec, ModalField, save_field
 
 
@@ -278,8 +278,13 @@ def test_simulate_bad_value_type_names_the_key(tmp_path, capsys, overrides, key)
     ("lipschitz", {"lipschitz": {"perturbation_scale": 0.0}}, "lipschitz.perturbation_scale"),
     ("equilibrium", {"equilibrium": {"tol": 0.0}}, "equilibrium.tol"),
     ("simulate", {"initial": {"u": {"preset": "random_band", "seed": -3}}}, "initial.u.seed"),
+    ("simulate", {"grid": {"n_modes": 8},
+                  "initial": {"u": {"preset": "single_mode", "j": 9, "k": 1}}}, "initial.u.j"),
+    ("simulate", {"grid": {"n_modes": 8},
+                  "initial": {"u": {"preset": "single_mode", "j": 1, "k": 99}}}, "initial.u.k"),
 ], ids=["n_modes_list-empty", "resolutions-zero", "absorb-t_end-zero",
-        "perturbation_scale-zero", "tol-zero", "seed-negative"])
+        "perturbation_scale-zero", "tol-zero", "seed-negative", "single_mode-j",
+        "single_mode-k"])
 def test_out_of_range_value_names_the_key(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2

@@ -6,6 +6,7 @@ import resource
 
 import numpy as np
 import pytest
+from oracles import exact_linear_mode
 
 from sinech.errors import (
     CheckpointMismatchError,
@@ -22,14 +23,12 @@ from sinech.integrator import (
     Stepper,
     TrajectoryLog,
     energy_equality_residual,
-    exact_linear_mode,
     higher_energy_residual,
     load_checkpoint,
     resume_simulation,
+    run,
     save_checkpoint,
-    _sample,
     simulate,
-    step,
 )
 from sinech.model import (
     Nonlinearity,
@@ -56,6 +55,30 @@ DOUBLE_WELL = Nonlinearity(1.0, 0.0, -1.0)
 
 def _single_mode_state(grid, amp=1.0):
     return State(ModalField.single_mode(grid, 1, 1, amp), ModalField.zeros(grid))
+
+
+def _run_logged(st, nl, g, cfg, t_end, sample_every=1):
+    """One run observed by a TrajectoryLog and a list of the sampled states."""
+    log, states = TrajectoryLog(), []
+
+    def observe(stepper, dissip_cum):
+        log.record(stepper, dissip_cum)
+        states.append(stepper.state)
+
+    run(Stepper(st, nl, g, cfg), t_end, sample_every, observe)
+    return log, states
+
+
+def _final_state(st, nl, g, cfg, t_end):
+    states = []
+    run(Stepper(st, nl, g, cfg), t_end, 10**9, lambda stepper, _: states.append(stepper.state))
+    return states[-1]
+
+
+def _one_step(st, nl, g, cfg):
+    stepper = Stepper(st, nl, g, cfg)
+    stepper.advance()
+    return stepper.state
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +132,7 @@ def _linear_mode_error(scheme, dt):
     grid = GridSpec(4, PI)
     st = _single_mode_state(grid)
     g = SourceTerm.zero(grid)
-    log = simulate(st, LINEAR, g, SchemeConfig(dt=dt, scheme=scheme), 1.0,
-                   sample_every=10**9, keep_states=True)
-    final = log.states[-1]
+    final = _final_state(st, LINEAR, g, SchemeConfig(dt=dt, scheme=scheme), 1.0)
     ue, ve = exact_linear_mode(2.0, 1.0, 0.0, 1.0)
     return abs(final.u.coeff[0, 0] - float(ue)) + abs(final.v.coeff[0, 0] - float(ve))
 
@@ -126,6 +147,22 @@ def test_backward_euler_first_order():
     errs = [_linear_mode_error("implicit_newton", dt) for dt in (1e-2, 5e-3, 2.5e-3)]
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(0.8 <= p <= 1.2 for p in orders)
+
+
+@pytest.mark.parametrize("scheme,low,high", [("imex_cn_ab2", 1.8, math.inf),
+                                             ("implicit_newton", 0.8, 1.2)])
+def test_nonlinear_temporal_order_richardson(scheme, low, high):
+    # double well at N = 32: with no closed form, the order is read off
+    # the final states at dt, dt/2 and dt/4 (Richardson self-convergence)
+    # in the s = 0 pair norm.  dt * lambda <= 0.064 on the band-4 modes,
+    # so even backward Euler is in its asymptotic regime
+    grid = GridSpec(32, PI)
+    st = random_pair_state(grid, 4, 1.0, seed=3)
+    cfgs = [SchemeConfig(dt=2e-3 / 2**k, scheme=scheme) for k in range(3)]
+    u = [_final_state(st, DOUBLE_WELL, SourceTerm.zero(grid), cfg, 0.1) for cfg in cfgs]
+    d1 = norm_pair(u[0].u - u[1].u, u[0].v - u[1].v, 0.0)
+    d2 = norm_pair(u[1].u - u[2].u, u[1].v - u[2].v, 0.0)
+    assert low <= math.log2(d1 / d2) <= high
 
 
 def test_zero_state_is_fixed_point():
@@ -150,8 +187,8 @@ def test_one_step_taylor_consistency():
     acc0 = acceleration_from_state(State(u0, ModalField.zeros(grid)), DOUBLE_WELL, g)
 
     def defect(dt):
-        nxt = step(State(u0, ModalField.zeros(grid)), DOUBLE_WELL, g,
-                   SchemeConfig(dt=dt))
+        nxt = _one_step(State(u0, ModalField.zeros(grid)), DOUBLE_WELL, g,
+                        SchemeConfig(dt=dt))
         return norm_Hs(nxt.v - acc0 * dt, 0.0)
 
     d1, d2 = defect(1e-3), defect(5e-4)
@@ -266,9 +303,8 @@ def test_logged_norms_match_state():
     grid = GridSpec(8, PI)
     st = random_pair_state(grid, 4, 1.0, seed=8)
     g = SourceTerm.zero(grid)
-    log = simulate(st, DOUBLE_WELL, g, SchemeConfig(dt=1e-3), 0.02,
-                   keep_states=True)
-    for i, s in enumerate(log.states):
+    log, states = _run_logged(st, DOUBLE_WELL, g, SchemeConfig(dt=1e-3), 0.02)
+    for i, s in enumerate(states):
         assert log.norm0[i] == pytest.approx(norm_pair(s.u, s.v, 0.0), rel=1e-14)
         assert log.norm2[i] == pytest.approx(norm_pair(s.u, s.v, 2.0), rel=1e-14)
         assert log.energy[i] == pytest.approx(
@@ -280,10 +316,10 @@ def test_ut_consistency_central_difference():
     # logged u at consecutive samples differentiates back to v
     grid = GridSpec(4, PI)
     dt = 1e-3
-    log = simulate(_single_mode_state(grid), LINEAR, SourceTerm.zero(grid),
-                   SchemeConfig(dt=dt), 0.5, keep_states=True)
-    us = [s.u.coeff[0, 0] for s in log.states]
-    vs = [s.v.coeff[0, 0] for s in log.states]
+    _, states = _run_logged(_single_mode_state(grid), LINEAR, SourceTerm.zero(grid),
+                            SchemeConfig(dt=dt), 0.5)
+    us = [s.u.coeff[0, 0] for s in states]
+    vs = [s.v.coeff[0, 0] for s in states]
     mid = len(us) // 2
     central = (us[mid + 1] - us[mid - 1]) / (2 * dt)
     assert central == pytest.approx(vs[mid], abs=5e-6)
@@ -387,9 +423,9 @@ def test_backward_integration_implicit_only():
     grid = GridSpec(4, PI)
     st = _single_mode_state(grid, 0.5)
     g = SourceTerm.zero(grid)
-    back = step(st, DOUBLE_WELL, g, SchemeConfig(dt=-1e-3, scheme="implicit_newton"))
+    back = _one_step(st, DOUBLE_WELL, g, SchemeConfig(dt=-1e-3, scheme="implicit_newton"))
     assert back.time == pytest.approx(-1e-3)
-    again = step(back, DOUBLE_WELL, g, SchemeConfig(dt=1e-3, scheme="implicit_newton"))
+    again = _one_step(back, DOUBLE_WELL, g, SchemeConfig(dt=1e-3, scheme="implicit_newton"))
     assert norm_pair(again.u - st.u, again.v - st.v, 0.0) <= 1e-4
 
 
@@ -436,15 +472,15 @@ def test_resume_simulation_matches_uninterrupted(tmp_path):
     t_end = 32.0 * 2.0**-10
     st = random_pair_state(grid, 4, 1.0, seed=73)
 
-    full = simulate(st.copy(), DOUBLE_WELL, g, cfg, t_end, keep_states=True)
+    full = simulate(st.copy(), DOUBLE_WELL, g, cfg, t_end)
 
     half = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
     _run_stepper(half, 10)
     ckpt = half.checkpoint()
-    tail = resume_simulation(ckpt, t_end, keep_states=True)
-    assert tail.states[-1].time == full.states[-1].time == t_end
-    assert np.array_equal(tail.states[-1].u.coeff, full.states[-1].u.coeff)
-    assert np.array_equal(tail.states[-1].v.coeff, full.states[-1].v.coeff)
+    tail = resume_simulation(ckpt, t_end)
+    assert tail.final.time == full.final.time == t_end
+    assert np.array_equal(tail.final.u.coeff, full.final.u.coeff)
+    assert np.array_equal(tail.final.v.coeff, full.final.v.coeff)
 
     # mismatched physics is refused
     with pytest.raises(CheckpointMismatchError):
@@ -607,10 +643,10 @@ def test_logged_functionals_equal_standalone(n, case):
         nl, g = Nonlinearity(1.0, 0.5, -1.0), SourceTerm.single_mode(grid, 1, 2, 0.3)
         st = State(random_band_limited(grid, 4, 1.0, seed=7),
                    random_band_limited(grid, 3, 0.5, seed=8))
-    log = simulate(st, nl, g, SchemeConfig(dt=1e-3), 3e-3, keep_states=True)
+    log, states = _run_logged(st, nl, g, SchemeConfig(dt=1e-3), 3e-3)
     diag = default_diagnostic_params(nl)
-    assert len(log.states) == 4
-    for k, s in enumerate(log.states):
+    assert len(states) == 4
+    for k, s in enumerate(states):
         hf = higher_functionals(s, nl, g)
         assert log.cal_g[k] == hf.g and log.cal_h[k] == hf.h
         assert log.cal_f[k] == diagnostic_F(s, nl, g, diag)
@@ -620,12 +656,11 @@ def test_log_final_is_last_sampled_state():
     grid = GridSpec(8, PI)
     st = random_pair_state(grid, 4, 1.0, seed=75)
     cfg = SchemeConfig(dt=1e-3)
-    kept = simulate(st, DOUBLE_WELL, SourceTerm.zero(grid), cfg, 7e-3, sample_every=3,
-                    keep_states=True)
+    _, states = _run_logged(st, DOUBLE_WELL, SourceTerm.zero(grid), cfg, 7e-3, sample_every=3)
     log = simulate(st, DOUBLE_WELL, SourceTerm.zero(grid), cfg, 7e-3, sample_every=3)
-    assert log.states == [] and log.final.time == kept.t[-1] == log.t[-1]
-    assert np.array_equal(log.final.u.coeff, kept.states[-1].u.coeff)
-    assert np.array_equal(log.final.v.coeff, kept.states[-1].v.coeff)
+    assert log.final.time == states[-1].time == log.t[-1]
+    assert np.array_equal(log.final.u.coeff, states[-1].u.coeff)
+    assert np.array_equal(log.final.v.coeff, states[-1].v.coeff)
     still = simulate(st, DOUBLE_WELL, SourceTerm.zero(grid), cfg, 0.0)
     assert np.array_equal(still.final.u.coeff, st.u.coeff)
 
@@ -642,14 +677,14 @@ def test_hot_paths_reuse_work_arrays(n, what):
     grid = GridSpec(n, PI)
     st = State(random_band_limited(grid, 8, 1.0, seed=76), ModalField.zeros(grid))
     stepper = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
-    log, diag = TrajectoryLog(), default_diagnostic_params(DOUBLE_WELL)
+    log = TrajectoryLog()
     for _ in range(5):  # warm-up: pools, FFT plans, allocator thresholds
         stepper.advance()
-        _sample(log, stepper, 0.0, diag, False)
+        log.record(stepper, 0.0)
     before = _minor_faults()
     for _ in range(50):
         if what == "step":
             stepper.advance()
         else:
-            _sample(log, stepper, 0.0, diag, False)
+            log.record(stepper, 0.0)
     assert (_minor_faults() - before) / 50 < 10

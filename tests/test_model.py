@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    exact_linear_mode,
     exact_projection_of_square,
     naive_modal,
     naive_nodal,
@@ -367,8 +368,6 @@ def test_pde_residual_zero_state():
 
 def test_pde_residual_linear_mode():
     # damped-oscillator derivatives satisfy the f=0 equation exactly
-    from sinech.integrator import exact_linear_mode
-
     grid = GridSpec(8, PI)
     lam = 2.0
     nl0 = Nonlinearity(0.0, 0.0, 0.0)
