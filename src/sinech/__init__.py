@@ -22,14 +22,11 @@ from .errors import (
 from .spectral import (
     GridSpec,
     ModalField,
-    NodalField,
     apply_power,
     eigenvalue,
     eigenvalues,
     field_integral,
-    forward_transform,
     inner,
-    inverse_transform,
     lambda_max,
     load_field,
     nodal_values,
@@ -43,20 +40,16 @@ from .spectral import (
 )
 from .model import (
     AssumptionReport,
-    DiagnosticParams,
-    EnergyBreakdown,
     HigherFunctionals,
     Nonlinearity,
     SourceTerm,
     acceleration_from_state,
     check_assumptions,
-    default_diagnostic_params,
     diagnostic_F,
     energy,
     f_eval_dealiased,
     higher_functionals,
     pde_residual,
-    potential_integral,
 )
 from .integrator import (
     Checkpoint,
@@ -74,7 +67,6 @@ from .integrator import (
 )
 from .analysis import (
     AbsorbReport,
-    BGReport,
     ConvergenceReport,
     DecompositionRun,
     EquilibriumResult,
@@ -82,7 +74,6 @@ from .analysis import (
     LojReport,
     absorbing_probe,
     bg_ratio,
-    brezis_gallouet_scan,
     decompose_with_retries,
     decomposition_run,
     find_equilibrium,

@@ -11,7 +11,8 @@ u_tt + u_t + A(Au + f(u)) = g as a measurable quantity:
   which we preserve step by step);
 * the flow is Lipschitz on bounded sets (perturbation growth is at most
   exponential, with a rate stable under shrinking the perturbation);
-* sup-norms obey a Brezis-Gallouet-type logarithmic interpolation bound;
+* sup-norms obey a Brezis-Gallouet-type logarithmic interpolation bound
+  (bg_ratio);
 * equilibria solve Au + P_N f(u) = A^(-1) g and attract bounded
   trajectories (Lojasiewicz: single-limit convergence for polynomial f);
 * trajectories enter an absorbing set whose size does not depend on the
@@ -46,7 +47,7 @@ from .spectral import (
     lambda_max,
     norm_Hs,
     norm_pair,
-    random_band_limited,
+    resample,
     sup_norm,
 )
 
@@ -139,8 +140,8 @@ def galerkin_convergence(initial: State, nl: Nonlinearity, g: SourceTerm,
     side = initial.grid.side
 
     def run_at(n: int):
-        st = State(initial.u.resample(n), initial.v.resample(n), initial.time)
-        return _states(st, nl, SourceTerm(g.g_modal.resample(n)), cfg,
+        st = State(resample(initial.u, n), resample(initial.v, n), initial.time)
+        return _states(st, nl, SourceTerm(resample(g.g_modal, n)), cfg,
                        initial.time + t_star, sample_every)
 
     ref_states = run_at(n_ref)
@@ -154,8 +155,8 @@ def galerkin_convergence(initial: State, nl: Nonlinearity, g: SourceTerm,
             continue
         worst = 0.0
         for s_ref, s_n in zip(ref_states, states_n):
-            du = s_ref.u.project(n).resample(n) - s_n.u
-            dv = s_ref.v.project(n).resample(n) - s_n.v
+            du = resample(s_ref.u, n) - s_n.u  # P_n of the reference
+            dv = resample(s_ref.v, n) - s_n.v
             worst = max(worst, norm_pair(du, dv, -1.0))
         gaps.append(worst)
 
@@ -216,7 +217,7 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
     lam = np.asarray(eigenvalues(grid))
     lam2 = lam**2
     lam2_l = lam2 + big_l
-    ghat = g.g_modal.resample(grid.n_modes).coeff if g.grid != grid else g.g_modal.coeff
+    ghat = resample(g.g_modal, grid.n_modes).coeff if g.grid != grid else g.g_modal.coeff
 
     cu, wu = initial.u.coeff.copy(), initial.v.coeff.copy()
     cv = np.zeros(grid.shape)
@@ -322,16 +323,8 @@ def lipschitz_dependence(initial: State, perturbation_scale: float,
 
 
 # ---------------------------------------------------------------------------
-# Brezis-Gallouet scan
+# Brezis-Gallouet ratio
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BGReport:
-    records: list             # dicts: kind, band, sup, norm_V, norm_DA, ratio
-    max_ratio: float
-    n_modes: int
-    side: float
-
 
 def bg_ratio(z: ModalField, eps0: float = 1e-30) -> float:
     """||z||_inf / (||z||_V (1 + log^(1/2)(1 + ||z||_DA / ||z||_V))).
@@ -343,27 +336,6 @@ def bg_ratio(z: ModalField, eps0: float = 1e-30) -> float:
     sup = sup_norm(z)
     denom = nv * (1.0 + math.sqrt(math.log1p(nda / max(nv, eps0))))
     return sup / denom if denom > 0 else 0.0
-
-
-def brezis_gallouet_scan(grid: GridSpec, n_samples: int, seed: int = 0) -> BGReport:
-    """Random band-limited fields at assorted bands plus the adversarial
-    flat-spectrum field coeff = 1/lambda (the log-saturating profile)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(n_samples):
-        band = int(rng.integers(1, grid.n_modes + 1))
-        z = random_band_limited(grid, band, 1.0, int(rng.integers(0, 2**31)))
-        records.append({"kind": "random", "band": band, "ratio": bg_ratio(z),
-                        "sup": sup_norm(z), "norm_V": norm_Hs(z, 0.5),
-                        "norm_DA": norm_Hs(z, 1.0)})
-    adv = ModalField(grid, 1.0 / np.asarray(eigenvalues(grid)))
-    records.append({"kind": "adversarial", "band": grid.n_modes,
-                    "ratio": bg_ratio(adv), "sup": sup_norm(adv),
-                    "norm_V": norm_Hs(adv, 0.5), "norm_DA": norm_Hs(adv, 1.0)})
-    return BGReport(records, max(r["ratio"] for r in records),
-                    grid.n_modes, grid.side)
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +420,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     grid = seed_field.grid
     n = grid.n_modes
     lam = np.asarray(eigenvalues(grid))
-    ghat_over_lam = g.g_modal.resample(n).coeff / lam if g.grid != grid \
+    ghat_over_lam = resample(g.g_modal, n).coeff / lam if g.grid != grid \
         else g.g_modal.coeff / lam
 
     def residual(c):
@@ -485,7 +457,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
         iters += 1
         converged = rn <= tol and rn_w <= 10.0 * tol
     u_star = ModalField(grid, c)
-    e = energy(State(u_star, ModalField.zeros(grid)), nl, g).total
+    e = energy(State(u_star, ModalField.zeros(grid)), nl, g)
     indicator = _stability_indicator(_stationary_jacobian(u_star, nl, lam), lam)
     return EquilibriumResult(u_star, rn, iters, e, indicator, converged, history)
 

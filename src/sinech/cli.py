@@ -26,36 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import (
-    ConfigError,
-    FileFormatError,
-    InstabilityError,
-    StepFailureError,
-)
-from .integrator import (
-    SchemeConfig,
-    State,
-    energy_equality_residual,
-    simulate,
-)
+from .errors import ConfigError, FileFormatError, InstabilityError, StepFailureError
+from .integrator import SchemeConfig, State, energy_equality_residual, simulate
 from .model import Nonlinearity, SourceTerm, check_assumptions
-from .spectral import (
-    GridSpec,
-    ModalField,
-    NodalField,
-    apply_power,
-    forward_transform,
-    inner,
-    inverse_transform,
-    load_field,
-    nodal_values,
-    norm_Hs,
-    project,
-    quadrature_weight,
-    random_band_limited,
-    save_field,
-    sup_norm,
-)
+from .spectral import (GridSpec, ModalField, apply_power, inner, load_field, modal_from_values,
+                       nodal_values, norm_Hs, project, quadrature_weight, random_band_limited,
+                       save_field, sup_norm)
 
 _FIELD_BLOCK = {
     "preset": "zero", "j": 1, "k": 1, "amp": 1.0,
@@ -90,18 +66,19 @@ DEFAULTS = {
 _NULLABLE = {"lambda_bound": float, "m_bound": float, "r0": float, "seed": int, "path": str}
 
 # Ranges, by key; a list key's bound holds for every element.  The CLI
-# runs forward in time only (dt > 0, t_end >= 0).
+# runs forward in time only (dt > 0, t_end >= 0); a driver whose verdict
+# compares samples over its horizon needs t_end > 0.
 _POSITIVE = {
     "grid.n_modes", "grid.side", "scheme.dt", "scheme.newton_tol", "scheme.newton_max_iter",
     "sample_every", "check.n_modes_list", "converge.resolutions", "converge.n_ref",
     "converge.t_star", "converge.band", "converge.sample_every", "decompose.big_l",
-    "equilibrium.tol", "absorb.radii", "absorb.n_per_radius", "absorb.t_end",
-    "lipschitz.perturbation_scale",
+    "decompose.t_end", "equilibrium.tol", "absorb.radii", "absorb.n_per_radius",
+    "absorb.t_end", "lipschitz.perturbation_scale", "lipschitz.t_end",
 }
 _NON_NEGATIVE = {
     "t_end", "seed", "initial.u.seed", "initial.ut.seed", "scheme.safeguard_tol",
-    "decompose.t_end", "decompose.max_doublings", "equilibrium.max_iter",
-    "lojasiewicz.t_end", "lojasiewicz.tol", "absorb.floor", "lipschitz.t_end",
+    "decompose.max_doublings", "equilibrium.max_iter", "lojasiewicz.t_end",
+    "lojasiewicz.tol", "absorb.floor",
 }
 
 _EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
@@ -291,8 +268,8 @@ def _check_roundtrip(grid: GridSpec, rng) -> tuple[float, bool]:
     worst = 0.0
     for _ in range(5):
         w = rng.standard_normal(grid.shape)
-        back = inverse_transform(forward_transform(NodalField(grid, w)))
-        worst = max(worst, float(np.abs(back.values - w).max() / np.abs(w).max()))
+        back = nodal_values(ModalField(grid, modal_from_values(w, grid.side)))
+        worst = max(worst, float(np.abs(back - w).max() / np.abs(w).max()))
     return worst, worst <= 1e-12
 
 
@@ -547,7 +524,11 @@ def main(argv=None) -> int:
         cfg = _merge(_merge(DEFAULTS, _load_config(args.config)),
                      {key: val for key, val in flags.items() if val is not None})
         outdir = Path(cfg["output_dir"])
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot use {str(outdir)!r} as a directory ({exc.strerror})",
+                              key="output_dir") from exc
         _write_json(outdir / "config_effective.json", cfg)
         return _COMMANDS[args.command](cfg, outdir, args)
     except ConfigError as exc:

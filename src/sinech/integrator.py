@@ -32,7 +32,6 @@ O(dt^2) otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -41,7 +40,6 @@ from scipy.sparse.linalg import LinearOperator, minres
 from .errors import (
     CheckpointMismatchError,
     CheckpointVersionError,
-    FileFormatError,
     InstabilityError,
     InsufficientDataError,
     StepFailureError,
@@ -49,7 +47,6 @@ from .errors import (
 from .model import (
     Nonlinearity,
     SourceTerm,
-    default_diagnostic_params,
     diagnostic_F,
     energy,
     f_eval_dealiased,
@@ -57,7 +54,8 @@ from .model import (
     higher_functionals,
     nonlinear_term_and_potential,
 )
-from .spectral import GridSpec, ModalField, check_same_grid, eigenvalues, norm_pair
+from .spectral import (GridSpec, ModalField, check_same_grid, eigenvalues, header_value,
+                       norm_pair, read_binary, write_binary)
 
 _CKPT_VERSION = 1
 SCHEMES = ("imex_cn_ab2", "implicit_newton")
@@ -152,8 +150,7 @@ class TrajectoryLog:
         self.norm2.append(norm_pair(s.u, s.v, 2.0))
         self.ut_vprime.append(stepper.ut_vprime())
         self.energy.append(stepper.energy_total())
-        self.cal_f.append(diagnostic_F(s, stepper.nl, stepper.g,
-                                       default_diagnostic_params(stepper.nl), nodal, fhat))
+        self.cal_f.append(diagnostic_F(s, stepper.nl, stepper.g, nodal, fhat))
         self.cal_g.append(hf.g)
         self.cal_h.append(hf.h)
         self.dissip_cum.append(dissip_cum)
@@ -241,7 +238,7 @@ class Stepper:
         return self._cur
 
     def energy_total(self) -> float:
-        return energy(self.state, self.nl, self.g, self._ensure_current()[1]).total
+        return energy(self.state, self.nl, self.g, self._ensure_current()[1])
 
     def ut_vprime(self) -> float:
         """||u_t||_{V'} of the current state."""
@@ -330,7 +327,7 @@ class Stepper:
         grid = self.state.grid
         new = State(ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h)
         fh_new, pot_after = nonlinear_term_and_potential(new.u, self.nl)
-        rise = energy(new, self.nl, self.g, pot_after).total - e_before
+        rise = energy(new, self.nl, self.g, pot_after) - e_before
         if h > 0.0 and not (rise <= self.cfg.safeguard_tol):
             raise InstabilityError(
                 f"energy increased by {rise:.3e} in the step to t={new.time:g} "
@@ -468,38 +465,37 @@ def higher_energy_residual(log: TrajectoryLog) -> float:
 # checkpoint files (.ckpt)
 # ---------------------------------------------------------------------------
 
-_CKPT_BLOCKS = ("u", "ut", "g", "fhat_prev")
+# the sorted block lists a checkpoint may hold
+_CKPT_LAYOUTS = (["g", "u", "ut"], ["fhat_prev", "g", "u", "ut"])
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """One JSON header line, then contiguous little-endian float64
-    blocks as listed in header['blocks'] (u and ut always; the source
-    term and, when present, the extrapolation history so a resumed run
-    reproduces the original bitwise)."""
-    blocks = ["u", "ut", "g"]
+    """Write a .ckpt file (see spectral.write_binary): the blocks listed
+    in header['blocks'] are u and ut, the source term and, when present,
+    the extrapolation history, so a resumed run reproduces the original
+    bitwise."""
+    arrays = {"u": ckpt.state.u.coeff, "ut": ckpt.state.v.coeff, "g": ckpt.g.g_modal.coeff}
     if ckpt.fhat_prev is not None:
-        blocks.append("fhat_prev")
-    header = {
-        "format": "sinech-checkpoint",
-        "version": _CKPT_VERSION,
-        "n_modes": ckpt.state.grid.n_modes,
-        "side": ckpt.state.grid.side,
-        "time": ckpt.state.time,
-        "step_count": ckpt.step_count,
-        "scheme": asdict(ckpt.cfg),
-        "nonlinearity": asdict(ckpt.nl),
-        "blocks": blocks,
-    }
-    arrays = {
-        "u": ckpt.state.u.coeff,
-        "ut": ckpt.state.v.coeff,
-        "g": ckpt.g.g_modal.coeff,
-        "fhat_prev": ckpt.fhat_prev,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for name in blocks:
-            fh.write(np.ascontiguousarray(arrays[name], dtype="<f8").tobytes())
+        arrays["fhat_prev"] = ckpt.fhat_prev
+    header = {"format": "sinech-checkpoint", "version": _CKPT_VERSION,
+              "n_modes": ckpt.state.grid.n_modes, "side": ckpt.state.grid.side,
+              "time": ckpt.state.time, "step_count": ckpt.step_count,
+              "scheme": asdict(ckpt.cfg), "nonlinearity": asdict(ckpt.nl), "blocks": list(arrays)}
+    write_binary(path, header, arrays.values())
+
+
+def _checkpoint_blocks(header: dict) -> list:
+    """The block names of a checkpoint header, after its format and version."""
+    if header.get("format") != "sinech-checkpoint":
+        raise ValueError("not a checkpoint file")
+    version = header.get("version")
+    if type(version) is not int or version != _CKPT_VERSION:
+        raise CheckpointVersionError(f"checkpoint version {version!r}, "
+                                     f"this reader reads version {_CKPT_VERSION}")
+    blocks = header["blocks"]
+    if not isinstance(blocks, list) or sorted(blocks) not in _CKPT_LAYOUTS:
+        raise ValueError(f"block list {blocks!r} is not u, ut, g and optionally fhat_prev")
+    return blocks
 
 
 def _from_header(cls, block: dict):
@@ -508,42 +504,22 @@ def _from_header(cls, block: dict):
     return cls(**{f.name: block[f.name] for f in fields(cls)})
 
 
+def _checkpoint(header: dict, grid: GridSpec, blocks: dict) -> Checkpoint:
+    """The checkpoint a header and its blocks describe."""
+    return Checkpoint(
+        state=State(ModalField(grid, blocks["u"]), ModalField(grid, blocks["ut"]),
+                    header_value(header, "time", float)),
+        cfg=_from_header(SchemeConfig, header["scheme"]),
+        nl=_from_header(Nonlinearity, header["nonlinearity"]),
+        g=SourceTerm(ModalField(grid, blocks["g"])),
+        step_count=header_value(header, "step_count", int),
+        fhat_prev=blocks.get("fhat_prev"),
+    )
+
+
 def load_checkpoint(path) -> Checkpoint:
-    """Read a .ckpt file.  A malformed header, block list or block raises
-    FileFormatError; header keys the format does not use are ignored."""
-    with open(path, "rb") as fh:
-        raw = fh.readline()
-        try:
-            header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FileFormatError(f"{path}: bad checkpoint header") from exc
-        if not isinstance(header, dict) or header.get("format") != "sinech-checkpoint":
-            raise FileFormatError(f"{path}: not a checkpoint file")
-        if header.get("version") != _CKPT_VERSION:
-            raise CheckpointVersionError(
-                f"{path}: version {header.get('version')} != {_CKPT_VERSION}"
-            )
-        try:
-            n = int(header["n_modes"])
-            grid = GridSpec(n, float(header["side"]))
-            blocks = header["blocks"]
-            if not set(_CKPT_BLOCKS[:3]) <= set(blocks) <= set(_CKPT_BLOCKS):
-                raise FileFormatError(f"{path}: block list {blocks} is not u, ut, g "
-                                      "and optionally fhat_prev")
-            size = 8 * n * n
-            blob = fh.read()  # what the file holds, not what a huge n_modes would claim
-            if len(blob) < size * len(blocks):
-                raise FileFormatError(f"{path}: truncated block '{blocks[len(blob) // size]}'")
-            arrays = {name: np.frombuffer(blob, dtype="<f8", count=n * n, offset=i * size)
-                      .reshape(n, n).copy() for i, name in enumerate(blocks)}
-            return Checkpoint(
-                state=State(ModalField(grid, arrays["u"]), ModalField(grid, arrays["ut"]),
-                            float(header["time"])),
-                cfg=_from_header(SchemeConfig, header["scheme"]),
-                nl=_from_header(Nonlinearity, header["nonlinearity"]),
-                g=SourceTerm(ModalField(grid, arrays["g"])),
-                step_count=int(header["step_count"]),
-                fhat_prev=arrays.get("fhat_prev"),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FileFormatError(f"{path}: bad checkpoint header ({exc!r})") from exc
+    """Read a .ckpt file.  A malformed file raises FileFormatError (see
+    spectral.read_binary), one of another format version
+    CheckpointVersionError; header keys the format does not use are
+    ignored."""
+    return read_binary(path, _checkpoint_blocks, _checkpoint)

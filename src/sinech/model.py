@@ -102,16 +102,6 @@ class Nonlinearity:
         """Antiderivative F(r) = a3 r^4/4 + a2 r^3/3 + a1 r^2/2."""
         return ((self.a3 / 4.0 * r + self.a2 / 3.0) * r + self.a1 / 2.0) * r * r
 
-    def potential_min(self) -> float:
-        """min_r F(r), attained at a real root of f (closed form)."""
-        crit = [0.0]
-        disc = self.a2**2 - 4.0 * self.a3 * self.a1
-        if self.a3 > 0.0 and disc >= 0.0:
-            crit += [
-                (-self.a2 + s * math.sqrt(disc)) / (2.0 * self.a3) for s in (-1.0, 1.0)
-            ]
-        return min(float(self.potential(r)) for r in crit)
-
 
 def computed_lambda_bound(a3: float, a2: float, a1: float) -> float:
     """max(0, a2^2/(3 a3) - a1): the sharp -min f' for the cubic class."""
@@ -140,54 +130,9 @@ class SourceTerm:
     def zero(cls, grid: GridSpec) -> "SourceTerm":
         return cls(ModalField.zeros(grid))
 
-    @classmethod
-    def single_mode(cls, grid: GridSpec, j: int, k: int, amp: float) -> "SourceTerm":
-        return cls(ModalField.single_mode(grid, j, k, amp))
-
     @property
     def grid(self) -> GridSpec:
         return self.g_modal.grid
-
-    @property
-    def is_zero(self) -> bool:
-        return not np.any(self.g_modal.coeff)
-
-
-@dataclass
-class EnergyBreakdown:
-    """Energy pieces: total = quad + potential - forcing."""
-
-    quad: float
-    potential: float
-    forcing: float
-    total: float
-
-
-@dataclass
-class DiagnosticParams:
-    """Weights (beta, big_l) and certified constant sigma for the
-    velocity diagnostic functional."""
-
-    beta: float
-    big_l: float
-    sigma: float
-
-    def __post_init__(self):
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if self.big_l < 0.0:
-            raise ValueError(f"big_l must be >= 0, got {self.big_l}")
-        if not (self.sigma > 0.0):
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-
-
-def default_diagnostic_params(nl: Nonlinearity) -> DiagnosticParams:
-    """Coercive choice: beta = 1/4 keeps the cross term absorbed for any
-    beta <= 1/2; big_l >= lambda_bound^2/2 absorbs the f' defect through
-    the interpolation ||v||^2 <= ||v||_V ||v||_V'; sigma = 1/8 is then a
-    certified lower-bound constant."""
-    lam = nl.lambda_bound
-    return DiagnosticParams(beta=0.25, big_l=max(1.0, lam, 0.5 * lam**2), sigma=0.125)
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +207,6 @@ def f_eval_dealiased(u: ModalField, nl: Nonlinearity) -> ModalField:
     return _truncated(_nodal_f_and_potential(u, nl)[0], u.grid)
 
 
-def potential_integral(u: ModalField, nl: Nonlinearity) -> float:
-    """integral of F(u) over the square, exact for the resolved field."""
-    return 0.0 if nl.is_zero else _nodal_f_and_potential(u, nl)[1]
-
-
 def fprime_multiplier(u: ModalField, nl: Nonlinearity):
     """The dealiased multiplier v -> P_n(f'(u) v) on (n, n) coefficient
     arrays, with f'(u) sampled once on the 2n grid.
@@ -285,21 +225,21 @@ def fprime_multiplier(u: ModalField, nl: Nonlinearity):
     return apply
 
 
-def energy(state, nl: Nonlinearity, g: SourceTerm, potential: float | None = None) -> EnergyBreakdown:
+def energy(state, nl: Nonlinearity, g: SourceTerm, potential: float | None = None) -> float:
     """Energy E(u, u_t) = 1/2 ||(u, u_t)||_0^2 + int F(u) - <g, A^{-1} u>.
 
     Along solutions E(t) - E(s) = -int_s^t ||u_t||_{V'}^2 (energy
     equality); the integrator's safeguard and the dissipativity checks
-    rest on this breakdown.  potential, when given, is int F(u) as
-    already computed by nonlinear_term_and_potential.
+    rest on it.  potential, when given, is int F(u) as already computed
+    by nonlinear_term_and_potential.
     """
     u, v = state.u, state.v
     check_same_grid(u, g.g_modal)
     lam = eigenvalues(u.grid)
     quad = 0.5 * float(np.sum(lam * u.coeff**2) + np.sum(v.coeff**2 / lam))
-    pot = potential_integral(u, nl) if potential is None else potential
+    pot = nonlinear_term_and_potential(u, nl)[1] if potential is None else potential
     forcing = float(np.sum(g.g_modal.coeff * u.coeff / lam))
-    return EnergyBreakdown(quad=quad, potential=pot, forcing=forcing, total=quad + pot - forcing)
+    return quad + pot - forcing
 
 
 def acceleration_from_state(state, nl: Nonlinearity, g: SourceTerm,
@@ -424,19 +364,23 @@ def _fprime_quadratic_form(u: ModalField, v: ModalField, nl: Nonlinearity,
     return val
 
 
-def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, params: DiagnosticParams | None = None,
-                 nodal: dict | None = None, fhat: np.ndarray | None = None) -> float:
+def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, nodal: dict | None = None,
+                 fhat: np.ndarray | None = None) -> float:
     """Velocity diagnostic functional for V = (u_t, u_tt):
 
         F = 1/2 ||V||_0^2 + beta <u_tt, A^{-1} u_t> + beta/2 ||u_t||_{V'}^2
-            + 1/2 (f'(u) u_t, u_t) + big_l ||u_t||_{V'}^2.
+            + 1/2 (f'(u) u_t, u_t) + big_l ||u_t||_{V'}^2,
 
-    With the default (beta, big_l) it is coercive: F >= sigma ||V||_0^2.
-    nodal shares padded-grid values with higher_functionals on the same
-    state; fhat is P_n f(u) when already computed (the stepper caches it).
+    with beta = 1/4 (the cross term stays absorbed for any beta <= 1/2)
+    and big_l = max(1, lambda, lambda^2/2), lambda = nl.lambda_bound,
+    which absorbs the f' defect through the interpolation
+    ||v||^2 <= ||v||_V ||v||_V'.  F is then coercive with the certified
+    constant sigma = 1/8: F >= sigma ||V||_0^2.  nodal shares padded-grid
+    values with higher_functionals on the same state; fhat is P_n f(u)
+    when already computed (the stepper caches it).
     """
-    if params is None:
-        params = default_diagnostic_params(nl)
+    lam_f = nl.lambda_bound
+    beta, big_l = 0.25, max(1.0, lam_f, 0.5 * lam_f**2)
     u, v = state.u, state.v
     vt = acceleration_from_state(state, nl, g, fhat)
     lam = eigenvalues(u.grid)
@@ -446,10 +390,10 @@ def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, params: DiagnosticParam
     quad_form = _fprime_quadratic_form(u, v, nl, nodal)
     return (
         half_v0
-        + params.beta * cross
-        + 0.5 * params.beta * vprime2
+        + beta * cross
+        + 0.5 * beta * vprime2
         + 0.5 * quad_form
-        + params.big_l * vprime2
+        + big_l * vprime2
     )
 
 

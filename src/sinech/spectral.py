@@ -20,6 +20,7 @@ band-limited field exactly (discrete Parseval).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,12 +110,6 @@ class ModalField:
     def copy(self) -> "ModalField":
         return ModalField(self.grid, self.coeff.copy())
 
-    def project(self, m: int) -> "ModalField":
-        return project(self, m)
-
-    def resample(self, n_modes: int) -> "ModalField":
-        return resample(self, n_modes)
-
     # Small arithmetic surface; all operands must share the grid.
     def __add__(self, other: "ModalField") -> "ModalField":
         check_same_grid(self, other)
@@ -133,30 +128,9 @@ class ModalField:
         return ModalField(self.grid, -self.coeff)
 
 
-@dataclass
-class NodalField:
-    """Values on the interior collocation grid; values[p-1, q-1]."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if self.values.shape != self.grid.shape:
-            raise DimensionMismatchError(
-                f"values shape {self.values.shape} != grid {self.grid.shape}"
-            )
-
-
 def check_same_grid(a, b) -> None:
     if a.grid != b.grid:
         raise DimensionMismatchError(f"grid mismatch: {a.grid} vs {b.grid}")
-
-
-def collocation_points(grid: GridSpec) -> np.ndarray:
-    """Interior points x_p = p*side/(n+1), p = 1..n."""
-    n = grid.n_modes
-    return np.arange(1, n + 1) * (grid.side / (n + 1))
 
 
 def quadrature_weight(side: float, n_points: int) -> float:
@@ -254,16 +228,6 @@ def modal_from_values(values: np.ndarray, side: float, overwrite: bool = False,
     out = out[:, :n]
     out *= side / (2.0 * (m + 1) ** 2)
     return out
-
-
-def inverse_transform(z: ModalField) -> NodalField:
-    """Modal -> nodal on the grid's own collocation points."""
-    return NodalField(z.grid, nodal_values(z))
-
-
-def forward_transform(w: NodalField) -> ModalField:
-    """Nodal -> modal; exact inverse of inverse_transform."""
-    return ModalField(w.grid, modal_from_values(w.values, w.grid.side))
 
 
 def field_integral(z: ModalField) -> float:
@@ -394,45 +358,76 @@ def random_band_limited(grid: GridSpec, band: int, amplitude: float, seed: int) 
 
 
 # ---------------------------------------------------------------------------
-# snapshot files (.mfld)
+# the binary file format (.mfld snapshots, .ckpt checkpoints)
 # ---------------------------------------------------------------------------
 
-def save_field(path, z: ModalField, time: float = 0.0, kind: str = "u") -> None:
-    """Write a snapshot: one UTF-8 JSON header line, then the raw
-    row-major little-endian float64 coefficient block."""
-    header = {
-        "n_modes": z.grid.n_modes,
-        "side": z.grid.side,
-        "time": float(time),
-        "kind": kind,
-    }
+def header_value(header: dict, key: str, kind: type):
+    """header[key] as kind: a JSON integer for int, a finite JSON number
+    for float, a string for str.  Anything else raises ValueError."""
+    val = header[key]
+    if kind is float and type(val) is int:
+        val = float(val)
+    if type(val) is not kind or (kind is float and not math.isfinite(val)):
+        raise ValueError(f"header key '{key}' holds {val!r}")
+    return val
+
+
+def write_binary(path, header: dict, blocks) -> None:
+    """Write header (which carries the grid's n_modes and side) as one
+    UTF-8 JSON line, then each (n_modes, n_modes) block as row-major
+    little-endian float64."""
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(z.coeff, dtype="<f8").tobytes())
+        for block in blocks:
+            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+
+
+def read_binary(path, block_names, build):
+    """Read a write_binary file; returns build(header, grid, blocks).
+
+    block_names(header) checks the keys that identify the file kind and
+    returns the names of the blocks in file order; blocks maps each name
+    to its array.  The header must be a JSON object whose n_modes is a
+    JSON integer >= 1 and whose side is a finite number > 0, and the
+    blocks must fill the rest of the file exactly.  Any defect, also a
+    KeyError, TypeError or ValueError from block_names or build, raises
+    FileFormatError.
+    """
+    with open(path, "rb") as fh:
+        head, body = fh.readline(), fh.read()  # what the file holds, not what a header claims
+    try:
+        header = json.loads(head.decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("the header is not a JSON object")
+        names = list(block_names(header))
+        grid = GridSpec(header_value(header, "n_modes", int), header_value(header, "side", float))
+        n = grid.n_modes
+        size = 8 * n * n
+        if len(body) < size * len(names):
+            raise FileFormatError(f"{path}: truncated block '{names[len(body) // size]}'")
+        if len(body) > size * len(names):
+            raise FileFormatError(f"{path}: {len(body) - size * len(names)} bytes "
+                                  "after the last block")
+        blocks = {name: np.frombuffer(body, dtype="<f8", count=n * n, offset=i * size)
+                  .reshape(n, n).copy() for i, name in enumerate(names)}
+        return build(header, grid, blocks)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{path}: bad header ({exc!r})") from exc
+
+
+def save_field(path, z: ModalField, time: float = 0.0, kind: str = "u") -> None:
+    """Write a .mfld snapshot: the header holds the grid, time and kind;
+    one coefficient block follows."""
+    header = {"n_modes": z.grid.n_modes, "side": z.grid.side, "time": float(time),
+              "kind": str(kind)}
+    write_binary(path, header, [z.coeff])
 
 
 def load_field(path) -> tuple[ModalField, float, str]:
     """Read a .mfld snapshot; returns (field, time, kind).  A malformed
-    header or a short block raises FileFormatError."""
-    with open(path, "rb") as fh:
-        raw = fh.readline()
-        try:
-            header = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FileFormatError(f"{path}: bad snapshot header") from exc
-        if not isinstance(header, dict):
-            raise FileFormatError(f"{path}: snapshot header is not a JSON object")
-        for key in ("n_modes", "side", "time", "kind"):
-            if key not in header:
-                raise FileFormatError(f"{path}: header missing '{key}'")
-        try:
-            grid = GridSpec(int(header["n_modes"]), float(header["side"]))
-            time, kind = float(header["time"]), str(header["kind"])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FileFormatError(f"{path}: bad snapshot header ({exc})") from exc
-        n = grid.n_modes
-        blob = fh.read()  # not read(8 n^2): a huge claimed n_modes would allocate that much
-        if len(blob) < 8 * n * n:
-            raise FileFormatError(f"{path}: truncated coefficient block")
-        coeff = np.frombuffer(blob, dtype="<f8", count=n * n).reshape(n, n).copy()
-    return ModalField(grid, coeff), time, kind
+    file raises FileFormatError (see read_binary)."""
+    def build(header, grid, blocks):
+        return (ModalField(grid, blocks["coeff"]), header_value(header, "time", float),
+                header_value(header, "kind", str))
+
+    return read_binary(path, lambda header: ["coeff"], build)

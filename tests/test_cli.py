@@ -282,9 +282,12 @@ def test_simulate_bad_value_type_names_the_key(tmp_path, capsys, overrides, key)
                   "initial": {"u": {"preset": "single_mode", "j": 9, "k": 1}}}, "initial.u.j"),
     ("simulate", {"grid": {"n_modes": 8},
                   "initial": {"u": {"preset": "single_mode", "j": 1, "k": 99}}}, "initial.u.k"),
+    # a zero horizon leaves one sample: no rate to fit, no verdict to give
+    ("lipschitz", {"grid": {"n_modes": 8}, "lipschitz": {"t_end": 0.0}}, "lipschitz.t_end"),
+    ("decompose", {"grid": {"n_modes": 8}, "decompose": {"t_end": 0.0}}, "decompose.t_end"),
 ], ids=["n_modes_list-empty", "resolutions-zero", "absorb-t_end-zero",
         "perturbation_scale-zero", "tol-zero", "seed-negative", "single_mode-j",
-        "single_mode-k"])
+        "single_mode-k", "lipschitz-t_end-zero", "decompose-t_end-zero"])
 def test_out_of_range_value_names_the_key(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
@@ -349,6 +352,19 @@ def test_defaults_pass_their_own_checks():
 
     assert _POSITIVE | _NON_NEGATIVE <= dict(_leaves(DEFAULTS)).keys()
     assert _merge(DEFAULTS, DEFAULTS) == DEFAULTS
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_output_dir_naming_a_file_names_the_key(tmp_path, capsys, how):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    if how == "flag":
+        argv = ("--output-dir", str(taken))
+    else:
+        argv = ("--config", write_config(tmp_path, output_dir=str(taken)))
+    assert run_cli("check", "--only", "parseval", *argv) == 2
+    assert "'output_dir'" in capsys.readouterr().err
+    assert taken.read_text() == "a file, not a directory\n"
 
 
 def test_negative_seed_flag_names_the_key(tmp_path, capsys):

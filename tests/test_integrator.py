@@ -34,7 +34,6 @@ from sinech.model import (
     Nonlinearity,
     SourceTerm,
     acceleration_from_state,
-    default_diagnostic_params,
     diagnostic_F,
     energy,
     higher_functionals,
@@ -308,7 +307,7 @@ def test_logged_norms_match_state():
         assert log.norm0[i] == pytest.approx(norm_pair(s.u, s.v, 0.0), rel=1e-14)
         assert log.norm2[i] == pytest.approx(norm_pair(s.u, s.v, 2.0), rel=1e-14)
         assert log.energy[i] == pytest.approx(
-            energy(s, DOUBLE_WELL, g).total, rel=1e-12
+            energy(s, DOUBLE_WELL, g), rel=1e-12
         )
 
 
@@ -640,16 +639,15 @@ def test_logged_functionals_equal_standalone(n, case):
         nl, g = DOUBLE_WELL, SourceTerm.zero(grid)
         st = State(random_band_limited(grid, 4, 1.0, seed=5), ModalField.zeros(grid))
     else:
-        nl, g = Nonlinearity(1.0, 0.5, -1.0), SourceTerm.single_mode(grid, 1, 2, 0.3)
+        nl, g = Nonlinearity(1.0, 0.5, -1.0), SourceTerm(ModalField.single_mode(grid, 1, 2, 0.3))
         st = State(random_band_limited(grid, 4, 1.0, seed=7),
                    random_band_limited(grid, 3, 0.5, seed=8))
     log, states = _run_logged(st, nl, g, SchemeConfig(dt=1e-3), 3e-3)
-    diag = default_diagnostic_params(nl)
     assert len(states) == 4
     for k, s in enumerate(states):
         hf = higher_functionals(s, nl, g)
         assert log.cal_g[k] == hf.g and log.cal_h[k] == hf.h
-        assert log.cal_f[k] == diagnostic_F(s, nl, g, diag)
+        assert log.cal_f[k] == diagnostic_F(s, nl, g)
 
 
 def test_log_final_is_last_sampled_state():

@@ -22,14 +22,12 @@ from oracles import (
 from sinech.errors import UnsupportedNonlinearityError
 from sinech.integrator import State
 from sinech.model import (
-    DiagnosticParams,
     Nonlinearity,
     SourceTerm,
     acceleration_from_state,
     check_assumptions,
     computed_lambda_bound,
     computed_r0,
-    default_diagnostic_params,
     diagnostic_F,
     energy,
     f_eval_dealiased,
@@ -37,7 +35,6 @@ from sinech.model import (
     higher_functionals,
     nonlinear_term_and_potential,
     pde_residual,
-    potential_integral,
 )
 from sinech.analysis import random_pair_state
 from sinech.spectral import (
@@ -65,7 +62,6 @@ def test_f_pointwise():
     assert nl.f_prime(2.0) == 11.0   # 12 - 1
     assert nl.f_second(2.0) == 12.0
     assert nl.potential(2.0) == pytest.approx(2.0)  # 16/4 - 4/2
-    assert nl.potential_min() == pytest.approx(-0.25)  # F(+-1) = 1/4 - 1/2
 
 
 def test_lambda_bound_closed_form():
@@ -244,6 +240,11 @@ def test_fprime_multiplier_symmetric(nl):
 # potential integral
 # ---------------------------------------------------------------------------
 
+def potential_integral(u, nl):
+    """int F(u), as the fused evaluation returns it next to P_n f(u)."""
+    return nonlinear_term_and_potential(u, nl)[1]
+
+
 def test_potential_integral_values():
     grid = GridSpec(8, PI)
     assert potential_integral(ModalField.zeros(grid), DOUBLE_WELL) == 0.0
@@ -285,32 +286,30 @@ def test_energy_values():
     grid = GridSpec(8, PI)
     zero = ModalField.zeros(grid)
     g0 = SourceTerm.zero(grid)
-    e = energy(State(zero, zero), DOUBLE_WELL, g0)
-    assert e.quad == 0.0 and e.potential == 0.0 and e.forcing == 0.0
-    assert e.total == 0.0
+    assert energy(State(zero, zero), DOUBLE_WELL, g0) == 0.0
 
     # (e_11, 0): quad = ||A^{1/2}u||^2 / 2 = 1, plus the potential
     u = ModalField.single_mode(grid, 1, 1)
     e = energy(State(u, zero), DOUBLE_WELL, g0)
-    assert e.quad == pytest.approx(1.0, rel=1e-14)
-    assert e.total == pytest.approx(1.0 + 9.0 / (16.0 * PI**2) - 0.5, rel=1e-12)
-    assert e.total == pytest.approx(0.55699, abs=5e-6)
+    assert e == pytest.approx(1.0 + 9.0 / (16.0 * PI**2) - 0.5, rel=1e-12)
+    assert e == pytest.approx(0.55699, abs=5e-6)
+    # the quadratic part alone: with f = 0 the potential vanishes
+    assert energy(State(u, zero), Nonlinearity(0.0, 0.0, 0.0), g0) == pytest.approx(
+        1.0, rel=1e-14)
 
     # forcing <g, A^{-1}u> with g = u = e_11: 1/lambda_11 = 1/2
     g = SourceTerm(ModalField.single_mode(grid, 1, 1))
-    e = energy(State(u, zero), DOUBLE_WELL, g)
-    assert e.forcing == pytest.approx(0.5, rel=1e-14)
-    assert e.total == pytest.approx(e.quad + e.potential - e.forcing, rel=1e-15)
+    assert energy(State(u, zero), DOUBLE_WELL, g) == pytest.approx(e - 0.5, rel=1e-14)
 
 
 def test_energy_grid_refinement_invariance():
     grid = GridSpec(8, PI)
     state = random_pair_state(grid, 8, 2.0, seed=17)
     g = SourceTerm(random_band_limited(grid, 4, 0.7, seed=18))
-    e1 = energy(state, DOUBLE_WELL, g).total
+    e1 = energy(state, DOUBLE_WELL, g)
     big = State(resample(state.u, 16), resample(state.v, 16), state.time)
     gbig = SourceTerm(resample(g.g_modal, 16))
-    e2 = energy(big, DOUBLE_WELL, gbig).total
+    e2 = energy(big, DOUBLE_WELL, gbig)
     assert abs(e1 - e2) <= 1e-10 * max(1.0, abs(e1))
 
 
@@ -322,15 +321,15 @@ def test_energy_sign_symmetry():
     flipped = State(-state.u, -state.v, state.time)
     a = energy(state, DOUBLE_WELL, g0)
     b = energy(flipped, DOUBLE_WELL, g0)
-    assert a.total == b.total
+    assert a == b
     # with a2 != 0 the potential is not even; the flip must also send
     # a2 -> -a2 (and g -> -g) to leave the energy invariant
     nl = Nonlinearity(1.0, 0.7, -1.0)
     nl_flip = Nonlinearity(1.0, -0.7, -1.0)
     g = SourceTerm(random_band_limited(grid, 3, 0.4, seed=24))
     gm = SourceTerm(-g.g_modal)
-    assert energy(state, nl, g).total == pytest.approx(
-        energy(flipped, nl_flip, gm).total, rel=1e-12
+    assert energy(state, nl, g) == pytest.approx(
+        energy(flipped, nl_flip, gm), rel=1e-12
     )
 
 
@@ -397,8 +396,10 @@ def test_diagnostic_F_zero_velocity():
 
 
 def test_diagnostic_F_closed_form():
-    # beta -> 0, L = 0, f' constant c: state (0, e_11) forced so that
-    # u_tt = 0 gives F = ||(e_11, 0)||_0^2 / 2 + c ||e_11||^2 / 2 = 1 + c/2
+    # f' constant c >= 0, so lambda = 0: beta = 1/4 and L = 1.  State
+    # (0, e_11) forced so that u_tt = 0, with ||e_11||_V'^2 = 1/lambda_11
+    # = 1/2: F = ||(e_11, 0)||_0^2 / 2 + (beta/2)(1/2) + c/2 + L/2
+    #          = 1 + 1/16 + c/2 + 1/2
     grid = GridSpec(8, PI)
     c = 0.8
     nl = Nonlinearity(0.0, 0.0, c)
@@ -406,39 +407,26 @@ def test_diagnostic_F_closed_form():
     state = State(ModalField.zeros(grid), ModalField.single_mode(grid, 1, 1))
     acc = acceleration_from_state(state, nl, g)
     assert norm_Hs(acc, 0.0) <= 1e-14
-    params = DiagnosticParams(beta=1e-12, big_l=0.0, sigma=1e-12)
-    val = diagnostic_F(state, nl, g, params)
-    assert val == pytest.approx(1.0 + c / 2.0, abs=1e-9)
+    val = diagnostic_F(state, nl, g)
+    assert val == pytest.approx(1.0 + 1.0 / 16.0 + c / 2.0 + 0.5, abs=1e-9)
 
 
 def test_diagnostic_F_coercivity_sweep():
-    # F >= sigma ||(u_t, u_tt)||_0^2 with the default recipe, on random
-    # quasi-strong states of size up to 5
+    # F >= sigma ||(u_t, u_tt)||_0^2 with the certified sigma = 1/8 of its
+    # fixed recipe, on random quasi-strong states of size up to 5
     grid = GridSpec(12, PI)
     g0 = SourceTerm.zero(grid)
+    sigma = 0.125
     for nl in (DOUBLE_WELL, Nonlinearity(1.0, 0.0, 0.0), Nonlinearity(1.0, 1.0, -2.0)):
-        params = default_diagnostic_params(nl)
-        assert params.big_l >= nl.lambda_bound
         rng = np.random.default_rng(99)
         for i in range(100):
             amp = float(rng.uniform(0.05, 5.0))
             st = random_pair_state(grid, 6, amp, seed=7000 + i, s=2.0)
             assert norm_pair(st.u, st.v, 2.0) == pytest.approx(amp, rel=1e-10)
             vt = acceleration_from_state(st, nl, g0)
-            val = diagnostic_F(st, nl, g0, params)
-            floor = params.sigma * norm_pair(st.v, vt, 0.0) ** 2
+            val = diagnostic_F(st, nl, g0)
+            floor = sigma * norm_pair(st.v, vt, 0.0) ** 2
             assert val >= floor - 1e-12 * max(1.0, abs(val))
-
-
-def test_diagnostic_params_validation():
-    with pytest.raises(ValueError):
-        DiagnosticParams(beta=0.0, big_l=1.0, sigma=0.1)
-    with pytest.raises(ValueError):
-        DiagnosticParams(beta=1.5, big_l=1.0, sigma=0.1)
-    with pytest.raises(ValueError):
-        DiagnosticParams(beta=0.25, big_l=-1.0, sigma=0.1)
-    with pytest.raises(ValueError):
-        DiagnosticParams(beta=0.25, big_l=1.0, sigma=0.0)
 
 
 # ---------------------------------------------------------------------------
