@@ -39,7 +39,8 @@ from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .errors import InstabilityError, StepFailureError
 from .integrator import SchemeConfig, State, Stepper, cn_step, horizon_steps, run
-from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased, fprime_multiplier
+from .model import (Nonlinearity, SourceTerm, energy, f_eval_dealiased, fprime_multiplier,
+                    nonlinear_term_and_potential)
 from .spectral import (
     GridSpec,
     ModalField,
@@ -47,8 +48,10 @@ from .spectral import (
     lambda_max,
     norm_Hs,
     norm_pair,
+    padded_points,
     resample,
     sup_norm,
+    work_array,
 )
 
 
@@ -353,10 +356,13 @@ class EquilibriumResult:
     residual_history: list = field(default_factory=list)
 
 
-def _stationary_jacobian(u: ModalField, nl: Nonlinearity, lam: np.ndarray) -> LinearOperator:
-    """A + P_n f'(u) in modal coordinates, matrix-free and symmetric."""
+def _stationary_jacobian(u: ModalField, nl: Nonlinearity, lam: np.ndarray,
+                         fprime: np.ndarray | None = None) -> LinearOperator:
+    """A + P_n f'(u) in modal coordinates, matrix-free and symmetric;
+    fprime is f'(u) on the padded grid when already sampled (see
+    fprime_multiplier)."""
     n = u.grid.n_modes
-    mult = fprime_multiplier(u, nl)
+    mult = fprime_multiplier(u, nl, fprime)
 
     def matvec(vec):
         w = vec.reshape(n, n)
@@ -423,21 +429,28 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     ghat_over_lam = resample(g.g_modal, n).coeff / lam if g.grid != grid \
         else g.g_modal.coeff / lam
 
-    def residual(c):
-        return lam * c + f_eval_dealiased(ModalField(grid, c), nl).coeff - ghat_over_lam
+    # f'(c) of the accepted iterate and of the line-search trial, each
+    # sampled by the residual's own padded transform
+    m = padded_points(n, 2)
+    fp, fp_try = work_array("newton.fprime", (m, m)), work_array("newton.fprime_try", (m, m))
+
+    def residual(c, fprime):
+        """R(c), and int F(c)."""
+        fh, pot = nonlinear_term_and_potential(ModalField(grid, c), nl, fprime)
+        return lam * c + fh.coeff - ghat_over_lam, pot
 
     def norms(r):
         return float(np.linalg.norm(r)), float(np.sqrt(np.sum(lam * r**2)))
 
     pre = _inverse_a(lam)
     c = seed_field.coeff.copy()
-    r = residual(c)
+    r, pot = residual(c, fp)
     rn, rn_w = norms(r)
     history = [rn]
     iters = 0
     converged = rn <= tol and rn_w <= 10.0 * tol
     while not converged and iters < max_iter:
-        op = _stationary_jacobian(ModalField(grid, c), nl, lam)
+        op = _stationary_jacobian(ModalField(grid, c), nl, lam, fp)
         delta, info = minres(op, -r.ravel(), M=pre, rtol=1e-12, maxiter=1000)
         if info != 0:
             break
@@ -445,20 +458,21 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
         scale = 1.0
         for _ in range(10):
             c_try = c + scale * delta
-            r_try = residual(c_try)
+            r_try, pot_try = residual(c_try, fp_try)
             if np.linalg.norm(r_try) < rn:
                 break
             scale *= 0.5
         else:
             break
-        c, r = c_try, r_try
+        c, r, pot = c_try, r_try, pot_try
+        fp, fp_try = fp_try, fp
         rn, rn_w = norms(r)
         history.append(rn)
         iters += 1
         converged = rn <= tol and rn_w <= 10.0 * tol
     u_star = ModalField(grid, c)
-    e = energy(State(u_star, ModalField.zeros(grid)), nl, g)
-    indicator = _stability_indicator(_stationary_jacobian(u_star, nl, lam), lam)
+    e = energy(State(u_star, ModalField.zeros(grid)), nl, g, pot)
+    indicator = _stability_indicator(_stationary_jacobian(u_star, nl, lam, fp), lam)
     return EquilibriumResult(u_star, rn, iters, e, indicator, converged, history)
 
 

@@ -8,10 +8,17 @@ Two schemes:
   nonlinearity-explicit Euler start-up step.  Second order; the linear
   part is unconditionally stable, the explicit part is benign at desk
   scale as long as dt * lambda_max * |f'| stays moderate.
-* ``implicit_newton`` -- backward Euler with a matrix-free Newton
-  iteration (dealiased Jacobian application, diagonally preconditioned
-  MINRES inner solves).  First order, very robust; also accepts
-  negative dt for (experimental) backward-in-time integration.
+* ``implicit_newton`` -- backward Euler with a matrix-free inexact
+  Newton iteration (dealiased Jacobian application, diagonally
+  preconditioned MINRES inner solves).  Each inner solve stops at the
+  relative tolerance of a fixed Eisenstat-Walker rule (see _forcing):
+  loose while the outer residual is large, never below what the outer
+  tolerance needs.  The outer stop is unchanged: every accepted step
+  solves backward Euler to ||residual|| / |dt| <= newton_tol.  The
+  residual's padded transform of an iterate also samples f' for the
+  next Jacobian, and the accepted iterate's P_n f(u) and int F(u) are
+  the step's.  First order, very robust; also accepts negative dt for
+  (experimental) backward-in-time integration.
 
 Both schemes reject a step that leaves a non-finite state or increases
 the energy by more than the configured safeguard tolerance: for this
@@ -49,13 +56,12 @@ from .model import (
     SourceTerm,
     diagnostic_F,
     energy,
-    f_eval_dealiased,
     fprime_multiplier,
     higher_functionals,
     nonlinear_term_and_potential,
 )
 from .spectral import (GridSpec, ModalField, check_same_grid, eigenvalues, header_value,
-                       norm_pair, read_binary, write_binary)
+                       norm_pair, padded_points, read_binary, work_array, write_binary)
 
 _CKPT_VERSION = 1
 SCHEMES = ("imex_cn_ab2", "implicit_newton")
@@ -195,6 +201,17 @@ def _require_finite(t: float, *arrays: np.ndarray) -> None:
         )
 
 
+def _forcing(history: list, tol: float) -> float:
+    """Inner MINRES rtol for Newton iterate k (Eisenstat & Walker, SIAM J.
+    Sci. Comput. 17, 1996, choice 2 with gamma = 0.9, alpha = 2):
+    eta_0 = 1e-3, eta_k = min(1e-3, 0.9 (r_k / r_{k-1})^2) for the outer
+    residuals r_k = history[k], floored at max(1e-12, 0.5 tol / r_k) so the
+    last solve does not reach far below the outer tolerance."""
+    r = history[-1]
+    eta = 1e-3 if len(history) == 1 else min(1e-3, 0.9 * (r / history[-2]) ** 2)
+    return max(eta, 1e-12, 0.5 * tol / r)
+
+
 def cn_step(c: np.ndarray, w: np.ndarray, rhs: np.ndarray, lam2: np.ndarray,
             h: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     """One Crank-Nicolson step from time t of the per-mode systems
@@ -230,6 +247,7 @@ class Stepper:
         self.lam2 = self.lam**2
         self._fhat_prev = None if fhat_prev is None else np.array(fhat_prev, dtype=np.float64)
         self._cur = None  # (fhat, potential) for self.state.u
+        self._energy = None  # energy of self.state
 
     def _ensure_current(self):
         if self._cur is None:
@@ -238,13 +256,17 @@ class Stepper:
         return self._cur
 
     def energy_total(self) -> float:
-        return energy(self.state, self.nl, self.g, self._ensure_current()[1])
+        if self._energy is None:
+            self._energy = energy(self.state, self.nl, self.g, self._ensure_current()[1])
+        return self._energy
 
     def ut_vprime(self) -> float:
         """||u_t||_{V'} of the current state."""
         return float(np.sqrt(np.sum(self.state.v.coeff**2 / self.lam)))
 
     # -- schemes ------------------------------------------------------------
+    # each returns the new u and u_t coefficients and (P_n f(u), int F(u)) of
+    # the new u, which advance caches with the state
 
     def _advance_imex(self, h: float):
         fhat, _ = self._ensure_current()
@@ -253,8 +275,10 @@ class Stepper:
         else:
             nstar = 1.5 * fhat - 0.5 * self._fhat_prev
         rhs = self.g.g_modal.coeff - self.lam * nstar
-        return cn_step(self.state.u.coeff, self.state.v.coeff, rhs, self.lam2, h,
-                       self.state.time)
+        c_new, w_new = cn_step(self.state.u.coeff, self.state.v.coeff, rhs, self.lam2, h,
+                               self.state.time)
+        fh, pot = nonlinear_term_and_potential(ModalField(self.state.grid, c_new), self.nl)
+        return c_new, w_new, (fh.coeff, pot)
 
     def _advance_newton(self, h: float):
         c, w = self.state.u.coeff, self.state.v.coeff
@@ -266,26 +290,32 @@ class Stepper:
         diag = 1.0 + h + h * h * lam2
         pre = LinearOperator((n * n, n * n), matvec=lambda vec: vec / diag.ravel(),
                              dtype=np.float64)
+        # f'(x) of the accepted iterate and of the line-search trial, each
+        # sampled by the residual's own padded transform
+        m = padded_points(n, 2)
+        fp, fp_try = work_array("newton.fprime", (m, m)), work_array("newton.fprime_try", (m, m))
 
-        def residual(x):
-            fh = f_eval_dealiased(ModalField(grid, x), self.nl)
-            return (1.0 + h) * (x - c) + h * h * (lam2 * x + lam * fh.coeff - ghat) - h * w
+        def residual(x, fprime):
+            """The backward-Euler residual at x, and (P_n f(x), int F(x))."""
+            fh, pot = nonlinear_term_and_potential(ModalField(grid, x), self.nl, fprime)
+            res = (1.0 + h) * (x - c) + h * h * (lam2 * x + lam * fh.coeff - ghat) - h * w
+            return res, (fh.coeff, pot)
 
         def failure(msg):
             return StepFailureError(f"{msg} at t={self.state.time:g}",
                                     residual_history=history, time=self.state.time)
 
         x = c + h * w  # explicit predictor
-        res = residual(x)
+        res, cur = residual(x, fp)
         history = [float(np.linalg.norm(res)) / abs(h)]
         tol = self.cfg.newton_tol
         it = 0
         while history[-1] > tol:
             if it >= self.cfg.newton_max_iter:
                 raise failure(f"Newton did not reach tol={tol:g} in {it} iterations")
-            # frozen dealiased multiplier f'(u) for the Jacobian, symmetrized
+            # frozen dealiased multiplier f'(x) for the Jacobian, symmetrized
             # by delta = Lam^{1/2} delta'
-            mult = fprime_multiplier(ModalField(grid, x), self.nl)
+            mult = fprime_multiplier(ModalField(grid, x), self.nl, fp)
 
             def matvec(vec):
                 vec = vec.reshape(n, n)
@@ -293,7 +323,7 @@ class Stepper:
 
             op = LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
             rhs = -(res / lam_sqrt).ravel()
-            sol, info = minres(op, rhs, M=pre, rtol=1e-12, maxiter=400)
+            sol, info = minres(op, rhs, M=pre, rtol=_forcing(history, tol), maxiter=400)
             if info != 0:
                 raise failure(f"inner MINRES stalled (info={info})")
             delta = lam_sqrt * sol.reshape(n, n)
@@ -301,18 +331,19 @@ class Stepper:
             step_scale = 1.0
             for _ in range(12):
                 x_try = x + step_scale * delta
-                res_try = residual(x_try)
+                res_try, cur_try = residual(x_try, fp_try)
                 if np.linalg.norm(res_try) / abs(h) < history[-1]:
                     break
                 step_scale *= 0.5
             else:
                 raise failure("Newton line search failed")
-            x, res = x_try, res_try
+            x, res, cur = x_try, res_try, cur_try
+            fp, fp_try = fp_try, fp
             history.append(float(np.linalg.norm(res)) / abs(h))
             it += 1
         w_new = (x - c) / h
         _require_finite(self.state.time + h, x, w_new)
-        return x, w_new
+        return x, w_new, cur
 
     def advance(self, dt: float | None = None) -> float:
         """One step of size dt (default cfg.dt); returns the dissipation
@@ -321,13 +352,13 @@ class Stepper:
         e_before = self.energy_total()
         w = self.state.v.coeff
         if self.cfg.scheme == "imex_cn_ab2":
-            c_new, w_new = self._advance_imex(h)
+            c_new, w_new, cur = self._advance_imex(h)
         else:
-            c_new, w_new = self._advance_newton(h)
+            c_new, w_new, cur = self._advance_newton(h)
         grid = self.state.grid
         new = State(ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h)
-        fh_new, pot_after = nonlinear_term_and_potential(new.u, self.nl)
-        rise = energy(new, self.nl, self.g, pot_after) - e_before
+        e_after = energy(new, self.nl, self.g, cur[1])
+        rise = e_after - e_before
         if h > 0.0 and not (rise <= self.cfg.safeguard_tol):
             raise InstabilityError(
                 f"energy increased by {rise:.3e} in the step to t={new.time:g} "
@@ -341,7 +372,8 @@ class Stepper:
             self._fhat_prev = self._cur[0]  # AB2 history, committed with the step
         self.state = new
         self.step_count += 1
-        self._cur = (fh_new.coeff, pot_after)
+        self._cur = cur
+        self._energy = e_after
         return dissip
 
     def checkpoint(self) -> Checkpoint:

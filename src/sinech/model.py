@@ -156,7 +156,8 @@ def _truncated(values: np.ndarray, grid: GridSpec) -> ModalField:
     return ModalField(grid, coeff.copy())
 
 
-def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity) -> tuple[np.ndarray, float]:
+def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity,
+                           fprime: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """f(u) on the 2n grid and integral F(u): the one evaluation of both.
 
     Even powers of the potential by the interior quadrature sum on the
@@ -165,10 +166,16 @@ def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity) -> tuple[np.ndarray,
     arrays dominate the step cost at large n, so the square is reused
     for the quartic sum and then consumed in place by the Horner
     evaluation of f.  Both padded arrays are pooled work arrays, so the
-    returned values hold only until the next call.
+    returned values hold only until the next call.  fprime, when given,
+    receives f'(u) on the 2n grid from the same nodal values.
     """
     m = padded_points(u.grid.n_modes, 2)
     un = nodal_values(u, m, out=work_array("f.u", (m, m)))
+    if fprime is not None:  # nl.f_prime(un), evaluated in place
+        np.multiply(un, 3.0 * nl.a3, out=fprime)
+        fprime += 2.0 * nl.a2
+        fprime *= un
+        fprime += nl.a1
     fv = np.multiply(un, un, out=work_array("f.values", (m, m)))
     s2 = float(np.vdot(un, un))
     s4 = float(np.vdot(fv, fv))
@@ -186,17 +193,23 @@ def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity) -> tuple[np.ndarray,
     return fv, pot
 
 
-def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity) -> tuple[ModalField, float]:
+def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity,
+                                 fprime: np.ndarray | None = None) -> tuple[ModalField, float]:
     """(P_n f(u), integral F(u)), exactly dealiased and sharing one
     padded transform; the time stepper caches both per state.
 
     f is applied pointwise on a 2x zero-padded nodal grid and the result
     transformed back and truncated: with the cubic degree the retained
-    block is alias-free at padding >= 2n.
+    block is alias-free at padding >= 2n.  fprime, an (m, m) array with
+    m = padded_points(n_modes), receives f'(u) sampled from the same
+    transform when given: a Newton iteration evaluates its residual and
+    the next Jacobian's fprime_multiplier with one padded transform.
     """
     if nl.is_zero:
+        if fprime is not None:
+            fprime.fill(0.0)
         return ModalField.zeros(u.grid), 0.0
-    fv, pot = _nodal_f_and_potential(u, nl)
+    fv, pot = _nodal_f_and_potential(u, nl, fprime)
     return _truncated(fv, u.grid), pot
 
 
@@ -207,20 +220,25 @@ def f_eval_dealiased(u: ModalField, nl: Nonlinearity) -> ModalField:
     return _truncated(_nodal_f_and_potential(u, nl)[0], u.grid)
 
 
-def fprime_multiplier(u: ModalField, nl: Nonlinearity):
+def fprime_multiplier(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None):
     """The dealiased multiplier v -> P_n(f'(u) v) on (n, n) coefficient
-    arrays, with f'(u) sampled once on the 2n grid.
+    arrays, with f'(u) sampled once on the 2n grid, or taken from fprime
+    as nonlinear_term_and_potential(u, nl, fprime) sampled it.
 
     Exact for cubic f (the product is a sine polynomial of band 3n) and
     symmetric for any f: both transforms are the same orthogonal DST-I.
-    Newton's Jacobians and the stability indicator are built on it.
+    Newton's Jacobians and the stability indicator are built on it.  A
+    product is computed in a pooled work array and returned as a view
+    into it, valid until the next product.
     """
     grid = u.grid
     m = padded_points(grid.n_modes, 2)
-    fp = nl.f_prime(nodal_values(u, m))
+    fp = nl.f_prime(nodal_values(u, m)) if fprime is None else fprime
 
     def apply(v: np.ndarray) -> np.ndarray:
-        return _truncated(fp * nodal_values(ModalField(grid, v), m), grid).coeff
+        vals = nodal_values(ModalField(grid, v), m, out=work_array("fprime.v", (m, m)))
+        vals *= fp
+        return modal_from_values(vals, grid.side, overwrite=True, n_modes=grid.n_modes)
 
     return apply
 

@@ -372,10 +372,23 @@ def header_value(header: dict, key: str, kind: type):
     return val
 
 
+def _check_finite_header(header: dict, prefix: str = "") -> None:
+    """ValueError naming the first key (dotted into nested objects) that
+    holds a non-finite number: json.dumps would write NaN or Infinity,
+    which is not JSON, and read_binary refuses it in the keys it reads."""
+    for key, val in header.items():
+        if isinstance(val, dict):
+            _check_finite_header(val, f"{prefix}{key}.")
+        elif isinstance(val, float) and not math.isfinite(val):
+            raise ValueError(f"header key '{prefix}{key}' holds {val!r}")
+
+
 def write_binary(path, header: dict, blocks) -> None:
     """Write header (which carries the grid's n_modes and side) as one
     UTF-8 JSON line, then each (n_modes, n_modes) block as row-major
-    little-endian float64."""
+    little-endian float64.  A non-finite number anywhere in the header
+    raises ValueError naming its key, before the file is opened."""
+    _check_finite_header(header)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
         for block in blocks:

@@ -173,8 +173,9 @@ def test_simulate_linear_mode_matches_oracle(tmp_path):
         assert (out / name).is_file()
 
 
-def test_simulate_deterministic_reruns(tmp_path):
-    cfg = _simulate_cfg(tmp_path)
+@pytest.mark.parametrize("scheme", ["imex_cn_ab2", "implicit_newton"])
+def test_simulate_deterministic_reruns(tmp_path, scheme):
+    cfg = _simulate_cfg(tmp_path, scheme={"dt": 1e-3, "scheme": scheme})
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli("simulate", "--config", cfg, "--output-dir", str(out1)) == 0
     assert run_cli("simulate", "--config", cfg, "--output-dir", str(out2)) == 0

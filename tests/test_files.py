@@ -14,6 +14,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -165,3 +166,22 @@ def test_valid_files_load_as_written(tmp_path):
     ckpt = _read(tmp_path, load_checkpoint, CKPT)
     assert ckpt.step_count == 2 and ckpt.fhat_prev is not None
     assert _file_bytes(save_checkpoint, ckpt) == CKPT
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writers_refuse_what_the_reader_refuses(tmp_path, bad):
+    # a non-finite header number raises ValueError naming its key, and no
+    # file is left behind for read_binary to refuse later
+    path = tmp_path / "field.mfld"
+    with pytest.raises(ValueError, match="'time'"):
+        save_field(path, random_band_limited(GRID, 8, 1.0, seed=2), time=bad)
+    assert not path.exists()
+    ckpt = _checkpoint()
+    ckpt.state.time = bad
+    with pytest.raises(ValueError, match="'time'"):
+        save_checkpoint(tmp_path / "a.ckpt", ckpt)
+    ckpt = _checkpoint()
+    ckpt.cfg = SchemeConfig(dt=1e-3, safeguard_tol=bad)
+    with pytest.raises(ValueError, match="'scheme.safeguard_tol'"):
+        save_checkpoint(tmp_path / "b.ckpt", ckpt)
+    assert list(tmp_path.iterdir()) == []

@@ -36,11 +36,13 @@ from sinech.model import (
     acceleration_from_state,
     diagnostic_F,
     energy,
+    f_eval_dealiased,
     higher_functionals,
 )
 from sinech.spectral import (
     GridSpec,
     ModalField,
+    eigenvalues,
     norm_Hs,
     norm_pair,
     random_band_limited,
@@ -408,6 +410,25 @@ def test_newton_nonconvergence_reports_history():
     assert len(exc.value.residual_history) >= 1
 
 
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("dt", [0.1, 0.5, -1e-3])
+def test_inexact_newton_meets_the_outer_tolerance(n, dt):
+    # the inner MINRES solves stop early (Eisenstat-Walker forcing), but the
+    # accepted step solves backward Euler to newton_tol; the residual is
+    # recomputed here from the states alone
+    grid = GridSpec(n, PI)
+    cfg = SchemeConfig(dt=dt, scheme="implicit_newton")
+    start = random_pair_state(grid, 4, 1.0, seed=n)
+    stepper = Stepper(start, DOUBLE_WELL, SourceTerm.zero(grid), cfg)
+    stepper.advance()
+    c, w, x = start.u.coeff, start.v.coeff, stepper.state.u.coeff
+    lam = eigenvalues(grid)
+    fh = f_eval_dealiased(stepper.state.u, DOUBLE_WELL).coeff
+    res = (1.0 + dt) * (x - c) + dt * dt * (lam**2 * x + lam * fh) - dt * w
+    assert np.linalg.norm(res) / abs(dt) <= cfg.newton_tol
+    assert np.array_equal(stepper.state.v.coeff, (x - c) / dt)
+
+
 def test_newton_scheme_dissipates_nonlinear():
     grid = GridSpec(8, PI)
     st = random_pair_state(grid, 4, 1.0, seed=6)
@@ -667,22 +688,25 @@ def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-@pytest.mark.parametrize("n,what", [(128, "step"), (64, "row"), (128, "row")])
+@pytest.mark.parametrize("n,what", [(128, "step"), (64, "row"), (128, "row"),
+                                    (64, "implicit_step")])
 def test_hot_paths_reuse_work_arrays(n, what):
-    # the padded grids of a step and of a log row live in pooled work
-    # arrays; allocating them afresh makes the allocator map and unmap
-    # them, hundreds of minor page faults per step or row
+    # the padded grids of a step, of a Newton matvec and of a log row live
+    # in pooled work arrays; allocating them afresh makes the allocator map
+    # and unmap them, hundreds of minor page faults per step or row
     grid = GridSpec(n, PI)
     st = State(random_band_limited(grid, 8, 1.0, seed=76), ModalField.zeros(grid))
-    stepper = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
+    cfg = (SchemeConfig(dt=0.1, scheme="implicit_newton") if what == "implicit_step"
+           else SchemeConfig(dt=1e-3))
+    stepper = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid), cfg)
     log = TrajectoryLog()
     for _ in range(5):  # warm-up: pools, FFT plans, allocator thresholds
         stepper.advance()
         log.record(stepper, 0.0)
     before = _minor_faults()
     for _ in range(50):
-        if what == "step":
-            stepper.advance()
-        else:
+        if what == "row":
             log.record(stepper, 0.0)
+        else:
+            stepper.advance()
     assert (_minor_faults() - before) / 50 < 10

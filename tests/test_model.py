@@ -41,8 +41,10 @@ from sinech.spectral import (
     GridSpec,
     ModalField,
     eigenvalues,
+    nodal_values,
     norm_Hs,
     norm_pair,
+    padded_points,
     random_band_limited,
     resample,
 )
@@ -210,6 +212,23 @@ def test_fprime_multiplier_matches_oracle(nl):
     vals = nl.f_prime(naive_nodal(u.coeff, side, m)) * naive_nodal(v.coeff, side, m)
     slow = naive_modal(vals, side)[:8, :8]
     assert np.abs(fast - slow).max() <= 1e-10 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("nl", [DOUBLE_WELL, Nonlinearity(1.0, 0.7, -1.0),
+                                Nonlinearity(0.0, 0.0, 0.0)])
+def test_fprime_sampled_with_f_is_the_multipliers_own(nl):
+    # the f'(u) a Newton residual samples from its own padded transform is
+    # bitwise the one fprime_multiplier samples, and f(u) does not change
+    grid = GridSpec(8, PI)
+    u = random_band_limited(grid, 8, 2.0, seed=61)
+    v = random_band_limited(grid, 8, 1.0, seed=62).coeff
+    m = padded_points(grid.n_modes, 2)
+    fprime = np.full((m, m), np.nan)
+    fh, pot = nonlinear_term_and_potential(u, nl, fprime)
+    assert np.array_equal(fprime, nl.f_prime(nodal_values(u, m)))
+    assert np.array_equal(fh.coeff, f_eval_dealiased(u, nl).coeff)
+    assert pot == nonlinear_term_and_potential(u, nl)[1]
+    assert np.array_equal(fprime_multiplier(u, nl, fprime)(v), fprime_multiplier(u, nl)(v))
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
