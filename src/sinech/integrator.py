@@ -147,10 +147,10 @@ class TrajectoryLog:
     def record(self, stepper: "Stepper", dissip_cum: float) -> None:
         """Append one row for the stepper's current state."""
         s = stepper.state
-        # both functionals share one padded-grid set and the step's P_n f(u)
-        fhat = stepper._ensure_current()[0]
-        nodal = {}
-        hf = higher_functionals(s, stepper.nl, stepper.g, nodal)
+        # both functionals share one padded-grid set, seeded with the step's
+        # u on the 2n grid, and the step's P_n f(u)
+        fhat, nodal = stepper._row_inputs()
+        hf = higher_functionals(s, stepper.nl, stepper.g, nodal, fhat)
         self.t.append(s.time)
         self.norm0.append(norm_pair(s.u, s.v, 0.0))
         self.norm2.append(norm_pair(s.u, s.v, 2.0))
@@ -232,7 +232,11 @@ def cn_step(c: np.ndarray, w: np.ndarray, rhs: np.ndarray, lam2: np.ndarray,
 
 class Stepper:
     """Stateful single-run integrator (owns the AB2 history and the
-    fused nonlinear-term/potential cache)."""
+    fused nonlinear-term/potential cache).  The transform behind P_n f(u)
+    leaves u on the 2n grid in a stepper-owned array for the log rows:
+    _padded[0] for the current state, [1] for the step's new state, [2]
+    for a Newton line-search trial.  A step writes only [1] and [2], and
+    its commit swaps [0] and [1]."""
 
     def __init__(self, state: State, nl: Nonlinearity, g: SourceTerm,
                  cfg: SchemeConfig, step_count: int = 0,
@@ -248,12 +252,28 @@ class Stepper:
         self._fhat_prev = None if fhat_prev is None else np.array(fhat_prev, dtype=np.float64)
         self._cur = None  # (fhat, potential) for self.state.u
         self._energy = None  # energy of self.state
+        m = padded_points(state.grid.n_modes, 2)
+        self._padded = [np.empty((m, m)) for _ in range(3)]
+
+    def _evaluate(self, c: np.ndarray, slot: int, fprime: np.ndarray | None = None):
+        """(P_n f(u), int F(u)) for the coefficients c, with u on the 2n grid
+        left in _padded[slot] (and f'(u) in fprime when given)."""
+        fh, pot = nonlinear_term_and_potential(ModalField(self.state.grid, c), self.nl, fprime,
+                                               self._padded[slot])
+        return fh.coeff, pot
 
     def _ensure_current(self):
         if self._cur is None:
-            fh, pot = nonlinear_term_and_potential(self.state.u, self.nl)
-            self._cur = (fh.coeff, pot)
+            self._cur = self._evaluate(self.state.u.coeff, 0)
         return self._cur
+
+    def _row_inputs(self) -> tuple[np.ndarray, dict]:
+        """P_n f(u) of the current state and the nodal dict of a log row
+        (see model.higher_functionals), seeded with u on the 2n grid as the
+        step's transform left it (f = 0 leaves none, and no row reads it)."""
+        fhat = self._ensure_current()[0]
+        un = self._padded[0]
+        return fhat, ({} if self.nl.is_zero else {("u", un.shape[0]): un})
 
     def energy_total(self) -> float:
         if self._energy is None:
@@ -277,8 +297,7 @@ class Stepper:
         rhs = self.g.g_modal.coeff - self.lam * nstar
         c_new, w_new = cn_step(self.state.u.coeff, self.state.v.coeff, rhs, self.lam2, h,
                                self.state.time)
-        fh, pot = nonlinear_term_and_potential(ModalField(self.state.grid, c_new), self.nl)
-        return c_new, w_new, (fh.coeff, pot)
+        return c_new, w_new, self._evaluate(c_new, 1)
 
     def _advance_newton(self, h: float):
         c, w = self.state.u.coeff, self.state.v.coeff
@@ -295,18 +314,18 @@ class Stepper:
         m = padded_points(n, 2)
         fp, fp_try = work_array("newton.fprime", (m, m)), work_array("newton.fprime_try", (m, m))
 
-        def residual(x, fprime):
+        def residual(x, fprime, slot):
             """The backward-Euler residual at x, and (P_n f(x), int F(x))."""
-            fh, pot = nonlinear_term_and_potential(ModalField(grid, x), self.nl, fprime)
-            res = (1.0 + h) * (x - c) + h * h * (lam2 * x + lam * fh.coeff - ghat) - h * w
-            return res, (fh.coeff, pot)
+            fh, pot = self._evaluate(x, slot, fprime)
+            res = (1.0 + h) * (x - c) + h * h * (lam2 * x + lam * fh - ghat) - h * w
+            return res, (fh, pot)
 
         def failure(msg):
             return StepFailureError(f"{msg} at t={self.state.time:g}",
                                     residual_history=history, time=self.state.time)
 
         x = c + h * w  # explicit predictor
-        res, cur = residual(x, fp)
+        res, cur = residual(x, fp, 1)
         history = [float(np.linalg.norm(res)) / abs(h)]
         tol = self.cfg.newton_tol
         it = 0
@@ -331,7 +350,7 @@ class Stepper:
             step_scale = 1.0
             for _ in range(12):
                 x_try = x + step_scale * delta
-                res_try, cur_try = residual(x_try, fp_try)
+                res_try, cur_try = residual(x_try, fp_try, 2)
                 if np.linalg.norm(res_try) / abs(h) < history[-1]:
                     break
                 step_scale *= 0.5
@@ -339,6 +358,7 @@ class Stepper:
                 raise failure("Newton line search failed")
             x, res, cur = x_try, res_try, cur_try
             fp, fp_try = fp_try, fp
+            self._padded[1], self._padded[2] = self._padded[2], self._padded[1]
             history.append(float(np.linalg.norm(res)) / abs(h))
             it += 1
         w_new = (x - c) / h
@@ -373,6 +393,7 @@ class Stepper:
         self.state = new
         self.step_count += 1
         self._cur = cur
+        self._padded[0], self._padded[1] = self._padded[1], self._padded[0]
         self._energy = e_after
         return dissip
 

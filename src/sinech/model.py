@@ -22,6 +22,18 @@ transforming the pointwise product on a 3x grid (alias-free for triple
 products) and contracting the sine coefficients with the closed-form
 integrals of the basis functions.  All functionals below are therefore
 grid-size independent up to roundoff once the field is resolved.
+
+The a3 terms of H weigh |grad u|^2 against w = A u and w = A u_t.  They
+take no gradient: 6 u |grad u|^2 = lap(u^3) + 3 u^2 A u, and Green's
+identity (lap(u^3), w) = -(u^3, A w) holds because u^3 and w vanish on
+the boundary, so
+
+    6 int u |grad u|^2 w = -<P_n(u^3), A w> + 3 int u^2 (A u) w.
+
+P_n(u^3) is exact from the 2n grid (the retained block of a band-3n
+sine polynomial is alias-free for m >= 2n); for a2 = 0 it is
+(P_n f(u) - a1 u) / a3, from the P_n f(u) a log row already has.  The
+last integral is a four-factor even-type sum like the others.
 """
 
 from __future__ import annotations
@@ -156,8 +168,8 @@ def _truncated(values: np.ndarray, grid: GridSpec) -> ModalField:
     return ModalField(grid, coeff.copy())
 
 
-def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity,
-                           fprime: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None,
+                           values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """f(u) on the 2n grid and integral F(u): the one evaluation of both.
 
     Even powers of the potential by the interior quadrature sum on the
@@ -167,10 +179,11 @@ def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity,
     for the quartic sum and then consumed in place by the Horner
     evaluation of f.  Both padded arrays are pooled work arrays, so the
     returned values hold only until the next call.  fprime, when given,
-    receives f'(u) on the 2n grid from the same nodal values.
+    receives f'(u) on the 2n grid from the same nodal values; values,
+    when given, holds those nodal values instead of a pooled array.
     """
     m = padded_points(u.grid.n_modes, 2)
-    un = nodal_values(u, m, out=work_array("f.u", (m, m)))
+    un = nodal_values(u, m, out=work_array("f.u", (m, m)) if values is None else values)
     if fprime is not None:  # nl.f_prime(un), evaluated in place
         np.multiply(un, 3.0 * nl.a3, out=fprime)
         fprime += 2.0 * nl.a2
@@ -193,8 +206,8 @@ def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity,
     return fv, pot
 
 
-def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity,
-                                 fprime: np.ndarray | None = None) -> tuple[ModalField, float]:
+def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None,
+                                 values: np.ndarray | None = None) -> tuple[ModalField, float]:
     """(P_n f(u), integral F(u)), exactly dealiased and sharing one
     padded transform; the time stepper caches both per state.
 
@@ -204,12 +217,14 @@ def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity,
     m = padded_points(n_modes), receives f'(u) sampled from the same
     transform when given: a Newton iteration evaluates its residual and
     the next Jacobian's fprime_multiplier with one padded transform.
+    values, an (m, m) array, receives u on the 2n grid from the same
+    transform (untouched when f = 0, which transforms nothing).
     """
     if nl.is_zero:
         if fprime is not None:
             fprime.fill(0.0)
         return ModalField.zeros(u.grid), 0.0
-    fv, pot = _nodal_f_and_potential(u, nl, fprime)
+    fv, pot = _nodal_f_and_potential(u, nl, fprime, values)
     return _truncated(fv, u.grid), pot
 
 
@@ -424,8 +439,8 @@ class HigherFunctionals:
     h: float
 
 
-def higher_functionals(state, nl: Nonlinearity, src: SourceTerm,
-                       nodal: dict | None = None) -> HigherFunctionals:
+def higher_functionals(state, nl: Nonlinearity, src: SourceTerm, nodal: dict | None = None,
+                       fhat: np.ndarray | None = None) -> HigherFunctionals:
     """Quasi-strong functionals of the flow.
 
         G0 = 1/2 ||U||_2^2 - <g, A u> + 1/2 int f'(u) |lap u|^2
@@ -436,12 +451,21 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm,
 
     All integrals are evaluated exactly for the resolved field (see the
     module docstring), so G and H are independent of the grid size once
-    the state is band-limited within it.
+    the state is band-limited within it.  The a3 parts of the two
+    |grad u|^2 terms of H0 take no gradient (module docstring):
+
+        6 int u |grad u|^2 w = -<P_n(u^3), A w> + 3 int u^2 (A u) w
+
+    for w = A u_t and w = A u.  For a2 = 0, a3 P_n(u^3) = fhat - a1 u with
+    fhat = P_n f(u), given when already computed (the stepper caches it);
+    for a2 != 0 it is one forward transform of a3 u^3 on the 2n grid.
 
     nodal, one dict shared by the functionals of this state (a log row
     passes it to diagnostic_F too), keeps u, u_t, A u and A u_t on the
-    padded grids so each is transformed once; it holds pooled work
-    arrays, valid until the next padded-grid evaluation.
+    padded grids, keyed by (name, m) with name in u, v, au, aut, so each
+    is transformed once; it holds pooled work arrays, valid until the
+    next padded-grid evaluation.  A log row seeds it with ("u", m) for
+    the 2n grid from the step's own transform.
     """
     u, v = state.u, state.v
     check_same_grid(u, src.g_modal)
@@ -469,14 +493,23 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm,
         fields = (("u", u), ("v", v), ("au", ModalField(u.grid, lam * u.coeff)),
                   ("aut", ModalField(u.grid, lam * v.coeff)))
         un, vn, aun, autn = (_row_values(name, z, m2, nodal) for name, z in fields)
-        gx, gy = gradient_values(u, m2, out=(work_array("row.gx", (m2, m2)),
-                                             work_array("row.gy", (m2, m2))))
-        grad2 = np.add(np.square(gx, out=gx), np.square(gy, out=gy), out=gx)  # |grad u|^2
         au2 = np.square(aun, out=work_array("row.square", (m2, m2)))
-        fprime_lap += 3.0 * a3 * w2 * _product_sum(un, un, au2)
+        uu_au2 = _product_sum(un, un, au2)  # int u^2 (A u)^2 = w2 * uu_au2
+        fprime_lap += 3.0 * a3 * w2 * uu_au2
         t_ut_lap += 6.0 * a3 * w2 * _product_sum(un, vn, au2)
-        t_gradpair += 6.0 * a3 * w2 * _product_sum(autn, un, grad2)
-        t_gradlap -= 6.0 * a3 * w2 * _product_sum(un, grad2, aun)  # lap u = -A u
+        # the Green identity: cube = a3 P_n(u^3), cube_aa = A^2 cube; lap u = -A u
+        if a2 == 0.0:
+            cube = (f_eval_dealiased(u, nl).coeff if fhat is None else fhat) - nl.a1 * u.coeff
+        else:
+            cube = np.multiply(un, un, out=work_array("row.cube", (m2, m2)))
+            cube *= un
+            cube *= a3
+            cube = modal_from_values(cube, side, overwrite=True, n_modes=n)
+        cube_aa = lam**2 * cube
+        uu_au = np.multiply(un, un, out=work_array("row.product", (m2, m2)))
+        uu_au *= aun
+        t_gradpair += 3.0 * a3 * w2 * float(np.vdot(uu_au, autn)) - float(np.vdot(cube_aa, v.coeff))
+        t_gradlap += float(np.vdot(cube_aa, u.coeff)) - 3.0 * a3 * w2 * uu_au2
         if a2 != 0.0:
             m3 = padded_points(n, 3)
             un3, vn3, aun3, autn3 = (_row_values(name, z, m3, nodal) for name, z in fields)

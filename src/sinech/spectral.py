@@ -375,7 +375,7 @@ def header_value(header: dict, key: str, kind: type):
 def _check_finite_header(header: dict, prefix: str = "") -> None:
     """ValueError naming the first key (dotted into nested objects) that
     holds a non-finite number: json.dumps would write NaN or Infinity,
-    which is not JSON, and read_binary refuses it in the keys it reads."""
+    which is not JSON, and json.loads reads them back."""
     for key, val in header.items():
         if isinstance(val, dict):
             _check_finite_header(val, f"{prefix}{key}.")
@@ -400,11 +400,12 @@ def read_binary(path, block_names, build):
 
     block_names(header) checks the keys that identify the file kind and
     returns the names of the blocks in file order; blocks maps each name
-    to its array.  The header must be a JSON object whose n_modes is a
-    JSON integer >= 1 and whose side is a finite number > 0, and the
-    blocks must fill the rest of the file exactly.  Any defect, also a
-    KeyError, TypeError or ValueError from block_names or build, raises
-    FileFormatError.
+    to its array.  The header must be a JSON object with no non-finite
+    number anywhere (NaN, Infinity, or a literal beyond the float range),
+    whose n_modes is a JSON integer >= 1 and whose side is a finite
+    number > 0, and the blocks must fill the rest of the file exactly.
+    Any defect, also a KeyError, TypeError or ValueError from block_names
+    or build, raises FileFormatError.
     """
     with open(path, "rb") as fh:
         head, body = fh.readline(), fh.read()  # what the file holds, not what a header claims
@@ -412,6 +413,7 @@ def read_binary(path, block_names, build):
         header = json.loads(head.decode("utf-8"))
         if not isinstance(header, dict):
             raise ValueError("the header is not a JSON object")
+        _check_finite_header(header)
         names = list(block_names(header))
         grid = GridSpec(header_value(header, "n_modes", int), header_value(header, "side", float))
         n = grid.n_modes

@@ -82,6 +82,52 @@ def oracle_poly_integral(u_field, coeff_by_degree: dict) -> float:
     )
 
 
+def oracle_higher_h(state, nl, src) -> float:
+    """H of model.higher_functionals by direct summation, with the
+    |grad u|^2 terms of H0 evaluated from the gradient itself:
+
+        H0 = 1/2 int f''(u) u_t |lap u|^2 + <A u_t, f''(u) |grad u|^2>
+             - 1/2 int f''(u) |grad u|^2 lap u.
+
+    Per axis, every integrand is a product of sine factors and (along the
+    differentiated axis) pairs of cosine factors.  The a3 parts hold an
+    even number of sine factors per axis and vanish on the boundary, so
+    the interior node sum is exact for band 4N < 2(m+1); the a2 parts are
+    sine polynomials of band 3N <= m, integrated by the discrete
+    projection and the closed-form basis integrals.  m = 3N covers both.
+    """
+    u, v, g = state.u.coeff, state.v.coeff, src.g_modal.coeff
+    n, side = state.u.grid.n_modes, state.u.grid.side
+    m = 3 * n
+    freq = np.arange(1, n + 1) * np.pi / side
+    lam = freq[:, None] ** 2 + freq[None, :] ** 2
+    x = np.arange(1, m + 1)[:, None] * (side / (m + 1))
+    B = sine_matrix(n, m, side)
+    D = np.sqrt(2.0 / side) * freq[None, :] * np.cos(freq[None, :] * x)  # d/dx of B's columns
+
+    def nodal(c):
+        return B @ c @ B.T
+
+    un, vn, aun, autn = nodal(u), nodal(v), nodal(lam * u), nodal(lam * v)
+    grad2 = (D @ u @ B.T) ** 2 + (B @ u @ D.T) ** 2
+
+    def even(vals):
+        return (side / (m + 1)) ** 2 * float(np.sum(vals))
+
+    def odd(vals):
+        return exact_integral_from_modal(naive_modal(vals, side), side)
+
+    a3, a2 = nl.a3, nl.a2
+    t_ut_lap = 6.0 * a3 * even(un * vn * aun**2) + 2.0 * a2 * odd(vn * aun**2)
+    t_gradpair = 6.0 * a3 * even(autn * un * grad2) + 2.0 * a2 * odd(autn * grad2)
+    t_gradlap = -6.0 * a3 * even(un * grad2 * aun) - 2.0 * a2 * odd(grad2 * aun)
+    h0 = 0.5 * t_ut_lap + t_gradpair - 0.5 * t_gradlap
+    g_au = float(np.sum(g * lam * u))
+    ut_au = float(np.sum(v * lam * u))
+    grad_sq = float(np.sum(lam * u**2))
+    return h0 - 0.5 * g_au + 0.5 * ut_au + 0.25 * grad_sq
+
+
 def exact_projection_of_square(u_field, n_keep: int | None = None) -> np.ndarray:
     """True Galerkin projection P_N(u^2) by dense cosine algebra.
 

@@ -41,6 +41,11 @@ def test_tracer_sees_every_layer():
     try:
         integrator.simulate(init, nl, g, SchemeConfig(dt=1e-2, scheme="implicit_newton"),
                             3e-2)
+        rows = tracer.count["model.diagnostics.rows"]
+        transforms = tracer.count["model.diagnostics.transforms"]
+        gradients = tracer.count["spectral.gradient.calls"]
+        # a2 != 0: the odd-type row terms still take a gradient on the 3N grid
+        integrator.simulate(init, Nonlinearity(1.0, 0.5, -3.0), g, SchemeConfig(dt=1e-2), 1e-2)
         analysis.find_equilibrium(ModalField.single_mode(grid, 1, 1, 2.0), nl, g)
     finally:
         tracer.uninstall()
@@ -50,10 +55,10 @@ def test_tracer_sees_every_layer():
                   "integrator.advance", "integrator.minres", "analysis.minres",
                   "analysis.equilibrium"):
         assert tracer.count[label + ".calls"] > 0, label
-    assert tracer.count["integrator.advance.calls"] == 3
-    assert tracer.count["model.diagnostics.rows"] == 4
-    # a row transforms u, u_t, A u, A u_t once and takes one gradient; P_n f(u)
-    # comes from the step
-    assert tracer.count["model.diagnostics.transforms"] == 5 * tracer.count["model.diagnostics.rows"]
+    assert tracer.count["integrator.advance.calls"] == 3 + 1
+    assert rows == 4 and tracer.count["model.diagnostics.rows"] == 4 + 2
+    # for a2 = 0 a row transforms u_t, A u, A u_t once and takes no gradient;
+    # u on the 2N grid and P_n f(u) come from the step
+    assert transforms == 3 * rows and gradients == 0
     assert originals == (spectral.nodal_values, analysis.find_equilibrium,
                          integrator.Stepper.advance, integrator.minres, analysis.minres)

@@ -1,11 +1,12 @@
 """The one binary file format behind .mfld snapshots and .ckpt checkpoints.
 
-Both kinds are read by spectral.read_binary, which is strict: n_modes a
-JSON integer, side a finite number > 0, the blocks filling the file
-exactly.  Random byte mutations of a valid file, in the header and in the
-blocks, must either raise FileFormatError or load an object that the
-bytes really describe; the explicit examples are headers that once
-loaded although they were malformed.
+Both kinds are read by spectral.read_binary, which is strict: no
+non-finite number anywhere in the header, n_modes a JSON integer, side a
+finite number > 0, the blocks filling the file exactly.  Random byte
+mutations of a valid file, in the header and in the blocks, must either
+raise FileFormatError or load an object that the bytes really describe;
+the explicit examples are headers that once loaded although they were
+malformed.
 """
 
 import json
@@ -185,3 +186,16 @@ def test_writers_refuse_what_the_reader_refuses(tmp_path, bad):
     with pytest.raises(ValueError, match="'scheme.safeguard_tol'"):
         save_checkpoint(tmp_path / "b.ckpt", ckpt)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("block,key", [("scheme", "safeguard_tol"), ("nonlinearity", "a1"),
+                                       ("nonlinearity", "lambda_bound")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_nested_header_number_names_the_key(tmp_path, block, key, bad):
+    # json.loads reads NaN and Infinity; a checkpoint holding one in its
+    # scheme or nonlinearity would load and fail (or mislead) on resume
+    header, body = _split(CKPT)
+    header[block][key] = bad
+    blob = json.dumps(header).encode() + b"\n" + body
+    with pytest.raises(FileFormatError, match=f"'{block}.{key}'"):
+        _read(tmp_path, load_checkpoint, blob)

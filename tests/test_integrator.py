@@ -684,6 +684,44 @@ def test_log_final_is_last_sampled_state():
     assert np.array_equal(still.final.u.coeff, st.u.coeff)
 
 
+# (scheme, a1, amplitude, dt): the safeguard rejects a step of 0.2 from the
+# initial state and after an accepted step of dt
+@pytest.mark.parametrize("scheme,a1,amp,dt", [("imex_cn_ab2", -1.0, 8.0, 1e-3),
+                                              ("implicit_newton", -20.0, 0.5, 0.05)])
+@pytest.mark.parametrize("a2", [0.0, 0.5])
+def test_log_rows_never_read_stale_padded_values(scheme, a1, amp, dt, a2):
+    # a row reads u on the 2n grid as the step's own transform left it; a
+    # step the safeguard rejects, and padded evaluations of other fields,
+    # must not change what it reads
+    grid = GridSpec(16, PI)
+    nl, g = Nonlinearity(1.0, a2, a1), SourceTerm(ModalField.single_mode(grid, 2, 1, 0.3))
+    stepper = Stepper(State(random_band_limited(grid, 4, amp, seed=3), ModalField.zeros(grid)),
+                      nl, g, SchemeConfig(dt=dt, scheme=scheme))
+    other = random_band_limited(grid, 8, 2.0, seed=9)
+    log, states = TrajectoryLog(), []
+
+    def row():
+        log.record(stepper, 0.0)
+        states.append(stepper.state)
+
+    for _ in range(2):  # the second rejection follows an accepted step
+        with pytest.raises(InstabilityError, match="energy increased"):
+            stepper.advance(0.2)
+        row()  # the state the rejected step started from
+        stepper.advance()  # retried with the smaller dt
+        row()
+    f_eval_dealiased(other, nl)
+    row()
+    stepper.advance()
+    f_eval_dealiased(other, nl)
+    row()
+    assert stepper.step_count == 3
+    for k, s in enumerate(states):
+        hf = higher_functionals(s, nl, g)
+        assert log.cal_g[k] == hf.g and log.cal_h[k] == hf.h
+        assert log.cal_f[k] == diagnostic_F(s, nl, g)
+
+
 def _minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 

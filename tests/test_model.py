@@ -15,6 +15,7 @@ from oracles import (
     exact_projection_of_square,
     naive_modal,
     naive_nodal,
+    oracle_higher_h,
     oracle_pointwise_projection,
     oracle_poly_integral,
 )
@@ -495,3 +496,24 @@ def test_higher_functionals_grid_invariance():
     assert a.g0 == pytest.approx(b.g0, rel=1e-11)
     assert a.g == pytest.approx(b.g, rel=1e-11)
     assert a.h == pytest.approx(b.h, rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [4, 16, 33, 64])
+@pytest.mark.parametrize("a2", [0.0, 0.5, -0.8])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_higher_functionals_h_matches_gradient_oracle(n, a2, with_source):
+    # H's a3 gradient terms go through a Green identity (model docstring);
+    # the oracle evaluates them from the dense gradient instead
+    rng = np.random.default_rng(1000 * n + int(10 * a2) + with_source)
+    for trial in range(3):
+        grid = GridSpec(n, float(rng.uniform(0.5, 5.0)))
+        nl = Nonlinearity(float(rng.uniform(0.2, 2.0)), a2, float(rng.uniform(-3.0, 1.0)))
+        seed = int(rng.integers(1 << 30))
+        state = random_pair_state(grid, n, float(rng.uniform(0.3, 3.0)), seed, s=2.0)
+        src = (SourceTerm(random_band_limited(grid, min(n, 4), 0.5, seed + 1)) if with_source
+               else SourceTerm.zero(grid))
+        hf = higher_functionals(state, nl, src)
+        fhat = nonlinear_term_and_potential(state.u, nl)[0].coeff
+        assert higher_functionals(state, nl, src, fhat=fhat) == hf
+        h_ref = oracle_higher_h(state, nl, src)
+        assert abs(hf.h - h_ref) <= 1e-13 * max(abs(hf.g), abs(hf.h)), (trial, hf, h_ref)
