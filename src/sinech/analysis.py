@@ -38,7 +38,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .errors import InstabilityError, StepFailureError
-from .integrator import SchemeConfig, State, Stepper, cn_step, horizon_steps, run
+from .integrator import SchemeConfig, State, Stepper, _forcing, cn_step, horizon_steps, run
 from .model import (Nonlinearity, SourceTerm, energy, f_eval_dealiased, fprime_multiplier,
                     nonlinear_term_and_potential)
 from .spectral import (
@@ -345,6 +345,9 @@ def bg_ratio(z: ModalField, eps0: float = 1e-30) -> float:
 # equilibria
 # ---------------------------------------------------------------------------
 
+_EQUILIBRIUM_TOL = 1e-10  # find_equilibrium's default stop
+
+
 @dataclass
 class EquilibriumResult:
     u_star: ModalField
@@ -408,10 +411,40 @@ def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12
     return float(vals[0])
 
 
+def _stationary_residual(grid: GridSpec, nl: Nonlinearity, g: SourceTerm, lam: np.ndarray):
+    """The map (c, fprime) -> (R(c), int F(c)) for R(c) = Ac + P_N f(c) -
+    A^(-1)g on the grid, sampling f'(c) into fprime when given."""
+    n = grid.n_modes
+    ghat_over_lam = (resample(g.g_modal, n).coeff if g.grid != grid else g.g_modal.coeff) / lam
+
+    def residual(c, fprime=None):
+        fh, pot = nonlinear_term_and_potential(ModalField(grid, c), nl, fprime)
+        return lam * c + fh.coeff - ghat_over_lam, pot
+
+    return residual
+
+
+def _stationary_stop(r: np.ndarray, lam: np.ndarray, tol: float) -> tuple[float, bool]:
+    """||R||, and whether R meets find_equilibrium's stop: ||R|| <= tol and
+    ||A^(1/2) R|| <= 10 tol."""
+    rn = float(np.linalg.norm(r))
+    return rn, rn <= tol and float(np.sqrt(np.sum(lam * r**2))) <= 10.0 * tol
+
+
+def _is_stationary(u: ModalField, nl: Nonlinearity, g: SourceTerm) -> bool:
+    """Whether u already meets find_equilibrium's default stop (so its
+    Newton iteration would return u unchanged)."""
+    lam = np.asarray(eigenvalues(u.grid))
+    r = _stationary_residual(u.grid, nl, g, lam)(u.coeff)[0]
+    return _stationary_stop(r, lam, _EQUILIBRIUM_TOL)[1]
+
+
 def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
-                     tol: float = 1e-10, max_iter: int = 50) -> EquilibriumResult:
+                     tol: float = _EQUILIBRIUM_TOL, max_iter: int = 50) -> EquilibriumResult:
     """Newton iteration on R(u) = Au + P_N f(u) - A^(-1)g with
-    matrix-free MINRES inner solves preconditioned by A^(-1).
+    matrix-free MINRES inner solves preconditioned by A^(-1), each
+    stopped at the time stepper's Eisenstat-Walker forcing (see
+    integrator._forcing).
 
     Convergence requires both ||R|| <= tol and ||A^(1/2) R|| <= 10 tol,
     so the equilibrium also satisfies the original stationary equation
@@ -426,32 +459,22 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     grid = seed_field.grid
     n = grid.n_modes
     lam = np.asarray(eigenvalues(grid))
-    ghat_over_lam = resample(g.g_modal, n).coeff / lam if g.grid != grid \
-        else g.g_modal.coeff / lam
+    residual = _stationary_residual(grid, nl, g, lam)
 
     # f'(c) of the accepted iterate and of the line-search trial, each
     # sampled by the residual's own padded transform
     m = padded_points(n, 2)
     fp, fp_try = work_array("newton.fprime", (m, m)), work_array("newton.fprime_try", (m, m))
 
-    def residual(c, fprime):
-        """R(c), and int F(c)."""
-        fh, pot = nonlinear_term_and_potential(ModalField(grid, c), nl, fprime)
-        return lam * c + fh.coeff - ghat_over_lam, pot
-
-    def norms(r):
-        return float(np.linalg.norm(r)), float(np.sqrt(np.sum(lam * r**2)))
-
     pre = _inverse_a(lam)
     c = seed_field.coeff.copy()
     r, pot = residual(c, fp)
-    rn, rn_w = norms(r)
+    rn, converged = _stationary_stop(r, lam, tol)
     history = [rn]
     iters = 0
-    converged = rn <= tol and rn_w <= 10.0 * tol
     while not converged and iters < max_iter:
         op = _stationary_jacobian(ModalField(grid, c), nl, lam, fp)
-        delta, info = minres(op, -r.ravel(), M=pre, rtol=1e-12, maxiter=1000)
+        delta, info = minres(op, -r.ravel(), M=pre, rtol=_forcing(history, tol), maxiter=1000)
         if info != 0:
             break
         delta = delta.reshape(n, n)
@@ -466,10 +489,9 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
             break
         c, r, pot = c_try, r_try, pot_try
         fp, fp_try = fp_try, fp
-        rn, rn_w = norms(r)
+        rn, converged = _stationary_stop(r, lam, tol)
         history.append(rn)
         iters += 1
-        converged = rn <= tol and rn_w <= 10.0 * tol
     u_star = ModalField(grid, c)
     e = energy(State(u_star, ModalField.zeros(grid)), nl, g, pot)
     indicator = _stability_indicator(_stationary_jacobian(u_star, nl, lam, fp), lam)
@@ -484,6 +506,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
 class LojReport:
     tol: float
     tol_reached: bool
+    started_at_rest: bool     # u_t(0) = 0 and u(0) already meets find_equilibrium's stop
     ut_final: float           # ||u_t(t_end)||_V'
     distance_v: float         # ||u(t_end) - u*||_V
     energy_gap: float         # E(t_end) - E(u*, 0)
@@ -497,7 +520,10 @@ def lojasiewicz_probe(initial: State, nl: Nonlinearity, g: SourceTerm,
     """Run to t_end (about 256 samples of ||u_t||_V'), check the velocity
     has died (||u_t||_V' <= tol), polish the final u with Newton, and
     report the V-distance and energy gap to that equilibrium.  A missed
-    tol is reported, not raised: the convergence claim is asymptotic."""
+    tol is reported, not raised: the convergence claim is asymptotic.  A
+    start that is already an equilibrium at rest is reported as
+    started_at_rest: its run shows nothing about convergence."""
+    at_rest = not initial.v.coeff.any() and _is_stationary(initial.u, nl, g)
     stepper = Stepper(initial, nl, g, cfg)
     times, ut = [], []
 
@@ -511,6 +537,7 @@ def lojasiewicz_probe(initial: State, nl: Nonlinearity, g: SourceTerm,
     return LojReport(
         tol=tol,
         tol_reached=ut[-1] <= tol,
+        started_at_rest=at_rest,
         ut_final=ut[-1],
         distance_v=norm_Hs(final.u - eq.u_star, 0.5),
         energy_gap=stepper.energy_total() - eq.energy_at,

@@ -436,6 +436,9 @@ def cmd_lojasiewicz(cfg: dict, outdir: Path, args) -> int:
     _write_json(outdir / "lojasiewicz.json", _report(
         "lojasiewicz", rep, equilibrium=_equilibrium_report(rep.equilibrium)))
     ok = rep.tol_reached and rep.energy_gap >= -1e-10
+    if rep.started_at_rest:
+        _say(args, "lojasiewicz: the start is already an equilibrium at rest (u_t = 0 and u "
+                   "meets the equilibrium tolerance), so the run tests no convergence")
     _say(args, f"lojasiewicz: |u_t|={rep.ut_final:.2e} dist_V={rep.distance_v:.2e} "
                f"gap={rep.energy_gap:.2e}")
     return 0 if ok else 1

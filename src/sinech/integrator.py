@@ -9,16 +9,18 @@ Two schemes:
   part is unconditionally stable, the explicit part is benign at desk
   scale as long as dt * lambda_max * |f'| stays moderate.
 * ``implicit_newton`` -- backward Euler with a matrix-free inexact
-  Newton iteration (dealiased Jacobian application, diagonally
-  preconditioned MINRES inner solves).  Each inner solve stops at the
-  relative tolerance of a fixed Eisenstat-Walker rule (see _forcing):
-  loose while the outer residual is large, never below what the outer
-  tolerance needs.  The outer stop is unchanged: every accepted step
-  solves backward Euler to ||residual|| / |dt| <= newton_tol.  The
-  residual's padded transform of an iterate also samples f' for the
-  next Jacobian, and the accepted iterate's P_n f(u) and int F(u) are
-  the step's.  First order, very robust; also accepts negative dt for
-  (experimental) backward-in-time integration.
+  Newton iteration (dealiased Jacobian application, MINRES inner solves
+  preconditioned by the Jacobian's constant-coefficient part, with f'
+  replaced by its mean).  Newton starts from the linearly implicit step,
+  which freezes f at the current state's cached P_n f(u).  Each inner
+  solve stops at the relative tolerance of a fixed Eisenstat-Walker rule
+  (see _forcing): loose while the outer residual is large, never below
+  what the outer tolerance needs.  The outer stop is unchanged: every
+  accepted step solves backward Euler to ||residual|| / |dt| <=
+  newton_tol.  The residual's padded transform of an iterate also
+  samples f' for the next Jacobian, and the accepted iterate's P_n f(u)
+  and int F(u) are the step's.  First order, very robust; also accepts
+  negative dt for (experimental) backward-in-time integration.
 
 Both schemes reject a step that leaves a non-finite state or increases
 the energy by more than the configured safeguard tolerance: for this
@@ -202,14 +204,24 @@ def _require_finite(t: float, *arrays: np.ndarray) -> None:
 
 
 def _forcing(history: list, tol: float) -> float:
-    """Inner MINRES rtol for Newton iterate k (Eisenstat & Walker, SIAM J.
-    Sci. Comput. 17, 1996, choice 2 with gamma = 0.9, alpha = 2):
+    """Inner MINRES rtol for Newton iterate k, of the implicit step and of
+    analysis.find_equilibrium (Eisenstat & Walker, SIAM J. Sci. Comput.
+    17, 1996, choice 2 with gamma = 0.9, alpha = 2):
     eta_0 = 1e-3, eta_k = min(1e-3, 0.9 (r_k / r_{k-1})^2) for the outer
     residuals r_k = history[k], floored at max(1e-12, 0.5 tol / r_k) so the
     last solve does not reach far below the outer tolerance."""
     r = history[-1]
     eta = 1e-3 if len(history) == 1 else min(1e-3, 0.9 * (r / history[-2]) ** 2)
     return max(eta, 1e-12, 0.5 * tol / r)
+
+
+def _preconditioner_diagonal(diag: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The diagonal of a Newton step's MINRES preconditioner: the Jacobian's
+    constant-coefficient part diag + shift (shift = h^2 lam mean f'), and
+    diag alone in the modes where that is not positive, so the
+    preconditioner stays SPD."""
+    shifted = diag + shift
+    return np.where(shifted > 0.0, shifted, diag)
 
 
 def cn_step(c: np.ndarray, w: np.ndarray, rhs: np.ndarray, lam2: np.ndarray,
@@ -307,8 +319,6 @@ class Stepper:
         lam, lam2 = self.lam, self.lam2
         lam_sqrt = np.sqrt(lam)
         diag = 1.0 + h + h * h * lam2
-        pre = LinearOperator((n * n, n * n), matvec=lambda vec: vec / diag.ravel(),
-                             dtype=np.float64)
         # f'(x) of the accepted iterate and of the line-search trial, each
         # sampled by the residual's own padded transform
         m = padded_points(n, 2)
@@ -324,7 +334,9 @@ class Stepper:
             return StepFailureError(f"{msg} at t={self.state.time:g}",
                                     residual_history=history, time=self.state.time)
 
-        x = c + h * w  # explicit predictor
+        # linearly implicit predictor: backward Euler with f frozen at the
+        # current state's cached P_n f(c), solved mode by mode
+        x = ((1.0 + h) * c + h * w + h * h * (ghat - lam * self._ensure_current()[0])) / diag
         res, cur = residual(x, fp, 1)
         history = [float(np.linalg.norm(res)) / abs(h)]
         tol = self.cfg.newton_tol
@@ -341,6 +353,9 @@ class Stepper:
                 return (diag * vec + h * h * lam_sqrt * mult(lam_sqrt * vec)).ravel()
 
             op = LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
+            pre_diag = _preconditioner_diagonal(diag, h * h * lam * float(fp.mean())).ravel()
+            pre = LinearOperator((n * n, n * n), matvec=lambda vec: vec / pre_diag,
+                                 dtype=np.float64)
             rhs = -(res / lam_sqrt).ravel()
             sol, info = minres(op, rhs, M=pre, rtol=_forcing(history, tol), maxiter=400)
             if info != 0:

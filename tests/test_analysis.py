@@ -415,6 +415,7 @@ def test_lojasiewicz_probe_converges_to_equilibrium():
     rep = lojasiewicz_probe(init, STIFF_WELL, g, SchemeConfig(dt=5e-3), 30.0,
                             tol=1e-6)
     assert rep.tol_reached
+    assert not rep.started_at_rest
     assert rep.ut_final <= 1e-6
     assert rep.distance_v <= 2e-6
     assert rep.energy_gap == pytest.approx(0.0, abs=1e-10)
@@ -428,6 +429,23 @@ def test_lojasiewicz_probe_converges_to_equilibrium():
     rep2 = lojasiewicz_probe(init.copy(), STIFF_WELL, g, SchemeConfig(dt=5e-3),
                              30.0, tol=1e-12)
     assert not rep2.tol_reached
+
+
+def test_lojasiewicz_probe_reports_a_start_at_rest():
+    # u = u_t = 0 solves the stationary equation of the double well with
+    # g = 0; a stationary u with u_t != 0, or u_t = 0 with a u that misses
+    # the equilibrium tolerance, is not a start at rest
+    grid = GridSpec(8, PI)
+    g = SourceTerm.zero(grid)
+    zero = ModalField.zeros(grid)
+    cfg = SchemeConfig(dt=5e-3)
+    rest = lojasiewicz_probe(State(zero, zero), DOUBLE_WELL, g, cfg, 0.1)
+    assert rest.started_at_rest
+    assert rest.ut_final == 0.0 and rest.equilibrium.newton_iters == 0
+    moving = State(zero, ModalField.single_mode(grid, 1, 1, 1e-3))
+    assert not lojasiewicz_probe(moving, DOUBLE_WELL, g, cfg, 0.1).started_at_rest
+    off = State(ModalField.single_mode(grid, 1, 1, 1e-6), zero)
+    assert not lojasiewicz_probe(off, DOUBLE_WELL, g, cfg, 0.1).started_at_rest
 
 
 def test_absorbing_probe_collapse_passes():

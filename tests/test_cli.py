@@ -505,5 +505,18 @@ def test_lojasiewicz_small_run(tmp_path):
     assert run_cli("lojasiewicz", "--config", cfg, "--output-dir", str(out)) == 0
     rep = json.loads((out / "lojasiewicz.json").read_text())
     assert rep["tol_reached"] is True
+    assert rep["started_at_rest"] is False
     assert rep["equilibrium"]["converged"] is True
     assert (out / "u_star.mfld").is_file()
+
+
+def test_lojasiewicz_says_when_it_starts_at_rest(tmp_path, capsys):
+    # the default initial data u = u_t = 0 is already an equilibrium of
+    # f = u^3 - u with g = 0: the report and the printed summary say so
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, grid={"n_modes": 8}, lojasiewicz={"t_end": 0.5})
+    assert main(["lojasiewicz", "--config", cfg, "--output-dir", str(out)]) == 0
+    assert "already an equilibrium at rest" in capsys.readouterr().out
+    rep = json.loads((out / "lojasiewicz.json").read_text())
+    assert rep["started_at_rest"] is True
+    assert rep["ut_final"] == 0.0
