@@ -38,7 +38,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .errors import InstabilityError, StepFailureError
-from .integrator import SchemeConfig, State, Stepper, _forcing, cn_step, horizon_steps, run
+from .integrator import (SchemeConfig, State, Stepper, _inverse_diagonal, cn_step, horizon_steps,
+                         newton_krylov, run)
 from .model import (Nonlinearity, SourceTerm, energy, f_eval_dealiased, fprime_multiplier,
                     nonlinear_term_and_potential)
 from .spectral import (
@@ -48,10 +49,8 @@ from .spectral import (
     lambda_max,
     norm_Hs,
     norm_pair,
-    padded_points,
     resample,
     sup_norm,
-    work_array,
 )
 
 
@@ -374,12 +373,6 @@ def _stationary_jacobian(u: ModalField, nl: Nonlinearity, lam: np.ndarray,
     return LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
 
 
-def _inverse_a(lam: np.ndarray) -> LinearOperator:
-    return LinearOperator((lam.size, lam.size),
-                          matvec=lambda vec: (vec.reshape(lam.shape) / lam).ravel(),
-                          dtype=np.float64)
-
-
 def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12,
                          maxiter: int = 200) -> float:
     """Smallest eigenvalue of the symmetric operator op = A + P_n f'(u*)
@@ -399,7 +392,7 @@ def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12
     with warnings.catch_warnings():
         # non-convergence is checked below and raised, not warned about
         warnings.simplefilter("ignore", UserWarning)
-        vals, vecs = lobpcg(op, x0, M=_inverse_a(lam), tol=tol, maxiter=maxiter,
+        vals, vecs = lobpcg(op, x0, M=_inverse_diagonal(lam), tol=tol, maxiter=maxiter,
                             largest=False)
     resid = float(np.linalg.norm(op.matvec(vecs[:, 0]) - vals[0] * vecs[:, 0]))
     if not resid <= tol:
@@ -412,12 +405,12 @@ def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12
 
 
 def _stationary_residual(grid: GridSpec, nl: Nonlinearity, g: SourceTerm, lam: np.ndarray):
-    """The map (c, fprime) -> (R(c), int F(c)) for R(c) = Ac + P_N f(c) -
-    A^(-1)g on the grid, sampling f'(c) into fprime when given."""
+    """The map (c, fprime, slot) -> (R(c), int F(c)) for R(c) = Ac + P_N f(c)
+    - A^(-1)g on the grid, sampling f'(c) into fprime when given; slot is unused."""
     n = grid.n_modes
     ghat_over_lam = (resample(g.g_modal, n).coeff if g.grid != grid else g.g_modal.coeff) / lam
 
-    def residual(c, fprime=None):
+    def residual(c, fprime=None, slot=None):
         fh, pot = nonlinear_term_and_potential(ModalField(grid, c), nl, fprime)
         return lam * c + fh.coeff - ghat_over_lam, pot
 
@@ -441,61 +434,39 @@ def _is_stationary(u: ModalField, nl: Nonlinearity, g: SourceTerm) -> bool:
 
 def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
                      tol: float = _EQUILIBRIUM_TOL, max_iter: int = 50) -> EquilibriumResult:
-    """Newton iteration on R(u) = Au + P_N f(u) - A^(-1)g with
-    matrix-free MINRES inner solves preconditioned by A^(-1), each
-    stopped at the time stepper's Eisenstat-Walker forcing (see
-    integrator._forcing).
+    """Newton iteration on R(u) = Au + P_N f(u) - A^(-1)g by the time
+    stepper's integrator.newton_krylov, with matrix-free MINRES inner
+    solves preconditioned by A^(-1).
 
     Convergence requires both ||R|| <= tol and ||A^(1/2) R|| <= 10 tol,
     so the equilibrium also satisfies the original stationary equation
     (residual multiplied back by A, measured in the V' norm) to 10 tol.
-    On max_iter exhaustion the best iterate is returned with
-    converged=False rather than raising: stationarity failures are
-    findings, not crashes.  The stability indicator is the smallest
+    When Newton stops short (max_iter, a stalled inner solve or a failed
+    line search) the best iterate is returned with converged=False:
+    stationarity failures are findings, not crashes.  A non-finite seed
+    raises InstabilityError.  The stability indicator is the smallest
     eigenvalue of the Newton operator A + P_N f'(u*) at the result.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if not np.isfinite(seed_field.coeff).all():
+        raise InstabilityError("non-finite seed: find_equilibrium needs a finite u")
     grid = seed_field.grid
-    n = grid.n_modes
     lam = np.asarray(eigenvalues(grid))
-    residual = _stationary_residual(grid, nl, g, lam)
 
-    # f'(c) of the accepted iterate and of the line-search trial, each
-    # sampled by the residual's own padded transform
-    m = padded_points(n, 2)
-    fp, fp_try = work_array("newton.fprime", (m, m)), work_array("newton.fprime_try", (m, m))
+    def direction(c, fprime, r, rtol):
+        op = _stationary_jacobian(ModalField(grid, c), nl, lam, fprime)
+        delta, info = minres(op, -r.ravel(), M=_inverse_diagonal(lam), rtol=rtol, maxiter=1000)
+        return delta.reshape(c.shape), info
 
-    pre = _inverse_a(lam)
-    c = seed_field.coeff.copy()
-    r, pot = residual(c, fp)
-    rn, converged = _stationary_stop(r, lam, tol)
-    history = [rn]
-    iters = 0
-    while not converged and iters < max_iter:
-        op = _stationary_jacobian(ModalField(grid, c), nl, lam, fp)
-        delta, info = minres(op, -r.ravel(), M=pre, rtol=_forcing(history, tol), maxiter=1000)
-        if info != 0:
-            break
-        delta = delta.reshape(n, n)
-        scale = 1.0
-        for _ in range(10):
-            c_try = c + scale * delta
-            r_try, pot_try = residual(c_try, fp_try)
-            if np.linalg.norm(r_try) < rn:
-                break
-            scale *= 0.5
-        else:
-            break
-        c, r, pot = c_try, r_try, pot_try
-        fp, fp_try = fp_try, fp
-        rn, converged = _stationary_stop(r, lam, tol)
-        history.append(rn)
-        iters += 1
+    failure, c, pot, fprime, _, history = newton_krylov(
+        seed_field.coeff.copy(), _stationary_residual(grid, nl, g, lam), direction,
+        lambda r: _stationary_stop(r, lam, tol), tol, max_iter)
     u_star = ModalField(grid, c)
     e = energy(State(u_star, ModalField.zeros(grid)), nl, g, pot)
-    indicator = _stability_indicator(_stationary_jacobian(u_star, nl, lam, fp), lam)
-    return EquilibriumResult(u_star, rn, iters, e, indicator, converged, history)
+    indicator = _stability_indicator(_stationary_jacobian(u_star, nl, lam, fprime), lam)
+    return EquilibriumResult(u_star, history[-1], len(history) - 1, e, indicator, failure is None,
+                             history)
 
 
 # ---------------------------------------------------------------------------

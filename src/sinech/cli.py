@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .errors import ConfigError, FileFormatError, InstabilityError, StepFailureError
+from .errors import ConfigError, FileFormatError, StepFailureError
 from .integrator import SchemeConfig, State, energy_equality_residual, simulate
 from .model import Nonlinearity, SourceTerm, check_assumptions
 from .spectral import (GridSpec, ModalField, apply_power, inner, load_field, modal_from_values,
@@ -537,8 +537,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (InstabilityError, StepFailureError) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
+    except StepFailureError as exc:
+        where = [f"step {exc.step}"] if exc.step is not None else []
+        where += [f"t={exc.time:g}"] if exc.time is not None else []
+        where += [f"last residual {exc.residual_history[-1]:.3e}"] if exc.residual_history else []
+        print(f"run failed: {exc}" + (f" ({', '.join(where)})" if where else ""), file=sys.stderr)
         return 1
 
 

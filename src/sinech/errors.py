@@ -13,19 +13,21 @@ class StepFailureError(RuntimeError):
     """A time step could not be completed.
 
     Carries the iteration history of the failed solve (may be empty for
-    non-iterative schemes) so callers can report diagnostics.
+    non-iterative schemes) so callers can report diagnostics; from
+    Stepper.advance also the step's end time and index step_count + 1.
     """
 
     def __init__(self, message, residual_history=None, time=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
         self.time = time
+        self.step = None
 
 
 class InstabilityError(StepFailureError):
-    """Energy safeguard tripped: the step increased the energy beyond
-    the configured tolerance.  Usually means dt is too large for the
-    current resolution/nonlinearity."""
+    """A non-finite state (or equilibrium seed), or the energy safeguard
+    tripped: a step increased the energy beyond the configured tolerance.
+    Usually means dt is too large for the resolution/nonlinearity."""
 
 
 class FileFormatError(RuntimeError):

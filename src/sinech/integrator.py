@@ -8,19 +8,17 @@ Two schemes:
   nonlinearity-explicit Euler start-up step.  Second order; the linear
   part is unconditionally stable, the explicit part is benign at desk
   scale as long as dt * lambda_max * |f'| stays moderate.
-* ``implicit_newton`` -- backward Euler with a matrix-free inexact
-  Newton iteration (dealiased Jacobian application, MINRES inner solves
-  preconditioned by the Jacobian's constant-coefficient part, with f'
-  replaced by its mean).  Newton starts from the linearly implicit step,
-  which freezes f at the current state's cached P_n f(u).  Each inner
-  solve stops at the relative tolerance of a fixed Eisenstat-Walker rule
-  (see _forcing): loose while the outer residual is large, never below
-  what the outer tolerance needs.  The outer stop is unchanged: every
-  accepted step solves backward Euler to ||residual|| / |dt| <=
-  newton_tol.  The residual's padded transform of an iterate also
-  samples f' for the next Jacobian, and the accepted iterate's P_n f(u)
-  and int F(u) are the step's.  First order, very robust; also accepts
-  negative dt for (experimental) backward-in-time integration.
+* ``implicit_newton`` -- backward Euler, solved to ||residual|| / |dt| <=
+  newton_tol by newton_krylov from the linearly implicit step (f frozen
+  at the current state's cached P_n f(u)), with MINRES preconditioned by
+  the Jacobian's constant-coefficient part, f' replaced by its mean.
+  First order, very robust; also accepts negative dt for (experimental)
+  backward-in-time integration.
+
+newton_krylov is the one damped inexact Newton loop, also behind
+analysis.find_equilibrium: inner solves stop at a fixed Eisenstat-Walker
+tolerance (_forcing), an iterate's residual transform also samples f'
+for its Jacobian, and an update is halved, up to 12 times, until ||R|| drops.
 
 Both schemes reject a step that leaves a non-finite state or increases
 the energy by more than the configured safeguard tolerance: for this
@@ -204,15 +202,60 @@ def _require_finite(t: float, *arrays: np.ndarray) -> None:
 
 
 def _forcing(history: list, tol: float) -> float:
-    """Inner MINRES rtol for Newton iterate k, of the implicit step and of
-    analysis.find_equilibrium (Eisenstat & Walker, SIAM J. Sci. Comput.
-    17, 1996, choice 2 with gamma = 0.9, alpha = 2):
+    """Inner MINRES rtol for Newton iterate k of newton_krylov (Eisenstat
+    & Walker, SIAM J. Sci. Comput. 17, 1996, choice 2 with gamma = 0.9,
+    alpha = 2):
     eta_0 = 1e-3, eta_k = min(1e-3, 0.9 (r_k / r_{k-1})^2) for the outer
     residuals r_k = history[k], floored at max(1e-12, 0.5 tol / r_k) so the
     last solve does not reach far below the outer tolerance."""
     r = history[-1]
     eta = 1e-3 if len(history) == 1 else min(1e-3, 0.9 * (r / history[-2]) ** 2)
     return max(eta, 1e-12, 0.5 * tol / r)
+
+
+def newton_krylov(x0: np.ndarray, residual, direction, stop, tol: float, max_iter: int):
+    """The damped inexact Newton loop of the module docstring, from x0.
+
+    residual(x, fprime, slot) returns (R(x), cached) and samples f'(x) into
+    fprime, the (m, m) buffer of slot 0 or 1; stop(R) returns (||R||, done);
+    direction(x, fprime, R, rtol) returns (delta, info) of an inner solve of
+    J(x) delta = -R to relative tolerance rtol.  Returns (failure, x, cached,
+    fprime, slot, history): why Newton stopped short (None when stop is done),
+    the last accepted iterate with its cached, f'(x) and slot, and its ||R||s.
+    """
+    m = padded_points(x0.shape[0], 2)
+    fprimes = (work_array("newton.fprime", (m, m)), work_array("newton.fprime_try", (m, m)))
+    x, slot, failure = x0, 0, None
+    r, cached = residual(x, fprimes[0], 0)
+    rn, done = stop(r)
+    history = [rn]
+    while not done:
+        if len(history) > max_iter:
+            failure = f"Newton did not reach tol={tol:g} in {max_iter} iterations"
+            break
+        delta, info = direction(x, fprimes[slot], r, _forcing(history, tol))
+        if info != 0:
+            failure = f"inner MINRES stalled (info={info})"
+            break
+        for k in range(12):  # halve the update until ||R|| decreases
+            x_try = x + 0.5**k * delta
+            r_try, cached_try = residual(x_try, fprimes[1 - slot], 1 - slot)
+            rn_try, done = stop(r_try)
+            if rn_try < rn:
+                break
+        else:
+            failure = "Newton line search failed"
+            break
+        x, r, cached, rn, slot = x_try, r_try, cached_try, rn_try, 1 - slot
+        history.append(rn)
+    return failure, x, cached, fprimes[slot], slot, history
+
+
+def _inverse_diagonal(d: np.ndarray) -> LinearOperator:
+    """The preconditioner vec -> vec / d for a positive diagonal d; it also takes
+    the (size, 1) columns that LinearOperator.matmat (LOBPCG) passes."""
+    return LinearOperator((d.size, d.size), dtype=np.float64,
+                          matvec=lambda vec: (vec.reshape(d.shape) / d).ravel())
 
 
 def _preconditioner_diagonal(diag: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -314,93 +357,73 @@ class Stepper:
     def _advance_newton(self, h: float):
         c, w = self.state.u.coeff, self.state.v.coeff
         ghat = self.g.g_modal.coeff
-        grid = self.state.grid
-        n = grid.n_modes
+        n = self.state.grid.n_modes
         lam, lam2 = self.lam, self.lam2
         lam_sqrt = np.sqrt(lam)
         diag = 1.0 + h + h * h * lam2
-        # f'(x) of the accepted iterate and of the line-search trial, each
-        # sampled by the residual's own padded transform
-        m = padded_points(n, 2)
-        fp, fp_try = work_array("newton.fprime", (m, m)), work_array("newton.fprime_try", (m, m))
+        tol = self.cfg.newton_tol
 
-        def residual(x, fprime, slot):
-            """The backward-Euler residual at x, and (P_n f(x), int F(x))."""
-            fh, pot = self._evaluate(x, slot, fprime)
+        def residual(x, fprime, slot):  # u on the 2n grid goes to _padded[1 + slot]
+            fh, pot = self._evaluate(x, 1 + slot, fprime)
             res = (1.0 + h) * (x - c) + h * h * (lam2 * x + lam * fh - ghat) - h * w
             return res, (fh, pot)
 
-        def failure(msg):
-            return StepFailureError(f"{msg} at t={self.state.time:g}",
-                                    residual_history=history, time=self.state.time)
+        def stop(res):  # a non-finite norm stops too, for _require_finite below
+            rn = float(np.linalg.norm(res)) / abs(h)
+            return rn, not rn > tol
 
-        # linearly implicit predictor: backward Euler with f frozen at the
-        # current state's cached P_n f(c), solved mode by mode
-        x = ((1.0 + h) * c + h * w + h * h * (ghat - lam * self._ensure_current()[0])) / diag
-        res, cur = residual(x, fp, 1)
-        history = [float(np.linalg.norm(res)) / abs(h)]
-        tol = self.cfg.newton_tol
-        it = 0
-        while history[-1] > tol:
-            if it >= self.cfg.newton_max_iter:
-                raise failure(f"Newton did not reach tol={tol:g} in {it} iterations")
-            # frozen dealiased multiplier f'(x) for the Jacobian, symmetrized
-            # by delta = Lam^{1/2} delta'
-            mult = fprime_multiplier(ModalField(grid, x), self.nl, fp)
+        def direction(x, fprime, res, rtol):
+            # Jacobian with f' frozen at x, symmetrized by delta = Lam^{1/2} delta'
+            mult = fprime_multiplier(ModalField(self.state.grid, x), self.nl, fprime)
 
             def matvec(vec):
                 vec = vec.reshape(n, n)
                 return (diag * vec + h * h * lam_sqrt * mult(lam_sqrt * vec)).ravel()
 
             op = LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
-            pre_diag = _preconditioner_diagonal(diag, h * h * lam * float(fp.mean())).ravel()
-            pre = LinearOperator((n * n, n * n), matvec=lambda vec: vec / pre_diag,
-                                 dtype=np.float64)
-            rhs = -(res / lam_sqrt).ravel()
-            sol, info = minres(op, rhs, M=pre, rtol=_forcing(history, tol), maxiter=400)
-            if info != 0:
-                raise failure(f"inner MINRES stalled (info={info})")
-            delta = lam_sqrt * sol.reshape(n, n)
-            # damped update: halve until the residual decreases
-            step_scale = 1.0
-            for _ in range(12):
-                x_try = x + step_scale * delta
-                res_try, cur_try = residual(x_try, fp_try, 2)
-                if np.linalg.norm(res_try) / abs(h) < history[-1]:
-                    break
-                step_scale *= 0.5
-            else:
-                raise failure("Newton line search failed")
-            x, res, cur = x_try, res_try, cur_try
-            fp, fp_try = fp_try, fp
+            pre = _inverse_diagonal(_preconditioner_diagonal(diag, h * h * lam * fprime.mean()))
+            sol, info = minres(op, -(res / lam_sqrt).ravel(), M=pre, rtol=rtol, maxiter=400)
+            return lam_sqrt * sol.reshape(n, n), info
+
+        # linearly implicit predictor: f frozen at the cached P_n f(c), solved per mode
+        x = ((1.0 + h) * c + h * w + h * h * (ghat - lam * self._ensure_current()[0])) / diag
+        failure, x, cached, _, slot, history = newton_krylov(x, residual, direction, stop, tol,
+                                                             self.cfg.newton_max_iter)
+        t = self.state.time + h
+        if failure:
+            raise StepFailureError(f"{failure} at t={t:g}", residual_history=history, time=t)
+        if slot:  # the new state's u values go to _padded[1]
             self._padded[1], self._padded[2] = self._padded[2], self._padded[1]
-            history.append(float(np.linalg.norm(res)) / abs(h))
-            it += 1
         w_new = (x - c) / h
-        _require_finite(self.state.time + h, x, w_new)
-        return x, w_new, cur
+        _require_finite(t, x, w_new)
+        return x, w_new, cached
 
     def advance(self, dt: float | None = None) -> float:
         """One step of size dt (default cfg.dt); returns the dissipation
-        increment dt * ||(v_n + v_{n+1})/2||_{V'}^2 of the step."""
+        increment dt * ||(v_n + v_{n+1})/2||_{V'}^2 of the step.  A failed
+        step changes nothing; its StepFailureError carries t + dt and step."""
         h = self.cfg.dt if dt is None else dt
         e_before = self.energy_total()
         w = self.state.v.coeff
-        if self.cfg.scheme == "imex_cn_ab2":
-            c_new, w_new, cur = self._advance_imex(h)
-        else:
-            c_new, w_new, cur = self._advance_newton(h)
-        grid = self.state.grid
-        new = State(ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h)
-        e_after = energy(new, self.nl, self.g, cur[1])
-        rise = e_after - e_before
-        if h > 0.0 and not (rise <= self.cfg.safeguard_tol):
-            raise InstabilityError(
-                f"energy increased by {rise:.3e} in the step to t={new.time:g} "
-                f"(safeguard {self.cfg.safeguard_tol:g}); "
-                "reduce dt or the resolution/nonlinearity stiffness",
-                time=new.time,
-            )
+        try:
+            if self.cfg.scheme == "imex_cn_ab2":
+                c_new, w_new, cur = self._advance_imex(h)
+            else:
+                c_new, w_new, cur = self._advance_newton(h)
+            grid = self.state.grid
+            new = State(ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h)
+            e_after = energy(new, self.nl, self.g, cur[1])
+            rise = e_after - e_before
+            if h > 0.0 and not (rise <= self.cfg.safeguard_tol):
+                raise InstabilityError(
+                    f"energy increased by {rise:.3e} in the step to t={new.time:g} "
+                    f"(safeguard {self.cfg.safeguard_tol:g}); "
+                    "reduce dt or the resolution/nonlinearity stiffness",
+                    time=new.time,
+                )
+        except StepFailureError as exc:
+            exc.step = self.step_count + 1
+            raise
         vbar = 0.5 * (w + w_new)
         dissip = h * float(np.sum(vbar**2 / self.lam))
         if self.cfg.scheme == "imex_cn_ab2":

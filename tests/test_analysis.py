@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sinech import analysis
 from sinech.analysis import (
     _stability_indicator,
     _stationary_jacobian,
@@ -22,7 +23,7 @@ from sinech.analysis import (
 )
 from sinech.errors import InstabilityError, StepFailureError
 from sinech.integrator import SchemeConfig, State
-from sinech.model import Nonlinearity, SourceTerm, pde_residual
+from sinech.model import Nonlinearity, SourceTerm, f_eval_dealiased, pde_residual
 from sinech.spectral import (
     GridSpec,
     ModalField,
@@ -398,6 +399,48 @@ def test_equilibrium_nonconvergence_is_reported():
     assert len(res.residual_history) >= 1
     with pytest.raises(ValueError):
         find_equilibrium(seed_field, DOUBLE_WELL, SourceTerm.zero(grid), tol=0.0)
+
+
+@pytest.mark.parametrize("failure", ["max_iter", "inner", "line_search"])
+def test_equilibrium_returns_its_best_iterate(failure, monkeypatch):
+    # each way Newton stops short returns the last accepted iterate, its
+    # residual and history, with converged=False
+    grid = GridSpec(8, PI)
+    g = SourceTerm.zero(grid)
+    seed_field = random_band_limited(grid, 4, 2.0, seed=9)
+    solve = analysis.minres
+    if failure == "inner":
+        monkeypatch.setattr(analysis, "minres", lambda op, b, **kw: (np.zeros_like(b), 5))
+    elif failure == "line_search":
+        def uphill(*args, **kwargs):
+            x, info = solve(*args, **kwargs)
+            return -x, info
+        monkeypatch.setattr(analysis, "minres", uphill)
+    res = find_equilibrium(seed_field, STIFF_WELL, g, max_iter=1)
+    assert not res.converged
+    assert res.newton_iters == len(res.residual_history) - 1 == (failure == "max_iter")
+    assert res.residual == res.residual_history[-1] > 1e-10
+    lam = np.asarray(eigenvalues(grid))
+    r = lam * res.u_star.coeff + f_eval_dealiased(res.u_star, STIFF_WELL).coeff
+    assert float(np.linalg.norm(r)) == pytest.approx(res.residual, rel=1e-12)
+    if failure != "max_iter":
+        assert np.array_equal(res.u_star.coeff, seed_field.coeff)
+
+
+def test_equilibrium_refuses_a_non_finite_seed(monkeypatch):
+    # raised before any inner solve or eigensolve, not as a stalled
+    # eigensolve after a failed line search
+    grid = GridSpec(8, PI)
+    seed_field = random_band_limited(grid, 4, 2.0, seed=9)
+    seed_field.coeff[1, 2] = np.nan
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("no solve may run")
+
+    monkeypatch.setattr(analysis, "minres", no_solve)
+    monkeypatch.setattr(analysis, "lobpcg", no_solve)
+    with pytest.raises(InstabilityError, match="non-finite seed"):
+        find_equilibrium(seed_field, STIFF_WELL, SourceTerm.zero(grid))
 
 
 # ---------------------------------------------------------------------------

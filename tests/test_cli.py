@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from oracles import exact_linear_mode
 
 from sinech.cli import DEFAULTS, main
-from sinech.spectral import GridSpec, ModalField, save_field
+from sinech.spectral import GridSpec, ModalField, random_band_limited, save_field
 
 
 def run_cli(*argv):
@@ -393,8 +394,9 @@ def test_integer_for_float_key_is_promoted_and_echoed(tmp_path):
     assert effective[0] == effective[1] == effective[2]
 
 
-def test_simulate_instability_exit_code(tmp_path):
-    # a violent step trips the energy safeguard; the CLI maps it to 1
+def test_simulate_instability_exit_code(tmp_path, capsys):
+    # a violent step trips the energy safeguard; the CLI maps it to 1 and
+    # says at which step and time the run failed
     cfg = write_config(
         tmp_path,
         grid={"n_modes": 16},
@@ -404,6 +406,20 @@ def test_simulate_instability_exit_code(tmp_path):
     )
     assert run_cli("simulate", "--config", cfg,
                    "--output-dir", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    match = re.search(r"^run failed: .* \(step (\d+), t=(\S+)\)$", err, re.MULTILINE)
+    assert match, err
+    assert float(match.group(2)) == 2.0 * int(match.group(1))
+
+
+def test_equilibrium_refuses_a_non_finite_seed(tmp_path, capsys):
+    seed_field = random_band_limited(GridSpec(32, math.pi), 4, 1.0, seed=3)
+    seed_field.coeff[2, 3] = math.nan
+    snap = tmp_path / "seed.mfld"
+    save_field(snap, seed_field)
+    cfg = write_config(tmp_path, initial={"u": {"preset": "file", "path": str(snap)}})
+    assert run_cli("equilibrium", "--config", cfg, "--output-dir", str(tmp_path / "o")) == 1
+    assert "run failed: non-finite seed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

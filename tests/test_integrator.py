@@ -26,6 +26,7 @@ from sinech.integrator import (
     energy_equality_residual,
     higher_energy_residual,
     load_checkpoint,
+    newton_krylov,
     resume_simulation,
     run,
     save_checkpoint,
@@ -409,6 +410,84 @@ def test_newton_nonconvergence_reports_history():
     with pytest.raises(StepFailureError) as exc:
         stepper.advance()
     assert len(exc.value.residual_history) >= 1
+    # the failed step's end time and index, as for an InstabilityError
+    assert exc.value.time == 0.5 and exc.value.step == 1
+
+
+def _failing_step(nl, dt, **cfg):
+    grid = GridSpec(32, PI)
+    stepper = Stepper(random_pair_state(grid, 4, 1.0, seed=32), nl, SourceTerm.zero(grid),
+                      SchemeConfig(dt=dt, scheme="implicit_newton", **cfg))
+    with pytest.raises(StepFailureError) as exc:
+        while True:
+            stepper.advance()
+    err = exc.value
+    assert type(err) is StepFailureError
+    assert err.step == stepper.step_count + 1
+    assert err.time == stepper.state.time + dt and f"at t={err.time:g}" in str(err)
+    return str(err), err.residual_history
+
+
+def test_newton_step_failures_name_their_cause(monkeypatch):
+    # one case for each failed status of newton_krylov, with the step's
+    # messages
+    msg, history = _failing_step(DOUBLE_WELL, 0.5, newton_max_iter=1, newton_tol=1e-14)
+    assert msg.startswith("Newton did not reach tol=1e-14 in 1 iterations") and len(history) == 2
+    # f = u^3 - 60u at dt = 0.1 stalls in the line search of step 2
+    msg, history = _failing_step(Nonlinearity(1.0, 0.0, -60.0), 0.1)
+    assert msg.startswith("Newton line search failed at t=0.2") and history[-1] > 1e-10
+    monkeypatch.setattr(integrator, "minres", lambda op, b, **kw: (np.zeros_like(b), 7))
+    msg, history = _failing_step(DOUBLE_WELL, 0.5)
+    assert msg.startswith("inner MINRES stalled (info=7)") and len(history) == 1
+
+
+def _cubic_newton(max_iter=30, info=0, sign=1.0):
+    # R(x) = x^3 - 8 entrywise, directions from the exact Jacobian 3 x^2;
+    # no transforms.  Each residual marks the f' buffer with its slot.
+    slots = []
+
+    def residual(x, fprime, slot):
+        fprime.fill(slot)
+        slots.append(slot)
+        return x**3 - 8.0, (x.copy(), float(x.sum()))
+
+    def direction(x, fprime, r, rtol):
+        assert 0.0 < rtol <= 1e-3
+        return sign * -r / (3.0 * x**2), info
+
+    def stop(r):
+        rn = float(np.linalg.norm(r))
+        return rn, rn <= 1e-12
+
+    failure, x, cached, fprime, slot, history = newton_krylov(
+        np.full((2, 2), 3.0), residual, direction, stop, 1e-12, max_iter)
+    # x, its cache, its f' buffer and slot all belong to one accepted iterate
+    assert np.array_equal(cached[0], x) and cached[1] == float(x.sum())
+    assert np.all(fprime == slot) and slot == (len(history) - 1) % 2
+    return failure, x, history, slots
+
+
+def test_newton_krylov_statuses():
+    # converged, the iteration limit, a failed inner solve and a failed
+    # line search, on a residual that needs no transforms
+    failure, x, history, _ = _cubic_newton()
+    assert failure is None and history[-1] <= 1e-12 and np.allclose(x, 2.0)
+    assert all(b < a for a, b in zip(history, history[1:]))
+
+    failure, x, history, _ = _cubic_newton(max_iter=2)
+    assert failure == "Newton did not reach tol=1e-12 in 2 iterations"
+    assert len(history) == 3 and history[-1] > 1e-12
+
+    failure, x, history, slots = _cubic_newton(info=3)
+    assert failure == "inner MINRES stalled (info=3)"
+    assert history == [float(np.linalg.norm(np.full((2, 2), 19.0)))] and slots == [0]
+    assert np.array_equal(x, np.full((2, 2), 3.0))
+
+    # an uphill direction: 12 halvings, then the start is still the best
+    failure, x, history, slots = _cubic_newton(sign=-1.0)
+    assert failure == "Newton line search failed" and len(history) == 1
+    assert slots == [0] + [1] * 12
+    assert np.array_equal(x, np.full((2, 2), 3.0))
 
 
 def _steps_meet_the_outer_tolerance(nl, n, dt, steps):
@@ -502,12 +581,15 @@ def test_implicit_path_needs_fewer_solves(monkeypatch):
     stepper = Stepper(start, nl, g, SchemeConfig(dt=0.1, scheme="implicit_newton"))
     for _ in range(10):
         stepper.advance()
+    newton_iters, minres_iters = counts["integrator"]
     eq = find_equilibrium(stepper.state.u, nl, g)
     assert eq.converged
-    newton_iters, minres_iters = counts["integrator"]
     assert newton_iters < 23
     assert minres_iters < 64
-    assert counts["analysis"][1] < 36
+    # the equilibrium's inner solves go through analysis.minres, the name
+    # the benchmark's tracer counts them by, and none through the step's
+    assert counts["integrator"] == [newton_iters, minres_iters]
+    assert counts["analysis"][0] > 0 and 0 < counts["analysis"][1] < 36
 
 
 def test_newton_scheme_dissipates_nonlinear():
