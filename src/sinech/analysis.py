@@ -39,12 +39,12 @@ from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .errors import InstabilityError, StepFailureError
 from .integrator import (SchemeConfig, State, Stepper, _inverse_diagonal, cn_step, horizon_steps,
-                         newton_krylov, run)
-from .model import (Nonlinearity, SourceTerm, energy, f_eval_dealiased, fprime_multiplier,
-                    nonlinear_term_and_potential)
+                         newton_krylov, newton_operator, run)
+from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased
 from .spectral import (
     GridSpec,
     ModalField,
+    dot,
     eigenvalues,
     lambda_max,
     norm_Hs,
@@ -358,21 +358,6 @@ class EquilibriumResult:
     residual_history: list = field(default_factory=list)
 
 
-def _stationary_jacobian(u: ModalField, nl: Nonlinearity, lam: np.ndarray,
-                         fprime: np.ndarray | None = None) -> LinearOperator:
-    """A + P_n f'(u) in modal coordinates, matrix-free and symmetric;
-    fprime is f'(u) on the padded grid when already sampled (see
-    fprime_multiplier)."""
-    n = u.grid.n_modes
-    mult = fprime_multiplier(u, nl, fprime)
-
-    def matvec(vec):
-        w = vec.reshape(n, n)
-        return (lam * w + mult(w)).ravel()
-
-    return LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
-
-
 def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12,
                          maxiter: int = 200) -> float:
     """Smallest eigenvalue of the symmetric operator op = A + P_n f'(u*)
@@ -404,39 +389,25 @@ def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12
     return float(vals[0])
 
 
-def _stationary_residual(grid: GridSpec, nl: Nonlinearity, g: SourceTerm, lam: np.ndarray):
-    """The map (c, fprime, slot) -> (R(c), int F(c)) for R(c) = Ac + P_N f(c)
-    - A^(-1)g on the grid, sampling f'(c) into fprime when given; slot is unused."""
-    n = grid.n_modes
-    ghat_over_lam = (resample(g.g_modal, n).coeff if g.grid != grid else g.g_modal.coeff) / lam
+def _stationary_newton(u: ModalField, nl: Nonlinearity, g: SourceTerm, tol: float, max_iter: int):
+    """newton_krylov from u with d = A, b = A^(-1)g, stopped at ||R|| <= tol
+    and ||A^(1/2) R|| <= 10 tol."""
+    grid = u.grid
+    lam = np.asarray(eigenvalues(grid))
+    b = (resample(g.g_modal, grid.n_modes).coeff if g.grid != grid else g.g_modal.coeff) / lam
 
-    def residual(c, fprime=None, slot=None):
-        fh, pot = nonlinear_term_and_potential(ModalField(grid, c), nl, fprime)
-        return lam * c + fh.coeff - ghat_over_lam, pot
+    def stop(r):
+        rn = math.sqrt(dot(r, r))
+        return rn, rn <= tol and float(np.sqrt(np.sum(lam * r**2))) <= 10.0 * tol
 
-    return residual
-
-
-def _stationary_stop(r: np.ndarray, lam: np.ndarray, tol: float) -> tuple[float, bool]:
-    """||R||, and whether R meets find_equilibrium's stop: ||R|| <= tol and
-    ||A^(1/2) R|| <= 10 tol."""
-    rn = float(np.linalg.norm(r))
-    return rn, rn <= tol and float(np.sqrt(np.sum(lam * r**2))) <= 10.0 * tol
-
-
-def _is_stationary(u: ModalField, nl: Nonlinearity, g: SourceTerm) -> bool:
-    """Whether u already meets find_equilibrium's default stop (so its
-    Newton iteration would return u unchanged)."""
-    lam = np.asarray(eigenvalues(u.grid))
-    r = _stationary_residual(u.grid, nl, g, lam)(u.coeff)[0]
-    return _stationary_stop(r, lam, _EQUILIBRIUM_TOL)[1]
+    return newton_krylov(u, nl, lam, b, minres, stop, tol, max_iter)
 
 
 def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
                      tol: float = _EQUILIBRIUM_TOL, max_iter: int = 50) -> EquilibriumResult:
-    """Newton iteration on R(u) = Au + P_N f(u) - A^(-1)g by the time
-    stepper's integrator.newton_krylov, with matrix-free MINRES inner
-    solves preconditioned by A^(-1).
+    """Newton iteration on R(u) = Au + P_N f(u) - A^(-1)g: the time step's
+    integrator.newton_krylov on its system with d = A and b = A^(-1)g, whose
+    MINRES solves apply A + P_N f'(u), preconditioned by A + mean f'.
 
     Convergence requires both ||R|| <= tol and ||A^(1/2) R|| <= 10 tol,
     so the equilibrium also satisfies the original stationary equation
@@ -445,7 +416,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     line search) the best iterate is returned with converged=False:
     stationarity failures are findings, not crashes.  A non-finite seed
     raises InstabilityError.  The stability indicator is the smallest
-    eigenvalue of the Newton operator A + P_N f'(u*) at the result.
+    eigenvalue of that operator at the result u*.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -453,18 +424,11 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
         raise InstabilityError("non-finite seed: find_equilibrium needs a finite u")
     grid = seed_field.grid
     lam = np.asarray(eigenvalues(grid))
-
-    def direction(c, fprime, r, rtol):
-        op = _stationary_jacobian(ModalField(grid, c), nl, lam, fprime)
-        delta, info = minres(op, -r.ravel(), M=_inverse_diagonal(lam), rtol=rtol, maxiter=1000)
-        return delta.reshape(c.shape), info
-
-    failure, c, pot, fprime, _, history = newton_krylov(
-        seed_field.coeff.copy(), _stationary_residual(grid, nl, g, lam), direction,
-        lambda r: _stationary_stop(r, lam, tol), tol, max_iter)
+    failure, c, (_, pot), fprime, _, history = _stationary_newton(seed_field.copy(), nl, g, tol,
+                                                                  max_iter)
     u_star = ModalField(grid, c)
     e = energy(State(u_star, ModalField.zeros(grid)), nl, g, pot)
-    indicator = _stability_indicator(_stationary_jacobian(u_star, nl, lam, fprime), lam)
+    indicator = _stability_indicator(newton_operator(u_star, nl, lam, fprime), lam)
     return EquilibriumResult(u_star, history[-1], len(history) - 1, e, indicator, failure is None,
                              history)
 
@@ -494,7 +458,8 @@ def lojasiewicz_probe(initial: State, nl: Nonlinearity, g: SourceTerm,
     tol is reported, not raised: the convergence claim is asymptotic.  A
     start that is already an equilibrium at rest is reported as
     started_at_rest: its run shows nothing about convergence."""
-    at_rest = not initial.v.coeff.any() and _is_stationary(initial.u, nl, g)
+    at_rest = (not initial.v.coeff.any()
+               and _stationary_newton(initial.u, nl, g, _EQUILIBRIUM_TOL, 0)[0] is None)
     stepper = Stepper(initial, nl, g, cfg)
     times, ut = [], []
 
@@ -529,6 +494,7 @@ class AbsorbReport:
     tail_sup2: list
     ratio: float              # max/min of tail_sup0 across radii
     floor: float
+    below_floor: bool         # every tail sup <= floor: the branch that passes a collapse
     status: str               # pass | inconclusive | fail
 
 
@@ -574,12 +540,11 @@ def absorbing_probe(radii: list, n_per_radius: int, nl: Nonlinearity,
         tail2.append(sup2)
         late_over_early.append(late / early if early > 0 else 1.0)
     ratio = max(tail0) / min(tail0) if min(tail0) > 0 else math.inf
-    if all(s <= floor for s in tail0):
-        status = "pass"
-    elif ratio <= 1.1:
+    below_floor = all(s <= floor for s in tail0)
+    if below_floor or ratio <= 1.1:
         status = "pass"
     elif any(q <= 0.7 for q in late_over_early):
         status = "inconclusive"
     else:
         status = "fail"
-    return AbsorbReport(list(radii), tail0, tail2, ratio, floor, status)
+    return AbsorbReport(list(radii), tail0, tail2, ratio, floor, below_floor, status)

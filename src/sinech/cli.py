@@ -454,7 +454,9 @@ def cmd_absorb(cfg: dict, outdir: Path, args) -> int:
         block["t_end"], seed=cfg["seed"], floor=block["floor"],
     )
     _write_json(outdir / "absorbing.json", _report("absorbing", rep))
-    _say(args, f"absorb: status={rep.status} tail_sup0={['%.3e' % x for x in rep.tail_sup0]}")
+    branch = "every tail below the floor" if rep.below_floor else f"tail ratio {rep.ratio:.3g}"
+    _say(args, f"absorb: status={rep.status} ({branch}) "
+               f"tail_sup0={['%.3e' % x for x in rep.tail_sup0]}")
     return 0 if rep.status in ("pass", "inconclusive") else 1
 
 

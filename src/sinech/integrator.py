@@ -10,15 +10,20 @@ Two schemes:
   scale as long as dt * lambda_max * |f'| stays moderate.
 * ``implicit_newton`` -- backward Euler, solved to ||residual|| / |dt| <=
   newton_tol by newton_krylov from the linearly implicit step (f frozen
-  at the current state's cached P_n f(u)), with MINRES preconditioned by
-  the Jacobian's constant-coefficient part, f' replaced by its mean.
-  First order, very robust; also accepts negative dt for (experimental)
-  backward-in-time integration.
+  at the current state's cached P_n f(u)).  First order, very robust;
+  also accepts negative dt for (experimental) backward-in-time
+  integration.
 
-newton_krylov is the one damped inexact Newton loop, also behind
-analysis.find_equilibrium: inner solves stop at a fixed Eisenstat-Walker
-tolerance (_forcing), an iterate's residual transform also samples f'
-for its Jacobian, and an update is halved, up to 12 times, until ||R|| drops.
+newton_krylov is the one damped inexact Newton loop.  It solves
+R(x) = d x + P_n f(x) - b = 0: the step divided by h^2 Lam, with
+d = Lam + (1 + h) / (h^2 Lam), and analysis.find_equilibrium's
+A u + P_n f(u) = A^(-1) g, with d = Lam.  Its inner MINRES solves apply
+the one operator d + P_n f'(x) (newton_operator), preconditioned by
+d + mean f', and stop at a fixed Eisenstat-Walker tolerance (_forcing);
+an iterate's residual transform also samples f' for its operator, and an
+update is halved, up to 12 times, until ||R|| drops.  The map is strongly
+monotone when min d > lambda_bound (f' >= -lambda_bound); a failed
+implicit step whose system is not says so.
 
 Both schemes reject a step that leaves a non-finite state or increases
 the energy by more than the configured safeguard tolerance: for this
@@ -39,6 +44,7 @@ O(dt^2) otherwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -60,10 +66,11 @@ from .model import (
     higher_functionals,
     nonlinear_term_and_potential,
 )
-from .spectral import (GridSpec, ModalField, check_same_grid, eigenvalues, header_value,
+from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalues, header_value,
                        norm_pair, padded_points, read_binary, work_array, write_binary)
 
 _CKPT_VERSION = 1
+_MINRES_MAXITER = 1000  # inner iterations per Newton direction
 SCHEMES = ("imex_cn_ab2", "implicit_newton")
 
 
@@ -213,33 +220,59 @@ def _forcing(history: list, tol: float) -> float:
     return max(eta, 1e-12, 0.5 * tol / r)
 
 
-def newton_krylov(x0: np.ndarray, residual, direction, stop, tol: float, max_iter: int):
-    """The damped inexact Newton loop of the module docstring, from x0.
+def newton_operator(u: ModalField, nl: Nonlinearity, d: np.ndarray,
+                    fprime: np.ndarray | None = None) -> LinearOperator:
+    """The Jacobian d + P_n f'(u) of R(x) = d x + P_n f(x) - b at x = u, matrix-free
+    and symmetric; fprime is f'(u) on the 2n grid when already sampled (see
+    fprime_multiplier)."""
+    n = u.grid.n_modes
+    mult = fprime_multiplier(u, nl, fprime)
 
-    residual(x, fprime, slot) returns (R(x), cached) and samples f'(x) into
-    fprime, the (m, m) buffer of slot 0 or 1; stop(R) returns (||R||, done);
-    direction(x, fprime, R, rtol) returns (delta, info) of an inner solve of
-    J(x) delta = -R to relative tolerance rtol.  Returns (failure, x, cached,
-    fprime, slot, history): why Newton stopped short (None when stop is done),
-    the last accepted iterate with its cached, f'(x) and slot, and its ||R||s.
+    def matvec(vec):
+        w = vec.reshape(n, n)
+        return (d * w + mult(w)).ravel()
+
+    return LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
+
+
+def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray, solve, stop,
+                  tol: float, max_iter: int, values: tuple = (None, None)):
+    """The damped inexact Newton loop of the module docstring on
+    R(x) = d x + P_n f(x) - b, from u0.
+
+    solve is a scipy-style minres(op, rhs, M=, rtol=, maxiter=), returning
+    (delta, info); stop(R) returns (||R||, done).  values[slot] receives u
+    on the 2n grid at the iterates of slot 0 or 1 (pooled arrays when None).
+    Returns (failure, x, cached, fprime, slot, history): why Newton stopped
+    short (None when stop is done), the last accepted iterate with its
+    cached (P_n f(x), int F(x)), f'(x) and slot, and its ||R||s.
     """
-    m = padded_points(x0.shape[0], 2)
+    grid = u0.grid
+    m = padded_points(grid.n_modes, 2)
     fprimes = (work_array("newton.fprime", (m, m)), work_array("newton.fprime_try", (m, m)))
-    x, slot, failure = x0, 0, None
-    r, cached = residual(x, fprimes[0], 0)
+
+    def residual(x, slot):
+        fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, fprimes[slot],
+                                               values[slot])
+        return d * x + fh.coeff - b, (fh.coeff, pot)
+
+    x, slot, failure = u0.coeff, 0, None
+    r, cached = residual(x, 0)
     rn, done = stop(r)
     history = [rn]
     while not done:
         if len(history) > max_iter:
             failure = f"Newton did not reach tol={tol:g} in {max_iter} iterations"
             break
-        delta, info = direction(x, fprimes[slot], r, _forcing(history, tol))
+        pre = _inverse_diagonal(_preconditioner_diagonal(d, fprimes[slot].mean()))
+        delta, info = solve(newton_operator(ModalField(grid, x), nl, d, fprimes[slot]), -r.ravel(),
+                            M=pre, rtol=_forcing(history, tol), maxiter=_MINRES_MAXITER)
         if info != 0:
             failure = f"inner MINRES stalled (info={info})"
             break
         for k in range(12):  # halve the update until ||R|| decreases
-            x_try = x + 0.5**k * delta
-            r_try, cached_try = residual(x_try, fprimes[1 - slot], 1 - slot)
+            x_try = x + 0.5**k * delta.reshape(x.shape)
+            r_try, cached_try = residual(x_try, 1 - slot)
             rn_try, done = stop(r_try)
             if rn_try < rn:
                 break
@@ -258,13 +291,12 @@ def _inverse_diagonal(d: np.ndarray) -> LinearOperator:
                           matvec=lambda vec: (vec.reshape(d.shape) / d).ravel())
 
 
-def _preconditioner_diagonal(diag: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """The diagonal of a Newton step's MINRES preconditioner: the Jacobian's
-    constant-coefficient part diag + shift (shift = h^2 lam mean f'), and
-    diag alone in the modes where that is not positive, so the
-    preconditioner stays SPD."""
-    shifted = diag + shift
-    return np.where(shifted > 0.0, shifted, diag)
+def _preconditioner_diagonal(d: np.ndarray, fprime_mean: float) -> np.ndarray:
+    """The diagonal of newton_krylov's MINRES preconditioner: the Jacobian's
+    constant-coefficient part d + mean f', and d alone in the modes where
+    that is not positive, so the preconditioner stays SPD."""
+    shifted = d + fprime_mean
+    return np.where(shifted > 0.0, shifted, d)
 
 
 def cn_step(c: np.ndarray, w: np.ndarray, rhs: np.ndarray, lam2: np.ndarray,
@@ -354,41 +386,29 @@ class Stepper:
                                self.state.time)
         return c_new, w_new, self._evaluate(c_new, 1)
 
+    def _newton_system(self, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """(d, b) of the step as newton_krylov's system d x + P_n f(x) = b:
+        backward Euler divided by h^2 Lam, with d = Lam + (1 + h) / (h^2 Lam)."""
+        c, w, lam = self.state.u.coeff, self.state.v.coeff, self.lam
+        scale = h * h * lam
+        return lam + (1.0 + h) / scale, self.g.g_modal.coeff / lam + ((1.0 + h) * c + h * w) / scale
+
     def _advance_newton(self, h: float):
-        c, w = self.state.u.coeff, self.state.v.coeff
-        ghat = self.g.g_modal.coeff
-        n = self.state.grid.n_modes
-        lam, lam2 = self.lam, self.lam2
-        lam_sqrt = np.sqrt(lam)
-        diag = 1.0 + h + h * h * lam2
+        c = self.state.u.coeff
         tol = self.cfg.newton_tol
+        d, b = self._newton_system(h)
+        h_lam = h * self.lam
 
-        def residual(x, fprime, slot):  # u on the 2n grid goes to _padded[1 + slot]
-            fh, pot = self._evaluate(x, 1 + slot, fprime)
-            res = (1.0 + h) * (x - c) + h * h * (lam2 * x + lam * fh - ghat) - h * w
-            return res, (fh, pot)
-
-        def stop(res):  # a non-finite norm stops too, for _require_finite below
-            rn = float(np.linalg.norm(res)) / abs(h)
+        def stop(res):  # ||h^2 Lam R|| / |h|; a non-finite norm stops too, for _require_finite
+            merit = h_lam * res
+            rn = math.sqrt(dot(merit, merit))
             return rn, not rn > tol
 
-        def direction(x, fprime, res, rtol):
-            # Jacobian with f' frozen at x, symmetrized by delta = Lam^{1/2} delta'
-            mult = fprime_multiplier(ModalField(self.state.grid, x), self.nl, fprime)
-
-            def matvec(vec):
-                vec = vec.reshape(n, n)
-                return (diag * vec + h * h * lam_sqrt * mult(lam_sqrt * vec)).ravel()
-
-            op = LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
-            pre = _inverse_diagonal(_preconditioner_diagonal(diag, h * h * lam * fprime.mean()))
-            sol, info = minres(op, -(res / lam_sqrt).ravel(), M=pre, rtol=rtol, maxiter=400)
-            return lam_sqrt * sol.reshape(n, n), info
-
         # linearly implicit predictor: f frozen at the cached P_n f(c), solved per mode
-        x = ((1.0 + h) * c + h * w + h * h * (ghat - lam * self._ensure_current()[0])) / diag
-        failure, x, cached, _, slot, history = newton_krylov(x, residual, direction, stop, tol,
-                                                             self.cfg.newton_max_iter)
+        u0 = ModalField(self.state.grid, (b - self._ensure_current()[0]) / d)
+        failure, x, cached, _, slot, history = newton_krylov(
+            u0, self.nl, d, b, minres, stop, tol, self.cfg.newton_max_iter,
+            (self._padded[1], self._padded[2]))
         t = self.state.time + h
         if failure:
             raise StepFailureError(f"{failure} at t={t:g}", residual_history=history, time=t)
@@ -423,6 +443,10 @@ class Stepper:
                 )
         except StepFailureError as exc:
             exc.step = self.step_count + 1
+            d_min = float(self._newton_system(h)[0].min())  # see the module docstring
+            if self.cfg.scheme == "implicit_newton" and d_min <= self.nl.lambda_bound:
+                exc.args = (f"{exc}; the step's system is not monotone (min d = {d_min:.4g} <= "
+                            f"lambda_bound = {self.nl.lambda_bound:.4g}): a smaller dt helps",)
             raise
         vbar = 0.5 * (w + w_new)
         dissip = h * float(np.sum(vbar**2 / self.lam))

@@ -48,6 +48,7 @@ from .spectral import (
     GridSpec,
     ModalField,
     check_same_grid,
+    dot,
     eigenvalue,
     eigenvalues,
     field_integral,
@@ -190,8 +191,8 @@ def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray |
         fprime *= un
         fprime += nl.a1
     fv = np.multiply(un, un, out=work_array("f.values", (m, m)))
-    s2 = float(np.vdot(un, un))
-    s4 = float(np.vdot(fv, fv))
+    s2 = dot(un, un)
+    s4 = dot(fv, fv)
     pot = quadrature_weight(u.grid.side, m) * (0.25 * nl.a3 * s4 + 0.5 * nl.a1 * s2)
     quad = None
     if nl.a2 != 0.0:
@@ -508,8 +509,8 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm, nodal: dict | N
         cube_aa = lam**2 * cube
         uu_au = np.multiply(un, un, out=work_array("row.product", (m2, m2)))
         uu_au *= aun
-        t_gradpair += 3.0 * a3 * w2 * float(np.vdot(uu_au, autn)) - float(np.vdot(cube_aa, v.coeff))
-        t_gradlap += float(np.vdot(cube_aa, u.coeff)) - 3.0 * a3 * w2 * uu_au2
+        t_gradpair += 3.0 * a3 * w2 * dot(uu_au, autn) - dot(cube_aa, v.coeff)
+        t_gradlap += dot(cube_aa, u.coeff) - 3.0 * a3 * w2 * uu_au2
         if a2 != 0.0:
             m3 = padded_points(n, 3)
             un3, vn3, aun3, autn3 = (_row_values(name, z, m3, nodal) for name, z in fields)

@@ -239,7 +239,7 @@ def field_integral(z: ModalField) -> float:
     n = z.grid.n_modes
     j = np.arange(1, n + 1)
     w = np.where(j % 2 == 1, 1.0 / j, 0.0)
-    return (8.0 * z.grid.side / np.pi**2) * float(w @ z.coeff @ w)
+    return (8.0 * z.grid.side / np.pi**2) * float(np.einsum("i,ij,j->", w, z.coeff, w))
 
 
 def gradient_values(z: ModalField, n_points: int | None = None,
@@ -316,10 +316,16 @@ def resample(z: ModalField, n_modes: int) -> ModalField:
     return ModalField(new, c)
 
 
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) over two 2-D arrays by numpy's own loop, whose bits, unlike
+    those of BLAS (np.vdot, np.linalg.norm, @), do not depend on the thread count."""
+    return float(np.einsum("ij,ij->", a, b))
+
+
 def inner(a: ModalField, b: ModalField) -> float:
     """L2 inner product (modal dot product by orthonormality)."""
     check_same_grid(a, b)
-    return float(np.vdot(a.coeff, b.coeff))
+    return dot(a.coeff, b.coeff)
 
 
 def norm_Hs(z: ModalField, s: float) -> float:

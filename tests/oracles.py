@@ -53,6 +53,19 @@ def oracle_pointwise_projection(u_field, func, pad: int = 4) -> np.ndarray:
     return naive_modal(vals, side)[:n, :n]
 
 
+def oracle_multiplier_matrix(u_field, func, pad: int = 4) -> np.ndarray:
+    """Dense P_N(func(u) .) on row-major flattened N x N coefficients, one
+    basis function at a time by direct summation.  Exact for polynomial
+    func of degree <= pad - 1 when func(u) v is a sine polynomial (even
+    powers of u only)."""
+    n = u_field.grid.n_modes
+    side = u_field.grid.side
+    weight = func(naive_nodal(u_field.coeff, side, pad * n))
+    cols = [naive_modal(weight * naive_nodal(e.reshape(n, n), side, pad * n), side)[:n, :n]
+            for e in np.eye(n * n)]
+    return np.array([c.ravel() for c in cols]).T
+
+
 def oracle_monomial_integral(u_field, degree: int, pad: int = 5) -> float:
     """Exact integral of u^degree over the box.
 

@@ -9,7 +9,6 @@ import pytest
 from sinech import analysis
 from sinech.analysis import (
     _stability_indicator,
-    _stationary_jacobian,
     absorbing_probe,
     bg_ratio,
     decompose_with_retries,
@@ -22,7 +21,7 @@ from sinech.analysis import (
     _log_linear_fit,
 )
 from sinech.errors import InstabilityError, StepFailureError
-from sinech.integrator import SchemeConfig, State
+from sinech.integrator import SchemeConfig, State, newton_operator
 from sinech.model import Nonlinearity, SourceTerm, f_eval_dealiased, pde_residual
 from sinech.spectral import (
     GridSpec,
@@ -345,8 +344,9 @@ def test_nontrivial_equilibrium_and_sign_symmetry():
 
 
 def _jacobian_at(u, nl):
+    # the shared Newton operator d + P_N f'(u) with find_equilibrium's d = A
     lam = np.asarray(eigenvalues(u.grid))
-    return _stationary_jacobian(u, nl, lam), lam
+    return newton_operator(u, nl, lam), lam
 
 
 def test_stability_indicator_repeats_bitwise():
@@ -497,7 +497,7 @@ def test_absorbing_probe_collapse_passes():
     grid = GridSpec(8, PI)
     rep = absorbing_probe([0.5, 1.0], 2, DOUBLE_WELL, SourceTerm.zero(grid),
                           SchemeConfig(dt=5e-3), 40.0, seed=1, band=2)
-    assert rep.status == "pass"
+    assert rep.status == "pass" and rep.below_floor
     assert all(s <= rep.floor for s in rep.tail_sup0)
 
 
@@ -505,7 +505,7 @@ def test_absorbing_probe_transient_is_inconclusive():
     grid = GridSpec(8, PI)
     rep = absorbing_probe([1.0, 2.0], 2, DOUBLE_WELL, SourceTerm.zero(grid),
                           SchemeConfig(dt=5e-3), 4.0, seed=1, band=2)
-    assert rep.status == "inconclusive"
+    assert rep.status == "inconclusive" and not rep.below_floor
     with pytest.raises(ValueError):
         absorbing_probe([], 2, DOUBLE_WELL, SourceTerm.zero(grid),
                         SchemeConfig(dt=5e-3), 1.0)

@@ -6,7 +6,8 @@ import resource
 
 import numpy as np
 import pytest
-from oracles import exact_linear_mode
+from oracles import exact_linear_mode, oracle_multiplier_matrix
+from scipy.sparse.linalg import minres
 
 from sinech.errors import (
     CheckpointMismatchError,
@@ -27,6 +28,7 @@ from sinech.integrator import (
     higher_energy_residual,
     load_checkpoint,
     newton_krylov,
+    newton_operator,
     resume_simulation,
     run,
     save_checkpoint,
@@ -40,6 +42,7 @@ from sinech.model import (
     energy,
     f_eval_dealiased,
     higher_functionals,
+    nonlinear_term_and_potential,
 )
 from sinech.spectral import (
     GridSpec,
@@ -47,6 +50,7 @@ from sinech.spectral import (
     eigenvalues,
     norm_Hs,
     norm_pair,
+    padded_points,
     random_band_limited,
     resample,
 )
@@ -54,6 +58,7 @@ from sinech.spectral import (
 PI = math.pi
 LINEAR = Nonlinearity(0.0, 0.0, 0.0)
 DOUBLE_WELL = Nonlinearity(1.0, 0.0, -1.0)
+NOT_MONOTONE = "the step's system is not monotone"  # a failed implicit step's hint
 
 
 def _single_mode_state(grid, amp=1.0):
@@ -401,6 +406,17 @@ def test_safeguard_trips_on_violent_step():
     assert "dt" in str(exc.value)
 
 
+def test_safeguard_on_a_non_monotone_implicit_step_says_so():
+    # f = u^3 - 60u at dt = 0.1 trips the safeguard in step 1 from these data
+    grid = GridSpec(8, PI)
+    stepper = Stepper(random_pair_state(grid, 4, 0.1, seed=1), Nonlinearity(1.0, 0.0, -60.0),
+                      SourceTerm.zero(grid), SchemeConfig(dt=0.1, scheme="implicit_newton"))
+    with pytest.raises(InstabilityError, match="energy increased") as exc:
+        stepper.advance()
+    assert str(exc.value).endswith(f"; {NOT_MONOTONE} (min d = 21 <= lambda_bound = 60): "
+                                   "a smaller dt helps")
+
+
 def test_newton_nonconvergence_reports_history():
     grid = GridSpec(8, PI)
     st = random_pair_state(grid, 4, 3.0, seed=5)
@@ -433,61 +449,99 @@ def test_newton_step_failures_name_their_cause(monkeypatch):
     # messages
     msg, history = _failing_step(DOUBLE_WELL, 0.5, newton_max_iter=1, newton_tol=1e-14)
     assert msg.startswith("Newton did not reach tol=1e-14 in 1 iterations") and len(history) == 2
-    # f = u^3 - 60u at dt = 0.1 stalls in the line search of step 2
+    # f = u^3 - 60u at dt = 0.1 stalls in the line search of step 2; its
+    # d = lam + 110 / lam has min d = 21 <= lambda_bound = 60, and the
+    # message says so
     msg, history = _failing_step(Nonlinearity(1.0, 0.0, -60.0), 0.1)
     assert msg.startswith("Newton line search failed at t=0.2") and history[-1] > 1e-10
+    assert msg.endswith(f"; {NOT_MONOTONE} (min d = 21 <= lambda_bound = 60): "
+                        "a smaller dt helps")
+    # a forced failure of a monotone system (min d = 21 > 3) gives no hint
+    msg, _ = _failing_step(Nonlinearity(1.0, 0.0, -3.0), 0.1, newton_max_iter=1, newton_tol=1e-14)
+    assert msg.startswith("Newton did not reach") and NOT_MONOTONE not in msg
     monkeypatch.setattr(integrator, "minres", lambda op, b, **kw: (np.zeros_like(b), 7))
     msg, history = _failing_step(DOUBLE_WELL, 0.5)
     assert msg.startswith("inner MINRES stalled (info=7)") and len(history) == 1
 
 
-def _cubic_newton(max_iter=30, info=0, sign=1.0):
-    # R(x) = x^3 - 8 entrywise, directions from the exact Jacobian 3 x^2;
-    # no transforms.  Each residual marks the f' buffer with its slot.
-    slots = []
+def _newton_on_a_well(monkeypatch, max_iter=30, solve=minres):
+    # R(u) = A u + P_N f(u) for f = u^3 - 3u at N = 4 (d = A, b = 0) from a
+    # seed off the nonzero equilibrium; the slot of each residual is recorded
+    grid = GridSpec(4, PI)
+    nl, lam, m = Nonlinearity(1.0, 0.0, -3.0), np.asarray(eigenvalues(grid)), padded_points(4)
+    values, slots = (np.empty((m, m)), np.empty((m, m))), []
 
-    def residual(x, fprime, slot):
-        fprime.fill(slot)
-        slots.append(slot)
-        return x**3 - 8.0, (x.copy(), float(x.sum()))
-
-    def direction(x, fprime, r, rtol):
-        assert 0.0 < rtol <= 1e-3
-        return sign * -r / (3.0 * x**2), info
+    def spy(u, nl, fprime, out):
+        slots.append(1 if out is values[1] else 0)
+        return nonlinear_term_and_potential(u, nl, fprime, out)
 
     def stop(r):
         rn = float(np.linalg.norm(r))
         return rn, rn <= 1e-12
 
+    monkeypatch.setattr(integrator, "nonlinear_term_and_potential", spy)
     failure, x, cached, fprime, slot, history = newton_krylov(
-        np.full((2, 2), 3.0), residual, direction, stop, 1e-12, max_iter)
-    # x, its cache, its f' buffer and slot all belong to one accepted iterate
-    assert np.array_equal(cached[0], x) and cached[1] == float(x.sum())
-    assert np.all(fprime == slot) and slot == (len(history) - 1) % 2
+        ModalField.single_mode(grid, 1, 1, 3.0), nl, lam, np.zeros(grid.shape), solve, stop,
+        1e-12, max_iter, values)
+    # x, its cache, its f' buffer, its 2n-grid values and its slot all
+    # belong to one accepted iterate
+    fp, un = np.empty((m, m)), np.empty((m, m))
+    fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, fp, un)
+    assert np.array_equal(cached[0], fh.coeff) and cached[1] == pot
+    assert np.array_equal(fprime, fp) and np.array_equal(values[slot], un)
+    assert slot == (len(history) - 1) % 2
     return failure, x, history, slots
 
 
-def test_newton_krylov_statuses():
+def test_newton_krylov_statuses(monkeypatch):
     # converged, the iteration limit, a failed inner solve and a failed
-    # line search, on a residual that needs no transforms
-    failure, x, history, _ = _cubic_newton()
-    assert failure is None and history[-1] <= 1e-12 and np.allclose(x, 2.0)
+    # line search; a fake solve gives the last two
+    failure, x, history, _ = _newton_on_a_well(monkeypatch)
+    assert failure is None and history[-1] <= 1e-12 and abs(x[0, 0]) > 1.0
     assert all(b < a for a, b in zip(history, history[1:]))
 
-    failure, x, history, _ = _cubic_newton(max_iter=2)
+    failure, x, history, _ = _newton_on_a_well(monkeypatch, max_iter=2)
     assert failure == "Newton did not reach tol=1e-12 in 2 iterations"
     assert len(history) == 3 and history[-1] > 1e-12
 
-    failure, x, history, slots = _cubic_newton(info=3)
-    assert failure == "inner MINRES stalled (info=3)"
-    assert history == [float(np.linalg.norm(np.full((2, 2), 19.0)))] and slots == [0]
-    assert np.array_equal(x, np.full((2, 2), 3.0))
+    def stalled(op, rhs, **kw):
+        assert 0.0 < kw["rtol"] <= 1e-3
+        return np.zeros_like(rhs), 3
+
+    failure, x, history, slots = _newton_on_a_well(monkeypatch, solve=stalled)
+    assert failure == "inner MINRES stalled (info=3)" and len(history) == 1 and slots == [0]
+    assert np.array_equal(x, ModalField.single_mode(GridSpec(4, PI), 1, 1, 3.0).coeff)
 
     # an uphill direction: 12 halvings, then the start is still the best
-    failure, x, history, slots = _cubic_newton(sign=-1.0)
+    def uphill(op, rhs, **kw):
+        delta, info = minres(op, rhs, **kw)
+        return -delta, info
+
+    failure, x, history, slots = _newton_on_a_well(monkeypatch, solve=uphill)
     assert failure == "Newton line search failed" and len(history) == 1
     assert slots == [0] + [1] * 12
-    assert np.array_equal(x, np.full((2, 2), 3.0))
+    assert np.array_equal(x, ModalField.single_mode(GridSpec(4, PI), 1, 1, 3.0).coeff)
+
+
+@pytest.mark.parametrize("a1, dt", [(-3.0, 0.1), (-60.0, 0.1), (-10.0, -0.5), (-1.0, 2.0)])
+def test_newton_operator_is_the_backward_euler_jacobian(a1, dt):
+    # h^2 Lam (d + P_N f'(x)) is the Jacobian (1 + h) + h^2 Lam^2 + h^2 Lam P_N f'(x)
+    # of the undivided backward-Euler residual, built densely from the
+    # oracles at N = 8; and since f' >= -lambda_bound, the operator's
+    # smallest eigenvalue is at least min d - lambda_bound
+    grid = GridSpec(8, PI)
+    nl = Nonlinearity(1.0, 0.0, a1)
+    x = random_band_limited(grid, 8, 10.0, seed=int(-a1))
+    stepper = Stepper(State(x, ModalField.zeros(grid)), nl, SourceTerm.zero(grid),
+                      SchemeConfig(dt=dt, scheme="implicit_newton"))
+    d = stepper._newton_system(dt)[0]
+    op = newton_operator(x, nl, d).matmat(np.eye(64))
+    lam = np.asarray(eigenvalues(grid)).ravel()
+    jacobian = (np.diag(1.0 + dt + dt * dt * lam**2)
+                + dt * dt * lam[:, None] * oracle_multiplier_matrix(x, nl.f_prime))
+    assert np.abs(dt * dt * lam[:, None] * op - jacobian).max() <= 1e-12 * np.abs(jacobian).max()
+    smallest = np.linalg.eigvalsh(0.5 * (op + op.T))[0]
+    assert smallest >= d.min() - nl.lambda_bound - 1e-12 * np.abs(op).max()
 
 
 def _steps_meet_the_outer_tolerance(nl, n, dt, steps):
@@ -520,15 +574,15 @@ def test_inexact_newton_meets_the_outer_tolerance(n, dt):
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_newton_preconditioner_falls_back_where_the_shift_is_not_positive(n, monkeypatch):
-    # f = u^3 - 10u at dt = -0.5: 1 + h + h^2 lam^2 + h^2 lam mean(f') is
-    # negative in the lowest modes, which keep the f'-free diagonal; Newton
-    # still meets the outer tolerance
+    # f = u^3 - 10u at dt = -0.5: d + mean(f') is negative in the lowest
+    # modes, which keep the f'-free diagonal d; Newton still meets the
+    # outer tolerance
     fallbacks = []
     diagonal = integrator._preconditioner_diagonal
 
-    def spy(diag, shift):
-        fallbacks.append(bool(np.any(diag + shift <= 0.0)))
-        return diagonal(diag, shift)
+    def spy(d, fprime_mean):
+        fallbacks.append(bool(np.any(d + fprime_mean <= 0.0)))
+        return diagonal(d, fprime_mean)
 
     monkeypatch.setattr(integrator, "_preconditioner_diagonal", spy)
     _steps_meet_the_outer_tolerance(Nonlinearity(1.0, 0.0, -10.0), n, -0.5, steps=5)
@@ -537,16 +591,15 @@ def test_newton_preconditioner_falls_back_where_the_shift_is_not_positive(n, mon
 
 @pytest.mark.parametrize("a1, dt", [(-60.0, 0.1), (-10.0, -0.5), (-1.0, 2.0), (0.0, 0.1)])
 def test_newton_preconditioner_is_positive(a1, dt):
-    # the shifted diagonal with f' = a1 (f = a1 u near u = 0): where it is
-    # not positive the f'-free diagonal, which is positive, takes its place
+    # the step's d shifted by mean f' = a1 (f = a1 u near u = 0): where that
+    # is not positive d, which is positive, takes its place
     lam = np.asarray(eigenvalues(GridSpec(32, PI)))
-    diag = 1.0 + dt + dt * dt * lam**2
-    shift = dt * dt * lam * a1
-    pre = integrator._preconditioner_diagonal(diag, shift)
+    d = lam + (1.0 + dt) / (dt * dt * lam)
+    pre = integrator._preconditioner_diagonal(d, a1)
     assert np.all(pre > 0.0)
-    assert np.array_equal(pre, np.where(diag + shift > 0.0, diag + shift, diag))
+    assert np.array_equal(pre, np.where(d + a1 > 0.0, d + a1, d))
     if a1 == -60.0:
-        assert np.any(diag + shift <= 0.0)
+        assert np.any(d + a1 <= 0.0)
 
 
 def test_implicit_path_needs_fewer_solves(monkeypatch):
@@ -556,7 +609,9 @@ def test_implicit_path_needs_fewer_solves(monkeypatch):
     # find_equilibrium's fixed rtol = 1e-12 this run took 23 Newton
     # iterations, 64 step MINRES iterations and 36 equilibrium MINRES
     # iterations; the linearly implicit predictor, the mean-f'
-    # preconditioner and the shared forcing take 21, 47 and 16.
+    # preconditioner and the shared forcing took 21, 47 and 16, and the
+    # one system d x + P_N f(x) = b (with d + mean f' preconditioning the
+    # equilibrium too) takes 20, 51 and 7.
     counts = {"integrator": [0, 0], "analysis": [0, 0]}
 
     def counted(module, key):
