@@ -38,12 +38,13 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .errors import InstabilityError, StepFailureError
-from .integrator import (SchemeConfig, State, Stepper, _inverse_diagonal, cn_step, horizon_steps,
-                         newton_krylov, newton_operator, run)
+from .integrator import (SchemeConfig, State, Stepper, _inverse_diagonal, ab2, cn_step,
+                         horizon_steps, newton_krylov, newton_operator, run)
 from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased
 from .spectral import (
     GridSpec,
     ModalField,
+    check_same_grid,
     dot,
     eigenvalues,
     lambda_max,
@@ -192,76 +193,73 @@ class DecompositionRun:
     doublings: int = 0
 
 
+class _Split(Stepper):
+    """The IMEX Stepper of u that, after each accepted step of u, also steps
+    the compact part v (zero data, forced by L ubar + A^(-1) g with ubar the
+    endpoint average of u's step) and the decaying part w (data U_0, forced
+    by the difference of u's and v's AB2 terms); v and w are coefficient
+    pairs (c, c_t)."""
+
+    def __init__(self, initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
+                 big_l: float):
+        super().__init__(State(initial.u, initial.v), nl, g, cfg)
+        self.big_l, self.lam2_l = big_l, self.lam2 + big_l
+        zero = np.zeros(initial.grid.shape)
+        self.v, self.w, self._fv_prev = (zero, zero), (initial.u.coeff, initial.v.coeff), None
+
+    def advance(self, h: float) -> float:
+        c, t = self.state.u.coeff, self.state.time
+        nu = ab2(self._ensure_current()[0], self._fhat_prev)
+        fv = f_eval_dealiased(ModalField(self.state.grid, self.v[0]), self.nl).coeff
+        nv = ab2(fv, self._fv_prev)
+        dissip = super().advance(h)
+        ubar = 0.5 * (c + self.state.u.coeff)
+        rhs_v = self.g.g_modal.coeff + self.big_l * ubar - self.lam * nv
+        self.v = cn_step(*self.v, rhs_v, self.lam2_l, h, t)
+        self.w = cn_step(*self.w, -self.lam * (nu - nv), self.lam2_l, h, t)
+        self._fv_prev = fv
+        return dissip
+
+
 def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
                       cfg: SchemeConfig, big_l: float, t_end: float) -> DecompositionRun:
-    """Co-evolve the full solution u, the compact part v (zero data,
-    forced by L A^(-1) u + A^(-1) g), and the decaying part w (data U_0,
-    forced by the nonlinearity difference) from t = 0 to t_end, all with
-    the shared Crank-Nicolson/AB2 discretization and the steps of
-    horizon_steps.  About 200 samples are taken; the decay rate is fitted
-    over [0.1 t_end, t_end].
+    """Co-evolve the full solution u, the compact part v and the decaying
+    part w (see _Split) from t = 0 to t_end, all with the shared
+    Crank-Nicolson/AB2 discretization, driven by run in the steps of
+    horizon_steps.  About 200 samples are taken, at step_count * h; the
+    decay rate is fitted over [0.1 t_end, t_end].
 
     The coupling term L*u enters the v-system Crank-Nicolson style with
     the endpoint average of the freshly advanced u, which makes
     v + w = u an exact identity of the discrete updates (verified here
-    as sum_error, which only measures roundoff accumulation).  Every
-    step of each system is checked for finiteness (InstabilityError).
+    as sum_error, which only measures roundoff accumulation).  u's steps
+    are Stepper steps (finiteness, the energy safeguard, a source on the
+    grid of u), and every step of v and w is checked for finiteness.
     """
     if big_l <= 0:
         raise ValueError("big_l must be positive")
     if cfg.scheme != "imex_cn_ab2":
         raise ValueError("decomposition_run requires the imex_cn_ab2 scheme")
     n_steps, h = horizon_steps(t_end, cfg.dt)
-    sample_every = max(1, n_steps // 200)
-    fit_window = (0.1 * t_end, t_end)
-
-    grid = initial.grid
-    lam = np.asarray(eigenvalues(grid))
-    lam2 = lam**2
-    lam2_l = lam2 + big_l
-    ghat = resample(g.g_modal, grid.n_modes).coeff if g.grid != grid else g.g_modal.coeff
-
-    cu, wu = initial.u.coeff.copy(), initial.v.coeff.copy()
-    cv = np.zeros(grid.shape)
-    wv = np.zeros(grid.shape)
-    cw, ww = cu.copy(), wu.copy()
-
-    def fhat(c):
-        return f_eval_dealiased(ModalField(grid, c), nl).coeff
+    lam = np.asarray(eigenvalues(initial.grid))
 
     def pair_norm(c, w):
         return float(np.sqrt(np.sum(lam * c**2) + np.sum(w**2 / lam)))
 
-    fu_prev = fv_prev = None
-    times, trace = [0.0], [pair_norm(cw, ww)]
-    sum_abs = sum_rel = 0.0
+    rows = []
 
-    for n in range(1, n_steps + 1):
-        t = (n - 1) * h
-        fu, fv = fhat(cu), fhat(cv)
-        nu = fu if fu_prev is None else 1.5 * fu - 0.5 * fu_prev
-        nv = fv if fv_prev is None else 1.5 * fv - 0.5 * fv_prev
-        fu_prev, fv_prev = fu, fv
+    def observe(s: _Split, _):
+        (cu, wu), (cv, wv), (cw, ww) = (s.state.u.coeff, s.state.v.coeff), s.v, s.w
+        err = pair_norm(cv + cw - cu, wv + ww - wu)
+        rows.append((s.step_count * h, pair_norm(cw, ww), err, err / (1.0 + pair_norm(cu, wu))))
 
-        # full solution first, so its endpoint average can force v
-        cu_new, wu_new = cn_step(cu, wu, ghat - lam * nu, lam2, h, t)
-        ubar = 0.5 * (cu + cu_new)
-        cv, wv = cn_step(cv, wv, ghat + big_l * ubar - lam * nv, lam2_l, h, t)
-        cw, ww = cn_step(cw, ww, -lam * (nu - nv), lam2_l, h, t)
-        cu, wu = cu_new, wu_new
-
-        if n % sample_every == 0 or n == n_steps:
-            err = pair_norm(cv + cw - cu, wv + ww - wu)
-            times.append(n * h)
-            trace.append(pair_norm(cw, ww))
-            sum_abs = max(sum_abs, err)
-            sum_rel = max(sum_rel, err / (1.0 + pair_norm(cu, wu)))
-
+    run(_Split(initial, nl, g, cfg, big_l), t_end, max(1, n_steps // 200), observe)
+    times, trace, errs, rels = (list(col) for col in zip(*rows))
+    fit_window = (0.1 * t_end, t_end)
     t_arr, w_arr = np.asarray(times), np.asarray(trace)
     mask = (t_arr >= fit_window[0]) & (t_arr <= fit_window[1])
     slope, _, r2 = _log_linear_fit(t_arr[mask], w_arr[mask])
-    return DecompositionRun(big_l, sum_abs, sum_rel, times, trace,
-                            -slope, r2, fit_window)
+    return DecompositionRun(big_l, max(errs), max(rels), times, trace, -slope, r2, fit_window)
 
 
 def decompose_with_retries(initial: State, nl: Nonlinearity, g: SourceTerm,
@@ -307,12 +305,15 @@ def lipschitz_dependence(initial: State, perturbation_scale: float,
     if band is None:
         band = max(1, grid.n_modes // 4)
     delta = random_pair_state(grid, band, perturbation_scale, seed)
+    base = norm_pair(delta.u, delta.v, 0.0)
+    if not base > 0.0:
+        raise ValueError(f"perturbation_scale {perturbation_scale:g} is too small: "
+                         "the perturbation's norm underflows to 0")
     pert = State(initial.u + delta.u, initial.v + delta.v, initial.time)
 
     every = _stride(t_end - initial.time, cfg.dt, 200)
     a = _states(initial, nl, g, cfg, t_end, every)
     b = _states(pert, nl, g, cfg, t_end, every)
-    base = norm_pair(delta.u, delta.v, 0.0)
     times = [s.time for s in a]
     rho = [1.0] + [norm_pair(sb.u - sa.u, sb.v - sa.v, 0.0) / base
                    for sa, sb in zip(a[1:], b[1:])]
@@ -392,9 +393,9 @@ def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12
 def _stationary_newton(u: ModalField, nl: Nonlinearity, g: SourceTerm, tol: float, max_iter: int):
     """newton_krylov from u with d = A, b = A^(-1)g, stopped at ||R|| <= tol
     and ||A^(1/2) R|| <= 10 tol."""
-    grid = u.grid
-    lam = np.asarray(eigenvalues(grid))
-    b = (resample(g.g_modal, grid.n_modes).coeff if g.grid != grid else g.g_modal.coeff) / lam
+    check_same_grid(u, g.g_modal)
+    lam = np.asarray(eigenvalues(u.grid))
+    b = g.g_modal.coeff / lam
 
     def stop(r):
         rn = math.sqrt(dot(r, r))
@@ -415,8 +416,9 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     When Newton stops short (max_iter, a stalled inner solve or a failed
     line search) the best iterate is returned with converged=False:
     stationarity failures are findings, not crashes.  A non-finite seed
-    raises InstabilityError.  The stability indicator is the smallest
-    eigenvalue of that operator at the result u*.
+    raises InstabilityError, and a source on another grid
+    DimensionMismatchError, both before any solve.  The stability
+    indicator is the smallest eigenvalue of that operator at the result u*.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -534,7 +536,8 @@ def absorbing_probe(radii: list, n_per_radius: int, nl: Nonlinearity,
             tail = t >= 0.5 * t_end
             sup0 = max(sup0, float(n0[tail].max()))
             sup2 = max(sup2, float(n2[tail].max()))
-            early = max(early, float(n0[(t >= 0.5 * t_end) & (t < 0.75 * t_end)].max()))
+            early_window = n0[(t >= 0.5 * t_end) & (t < 0.75 * t_end)]  # empty for 1 or 2 steps
+            early = max(early, float(early_window.max(initial=0.0)))
             late = max(late, float(n0[t >= 0.75 * t_end].max()))
         tail0.append(sup0)
         tail2.append(sup2)

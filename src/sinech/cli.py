@@ -146,11 +146,12 @@ def _load_config(path: str | None) -> dict:
 # builders
 # ---------------------------------------------------------------------------
 
-def _build(cls, cfg: dict, block: str):
-    """cls(**cfg[block]) for a block whose keys are cls's fields; a
-    combination of values that cls refuses names the block."""
+def _build(cls, cfg: dict, block: str, **override):
+    """cls(**cfg[block]) for a block whose keys are cls's fields, with
+    override's values in place of the block's; a combination of values
+    that cls refuses names the block."""
     try:
-        return cls(**cfg[block])
+        return cls(**dict(cfg[block], **override))
     except ValueError as exc:
         raise ConfigError(str(exc), key=block) from exc
 
@@ -325,7 +326,6 @@ def _check_energy_orders() -> tuple[float, bool]:
 def cmd_check(cfg: dict, outdir: Path, args) -> int:
     nl = _build(Nonlinearity, cfg, "nonlinearity")
     rng = np.random.default_rng(cfg["seed"])
-    side = cfg["grid"]["side"]
     n_modes_list = cfg["check"]["n_modes_list"]
     per_grid = {
         "parseval": _check_parseval,
@@ -336,14 +336,14 @@ def cmd_check(cfg: dict, outdir: Path, args) -> int:
     }
     rows = []
     for n in n_modes_list:
-        grid = GridSpec(n, side)
+        grid = _build(GridSpec, cfg, "grid", n_modes=n)
         for name, fn in per_grid.items():
             if args.only and args.only != name:
                 continue
             value, ok = fn(grid, rng)
             rows.append({"check": name, "n_modes": n, "value": value, "pass": ok})
     if not args.only or args.only == "assumptions":
-        grid = GridSpec(n_modes_list[0], side)
+        grid = _build(GridSpec, cfg, "grid", n_modes=n_modes_list[0])
         value, ok = _check_assumptions_entry(nl, grid)
         rows.append({"check": "assumptions", "n_modes": grid.n_modes,
                      "value": value, "pass": ok})
@@ -376,7 +376,8 @@ def cmd_converge(cfg: dict, outdir: Path, args) -> int:
         raise ConfigError("band must not exceed the coarsest resolution",
                           key="converge.band")
     nl = _build(Nonlinearity, cfg, "nonlinearity")
-    coarse = GridSpec(min(resolutions), cfg["grid"]["side"])
+    _build(GridSpec, cfg, "grid", n_modes=n_ref)  # the finest grid of the run
+    coarse = _build(GridSpec, cfg, "grid", n_modes=min(resolutions))
     initial = State(random_band_limited(coarse, band, block["amplitude"], cfg["seed"]),
                     ModalField.zeros(coarse))
     g = _build_source(cfg, coarse)
@@ -468,8 +469,11 @@ def cmd_lipschitz(cfg: dict, outdir: Path, args) -> int:
     initial = _build_state(cfg, grid)
     scheme = _build(SchemeConfig, cfg, "scheme")
     scale, t_end, seed = block["perturbation_scale"], block["t_end"], cfg["seed"] + 13
-    full = analysis.lipschitz_dependence(initial, scale, nl, g, scheme, t_end, seed=seed)
-    half = analysis.lipschitz_dependence(initial, scale / 2.0, nl, g, scheme, t_end, seed=seed)
+    try:
+        full = analysis.lipschitz_dependence(initial, scale, nl, g, scheme, t_end, seed=seed)
+        half = analysis.lipschitz_dependence(initial, scale / 2.0, nl, g, scheme, t_end, seed=seed)
+    except ValueError as exc:  # a perturbation too small to measure
+        raise ConfigError(str(exc), key="lipschitz.perturbation_scale") from exc
     stable = abs(full.c7 - half.c7) <= 0.1 * max(abs(full.c7), abs(half.c7)) + 1e-3
     # super-exponential growth: the late-window rate outrunning the
     # early-window rate while positive

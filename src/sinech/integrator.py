@@ -299,6 +299,12 @@ def _preconditioner_diagonal(d: np.ndarray, fprime_mean: float) -> np.ndarray:
     return np.where(shifted > 0.0, shifted, d)
 
 
+def ab2(fhat: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
+    """The nonlinear term extrapolated to the half step, 1.5 fhat - 0.5 prev;
+    fhat itself on the start-up step (no prev)."""
+    return fhat if prev is None else 1.5 * fhat - 0.5 * prev
+
+
 def cn_step(c: np.ndarray, w: np.ndarray, rhs: np.ndarray, lam2: np.ndarray,
             h: float, t: float) -> tuple[np.ndarray, np.ndarray]:
     """One Crank-Nicolson step from time t of the per-mode systems
@@ -342,11 +348,11 @@ class Stepper:
         m = padded_points(state.grid.n_modes, 2)
         self._padded = [np.empty((m, m)) for _ in range(3)]
 
-    def _evaluate(self, c: np.ndarray, slot: int, fprime: np.ndarray | None = None):
+    def _evaluate(self, c: np.ndarray, slot: int):
         """(P_n f(u), int F(u)) for the coefficients c, with u on the 2n grid
-        left in _padded[slot] (and f'(u) in fprime when given)."""
-        fh, pot = nonlinear_term_and_potential(ModalField(self.state.grid, c), self.nl, fprime,
-                                               self._padded[slot])
+        left in _padded[slot]."""
+        fh, pot = nonlinear_term_and_potential(ModalField(self.state.grid, c), self.nl,
+                                               values=self._padded[slot])
         return fh.coeff, pot
 
     def _ensure_current(self):
@@ -376,12 +382,7 @@ class Stepper:
     # the new u, which advance caches with the state
 
     def _advance_imex(self, h: float):
-        fhat, _ = self._ensure_current()
-        if self._fhat_prev is None:
-            nstar = fhat  # start-up: nonlinearity explicit at the left endpoint
-        else:
-            nstar = 1.5 * fhat - 0.5 * self._fhat_prev
-        rhs = self.g.g_modal.coeff - self.lam * nstar
+        rhs = self.g.g_modal.coeff - self.lam * ab2(self._ensure_current()[0], self._fhat_prev)
         c_new, w_new = cn_step(self.state.u.coeff, self.state.v.coeff, rhs, self.lam2, h,
                                self.state.time)
         return c_new, w_new, self._evaluate(c_new, 1)
@@ -487,7 +488,7 @@ def horizon_steps(span: float, dt: float) -> tuple[int, float]:
     span divides evenly).  ValueError when dt points away from span."""
     if span == 0.0:
         return 0, dt
-    if span / dt <= 0.0:
+    if (span < 0.0) != (dt < 0.0):
         raise ValueError(f"a span of {span} is not reachable with dt={dt}")
     n_steps = max(1, int(round(span / dt)))
     if abs(span / n_steps - dt) > 1e-9 * abs(dt):

@@ -75,7 +75,8 @@ class Nonlinearity:
     overridden (overrides are *claims*, verified by check_assumptions).
     The degenerate linear case a3 = 0 (with a2 = 0, a1 >= 0) is accepted
     so that exact linear oracle problems can run through the same code
-    path; check_assumptions refuses it.
+    path; check_assumptions refuses it.  The bounds, and lambda_bound^2
+    (diagnostic_F's constant), must be finite.
     """
 
     a3: float
@@ -97,6 +98,11 @@ class Nonlinearity:
             self.m_bound = max(abs(2.0 * self.a2), 6.0 * abs(self.a3))
         if self.r0 is None:
             self.r0 = computed_r0(self.a3, self.a2, self.a1)
+        if not all(map(math.isfinite, (self.lambda_bound * self.lambda_bound, self.m_bound,
+                                       self.r0))):
+            raise UnsupportedNonlinearityError(
+                f"bounds out of the float range: lambda_bound = {self.lambda_bound:g}, "
+                f"m_bound = {self.m_bound:g}, r0 = {self.r0:g}")
 
     @property
     def is_zero(self) -> bool:
@@ -120,14 +126,14 @@ def computed_lambda_bound(a3: float, a2: float, a1: float) -> float:
     """max(0, a2^2/(3 a3) - a1): the sharp -min f' for the cubic class."""
     if a3 == 0.0:
         return max(0.0, -a1)
-    return max(0.0, a2**2 / (3.0 * a3) - a1)
+    return max(0.0, a2 * a2 / (3.0 * a3) - a1)
 
 
 def computed_r0(a3: float, a2: float, a1: float) -> float:
     """Radius beyond which f(r) r >= 0: largest |root| of a3 r^2 + a2 r + a1."""
     if a3 == 0.0:
         return 0.0
-    disc = a2**2 - 4.0 * a3 * a1
+    disc = a2 * a2 - 4.0 * a3 * a1
     if disc <= 0.0:
         return 0.0
     return (abs(a2) + math.sqrt(disc)) / (2.0 * a3)
@@ -173,8 +179,9 @@ def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray |
                            values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """f(u) on the 2n grid and integral F(u): the one evaluation of both.
 
-    Even powers of the potential by the interior quadrature sum on the
-    2n grid (exact: boundary-vanishing cosine type); the cubic term, if
+    The quartic term of the potential by the interior quadrature sum on
+    the 2n grid (exact: boundary-vanishing cosine type), the quadratic
+    one by Parseval from the n x n coefficients; the cubic term, if
     present, by the alias-free modal contraction.  Hot path: the padded
     arrays dominate the step cost at large n, so the square is reused
     for the quartic sum and then consumed in place by the Horner
@@ -191,9 +198,8 @@ def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray |
         fprime *= un
         fprime += nl.a1
     fv = np.multiply(un, un, out=work_array("f.values", (m, m)))
-    s2 = dot(un, un)
-    s4 = dot(fv, fv)
-    pot = quadrature_weight(u.grid.side, m) * (0.25 * nl.a3 * s4 + 0.5 * nl.a1 * s2)
+    pot = quadrature_weight(u.grid.side, m) * 0.25 * nl.a3 * dot(fv, fv)
+    pot += 0.5 * nl.a1 * dot(u.coeff, u.coeff)
     quad = None
     if nl.a2 != 0.0:
         u3 = nodal_values(u, padded_points(u.grid.n_modes, 3))

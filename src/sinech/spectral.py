@@ -34,7 +34,9 @@ _MFLD_VERSION = 1
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Square-domain discretization: n_modes per axis on (0, side)^2."""
+    """Square-domain discretization: n_modes per axis on (0, side)^2.  The
+    eigenvalues and their squares (the Crank-Nicolson solve's A^2) must be
+    positive finite floats."""
 
     n_modes: int
     side: float
@@ -44,6 +46,11 @@ class GridSpec:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
         if not (self.side > 0.0):
             raise ValueError(f"side must be > 0, got {self.side}")
+        k = math.pi / self.side
+        lo, hi = 2.0 * k * k, 2.0 * (self.n_modes * k) * (self.n_modes * k)
+        if not (lo * lo > 0.0 and hi * hi < math.inf):
+            raise ValueError(f"side {self.side:g} puts the eigenvalues {lo:g}..{hi:g} of "
+                             f"n_modes {self.n_modes} or their squares outside the float range")
 
     @property
     def shape(self):
@@ -242,15 +249,13 @@ def field_integral(z: ModalField) -> float:
     return (8.0 * z.grid.side / np.pi**2) * float(np.einsum("i,ij,j->", w, z.coeff, w))
 
 
-def gradient_values(z: ModalField, n_points: int | None = None,
-                    out: tuple[np.ndarray, np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gradient_values(z: ModalField, n_points: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodal values of (du/dx, du/dy) on the interior n_points grid.
 
     Differentiating the sine series gives a cosine series along the
     differentiated axis; it is evaluated by a type-I DCT on the closed
     grid (boundary points carry no sine content) and sliced back to the
-    interior points.  out, a pair of C-contiguous float64 arrays of the
-    grid's shape, receives the values when given (as in nodal_values).
+    interior points.
     """
     n = z.grid.n_modes
     m = n if n_points is None else int(n_points)
@@ -258,7 +263,7 @@ def gradient_values(z: ModalField, n_points: int | None = None,
         raise ValueError(f"n_points={m} < n_modes={n}")
     side = z.grid.side
     freq = np.arange(1, n + 1) * np.pi / side
-    ux, uy = (np.empty((m, m)), np.empty((m, m))) if out is None else out
+    ux, uy = np.empty((m, m)), np.empty((m, m))
     a = work_array("gradient.a", (n, m))
     b = work_array("gradient.b", (m + 2, m))
 

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sinech import analysis
+from sinech import analysis, integrator
 from sinech.analysis import (
     _stability_indicator,
     absorbing_probe,
@@ -20,7 +20,7 @@ from sinech.analysis import (
     random_pair_state,
     _log_linear_fit,
 )
-from sinech.errors import InstabilityError, StepFailureError
+from sinech.errors import DimensionMismatchError, InstabilityError, StepFailureError
 from sinech.integrator import SchemeConfig, State, newton_operator
 from sinech.model import Nonlinearity, SourceTerm, f_eval_dealiased, pde_residual
 from sinech.spectral import (
@@ -169,6 +169,22 @@ def test_decomposition_nan_raises_on_first_step():
         decomposition_run(init, DOUBLE_WELL, SourceTerm.zero(grid),
                           SchemeConfig(dt=1e-3), 10.0, 1.0)
     assert exc.value.time == 1e-3
+    assert exc.value.step == 1
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("no step or solve may run")
+
+
+def test_decomposition_refuses_a_source_on_another_grid(monkeypatch):
+    # refused when u's stepper is built, before any step
+    grid = GridSpec(8, PI)
+    init = random_pair_state(grid, 2, 1.0, seed=0)
+    g = SourceTerm(random_band_limited(GridSpec(16, PI), 2, 0.5, seed=1))
+    monkeypatch.setattr(integrator, "cn_step", _no_solve)
+    monkeypatch.setattr(analysis, "cn_step", _no_solve)
+    with pytest.raises(DimensionMismatchError):
+        decomposition_run(init, DOUBLE_WELL, g, SchemeConfig(dt=1e-3), 10.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +449,24 @@ def test_equilibrium_refuses_a_non_finite_seed(monkeypatch):
     grid = GridSpec(8, PI)
     seed_field = random_band_limited(grid, 4, 2.0, seed=9)
     seed_field.coeff[1, 2] = np.nan
-
-    def no_solve(*args, **kwargs):
-        raise AssertionError("no solve may run")
-
-    monkeypatch.setattr(analysis, "minres", no_solve)
-    monkeypatch.setattr(analysis, "lobpcg", no_solve)
+    monkeypatch.setattr(analysis, "minres", _no_solve)
+    monkeypatch.setattr(analysis, "lobpcg", _no_solve)
     with pytest.raises(InstabilityError, match="non-finite seed"):
         find_equilibrium(seed_field, STIFF_WELL, SourceTerm.zero(grid))
+
+
+def test_equilibrium_refuses_a_source_on_another_grid(monkeypatch):
+    # refused before any inner solve, not in energy after a whole Newton solve
+    grid = GridSpec(8, PI)
+    seed_field = random_band_limited(grid, 4, 2.0, seed=9)
+    g = SourceTerm(random_band_limited(GridSpec(16, PI), 4, 0.5, seed=1))
+    monkeypatch.setattr(analysis, "minres", _no_solve)
+    monkeypatch.setattr(analysis, "lobpcg", _no_solve)
+    with pytest.raises(DimensionMismatchError):
+        find_equilibrium(seed_field, STIFF_WELL, g)
+    with pytest.raises(DimensionMismatchError):
+        lojasiewicz_probe(State(seed_field, ModalField.zeros(grid)), STIFF_WELL, g,
+                          SchemeConfig(dt=1e-3), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +532,10 @@ def test_absorbing_probe_transient_is_inconclusive():
     rep = absorbing_probe([1.0, 2.0], 2, DOUBLE_WELL, SourceTerm.zero(grid),
                           SchemeConfig(dt=5e-3), 4.0, seed=1, band=2)
     assert rep.status == "inconclusive" and not rep.below_floor
+    # a single step leaves no sample in [t_end/2, 3 t_end/4): no decay is read there
+    rep = absorbing_probe([1.0, 2.0], 1, DOUBLE_WELL, SourceTerm.zero(grid),
+                          SchemeConfig(dt=5e-3), 5e-3, seed=1, band=2)
+    assert rep.status == "fail"
     with pytest.raises(ValueError):
         absorbing_probe([], 2, DOUBLE_WELL, SourceTerm.zero(grid),
                         SchemeConfig(dt=5e-3), 1.0)

@@ -386,6 +386,83 @@ def test_wrong_type_for_any_key_exits_2_naming_it(tmp_path_factory, key, default
     assert f"'{key}'" in err.getvalue()
 
 
+@pytest.mark.parametrize("command,overrides,key", [
+    ("simulate", {"grid": {"n_modes": 4, "side": 1e300}}, "grid"),
+    ("simulate", {"grid": {"n_modes": 4}, "nonlinearity": {"a2": 1e308}}, "nonlinearity"),
+    ("simulate", {"grid": {"n_modes": 4}, "nonlinearity": {"lambda_bound": 1e308}},
+     "nonlinearity"),
+    ("simulate", {"grid": {"n_modes": 4}, "nonlinearity": {"a3": 1e308, "a1": -1e308}},
+     "nonlinearity"),
+    ("lipschitz", {"grid": {"n_modes": 4},
+                   "lipschitz": {"perturbation_scale": 1e-320, "t_end": 0.01}},
+     "lipschitz.perturbation_scale"),
+    ("check", {"grid": {"side": 1e-300}, "check": {"n_modes_list": [2]}}, "grid"),
+    ("check", {"grid": {"side": 1e300}, "check": {"n_modes_list": [2]}}, "grid"),
+], ids=["side-huge", "a2-huge", "lambda_bound-huge", "a3-a1-huge", "perturbation-underflow",
+        "check-side-tiny", "check-side-huge"])
+def test_value_out_of_the_float_range_names_the_key(tmp_path, capsys, command, overrides, key):
+    # each once ended in an OverflowError or ZeroDivisionError traceback
+    cfg = write_config(tmp_path, t_end=0.01, **overrides)
+    assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+_EXTREMES = st.sampled_from([1e308, -1e308, 1e-320, -1e-320, 0.0])
+_FLOATS = st.one_of(_EXTREMES, st.floats(-10.0, 10.0), st.floats(allow_nan=False,
+                                                                  allow_infinity=False))
+_MODES = st.integers(1, 8)
+# every run stays short: at most 8 modes, horizons <= 0.05 and dt >= 1e-3 (at most 50
+# steps; a dt of 1e-320 would ask for more steps than a run can take)
+_HORIZON = st.one_of(st.just(1e-320), st.floats(0.0, 0.05, exclude_min=True))
+_SIZES = {
+    "grid.n_modes": _MODES, "check.n_modes_list": st.lists(_MODES, min_size=1, max_size=3),
+    "converge.resolutions": st.lists(st.integers(1, 4), min_size=1, max_size=2,
+                                     unique=True).map(sorted),
+    "converge.band": st.integers(1, 4), "converge.n_ref": _MODES,
+    "scheme.dt": st.one_of(st.sampled_from([1e308, -1e-320]), st.floats(1e-3, 0.05),
+                           st.floats(1e-3, 1e308)),
+    "t_end": _HORIZON, "converge.t_star": _HORIZON, "decompose.t_end": _HORIZON,
+    "lojasiewicz.t_end": _HORIZON, "absorb.t_end": _HORIZON, "lipschitz.t_end": _HORIZON,
+}
+
+
+def _right_type(key, default):
+    """JSON values of the type the key takes, extremes mixed in."""
+    leaf = key.rsplit(".", 1)[-1]
+    if isinstance(default, list):
+        return st.lists(_FLOATS, min_size=1, max_size=3)
+    if leaf == "preset":
+        return st.sampled_from(["zero", "single_mode", "random_band", "file", "other"])
+    if leaf == "scheme":
+        return st.sampled_from(["imex_cn_ab2", "implicit_newton", "other"])
+    if leaf == "path":
+        return st.sampled_from([None, "no-such-file.mfld"])
+    kind = _NULLABLE[leaf] if default is None else type(default)
+    values = _FLOATS if kind is float else st.integers(-1, 8)
+    return st.one_of(st.none(), values) if default is None else values
+
+
+_OPTIONAL = {key: default for key, default in _leaves(DEFAULTS)
+             if key not in _SIZES and key != "output_dir"}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(sinech.cli._COMMANDS)), data=st.data())
+def test_right_typed_config_exits_0_1_or_2(tmp_path_factory, command, data):
+    body = {"output_dir": str(tmp_path_factory.getbasetemp() / "right_type")}
+    picked = data.draw(st.lists(st.sampled_from(sorted(_OPTIONAL)), max_size=4, unique=True))
+    for key, strategy in [*_SIZES.items(), *((k, _right_type(k, _OPTIONAL[k])) for k in picked)]:
+        node = body
+        *blocks, leaf = key.split(".")
+        for name in blocks:
+            node = node.setdefault(name, {})
+        node[leaf] = data.draw(strategy, label=key)
+    cfg = tmp_path_factory.getbasetemp() / "right_type.json"
+    cfg.write_text(json.dumps(body))
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert run_cli(command, "--config", str(cfg)) in (0, 1, 2)
+
+
 def test_defaults_pass_their_own_checks():
     from sinech.cli import _NON_NEGATIVE, _POSITIVE, _merge
 

@@ -287,6 +287,9 @@ def test_simulate_sampling_contracts():
     # horizon snapping: a non-divisible span still lands exactly on t_end
     log = simulate(st, LINEAR, g, SchemeConfig(dt=1e-3), 0.0501)
     assert abs(log.t[-1] - 0.0501) <= 1e-12
+    # so does a span so far below dt that span / dt underflows to 0: one step
+    log = simulate(st, LINEAR, g, SchemeConfig(dt=1e308), 1e-300)
+    assert log.t == [0.0, 1e-300]
     # sample_every thins the interior but keeps both endpoints
     log = simulate(st, LINEAR, g, SchemeConfig(dt=1e-2), 0.1, sample_every=4)
     assert len(log) == 4  # steps 0, 4, 8, 10
