@@ -38,21 +38,11 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .errors import InstabilityError, StepFailureError
-from .integrator import (SchemeConfig, State, Stepper, _inverse_diagonal, ab2, cn_step,
+from .integrator import (CrankNicolson, SchemeConfig, State, Stepper, _inverse_diagonal, ab2,
                          horizon_steps, newton_krylov, newton_operator, run)
 from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased
-from .spectral import (
-    GridSpec,
-    ModalField,
-    check_same_grid,
-    dot,
-    eigenvalues,
-    lambda_max,
-    norm_Hs,
-    norm_pair,
-    resample,
-    sup_norm,
-)
+from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
+                       lambda_max, norm_Hs, norm_pair, resample, sup_norm, weighted_sum)
 
 
 def random_pair_state(grid: GridSpec, band: int, amplitude: float, seed: int,
@@ -203,7 +193,7 @@ class _Split(Stepper):
     def __init__(self, initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
                  big_l: float):
         super().__init__(State(initial.u, initial.v), nl, g, cfg)
-        self.big_l, self.lam2_l = big_l, self.lam2 + big_l
+        self.big_l, self._cn_l = big_l, CrankNicolson(self._cn.lam2 + big_l)
         zero = np.zeros(initial.grid.shape)
         self.v, self.w, self._fv_prev = (zero, zero), (initial.u.coeff, initial.v.coeff), None
 
@@ -215,8 +205,8 @@ class _Split(Stepper):
         dissip = super().advance(h)
         ubar = 0.5 * (c + self.state.u.coeff)
         rhs_v = self.g.g_modal.coeff + self.big_l * ubar - self.lam * nv
-        self.v = cn_step(*self.v, rhs_v, self.lam2_l, h, t)
-        self.w = cn_step(*self.w, -self.lam * (nu - nv), self.lam2_l, h, t)
+        self.v = self._cn_l.step(*self.v, rhs_v, h, t)
+        self.w = self._cn_l.step(*self.w, -self.lam * (nu - nv), h, t)
         self._fv_prev = fv
         return dissip
 
@@ -241,10 +231,10 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
     if cfg.scheme != "imex_cn_ab2":
         raise ValueError("decomposition_run requires the imex_cn_ab2 scheme")
     n_steps, h = horizon_steps(t_end, cfg.dt)
-    lam = np.asarray(eigenvalues(initial.grid))
+    lam, inv = eigenvalues(initial.grid), eigenvalue_power(initial.grid, -1.0)
 
     def pair_norm(c, w):
-        return float(np.sqrt(np.sum(lam * c**2) + np.sum(w**2 / lam)))
+        return math.sqrt(weighted_sum(lam, c, c) + weighted_sum(inv, w, w))
 
     rows = []
 
@@ -399,7 +389,7 @@ def _stationary_newton(u: ModalField, nl: Nonlinearity, g: SourceTerm, tol: floa
 
     def stop(r):
         rn = math.sqrt(dot(r, r))
-        return rn, rn <= tol and float(np.sqrt(np.sum(lam * r**2))) <= 10.0 * tol
+        return rn, rn <= tol and math.sqrt(weighted_sum(lam, r, r)) <= 10.0 * tol
 
     return newton_krylov(u, nl, lam, b, minres, stop, tol, max_iter)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, FileFormatError, StepFailureError
-from .integrator import SchemeConfig, State, energy_equality_residual, simulate
+from .integrator import SchemeConfig, State, energy_equality_residual, horizon_steps, simulate
 from .model import Nonlinearity, SourceTerm, check_assumptions
 from .spectral import (GridSpec, ModalField, apply_power, inner, load_field, modal_from_values,
                        nodal_values, norm_Hs, project, quadrature_weight, random_band_limited,
@@ -156,6 +156,17 @@ def _build(cls, cfg: dict, block: str, **override):
         raise ConfigError(str(exc), key=block) from exc
 
 
+def _build_scheme(cfg: dict, span: float) -> SchemeConfig:
+    """The scheme block, whose dt must cover span in at most 2**53 steps
+    (see horizon_steps); a dt that cannot names scheme.dt."""
+    scheme = _build(SchemeConfig, cfg, "scheme")
+    try:
+        horizon_steps(span, scheme.dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="scheme.dt") from exc
+    return scheme
+
+
 def _build_field(block: dict, grid: GridSpec, default_seed: int, label: str) -> ModalField:
     preset = block["preset"]
     if preset == "zero":
@@ -237,7 +248,7 @@ def cmd_simulate(cfg: dict, outdir: Path, args) -> int:
     nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
     state = _build_state(cfg, grid)
-    scheme = _build(SchemeConfig, cfg, "scheme")
+    scheme = _build_scheme(cfg, cfg["t_end"])
     log = simulate(state, nl, g, scheme, cfg["t_end"], sample_every=cfg["sample_every"])
     final = log.final
     log.write_csv(outdir / "trajectory.csv")
@@ -382,7 +393,7 @@ def cmd_converge(cfg: dict, outdir: Path, args) -> int:
                     ModalField.zeros(coarse))
     g = _build_source(cfg, coarse)
     rep = analysis.galerkin_convergence(
-        initial, nl, g, _build(SchemeConfig, cfg, "scheme"), resolutions, n_ref,
+        initial, nl, g, _build_scheme(cfg, block["t_star"]), resolutions, n_ref,
         block["t_star"], sample_every=block["sample_every"],
     )
     _write_json(outdir / "convergence.json", _report("galerkin_convergence", rep))
@@ -400,7 +411,7 @@ def cmd_decompose(cfg: dict, outdir: Path, args) -> int:
     g = _build_source(cfg, grid)
     initial = _build_state(cfg, grid)
     run = analysis.decompose_with_retries(
-        initial, nl, g, _build(SchemeConfig, cfg, "scheme"), block["big_l"], block["t_end"],
+        initial, nl, g, _build_scheme(cfg, block["t_end"]), block["big_l"], block["t_end"],
         max_doublings=block["max_doublings"],
     )
     _write_json(outdir / "decomposition.json", _report("decomposition", run))
@@ -431,7 +442,7 @@ def cmd_lojasiewicz(cfg: dict, outdir: Path, args) -> int:
     nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
     initial = _build_state(cfg, grid)
-    rep = analysis.lojasiewicz_probe(initial, nl, g, _build(SchemeConfig, cfg, "scheme"),
+    rep = analysis.lojasiewicz_probe(initial, nl, g, _build_scheme(cfg, block["t_end"]),
                                      block["t_end"], tol=block["tol"])
     save_field(outdir / "u_star.mfld", rep.equilibrium.u_star, 0.0, "equilibrium")
     _write_json(outdir / "lojasiewicz.json", _report(
@@ -451,7 +462,7 @@ def cmd_absorb(cfg: dict, outdir: Path, args) -> int:
     nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
     rep = analysis.absorbing_probe(
-        block["radii"], block["n_per_radius"], nl, g, _build(SchemeConfig, cfg, "scheme"),
+        block["radii"], block["n_per_radius"], nl, g, _build_scheme(cfg, block["t_end"]),
         block["t_end"], seed=cfg["seed"], floor=block["floor"],
     )
     _write_json(outdir / "absorbing.json", _report("absorbing", rep))
@@ -467,7 +478,7 @@ def cmd_lipschitz(cfg: dict, outdir: Path, args) -> int:
     nl = _build(Nonlinearity, cfg, "nonlinearity")
     g = _build_source(cfg, grid)
     initial = _build_state(cfg, grid)
-    scheme = _build(SchemeConfig, cfg, "scheme")
+    scheme = _build_scheme(cfg, block["t_end"])
     scale, t_end, seed = block["perturbation_scale"], block["t_end"], cfg["seed"] + 13
     try:
         full = analysis.lipschitz_dependence(initial, scale, nl, g, scheme, t_end, seed=seed)

@@ -57,17 +57,11 @@ from .errors import (
     InsufficientDataError,
     StepFailureError,
 )
-from .model import (
-    Nonlinearity,
-    SourceTerm,
-    diagnostic_F,
-    energy,
-    fprime_multiplier,
-    higher_functionals,
-    nonlinear_term_and_potential,
-)
-from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalues, header_value,
-                       norm_pair, padded_points, read_binary, work_array, write_binary)
+from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
+                    higher_functionals, nonlinear_term_and_potential, square_sum)
+from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
+                       header_value, padded_points, read_binary, weighted_sum, work_array,
+                       write_binary)
 
 _CKPT_VERSION = 1
 _MINRES_MAXITER = 1000  # inner iterations per Newton direction
@@ -154,35 +148,25 @@ class TrajectoryLog:
     def record(self, stepper: "Stepper", dissip_cum: float) -> None:
         """Append one row for the stepper's current state."""
         s = stepper.state
-        # both functionals share one padded-grid set, seeded with the step's
-        # u on the 2n grid, and the step's P_n f(u)
-        fhat, nodal = stepper._row_inputs()
-        hf = higher_functionals(s, stepper.nl, stepper.g, nodal, fhat)
+        # the functionals and the norms share one dict of sums and padded-grid
+        # values, seeded by the step (see Stepper._row_inputs)
+        fhat, shared = stepper._row_inputs()
+        hf = higher_functionals(s, stepper.nl, stepper.g, shared, fhat)
+        u1, u3, v_1, v1 = (square_sum(shared, name, z, p) for name, z, p in (
+            ("u", s.u, 1.0), ("u", s.u, 3.0), ("v", s.v, -1.0), ("v", s.v, 1.0)))
         self.t.append(s.time)
-        self.norm0.append(norm_pair(s.u, s.v, 0.0))
-        self.norm2.append(norm_pair(s.u, s.v, 2.0))
-        self.ut_vprime.append(stepper.ut_vprime())
+        self.norm0.append(math.sqrt(u1 + v_1))
+        self.norm2.append(math.sqrt(u3 + v1))
+        self.ut_vprime.append(math.sqrt(v_1))
         self.energy.append(stepper.energy_total())
-        self.cal_f.append(diagnostic_F(s, stepper.nl, stepper.g, nodal, fhat))
+        self.cal_f.append(diagnostic_F(s, stepper.nl, stepper.g, shared, fhat))
         self.cal_g.append(hf.g)
         self.cal_h.append(hf.h)
         self.dissip_cum.append(dissip_cum)
         self.final = s  # a reference: the stepper replaces its state, never mutates it
 
     def write_csv(self, path) -> None:
-        cols = np.column_stack(
-            [
-                np.asarray(self.t),
-                np.asarray(self.norm0),
-                np.asarray(self.norm2),
-                np.asarray(self.ut_vprime),
-                np.asarray(self.energy),
-                np.asarray(self.cal_f),
-                np.asarray(self.cal_g),
-                np.asarray(self.cal_h),
-                np.asarray(self.dissip_cum),
-            ]
-        )
+        cols = np.column_stack([np.asarray(getattr(self, f.name)) for f in fields(self)[:9]])
         np.savetxt(path, cols, delimiter=",", header=self.CSV_HEADER, comments="", fmt="%.17g")
 
 
@@ -305,22 +289,29 @@ def ab2(fhat: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
     return fhat if prev is None else 1.5 * fhat - 0.5 * prev
 
 
-def cn_step(c: np.ndarray, w: np.ndarray, rhs: np.ndarray, lam2: np.ndarray,
-            h: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Crank-Nicolson step from time t of the per-mode systems
-    c' = w, w' = -w - lam2 c + rhs, with the forcing rhs held fixed over
-    the step; each mode's 2x2 system is solved in closed form.
+class CrankNicolson:
+    """Crank-Nicolson steps of the per-mode systems c' = w,
+    w' = -w - lam2 c + rhs for a fixed lam2; each mode's 2x2 system is
+    solved in closed form, with its determinant computed once per step
+    size."""
 
-    Raises InstabilityError (at t + h) when the new state is not finite.
-    """
-    half = h / 2.0
-    det = 1.0 + half + (h * h / 4.0) * lam2
-    r1 = c + half * w
-    r2 = w - half * (w + lam2 * c) + h * rhs
-    c_new = ((1.0 + half) * r1 + half * r2) / det
-    w_new = (r2 - half * lam2 * r1) / det
-    _require_finite(t + h, c_new, w_new)
-    return c_new, w_new
+    def __init__(self, lam2: np.ndarray):
+        self.lam2, self._h, self._det = lam2, None, None
+
+    def step(self, c: np.ndarray, w: np.ndarray, rhs: np.ndarray, h: float,
+             t: float) -> tuple[np.ndarray, np.ndarray]:
+        """One step of size h from time t, with the forcing rhs held fixed
+        over the step.  Raises InstabilityError (at t + h) when the new
+        state is not finite."""
+        half, lam2 = h / 2.0, self.lam2
+        if h != self._h:
+            self._h, self._det = h, 1.0 + half + (h * h / 4.0) * lam2
+        r1 = c + half * w
+        r2 = w - half * (w + lam2 * c) + h * rhs
+        c_new = ((1.0 + half) * r1 + half * r2) / self._det
+        w_new = (r2 - half * lam2 * r1) / self._det
+        _require_finite(t + h, c_new, w_new)
+        return c_new, w_new
 
 
 class Stepper:
@@ -340,11 +331,12 @@ class Stepper:
         self.g = g
         self.cfg = cfg
         self.step_count = int(step_count)
-        self.lam = np.asarray(eigenvalues(state.grid))
-        self.lam2 = self.lam**2
+        self.lam = eigenvalues(state.grid)
+        self._cn = CrankNicolson(eigenvalue_power(state.grid, 2.0))
         self._fhat_prev = None if fhat_prev is None else np.array(fhat_prev, dtype=np.float64)
         self._cur = None  # (fhat, potential) for self.state.u
         self._energy = None  # energy of self.state
+        self._sums = {}  # its square sums (model.square_sum), kept for the log row
         m = padded_points(state.grid.n_modes, 2)
         self._padded = [np.empty((m, m)) for _ in range(3)]
 
@@ -361,21 +353,26 @@ class Stepper:
         return self._cur
 
     def _row_inputs(self) -> tuple[np.ndarray, dict]:
-        """P_n f(u) of the current state and the nodal dict of a log row
-        (see model.higher_functionals), seeded with u on the 2n grid as the
-        step's transform left it (f = 0 leaves none, and no row reads it)."""
+        """P_n f(u) of the current state and the shared dict of a log row
+        (see model.higher_functionals), seeded with the energy's square sums
+        and with u on the 2n grid as the step's transform left it (f = 0
+        leaves none, and no row reads it)."""
         fhat = self._ensure_current()[0]
-        un = self._padded[0]
-        return fhat, ({} if self.nl.is_zero else {("u", un.shape[0]): un})
+        self.energy_total()
+        shared = dict(self._sums)
+        if not self.nl.is_zero:
+            shared[("u", self._padded[0].shape[0])] = self._padded[0]
+        return fhat, shared
 
     def energy_total(self) -> float:
         if self._energy is None:
-            self._energy = energy(self.state, self.nl, self.g, self._ensure_current()[1])
+            self._energy = energy(self.state, self.nl, self.g, self._ensure_current()[1],
+                                  self._sums)
         return self._energy
 
     def ut_vprime(self) -> float:
         """||u_t||_{V'} of the current state."""
-        return float(np.sqrt(np.sum(self.state.v.coeff**2 / self.lam)))
+        return math.sqrt(square_sum(self._sums, "v", self.state.v, -1.0))
 
     # -- schemes ------------------------------------------------------------
     # each returns the new u and u_t coefficients and (P_n f(u), int F(u)) of
@@ -383,8 +380,8 @@ class Stepper:
 
     def _advance_imex(self, h: float):
         rhs = self.g.g_modal.coeff - self.lam * ab2(self._ensure_current()[0], self._fhat_prev)
-        c_new, w_new = cn_step(self.state.u.coeff, self.state.v.coeff, rhs, self.lam2, h,
-                               self.state.time)
+        c_new, w_new = self._cn.step(self.state.u.coeff, self.state.v.coeff, rhs, h,
+                                     self.state.time)
         return c_new, w_new, self._evaluate(c_new, 1)
 
     def _newton_system(self, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +430,8 @@ class Stepper:
                 c_new, w_new, cur = self._advance_newton(h)
             grid = self.state.grid
             new = State(ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h)
-            e_after = energy(new, self.nl, self.g, cur[1])
+            sums = {}
+            e_after = energy(new, self.nl, self.g, cur[1], sums)
             rise = e_after - e_before
             if h > 0.0 and not (rise <= self.cfg.safeguard_tol):
                 raise InstabilityError(
@@ -450,46 +448,40 @@ class Stepper:
                             f"lambda_bound = {self.nl.lambda_bound:.4g}): a smaller dt helps",)
             raise
         vbar = 0.5 * (w + w_new)
-        dissip = h * float(np.sum(vbar**2 / self.lam))
+        dissip = h * weighted_sum(eigenvalue_power(grid, -1.0), vbar, vbar)
         if self.cfg.scheme == "imex_cn_ab2":
             self._fhat_prev = self._cur[0]  # AB2 history, committed with the step
         self.state = new
         self.step_count += 1
         self._cur = cur
         self._padded[0], self._padded[1] = self._padded[1], self._padded[0]
-        self._energy = e_after
+        self._energy, self._sums = e_after, sums
         return dissip
 
     def checkpoint(self) -> Checkpoint:
-        return Checkpoint(
-            state=self.state.copy(),
-            cfg=self.cfg,
-            nl=self.nl,
-            g=self.g,
-            step_count=self.step_count,
-            fhat_prev=None if self._fhat_prev is None else self._fhat_prev.copy(),
-        )
+        return Checkpoint(state=self.state.copy(), cfg=self.cfg, nl=self.nl, g=self.g,
+                          step_count=self.step_count,
+                          fhat_prev=None if self._fhat_prev is None else self._fhat_prev.copy())
 
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "Stepper":
-        return cls(
-            ckpt.state,
-            ckpt.nl,
-            ckpt.g,
-            ckpt.cfg,
-            step_count=ckpt.step_count,
-            fhat_prev=ckpt.fhat_prev,
-        )
+        return cls(ckpt.state, ckpt.nl, ckpt.g, ckpt.cfg, step_count=ckpt.step_count,
+                   fhat_prev=ckpt.fhat_prev)
 
 
 def horizon_steps(span: float, dt: float) -> tuple[int, float]:
     """(n_steps, h) covering span: none for an empty span, else
     round(span/dt) >= 1 steps snapped to land on the horizon (h == dt when
-    span divides evenly).  ValueError when dt points away from span."""
+    span divides evenly).  ValueError when dt points away from span, or
+    when span/dt is not finite or asks for more than 2**53 steps, beyond
+    which step_count * h is no longer exact."""
     if span == 0.0:
         return 0, dt
     if (span < 0.0) != (dt < 0.0):
         raise ValueError(f"a span of {span} is not reachable with dt={dt}")
+    if not span / dt <= 2.0**53:
+        raise ValueError(f"a span of {span} asks for {span / dt:g} steps of dt={dt}, "
+                         "more than 2**53")
     n_steps = max(1, int(round(span / dt)))
     if abs(span / n_steps - dt) > 1e-9 * abs(dt):
         dt = span / n_steps

@@ -44,23 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedNonlinearityError
-from .spectral import (
-    GridSpec,
-    ModalField,
-    check_same_grid,
-    dot,
-    eigenvalue,
-    eigenvalues,
-    field_integral,
-    gradient_values,
-    modal_from_values,
-    nodal_values,
-    norm_Hs,
-    norm_pair,
-    padded_points,
-    quadrature_weight,
-    work_array,
-)
+from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue, eigenvalue_power,
+                       eigenvalues, field_integral, gradient_values, modal_from_values,
+                       nodal_values, norm_Hs, padded_points, quadrature_weight, weighted_sum,
+                       work_array)
 
 
 @dataclass
@@ -265,20 +252,22 @@ def fprime_multiplier(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None
     return apply
 
 
-def energy(state, nl: Nonlinearity, g: SourceTerm, potential: float | None = None) -> float:
+def energy(state, nl: Nonlinearity, g: SourceTerm, potential: float | None = None,
+           shared: dict | None = None) -> float:
     """Energy E(u, u_t) = 1/2 ||(u, u_t)||_0^2 + int F(u) - <g, A^{-1} u>.
 
     Along solutions E(t) - E(s) = -int_s^t ||u_t||_{V'}^2 (energy
     equality); the integrator's safeguard and the dissipativity checks
     rest on it.  potential, when given, is int F(u) as already computed
-    by nonlinear_term_and_potential.
+    by nonlinear_term_and_potential; shared, when given, keeps the
+    state's two square sums (see square_sum) for its log row.
     """
     u, v = state.u, state.v
     check_same_grid(u, g.g_modal)
-    lam = eigenvalues(u.grid)
-    quad = 0.5 * float(np.sum(lam * u.coeff**2) + np.sum(v.coeff**2 / lam))
+    shared = {} if shared is None else shared
+    quad = 0.5 * (square_sum(shared, "u", u, 1.0) + square_sum(shared, "v", v, -1.0))
     pot = nonlinear_term_and_potential(u, nl)[1] if potential is None else potential
-    forcing = float(np.sum(g.g_modal.coeff * u.coeff / lam))
+    forcing = weighted_sum(eigenvalue_power(u.grid, -1.0), g.g_modal.coeff, u.coeff)
     return quad + pot - forcing
 
 
@@ -288,10 +277,10 @@ def acceleration_from_state(state, nl: Nonlinearity, g: SourceTerm,
     fhat, when given, is P_n f(u) as already computed for this state."""
     u, v = state.u, state.v
     check_same_grid(u, g.g_modal)
-    lam = eigenvalues(u.grid)
     if fhat is None:
         fhat = f_eval_dealiased(u, nl).coeff
-    acc = g.g_modal.coeff - v.coeff - lam**2 * u.coeff - lam * fhat
+    acc = (g.g_modal.coeff - v.coeff - eigenvalue_power(u.grid, 2.0) * u.coeff
+           - eigenvalues(u.grid) * fhat)
     return ModalField(u.grid, acc)
 
 
@@ -363,48 +352,56 @@ def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> Assumpt
 # diagnostic functionals
 # ---------------------------------------------------------------------------
 
-def _row_values(name: str, z: ModalField, m: int, nodal: dict | None) -> np.ndarray:
-    """z on the m grid, in the work array `name`; with a shared dict (see
-    higher_functionals), transformed once per state and then reused."""
-    vals = None if nodal is None else nodal.get((name, m))
-    if vals is None:
-        vals = nodal_values(z, m, out=work_array("row." + name, (m, m)))
-        if nodal is not None:
-            nodal[(name, m)] = vals
-    return vals
+def _shared(shared: dict, key, compute):
+    """shared[key], computed by compute() on first use."""
+    val = shared.get(key)
+    if val is None:
+        val = shared[key] = compute()
+    return val
 
 
-def _product_sum(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> float:
-    """sum((x * y) * z), evaluated in a work array."""
-    p = np.multiply(x, y, out=work_array("row.product", x.shape))
-    p *= z
-    return float(np.sum(p))
+def square_sum(shared: dict, name: str, z: ModalField, p: float) -> float:
+    """||A^(p/2) z||^2 = sum eigenvalue^p z^2 for the state's field `name` (u
+    or v), computed once per shared dict (see higher_functionals)."""
+    return _shared(shared, ("sum", name, p),
+                   lambda: weighted_sum(eigenvalue_power(z.grid, p), z.coeff, z.coeff))
+
+
+def _row_values(name: str, z: ModalField, m: int, shared: dict) -> np.ndarray:
+    """z on the m grid, in the work array `name`, transformed once per shared
+    dict (see higher_functionals)."""
+    return _shared(shared, (name, m),
+                   lambda: nodal_values(z, m, out=work_array("row." + name, (m, m))))
+
+
+def _row_u2(u: ModalField, m: int, shared: dict) -> np.ndarray:
+    """u^2 on the m grid, formed once per shared dict."""
+    return _shared(shared, ("uu", m), lambda: np.square(
+        _row_values("u", u, m, shared), out=work_array("row.uu", (m, m))))
 
 
 def _fprime_quadratic_form(u: ModalField, v: ModalField, nl: Nonlinearity,
-                           nodal: dict | None = None) -> float:
+                           shared: dict) -> float:
     """(f'(u) v, v), exact: even parts on the 2n grid, the a2 cross term
     (odd type) through the 3n modal contraction."""
     if nl.is_zero:
         return 0.0
     n = u.grid.n_modes
-    val = nl.a1 * float(np.sum(v.coeff**2))
+    val = nl.a1 * dot(v.coeff, v.coeff)
     if nl.a3 != 0.0:
         m = padded_points(n, 2)
-        un = _row_values("u", u, m, nodal)
-        vn = _row_values("v", v, m, nodal)
-        w = quadrature_weight(u.grid.side, m)
-        v2 = np.square(vn, out=work_array("row.square", (m, m)))
-        val += 3.0 * nl.a3 * w * _product_sum(un, un, v2)
+        vn = _row_values("v", v, m, shared)
+        val += (3.0 * nl.a3 * quadrature_weight(u.grid.side, m)
+                * weighted_sum(_row_u2(u, m, shared), vn, vn))
     if nl.a2 != 0.0:
         n3 = padded_points(n, 3)
         val += 2.0 * nl.a2 * _odd_product_integral(
-            u.grid.side, _row_values("u", u, n3, nodal), _row_values("v", v, n3, nodal) ** 2
+            u.grid.side, _row_values("u", u, n3, shared), _row_values("v", v, n3, shared) ** 2
         )
     return val
 
 
-def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, nodal: dict | None = None,
+def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, shared: dict | None = None,
                  fhat: np.ndarray | None = None) -> float:
     """Velocity diagnostic functional for V = (u_t, u_tt):
 
@@ -415,19 +412,20 @@ def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, nodal: dict | None = No
     and big_l = max(1, lambda, lambda^2/2), lambda = nl.lambda_bound,
     which absorbs the f' defect through the interpolation
     ||v||^2 <= ||v||_V ||v||_V'.  F is then coercive with the certified
-    constant sigma = 1/8: F >= sigma ||V||_0^2.  nodal shares padded-grid
-    values with higher_functionals on the same state; fhat is P_n f(u)
-    when already computed (the stepper caches it).
+    constant sigma = 1/8: F >= sigma ||V||_0^2.  shared holds what
+    higher_functionals and the log row computed on the same state; fhat is
+    P_n f(u) when already computed (the stepper caches it).
     """
     lam_f = nl.lambda_bound
     beta, big_l = 0.25, max(1.0, lam_f, 0.5 * lam_f**2)
+    shared = {} if shared is None else shared
     u, v = state.u, state.v
-    vt = acceleration_from_state(state, nl, g, fhat)
-    lam = eigenvalues(u.grid)
-    half_v0 = 0.5 * norm_pair(v, vt, 0.0) ** 2
-    cross = float(np.sum(vt.coeff * v.coeff / lam))
-    vprime2 = float(np.sum(v.coeff**2 / lam))
-    quad_form = _fprime_quadratic_form(u, v, nl, nodal)
+    vt = acceleration_from_state(state, nl, g, fhat).coeff
+    inv = eigenvalue_power(u.grid, -1.0)
+    half_v0 = 0.5 * (square_sum(shared, "v", v, 1.0) + weighted_sum(inv, vt, vt))
+    cross = weighted_sum(inv, vt, v.coeff)
+    vprime2 = square_sum(shared, "v", v, -1.0)
+    quad_form = _fprime_quadratic_form(u, v, nl, shared)
     return (
         half_v0
         + beta * cross
@@ -446,7 +444,7 @@ class HigherFunctionals:
     h: float
 
 
-def higher_functionals(state, nl: Nonlinearity, src: SourceTerm, nodal: dict | None = None,
+def higher_functionals(state, nl: Nonlinearity, src: SourceTerm, shared: dict | None = None,
                        fhat: np.ndarray | None = None) -> HigherFunctionals:
     """Quasi-strong functionals of the flow.
 
@@ -467,24 +465,26 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm, nodal: dict | N
     fhat = P_n f(u), given when already computed (the stepper caches it);
     for a2 != 0 it is one forward transform of a3 u^3 on the 2n grid.
 
-    nodal, one dict shared by the functionals of this state (a log row
-    passes it to diagnostic_F too), keeps u, u_t, A u and A u_t on the
-    padded grids, keyed by (name, m) with name in u, v, au, aut, so each
-    is transformed once; it holds pooled work arrays, valid until the
-    next padded-grid evaluation.  A log row seeds it with ("u", m) for
-    the 2n grid from the step's own transform.
+    shared, one dict for the functionals of this state (a log row passes
+    it to diagnostic_F too), keeps what more than one of them uses, so
+    each is computed once: the square sums of u and u_t (square_sum,
+    keyed ("sum", name, p)), and u, u_t, A u, A u_t and u^2 on the padded
+    grids, keyed (name, m) with name in u, v, au, aut, uu; the grid
+    values are pooled work arrays, valid until the next padded-grid
+    evaluation.  A log row seeds it with the energy's square sums and
+    with ("u", m) for the 2n grid from the step's own transform.
     """
     u, v = state.u, state.v
     check_same_grid(u, src.g_modal)
-    n = u.grid.n_modes
-    side = u.grid.side
-    lam = eigenvalues(u.grid)
+    shared = {} if shared is None else shared
+    n, side = u.grid.n_modes, u.grid.side
+    lam, lam2 = eigenvalues(u.grid), eigenvalue_power(u.grid, 2.0)
 
-    norm2_sq = norm_pair(u, v, 2.0) ** 2
-    g_au = float(np.sum(src.g_modal.coeff * lam * u.coeff))
-    ut_au = float(np.sum(v.coeff * lam * u.coeff))
-    grad_sq = float(np.sum(lam * u.coeff**2))
-    lap_sq = float(np.sum(lam**2 * u.coeff**2))
+    norm2_sq = square_sum(shared, "u", u, 3.0) + square_sum(shared, "v", v, 1.0)
+    g_au = weighted_sum(lam, src.g_modal.coeff, u.coeff)
+    ut_au = weighted_sum(lam, v.coeff, u.coeff)
+    grad_sq = square_sum(shared, "u", u, 1.0)
+    lap_sq = square_sum(shared, "u", u, 2.0)
 
     a3, a2 = nl.a3, nl.a2
     # int f'(u) |lap u|^2 : a1 part is modal, the rest nodal.
@@ -499,27 +499,25 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm, nodal: dict | N
         w2 = quadrature_weight(side, m2)
         fields = (("u", u), ("v", v), ("au", ModalField(u.grid, lam * u.coeff)),
                   ("aut", ModalField(u.grid, lam * v.coeff)))
-        un, vn, aun, autn = (_row_values(name, z, m2, nodal) for name, z in fields)
+        un, vn, aun, autn = (_row_values(name, z, m2, shared) for name, z in fields)
+        uu = _row_u2(u, m2, shared)
         au2 = np.square(aun, out=work_array("row.square", (m2, m2)))
-        uu_au2 = _product_sum(un, un, au2)  # int u^2 (A u)^2 = w2 * uu_au2
+        uu_au2 = dot(uu, au2)  # int u^2 (A u)^2 = w2 * uu_au2
         fprime_lap += 3.0 * a3 * w2 * uu_au2
-        t_ut_lap += 6.0 * a3 * w2 * _product_sum(un, vn, au2)
-        # the Green identity: cube = a3 P_n(u^3), cube_aa = A^2 cube; lap u = -A u
+        t_ut_lap += 6.0 * a3 * w2 * weighted_sum(au2, un, vn)
+        # the Green identity: cube = a3 P_n(u^3), weighed by A^2; lap u = -A u
         if a2 == 0.0:
             cube = (f_eval_dealiased(u, nl).coeff if fhat is None else fhat) - nl.a1 * u.coeff
         else:
-            cube = np.multiply(un, un, out=work_array("row.cube", (m2, m2)))
-            cube *= un
+            cube = np.multiply(uu, un, out=work_array("row.cube", (m2, m2)))
             cube *= a3
             cube = modal_from_values(cube, side, overwrite=True, n_modes=n)
-        cube_aa = lam**2 * cube
-        uu_au = np.multiply(un, un, out=work_array("row.product", (m2, m2)))
-        uu_au *= aun
-        t_gradpair += 3.0 * a3 * w2 * dot(uu_au, autn) - dot(cube_aa, v.coeff)
-        t_gradlap += dot(cube_aa, u.coeff) - 3.0 * a3 * w2 * uu_au2
+        t_gradpair += (3.0 * a3 * w2 * weighted_sum(uu, aun, autn)
+                       - weighted_sum(lam2, cube, v.coeff))
+        t_gradlap += weighted_sum(lam2, cube, u.coeff) - 3.0 * a3 * w2 * uu_au2
         if a2 != 0.0:
             m3 = padded_points(n, 3)
-            un3, vn3, aun3, autn3 = (_row_values(name, z, m3, nodal) for name, z in fields)
+            un3, vn3, aun3, autn3 = (_row_values(name, z, m3, shared) for name, z in fields)
             gx3, gy3 = gradient_values(u, m3)
             grad23 = gx3**2 + gy3**2
             fprime_lap += 2.0 * a2 * _odd_product_integral(side, un3, aun3**2)

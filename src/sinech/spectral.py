@@ -35,8 +35,8 @@ _MFLD_VERSION = 1
 @dataclass(frozen=True)
 class GridSpec:
     """Square-domain discretization: n_modes per axis on (0, side)^2.  The
-    eigenvalues and their squares (the Crank-Nicolson solve's A^2) must be
-    positive finite floats."""
+    eigenvalues and their cubes (the highest power a modal sum weighs by,
+    see eigenvalue_power) must be positive finite floats."""
 
     n_modes: int
     side: float
@@ -48,9 +48,9 @@ class GridSpec:
             raise ValueError(f"side must be > 0, got {self.side}")
         k = math.pi / self.side
         lo, hi = 2.0 * k * k, 2.0 * (self.n_modes * k) * (self.n_modes * k)
-        if not (lo * lo > 0.0 and hi * hi < math.inf):
+        if not (lo * lo * lo > 0.0 and hi * hi * hi < math.inf):
             raise ValueError(f"side {self.side:g} puts the eigenvalues {lo:g}..{hi:g} of "
-                             f"n_modes {self.n_modes} or their squares outside the float range")
+                             f"n_modes {self.n_modes} or their cubes outside the float range")
 
     @property
     def shape(self):
@@ -58,16 +58,22 @@ class GridSpec:
 
 
 @lru_cache(maxsize=64)
-def _eigenvalue_table(n_modes: int, side: float) -> np.ndarray:
+def _power_table(n_modes: int, side: float, p: float) -> np.ndarray:
     j = np.arange(1, n_modes + 1) * np.pi / side
-    lam = j[:, None] ** 2 + j[None, :] ** 2
-    lam.setflags(write=False)
-    return lam
+    table = (j[:, None] ** 2 + j[None, :] ** 2) ** p
+    table.setflags(write=False)
+    return table
+
+
+def eigenvalue_power(grid: GridSpec, p: float) -> np.ndarray:
+    """Read-only (n, n) table of eigenvalue(j, k)**p, 1-based mode indices,
+    built once per grid and power (the package weighs by the powers -2 to 3)."""
+    return _power_table(grid.n_modes, grid.side, p)
 
 
 def eigenvalues(grid: GridSpec) -> np.ndarray:
-    """Read-only (n, n) table of eigenvalue(j, k), 1-based mode indices."""
-    return _eigenvalue_table(grid.n_modes, grid.side)
+    """Read-only (n, n) table of eigenvalue(j, k)."""
+    return eigenvalue_power(grid, 1.0)
 
 
 def eigenvalue(grid: GridSpec, j: int, k: int) -> float:
@@ -152,6 +158,7 @@ def _five_smooth(k: int) -> bool:
     return k == 1
 
 
+@lru_cache(maxsize=64)
 def padded_points(n_modes: int, factor: int = 2) -> int:
     """Smallest grid size m >= factor * n_modes with (m + 1) 5-smooth.
 
@@ -293,8 +300,7 @@ def sup_norm(z: ModalField, refine: int = 4) -> float:
 
 def apply_power(z: ModalField, s: float) -> ModalField:
     """A^s z, diagonal in the sine basis: coeff * eigenvalue^s."""
-    lam = eigenvalues(z.grid)
-    return ModalField(z.grid, z.coeff * lam**s)
+    return ModalField(z.grid, z.coeff * eigenvalues(z.grid) ** s)
 
 
 def project(z: ModalField, m: int) -> ModalField:
@@ -327,6 +333,13 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", a, b))
 
 
+def weighted_sum(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """sum(w * a * b) over three 2-D arrays by numpy's einsum loop, as dot, with
+    no temporary.  With w = eigenvalue_power(grid, p) it is the modal form
+    <A^p a, b>; on a padded grid w is a third nodal factor."""
+    return float(np.einsum("ij,ij,ij->", w, a, b))
+
+
 def inner(a: ModalField, b: ModalField) -> float:
     """L2 inner product (modal dot product by orthonormality)."""
     check_same_grid(a, b)
@@ -335,8 +348,7 @@ def inner(a: ModalField, b: ModalField) -> float:
 
 def norm_Hs(z: ModalField, s: float) -> float:
     """|| A^s z ||_{L2} = sqrt(sum eigenvalue^{2s} coeff^2)."""
-    lam = eigenvalues(z.grid)
-    return float(np.sqrt(np.sum(lam ** (2.0 * s) * z.coeff**2)))
+    return math.sqrt(weighted_sum(eigenvalue_power(z.grid, 2.0 * s), z.coeff, z.coeff))
 
 
 def norm_pair(u: ModalField, v: ModalField, s: float) -> float:
@@ -347,10 +359,8 @@ def norm_pair(u: ModalField, v: ModalField, s: float) -> float:
     space used for the Galerkin gap.
     """
     check_same_grid(u, v)
-    lam = eigenvalues(u.grid)
-    qu = np.sum(lam ** (s + 1.0) * u.coeff**2)
-    qv = np.sum(lam ** (s - 1.0) * v.coeff**2)
-    return float(np.sqrt(qu + qv))
+    qu = weighted_sum(eigenvalue_power(u.grid, s + 1.0), u.coeff, u.coeff)
+    return math.sqrt(qu + weighted_sum(eigenvalue_power(u.grid, s - 1.0), v.coeff, v.coeff))
 
 
 def random_band_limited(grid: GridSpec, band: int, amplitude: float, seed: int) -> ModalField:

@@ -95,7 +95,36 @@ def oracle_poly_integral(u_field, coeff_by_degree: dict) -> float:
     )
 
 
-def oracle_higher_h(state, nl, src) -> float:
+def _terms(terms: list, split: bool):
+    """A functional from its terms: their sum, or the terms themselves."""
+    return terms if split else float(sum(terms))
+
+
+def _on_3n_grid(state):
+    """(lam, nodal, even, odd) for direct summation on the 3N grid: the
+    eigenvalue table, the dense sine-series evaluation, the interior node
+    sum (exact for even-type integrands of band < 2(m+1)) and the odd-type
+    integral by the discrete projection and the closed-form basis
+    integrals (exact for sine polynomials of band <= m)."""
+    n, side = state.u.grid.n_modes, state.u.grid.side
+    m = 3 * n
+    freq = np.arange(1, n + 1) * np.pi / side
+    lam = freq[:, None] ** 2 + freq[None, :] ** 2
+    B = sine_matrix(n, m, side)
+
+    def nodal(c):
+        return B @ c @ B.T
+
+    def even(vals):
+        return (side / (m + 1)) ** 2 * float(np.sum(vals))
+
+    def odd(vals):
+        return exact_integral_from_modal(naive_modal(vals, side), side)
+
+    return lam, nodal, even, odd
+
+
+def oracle_higher_h(state, nl, src, split: bool = False):
     """H of model.higher_functionals by direct summation, with the
     |grad u|^2 terms of H0 evaluated from the gradient itself:
 
@@ -108,37 +137,75 @@ def oracle_higher_h(state, nl, src) -> float:
     the interior node sum is exact for band 4N < 2(m+1); the a2 parts are
     sine polynomials of band 3N <= m, integrated by the discrete
     projection and the closed-form basis integrals.  m = 3N covers both.
+    split=True returns the list of H's terms instead of their sum.
     """
     u, v, g = state.u.coeff, state.v.coeff, src.g_modal.coeff
     n, side = state.u.grid.n_modes, state.u.grid.side
-    m = 3 * n
+    lam, nodal, even, odd = _on_3n_grid(state)
     freq = np.arange(1, n + 1) * np.pi / side
-    lam = freq[:, None] ** 2 + freq[None, :] ** 2
-    x = np.arange(1, m + 1)[:, None] * (side / (m + 1))
-    B = sine_matrix(n, m, side)
+    x = np.arange(1, 3 * n + 1)[:, None] * (side / (3 * n + 1))
+    B = sine_matrix(n, 3 * n, side)
     D = np.sqrt(2.0 / side) * freq[None, :] * np.cos(freq[None, :] * x)  # d/dx of B's columns
-
-    def nodal(c):
-        return B @ c @ B.T
-
     un, vn, aun, autn = nodal(u), nodal(v), nodal(lam * u), nodal(lam * v)
     grad2 = (D @ u @ B.T) ** 2 + (B @ u @ D.T) ** 2
-
-    def even(vals):
-        return (side / (m + 1)) ** 2 * float(np.sum(vals))
-
-    def odd(vals):
-        return exact_integral_from_modal(naive_modal(vals, side), side)
-
     a3, a2 = nl.a3, nl.a2
-    t_ut_lap = 6.0 * a3 * even(un * vn * aun**2) + 2.0 * a2 * odd(vn * aun**2)
-    t_gradpair = 6.0 * a3 * even(autn * un * grad2) + 2.0 * a2 * odd(autn * grad2)
-    t_gradlap = -6.0 * a3 * even(un * grad2 * aun) - 2.0 * a2 * odd(grad2 * aun)
-    h0 = 0.5 * t_ut_lap + t_gradpair - 0.5 * t_gradlap
-    g_au = float(np.sum(g * lam * u))
-    ut_au = float(np.sum(v * lam * u))
-    grad_sq = float(np.sum(lam * u**2))
-    return h0 - 0.5 * g_au + 0.5 * ut_au + 0.25 * grad_sq
+    return _terms([
+        0.5 * 6.0 * a3 * even(un * vn * aun**2), 0.5 * 2.0 * a2 * odd(vn * aun**2),
+        6.0 * a3 * even(autn * un * grad2), 2.0 * a2 * odd(autn * grad2),
+        0.5 * 6.0 * a3 * even(un * grad2 * aun), 0.5 * 2.0 * a2 * odd(grad2 * aun),
+        -0.5 * float(np.sum(g * lam * u)), 0.5 * float(np.sum(v * lam * u)),
+        0.25 * float(np.sum(lam * u**2)),
+    ], split)
+
+
+def oracle_higher_g(state, nl, src, split: bool = False):
+    """G of model.higher_functionals by direct summation,
+
+        G = 1/2 ||(u, u_t)||_2^2 - <g, A u> + 1/2 int f'(u) |lap u|^2
+            + 1/2 (u_t, A u) + 1/4 ||grad u||^2,
+
+    the integral on the 3N grid as in oracle_higher_h (f'(u) (A u)^2 splits
+    into even a3 and a1 parts and an odd a2 part); split=True returns the
+    list of G's terms instead of their sum.
+    """
+    u, v, g = state.u.coeff, state.v.coeff, src.g_modal.coeff
+    lam, nodal, even, odd = _on_3n_grid(state)
+    un, aun = nodal(u), nodal(lam * u)
+    return _terms([
+        0.5 * float(np.sum(lam**3 * u**2)), 0.5 * float(np.sum(lam * v**2)),
+        -float(np.sum(g * lam * u)),
+        0.5 * 3.0 * nl.a3 * even(un**2 * aun**2), 0.5 * 2.0 * nl.a2 * odd(un * aun**2),
+        0.5 * nl.a1 * even(aun**2),
+        0.5 * float(np.sum(v * lam * u)), 0.25 * float(np.sum(lam * u**2)),
+    ], split)
+
+
+def oracle_diagnostic_F(state, nl, src, f_points: int, split: bool = False):
+    """model.diagnostic_F by direct summation, for V = (u_t, u_tt):
+
+        F = 1/2 ||V||_0^2 + 1/4 <u_tt, A^{-1} u_t> + 1/8 ||u_t||_{V'}^2
+            + 1/2 (f'(u) u_t, u_t) + L ||u_t||_{V'}^2,
+
+    L = max(1, lambda, lambda^2/2) for lambda = nl.lambda_bound, u_tt from
+    the equation with P_N f(u) projected densely from the f_points grid
+    (for a2 != 0 it depends on that grid: u^2 is no sine polynomial), and
+    (f'(u) u_t, u_t) on the 3N grid as in oracle_higher_h; split=True
+    returns the list of F's terms instead of their sum.
+    """
+    u, v, g = state.u.coeff, state.v.coeff, src.g_modal.coeff
+    n, side = state.u.grid.n_modes, state.u.grid.side
+    lam, nodal, even, odd = _on_3n_grid(state)
+    fhat = naive_modal(nl.f(naive_nodal(u, side, f_points)), side)[:n, :n]
+    vt = g - v - lam**2 * u - lam * fhat
+    un, vn = nodal(u), nodal(v)
+    big_l = max(1.0, nl.lambda_bound, 0.5 * nl.lambda_bound**2)
+    vprime2 = float(np.sum(v**2 / lam))
+    return _terms([
+        0.5 * float(np.sum(lam * v**2)), 0.5 * float(np.sum(vt**2 / lam)),
+        0.25 * float(np.sum(vt * v / lam)), 0.125 * vprime2,
+        0.5 * 3.0 * nl.a3 * even(un**2 * vn**2), 0.5 * 2.0 * nl.a2 * odd(un * vn**2),
+        0.5 * nl.a1 * even(vn**2), big_l * vprime2,
+    ], split)
 
 
 def exact_projection_of_square(u_field, n_keep: int | None = None) -> np.ndarray:

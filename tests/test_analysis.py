@@ -181,8 +181,7 @@ def test_decomposition_refuses_a_source_on_another_grid(monkeypatch):
     grid = GridSpec(8, PI)
     init = random_pair_state(grid, 2, 1.0, seed=0)
     g = SourceTerm(random_band_limited(GridSpec(16, PI), 2, 0.5, seed=1))
-    monkeypatch.setattr(integrator, "cn_step", _no_solve)
-    monkeypatch.setattr(analysis, "cn_step", _no_solve)
+    monkeypatch.setattr(integrator.CrankNicolson, "step", _no_solve)
     with pytest.raises(DimensionMismatchError):
         decomposition_run(init, DOUBLE_WELL, g, SchemeConfig(dt=1e-3), 10.0, 1.0)
 

@@ -398,10 +398,18 @@ def test_wrong_type_for_any_key_exits_2_naming_it(tmp_path_factory, key, default
      "lipschitz.perturbation_scale"),
     ("check", {"grid": {"side": 1e-300}, "check": {"n_modes_list": [2]}}, "grid"),
     ("check", {"grid": {"side": 1e300}, "check": {"n_modes_list": [2]}}, "grid"),
+    ("simulate", {"grid": {"n_modes": 4, "side": 1e-70},
+                  "initial": {"u": {"preset": "random_band", "band": 2}}}, "grid"),
+    ("simulate", {"grid": {"n_modes": 4, "side": 1e70},
+                  "initial": {"u": {"preset": "random_band", "band": 2}}}, "grid"),
+    ("simulate", {"grid": {"n_modes": 4}, "scheme": {"dt": 1e-320}}, "scheme.dt"),
+    ("simulate", {"grid": {"n_modes": 4}, "scheme": {"dt": 1e-300}}, "scheme.dt"),
 ], ids=["side-huge", "a2-huge", "lambda_bound-huge", "a3-a1-huge", "perturbation-underflow",
-        "check-side-tiny", "check-side-huge"])
+        "check-side-tiny", "check-side-huge", "cube-overflow", "cube-underflow",
+        "steps-overflow", "steps-too-many"])
 def test_value_out_of_the_float_range_names_the_key(tmp_path, capsys, command, overrides, key):
-    # each once ended in an OverflowError or ZeroDivisionError traceback
+    # each once ended in an OverflowError or ZeroDivisionError traceback, or (the
+    # cube cases) wrote a NaN or a wrong norm2_final to summary.json and exited 0
     cfg = write_config(tmp_path, t_end=0.01, **overrides)
     assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
     assert f"'{key}'" in capsys.readouterr().err
@@ -412,7 +420,7 @@ _FLOATS = st.one_of(_EXTREMES, st.floats(-10.0, 10.0), st.floats(allow_nan=False
                                                                   allow_infinity=False))
 _MODES = st.integers(1, 8)
 # every run stays short: at most 8 modes, horizons <= 0.05 and dt >= 1e-3 (at most 50
-# steps; a dt of 1e-320 would ask for more steps than a run can take)
+# steps; a tiny dt that still covers the horizon in 2**53 steps would run for years)
 _HORIZON = st.one_of(st.just(1e-320), st.floats(0.0, 0.05, exclude_min=True))
 _SIZES = {
     "grid.n_modes": _MODES, "check.n_modes_list": st.lists(_MODES, min_size=1, max_size=3),

@@ -15,13 +15,15 @@ from oracles import (
     exact_projection_of_square,
     naive_modal,
     naive_nodal,
+    oracle_diagnostic_F,
+    oracle_higher_g,
     oracle_higher_h,
     oracle_pointwise_projection,
     oracle_poly_integral,
 )
 
 from sinech.errors import UnsupportedNonlinearityError
-from sinech.integrator import State
+from sinech.integrator import SchemeConfig, State, Stepper, simulate
 from sinech.model import (
     Nonlinearity,
     SourceTerm,
@@ -517,3 +519,53 @@ def test_higher_functionals_h_matches_gradient_oracle(n, a2, with_source):
         assert higher_functionals(state, nl, src, fhat=fhat) == hf
         h_ref = oracle_higher_h(state, nl, src)
         assert abs(hf.h - h_ref) <= 1e-13 * max(abs(hf.g), abs(hf.h)), (trial, hf, h_ref)
+
+
+@pytest.mark.parametrize("n", [8, 33, 64])
+@pytest.mark.parametrize("a2", [0.0, 0.6])
+def test_modal_sums_match_direct_summation(n, a2):
+    # every sum weighed by eigenvalue powers (the package's cached tables and
+    # einsum kernel) against np.sum with fresh lam**p tables and the dense
+    # 3N-grid oracles, on a random state with a source, called directly and
+    # through a log row's shared sums; the tolerance is 1e-12 of the sum of
+    # the absolute values of each quantity's terms (H's terms cancel)
+    rng = np.random.default_rng(n + int(10 * a2))
+    grid = GridSpec(n, float(rng.uniform(2.0, 5.0)))
+    nl = Nonlinearity(float(rng.uniform(0.2, 2.0)), a2, float(rng.uniform(-3.0, 1.0)))
+    state = random_pair_state(grid, n, 0.5, int(rng.integers(1 << 30)), s=2.0)
+    src = SourceTerm(random_band_limited(grid, min(n, 4), 0.5, int(rng.integers(1 << 30))))
+    u, v, g = state.u.coeff, state.v.coeff, src.g_modal.coeff
+    freq = np.arange(1, n + 1) * np.pi / grid.side
+    lam = freq[:, None] ** 2 + freq[None, :] ** 2
+
+    def close(value, terms):
+        assert abs(value - sum(terms)) <= 1e-12 * sum(map(abs, terms)), (value, terms)
+
+    pot = oracle_poly_integral(state.u, {4: nl.a3 / 4.0, 3: nl.a2 / 3.0, 2: nl.a1 / 2.0})
+    e_terms = [0.5 * np.sum(lam * u**2), 0.5 * np.sum(v**2 / lam), pot, -np.sum(g * u / lam)]
+    close(energy(state, nl, src), e_terms)
+    for s in (-1.0, 0.0, 2.0):
+        close(norm_pair(state.u, state.v, s) ** 2,
+              [np.sum(lam ** (s + 1.0) * u**2), np.sum(lam ** (s - 1.0) * v**2)])
+    for s in (-0.5, 0.5, 1.0):
+        close(norm_Hs(state.v, s) ** 2, [np.sum(lam ** (2.0 * s) * v**2)])
+    g_terms = oracle_higher_g(state, nl, src, split=True)
+    h_terms = oracle_higher_h(state, nl, src, split=True)
+    f_terms = oracle_diagnostic_F(state, nl, src, padded_points(n, 2), split=True)
+    hf = higher_functionals(state, nl, src)
+    close(hf.g, g_terms)
+    close(hf.h, h_terms)
+    close(diagnostic_F(state, nl, src), f_terms)
+
+    cfg = SchemeConfig(dt=1e-5)
+    close(Stepper(state, nl, src, cfg).ut_vprime() ** 2, [np.sum(v**2 / lam)])
+    log = simulate(state, nl, src, cfg, cfg.dt)
+    close(log.norm0[0] ** 2, [np.sum(lam * u**2), np.sum(v**2 / lam)])
+    close(log.norm2[0] ** 2, [np.sum(lam**3 * u**2), np.sum(lam * v**2)])
+    close(log.ut_vprime[0] ** 2, [np.sum(v**2 / lam)])
+    close(log.energy[0], e_terms)
+    close(log.cal_f[0], f_terms)
+    close(log.cal_g[0], g_terms)
+    close(log.cal_h[0], h_terms)
+    vbar = 0.5 * (v + log.final.v.coeff)
+    close(log.dissip_cum[1], [cfg.dt * np.sum(vbar**2 / lam)])
