@@ -30,8 +30,8 @@ from .errors import ConfigError, FileFormatError, StepFailureError
 from .integrator import SchemeConfig, State, energy_equality_residual, horizon_steps, simulate
 from .model import Nonlinearity, SourceTerm, check_assumptions
 from .spectral import (GridSpec, ModalField, apply_power, inner, load_field, modal_from_values,
-                       nodal_values, norm_Hs, project, quadrature_weight, random_band_limited,
-                       save_field, sup_norm)
+                       nodal_values, norm_Hs, padded_points, project, quadrature_weight,
+                       random_band_limited, save_field, sup_norm)
 
 _FIELD_BLOCK = {
     "preset": "zero", "j": 1, "k": 1, "amp": 1.0,
@@ -265,12 +265,13 @@ def cmd_simulate(cfg: dict, outdir: Path, args) -> int:
 
 
 def _check_parseval(grid: GridSpec, rng) -> tuple[float, bool]:
+    # on the 2N grid every quadrature of the package uses; on the field's
+    # own grid the top mode would weigh 2 per axis
+    m = padded_points(grid.n_modes, 2)
     worst = 0.0
     for _ in range(5):
         z = random_band_limited(grid, grid.n_modes, 1.0, int(rng.integers(2**31)))
-        quad = quadrature_weight(grid.side, grid.n_modes) * float(
-            np.sum(nodal_values(z) ** 2)
-        )
+        quad = quadrature_weight(grid.side, m) * float(np.sum(nodal_values(z, m) ** 2))
         n2 = norm_Hs(z, 0.0) ** 2
         worst = max(worst, abs(n2 - quad) / n2)
     return worst, worst <= 1e-10

@@ -14,14 +14,16 @@ Integral evaluation policy
 --------------------------
 Products of band-limited sine fields split per axis into pure cosine
 combinations (even number of sine factors) or pure sine combinations
-(odd number).  Even-type integrands appearing here all vanish on the
-boundary, so the plain interior quadrature sum on a 2x zero-padded grid
-is exact for them.  Odd-type integrands (the a2 terms) are *not*
-integrated exactly by any nodal sum; they are recovered exactly by
-transforming the pointwise product on a 3x grid (alias-free for triple
-products) and contracting the sine coefficients with the closed-form
-integrals of the basis functions.  All functionals below are therefore
-grid-size independent up to roundoff once the field is resolved.
+(odd number).  The nodal grids are cell-centred (see sinech.spectral),
+where the midpoint sum integrates every cosine of frequency below 2m
+exactly; the even-type integrands here have band at most 4n, so the
+plain midpoint sum on the 2x zero-padded grid (m > 2n) is exact for
+them.  Odd-type integrands (the a2 terms) are *not* integrated exactly
+by any nodal sum; they are recovered exactly by transforming the
+pointwise product on a 3x grid (m > 3n: alias-free for triple products)
+and contracting the sine coefficients with the closed-form integrals of
+the basis functions.  All functionals below are therefore grid-size
+independent up to roundoff once the field is resolved.
 
 The a3 terms of H weigh |grad u|^2 against w = A u and w = A u_t.  They
 take no gradient: 6 u |grad u|^2 = lap(u^3) + 3 u^2 A u, and Green's
@@ -30,10 +32,11 @@ the boundary, so
 
     6 int u |grad u|^2 w = -<P_n(u^3), A w> + 3 int u^2 (A u) w.
 
-P_n(u^3) is exact from the 2n grid (the retained block of a band-3n
-sine polynomial is alias-free for m >= 2n); for a2 = 0 it is
-(P_n f(u) - a1 u) / a3, from the P_n f(u) a log row already has.  The
-last integral is a four-factor even-type sum like the others.
+P_n(u^3) is exact from the 2n grid (mode k folds onto 2m - k, so the
+retained block of a band-3n sine polynomial is alias-free for m > 2n);
+for a2 = 0 it is (P_n f(u) - a1 u) / a3, from the P_n f(u) a log row
+already has.  The last integral is a four-factor even-type sum like the
+others.
 """
 
 from __future__ import annotations
@@ -166,8 +169,8 @@ def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray |
                            values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """f(u) on the 2n grid and integral F(u): the one evaluation of both.
 
-    The quartic term of the potential by the interior quadrature sum on
-    the 2n grid (exact: boundary-vanishing cosine type), the quadratic
+    The quartic term of the potential by the midpoint sum on the 2n grid
+    (exact: a cosine polynomial of band 4n < 2m), the quadratic
     one by Parseval from the n x n coefficients; the cubic term, if
     present, by the alias-free modal contraction.  Hot path: the padded
     arrays dominate the step cost at large n, so the square is reused
@@ -207,7 +210,7 @@ def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.nda
 
     f is applied pointwise on a 2x zero-padded nodal grid and the result
     transformed back and truncated: with the cubic degree the retained
-    block is alias-free at padding >= 2n.  fprime, an (m, m) array with
+    block is alias-free at padding m > 2n.  fprime, an (m, m) array with
     m = padded_points(n_modes), receives f'(u) sampled from the same
     transform when given: a Newton iteration evaluates its residual and
     the next Jacobian's fprime_multiplier with one padded transform.
@@ -235,7 +238,8 @@ def fprime_multiplier(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None
     as nonlinear_term_and_potential(u, nl, fprime) sampled it.
 
     Exact for cubic f (the product is a sine polynomial of band 3n) and
-    symmetric for any f: both transforms are the same orthogonal DST-I.
+    symmetric for any f: on the retained modes the forward DST-II is the
+    transpose of the inverse DST-III times the quadrature weight.
     Newton's Jacobians and the stability indicator are built on it.  A
     product is computed in a pooled work array and returned as a view
     into it, valid until the next product.

@@ -10,11 +10,13 @@ truncated to 1 <= j, k <= n_modes.  Fractional powers of A are diagonal
 in this basis, which makes the Sobolev-scale norms used throughout the
 package cheap modal sums.
 
-Nodal representations live on the interior collocation points
-x_p = p*side/(n+1), 1 <= p <= n; the modal<->nodal maps are type-I
-discrete sine transforms, O(n^2 log n) via scipy.fft.  The interior
-quadrature sum with weight (side/(n+1))^2 reproduces the L2 norm of a
-band-limited field exactly (discrete Parseval).
+Nodal representations live on the cell centres x_p = (p - 1/2)*side/m,
+1 <= p <= m; the modal->nodal map is a type-III discrete sine transform
+and its inverse a type-II one, each on a real FFT of length m.  There
+mode k folds onto 2m - k, and the midpoint sum with weight (side/m)^2
+integrates every cosine of frequency below 2m exactly (discrete Parseval
+among them); on m = n points the top mode's square sums to m, not m/2,
+which both transforms account for.
 """
 
 from __future__ import annotations
@@ -147,8 +149,8 @@ def check_same_grid(a, b) -> None:
 
 
 def quadrature_weight(side: float, n_points: int) -> float:
-    """Weight of the interior quadrature sum on an n_points grid."""
-    return (side / (n_points + 1)) ** 2
+    """Weight of the midpoint sum over the cell centres of an n_points grid."""
+    return (side / n_points) ** 2
 
 
 def _five_smooth(k: int) -> bool:
@@ -160,15 +162,16 @@ def _five_smooth(k: int) -> bool:
 
 @lru_cache(maxsize=64)
 def padded_points(n_modes: int, factor: int = 2) -> int:
-    """Smallest grid size m >= factor * n_modes with (m + 1) 5-smooth.
+    """Smallest 5-smooth grid size m > factor * n_modes.
 
-    Dealiasing only requires m >= factor * n_modes; growing m further
-    changes nothing mathematically, but the DST-I of length m rides on
-    an FFT of length 2(m + 1), which is slow when m + 1 has large prime
-    factors (e.g. n_modes = 128, factor 2: 257 is prime).
+    Mode k folds onto 2m - k on the cell centres: m > 2n keeps the cubic's
+    retained block alias-free and sums band-4n cosines exactly, m > 3n a
+    whole band-3n product.  A larger m changes nothing mathematically, but
+    the DST-II/III of length m rides on an FFT of length m, slow when m
+    has large prime factors (n_modes = 128, factor 2: 257 is prime).
     """
-    m = factor * n_modes
-    while not _five_smooth(m + 1):
+    m = factor * n_modes + 1
+    while not _five_smooth(m):
         m += 1
     return m
 
@@ -178,7 +181,7 @@ def padded_points(n_modes: int, factor: int = 2) -> int:
 # ---------------------------------------------------------------------------
 
 # Work arrays of the padded-grid hot paths (the stepper's f(u), a log
-# row's nodal values, gradients and products), keyed by (name, shape) and
+# row's nodal values and products), keyed by (name, shape) and
 # reused so the large grids are not reallocated on every call: an array
 # keeps its contents only until the next user of the same slot.
 # Single-threaded use assumed, as everywhere in this package.
@@ -195,17 +198,18 @@ def work_array(name: str, shape: tuple) -> np.ndarray:
 
 def nodal_values(z: ModalField, n_points: int | None = None,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate the sine series on the interior grid with n_points per axis.
+    """Evaluate the sine series on the n_points cell-centred grid.
 
     n_points >= n_modes (defaults to n_modes).  Zero-padding the
-    coefficients before the inverse DST-I gives exact point values of
+    coefficients before the inverse DST-III gives exact point values of
     the band-limited field on the finer grid.  The values are written
     into out (a C-contiguous float64 array of the grid's shape) when
     given, else into a fresh array; the transform runs in place there.
 
-    Pruned: the axis-0 pass skips the m - n padding columns, which are
-    zero and would stay zero.  dstn also transforms axis 0 first, so the
-    values are bitwise those of the full 2-D transform.
+    Pruned: the coefficients are scaled as they are copied in, and the
+    axis-0 pass skips the m - n padding columns, which are zero and would
+    stay zero.  dstn also transforms axis 0 first, so the values are
+    bitwise those of the full 2-D transform of the scaled block.
     """
     n = z.grid.n_modes
     m = n if n_points is None else int(n_points)
@@ -214,19 +218,22 @@ def nodal_values(z: ModalField, n_points: int | None = None,
     vals = np.empty((m, m)) if out is None else out
     if vals.shape != (m, m):
         raise ValueError(f"out has shape {vals.shape}, need {(m, m)}")
-    vals[:n, :n] = z.coeff
+    np.divide(z.coeff, 2.0 * z.grid.side, out=vals[:n, :n])
+    if m == n:  # the DST-III weighs the top mode by 1/2
+        vals[-1] *= 2.0
+        vals[:, -1] *= 2.0
     vals[:n, n:] = 0.0
     vals[n:] = 0.0
-    sfft.dst(vals[:, :n], type=1, axis=0, overwrite_x=True)  # in place on the view
-    sfft.dst(vals, type=1, axis=1, overwrite_x=True)
-    vals /= 2.0 * z.grid.side
+    sfft.dst(vals[:, :n], type=3, axis=0, overwrite_x=True)  # in place on the view
+    sfft.dst(vals, type=3, axis=1, overwrite_x=True)
     return vals
 
 
 def modal_from_values(values: np.ndarray, side: float, overwrite: bool = False,
                       n_modes: int | None = None) -> np.ndarray:
-    """Sine coefficients interpolating nodal values on their own grid;
-    overwrite=True transforms in place, consuming values.
+    """Sine coefficients interpolating values on their own cell-centred
+    grid (the inverse of nodal_values there); overwrite=True transforms
+    in place, consuming values.
 
     With n_modes, only the retained (n_modes, n_modes) block is computed
     and returned, as a view into the transformed array: the axis-1 pass
@@ -237,10 +244,13 @@ def modal_from_values(values: np.ndarray, side: float, overwrite: bool = False,
     n = m if n_modes is None else int(n_modes)
     if not (1 <= n <= m):
         raise ValueError(f"n_modes={n} outside 1..{m}")
-    out = sfft.dst(values, type=1, axis=0, overwrite_x=overwrite)[:n]
-    sfft.dst(out, type=1, axis=1, overwrite_x=True)
+    out = sfft.dst(values, type=2, axis=0, overwrite_x=overwrite)[:n]
+    sfft.dst(out, type=2, axis=1, overwrite_x=True)
     out = out[:, :n]
-    out *= side / (2.0 * (m + 1) ** 2)
+    out *= side / (2.0 * m * m)
+    if n == m:  # the top mode sums its square to m, not m/2
+        out[-1] *= 0.5
+        out[:, -1] *= 0.5
     return out
 
 
@@ -257,32 +267,28 @@ def field_integral(z: ModalField) -> float:
 
 
 def gradient_values(z: ModalField, n_points: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal values of (du/dx, du/dy) on the interior n_points grid.
+    """Nodal values of (du/dx, du/dy) on the n_points cell-centred grid.
 
     Differentiating the sine series gives a cosine series along the
-    differentiated axis; it is evaluated by a type-I DCT on the closed
-    grid (boundary points carry no sine content) and sliced back to the
-    interior points.
+    differentiated axis, evaluated there by a type-III DCT (its input j
+    is the cosine of frequency j) and by a type-III DST along the other.
     """
     n = z.grid.n_modes
     m = n if n_points is None else int(n_points)
     if m < n:
         raise ValueError(f"n_points={m} < n_modes={n}")
-    side = z.grid.side
-    freq = np.arange(1, n + 1) * np.pi / side
+    k = min(n, m - 1)  # the cosine of frequency m vanishes at every centre
+    scale = (np.arange(1, k + 1) * (np.pi / (2.0 * z.grid.side ** 2)))[:, None]
     ux, uy = np.empty((m, m)), np.empty((m, m))
-    a = work_array("gradient.a", (n, m))
-    b = work_array("gradient.b", (m + 2, m))
 
     def _ddx(coeff, dest):
-        # coefficients of the cosine-in-x, sine-in-y series of du/dx
-        a[:, :n] = coeff * (2.0 / side) * freq[:, None] / 2.0
-        a[:, n:] = 0.0
-        sfft.dst(a, type=1, axis=1, overwrite_x=True)  # sine evaluation along y
-        b[...] = 0.0
-        np.divide(a, 2.0, out=b[1 : n + 1])
-        sfft.dct(b, type=1, axis=0, overwrite_x=True)  # cos eval along x
-        dest[...] = b[1 : m + 1]
+        # 4 x the coefficients of the cosine-in-x, sine-in-y series of du/dx
+        dest[...] = 0.0
+        np.multiply(coeff[:k], scale, out=dest[1 : k + 1, :n])
+        if m == n:  # the top sine mode, as in nodal_values
+            dest[:, -1] *= 2.0
+        sfft.dst(dest[1 : k + 1], type=3, axis=1, overwrite_x=True)  # sine evaluation along y
+        sfft.dct(dest, type=3, axis=0, overwrite_x=True)  # cosine evaluation along x
 
     _ddx(z.coeff, ux)
     _ddx(z.coeff.T, uy.T)
@@ -290,7 +296,7 @@ def gradient_values(z: ModalField, n_points: int | None = None) -> tuple[np.ndar
 
 
 def sup_norm(z: ModalField, refine: int = 4) -> float:
-    """Max |z| over a refine*n_modes interior grid (sup-norm estimate)."""
+    """Max |z| over the refine*n_modes cell centres (sup-norm estimate)."""
     return float(np.abs(nodal_values(z, refine * z.grid.n_modes)).max())
 
 

@@ -9,28 +9,36 @@ paths are checked against unrelated arithmetic.
 import numpy as np
 
 
-def sine_matrix(n_modes: int, n_points: int, side: float) -> np.ndarray:
+def sine_matrix(n_modes: int, n_points: int, side: float, centred: bool = False) -> np.ndarray:
     """B[p, j] = sqrt(2/side) sin((j+1) pi x_p / side) on the interior
-    nodes x_p = (p+1) side / (n_points+1)."""
-    x = np.arange(1, n_points + 1)[:, None] * (side / (n_points + 1))
+    nodes x_p = (p+1) side / (n_points+1), or with centred=True on the cell
+    centres x_p = (p + 1/2) side / n_points (the package's grid)."""
+    if centred:
+        x = (np.arange(n_points)[:, None] + 0.5) * (side / n_points)
+    else:
+        x = np.arange(1, n_points + 1)[:, None] * (side / (n_points + 1))
     j = np.arange(1, n_modes + 1)[None, :]
     return np.sqrt(2.0 / side) * np.sin(j * np.pi * x / side)
 
 
-def naive_nodal(coeff: np.ndarray, side: float, n_points: int) -> np.ndarray:
+def naive_nodal(coeff: np.ndarray, side: float, n_points: int, centred: bool = False) -> np.ndarray:
     """Direct summation of the sine series on an n_points grid."""
-    B = sine_matrix(coeff.shape[0], n_points, side)
+    B = sine_matrix(coeff.shape[0], n_points, side, centred)
     return B @ coeff @ B.T
 
 
-def naive_modal(values: np.ndarray, side: float) -> np.ndarray:
-    """Quadrature projection of nodal samples onto the sine basis.
+def naive_modal(values: np.ndarray, side: float, centred: bool = False) -> np.ndarray:
+    """Sine coefficients of nodal samples on their own grid.
 
-    Exact (discrete orthogonality) whenever the sampled function is a
-    sine polynomial of band <= n_points.
+    On the interior nodes, the quadrature projection: exact (discrete
+    orthogonality) whenever the sampled function is a sine polynomial of
+    band <= n_points.  On the cell centres, the dense solve of
+    B c B^T = values, which needs no quadrature weights.
     """
     m = values.shape[0]
-    B = sine_matrix(m, m, side)
+    B = sine_matrix(m, m, side, centred)
+    if centred:
+        return np.linalg.solve(B, np.linalg.solve(B, values).T).T
     return (side / (m + 1)) ** 2 * (B.T @ values @ B)
 
 
@@ -190,12 +198,13 @@ def oracle_diagnostic_F(state, nl, src, f_points: int, split: bool = False):
     the equation with P_N f(u) projected densely from the f_points grid
     (for a2 != 0 it depends on that grid: u^2 is no sine polynomial), and
     (f'(u) u_t, u_t) on the 3N grid as in oracle_higher_h; split=True
-    returns the list of F's terms instead of their sum.
+    returns the list of F's terms instead of their sum.  The f_points grid
+    is cell-centred, as the package's.
     """
     u, v, g = state.u.coeff, state.v.coeff, src.g_modal.coeff
     n, side = state.u.grid.n_modes, state.u.grid.side
     lam, nodal, even, odd = _on_3n_grid(state)
-    fhat = naive_modal(nl.f(naive_nodal(u, side, f_points)), side)[:n, :n]
+    fhat = naive_modal(nl.f(naive_nodal(u, side, f_points, True)), side, True)[:n, :n]
     vt = g - v - lam**2 * u - lam * fhat
     un, vn = nodal(u), nodal(v)
     big_l = max(1.0, nl.lambda_bound, 0.5 * nl.lambda_bound**2)

@@ -44,10 +44,12 @@ from sinech.spectral import (
     GridSpec,
     ModalField,
     eigenvalues,
+    modal_from_values,
     nodal_values,
     norm_Hs,
     norm_pair,
     padded_points,
+    quadrature_weight,
     random_band_limited,
     resample,
 )
@@ -177,6 +179,35 @@ def test_f_eval_larger_grid_and_odd_side():
     fast = f_eval_dealiased(u, nl)
     slow = oracle_pointwise_projection(u, nl.f)
     assert np.abs(fast.coeff - slow).max() <= 1e-10 * np.abs(slow).max()
+
+
+@pytest.mark.parametrize("n", [8, 33])
+def test_padded_grid_is_the_smallest_alias_free_one(n):
+    # On m cell centres mode k folds onto mode 2m - k.  For full-band u,
+    # f(u) = u^3 - u has band 3N and u^4 is a cosine polynomial of band 4N,
+    # so P_N f(u) and the midpoint sum of u^4 are exact for m > 2N, the
+    # grid padded_points(N, 2) gives, and not on m = 2N centres, where mode
+    # 3N folds onto mode N and the cosine of frequency 4N = 2m sums to -m.
+    grid = GridSpec(n, PI)
+    u = random_band_limited(grid, n, 2.0, seed=n)
+    fhat = oracle_pointwise_projection(u, DOUBLE_WELL.f)
+    quartic = oracle_poly_integral(u, {4: 1.0})
+    scale = np.abs(fhat).max()
+
+    def on(m):
+        vals = nodal_values(u, m)
+        fh = modal_from_values(DOUBLE_WELL.f(vals), PI, n_modes=n)
+        return fh, quadrature_weight(PI, m) * float(np.sum(vals**4))
+
+    fh, q = on(padded_points(n, 2))
+    assert np.abs(fh - fhat).max() <= 1e-12 * scale
+    assert q == pytest.approx(quartic, rel=1e-12)
+    assert np.abs(f_eval_dealiased(u, DOUBLE_WELL).coeff - fhat).max() <= 1e-12 * scale
+    assert potential_integral(u, DOUBLE_WELL) == pytest.approx(
+        oracle_poly_integral(u, {4: 0.25, 2: -0.5}), rel=1e-12)
+    fh, q = on(2 * n)  # one point fewer per axis
+    assert np.abs(fh - fhat).max() > 1e-6 * scale
+    assert abs(q - quartic) > 1e-6 * quartic
 
 
 def test_f_eval_even_part_bias_shrinks():

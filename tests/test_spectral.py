@@ -78,11 +78,11 @@ def test_inverse_matches_naive(n, side):
     grid = GridSpec(n, side)
     z = ModalField(grid, rng.standard_normal((n, n)))
     fast = nodal_values(z)
-    slow = naive_nodal(z.coeff, side, n)
+    slow = naive_nodal(z.coeff, side, n, centred=True)
     assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
     # and on a refined grid
     fast2 = nodal_values(z, 3 * n)
-    slow2 = naive_nodal(z.coeff, side, 3 * n)
+    slow2 = naive_nodal(z.coeff, side, 3 * n, centred=True)
     assert np.abs(fast2 - slow2).max() <= 1e-12 * np.abs(slow2).max()
 
 
@@ -91,7 +91,7 @@ def test_forward_matches_naive(n, side):
     rng = np.random.default_rng(3)
     vals = rng.standard_normal((n, n))
     fast = modal_from_values(vals, side)
-    slow = naive_modal(vals, side)
+    slow = naive_modal(vals, side, centred=True)
     assert np.abs(fast - slow).max() <= 1e-12 * np.abs(slow).max()
 
 
@@ -109,7 +109,7 @@ def test_forward_of_basis_function():
 
 def test_inverse_single_mode_closed_form():
     grid = GridSpec(8, PI)
-    x = np.arange(1, 9) * (PI / 9)  # the interior points p side/(n + 1)
+    x = (np.arange(1, 9) - 0.5) * (PI / 8)  # the cell centres (p - 1/2) side/n
     vals = nodal_values(ModalField.single_mode(grid, 1, 1))
     exact = (2.0 / PI) * np.outer(np.sin(x), np.sin(x))
     assert np.abs(vals - exact).max() <= 1e-13
@@ -151,12 +151,16 @@ def test_roundtrip_and_idempotence(n, side, seed):
 @example(n=16, side=2.0, seed=5, extra=0)
 @example(n=33, side=PI, seed=5, extra=0)
 def test_parseval(n, side, seed, extra):
-    # norm_Hs(z,0)^2 equals the nodal quadrature sum exactly, on the
-    # field's own grid and on any finer one (z^2 has band 2n < 2(m + 1))
+    # on any finer grid norm_Hs(z,0)^2 equals the midpoint sum exactly (z^2
+    # has band 2n < 2m); on the field's own grid (extra = 0) the top mode
+    # sums its square to m instead of m/2, so there it weighs 2 per axis
     z = ModalField(GridSpec(n, side), np.random.default_rng(seed).standard_normal((n, n)))
     m = n + extra
     quad = quadrature_weight(side, m) * float(np.sum(nodal_values(z, m) ** 2))
-    n2 = norm_Hs(z, 0.0) ** 2
+    w = np.ones(n)
+    if extra == 0:
+        w[-1] = 2.0
+    n2 = float(np.sum(np.outer(w, w) * z.coeff**2))
     assert abs(n2 - quad) <= 1e-10 * n2
 
 
@@ -254,12 +258,12 @@ def test_field_integral():
     )
     assert field_integral(ModalField.single_mode(grid, 1, 2)) == 0.0
     assert field_integral(ModalField.single_mode(grid, 2, 2)) == 0.0
-    # against the midpoint-free quadrature on a fine grid
+    # against the midpoint sum on a fine grid
     rng = np.random.default_rng(4)
     z = ModalField(grid, rng.standard_normal((8, 8)))
     fine = 4096
     vals = nodal_values(z, fine)
-    approx = (PI / (fine + 1)) ** 2 * float(np.sum(vals))
+    approx = quadrature_weight(PI, fine) * float(np.sum(vals))
     assert field_integral(z) == pytest.approx(approx, abs=5e-3)
 
 
@@ -268,20 +272,33 @@ def test_gradient_values():
     z = ModalField.single_mode(grid, 2, 1, 0.7)
     m = 21
     gx, gy = gradient_values(z, m)
-    x = np.arange(1, m + 1) * (PI / (m + 1))
+    x = (np.arange(1, m + 1) - 0.5) * (PI / m)
     ex = 0.7 * (2.0 / PI) * 2.0 * np.outer(np.cos(2 * x), np.sin(x))
     ey = 0.7 * (2.0 / PI) * np.outer(np.sin(2 * x), np.cos(x))
     assert np.abs(gx - ex).max() <= 1e-12
     assert np.abs(gy - ey).max() <= 1e-12
-    # fine-grid quadrature of |grad|^2 approaches the V-norm (not exact
-    # at any finite m: the integrand has cosine content that does not
-    # vanish on the boundary, so this is a plain convergence check)
-    fine = 4096
-    gxf, gyf = gradient_values(z, fine)
-    w = quadrature_weight(PI, fine)
-    assert w * float(np.sum(gxf**2 + gyf**2)) == pytest.approx(
-        norm_Hs(z, 0.5) ** 2, rel=2e-3
+    # the midpoint sum of |grad|^2, a cosine polynomial of band 4 < 2m,
+    # is the V-norm exactly
+    w = quadrature_weight(PI, m)
+    assert w * float(np.sum(gx**2 + gy**2)) == pytest.approx(
+        norm_Hs(z, 0.5) ** 2, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (5, 5), (6, 13), (16, 35)])
+def test_gradient_values_match_naive(n, m):
+    # against the derivative of the dense sine matrix, also on the field's
+    # own grid, where the top mode's cosine vanishes at every centre
+    side = 2.5
+    c = np.random.default_rng(n).standard_normal((n, n))
+    gx, gy = gradient_values(ModalField(GridSpec(n, side), c), m)
+    x = (np.arange(m)[:, None] + 0.5) * (side / m)
+    freq = np.arange(1, n + 1)[None, :] * np.pi / side
+    D = np.sqrt(2.0 / side) * freq * np.cos(freq * x)
+    B = sine_matrix(n, m, side, centred=True)
+    scale = np.abs(c).max() * freq.max()
+    assert np.abs(gx - D @ c @ B.T).max() <= 1e-12 * scale
+    assert np.abs(gy - B @ c @ D.T).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +321,26 @@ def test_out_arguments_match_default_bitwise(n, m):
 
 
 def _full_nodal(z, m):
-    # the unpruned inverse: zero-pad, then one 2-D DST-I over the whole grid
+    # the unpruned inverse: scale and zero-pad (the DST-III weighs a top
+    # mode by 1/2), then one 2-D DST-III over the whole grid
     n = z.grid.n_modes
     padded = np.zeros((m, m))
-    padded[:n, :n] = z.coeff
-    out = sfft.dstn(padded, type=1)
-    out /= 2.0 * z.grid.side
-    return out
+    padded[:n, :n] = z.coeff / (2.0 * z.grid.side)
+    if m == n:
+        padded[-1] *= 2.0
+        padded[:, -1] *= 2.0
+    return sfft.dstn(padded, type=3)
 
 
 def _full_modal(values, side, n):
-    # the unpruned forward: one 2-D DST-I over the whole grid, then truncate
+    # the unpruned forward: one 2-D DST-II over the whole grid, then
+    # truncate (the top mode sums its square to m, not m/2)
     m = values.shape[0]
-    out = sfft.dstn(values, type=1)
-    out *= side / (2.0 * (m + 1) ** 2)
+    out = sfft.dstn(values, type=2)
+    out *= side / (2.0 * m * m)
+    if n == m:
+        out[-1] *= 0.5
+        out[:, -1] *= 0.5
     return out[:n, :n]
 
 
@@ -391,18 +414,18 @@ def _is_five_smooth(k: int) -> bool:
 def test_padded_points_minimal_smooth(factor):
     for n in range(1, 200):
         m = padded_points(n, factor)
-        assert m >= factor * n
-        assert _is_five_smooth(m + 1)
+        assert m > factor * n
+        assert _is_five_smooth(m)
         # smallest admissible size
-        assert not any(_is_five_smooth(c + 1) for c in range(factor * n, m))
+        assert not any(_is_five_smooth(c) for c in range(factor * n + 1, m))
 
 
 def test_padded_points_values():
-    assert padded_points(16, 2) == 35
-    assert padded_points(32, 2) == 71
-    assert padded_points(64, 2) == 134
-    assert padded_points(128, 2) == 269
-    assert padded_points(64, 3) == 199
+    assert padded_points(16, 2) == 36
+    assert padded_points(32, 2) == 72
+    assert padded_points(64, 2) == 135
+    assert padded_points(128, 2) == 270
+    assert padded_points(64, 3) == 200
 
 
 # ---------------------------------------------------------------------------
