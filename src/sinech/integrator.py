@@ -3,11 +3,14 @@
 Two schemes:
 
 * ``imex_cn_ab2`` -- Crank-Nicolson on the stiff linear part (per-mode
-  2x2 solves in closed form), Adams-Bashforth-2 extrapolation of the
-  dealiased nonlinear term at the half step, with a single
-  nonlinearity-explicit Euler start-up step.  Second order; the linear
-  part is unconditionally stable, the explicit part is benign at desk
-  scale as long as dt * lambda_max * |f'| stays moderate.
+  2x2 solves in closed form, as propagator tables cached per step size),
+  Adams-Bashforth-2 extrapolation of the dealiased nonlinear term at the
+  half step, with a single nonlinearity-explicit Euler start-up step.
+  Second order; the linear part is unconditionally stable, the explicit
+  part is benign at desk scale as long as dt * lambda_max * |f'| stays
+  moderate.  Besides one padded transform pair (the new state's P_n f(u)
+  and int F(u)) a step is O(n^2) modal work; a source g = 0, decided once
+  per run, adds no forcing term and no <g, A^(-1) u> to the energy.
 * ``implicit_newton`` -- backward Euler, solved to ||residual|| / |dt| <=
   newton_tol by newton_krylov from the linearly implicit step (f frozen
   at the current state's cached P_n f(u)).  First order, very robust;
@@ -54,7 +57,6 @@ from .errors import (
     CheckpointMismatchError,
     CheckpointVersionError,
     InstabilityError,
-    InsufficientDataError,
     StepFailureError,
 )
 from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
@@ -151,7 +153,7 @@ class TrajectoryLog:
         # the functionals and the norms share one dict of sums and padded-grid
         # values, seeded by the step (see Stepper._row_inputs)
         fhat, shared = stepper._row_inputs()
-        hf = higher_functionals(s, stepper.nl, stepper.g, shared, fhat)
+        hf = higher_functionals(s, stepper.nl, stepper._g, shared, fhat)
         u1, u3, v_1, v1 = (square_sum(shared, name, z, p) for name, z, p in (
             ("u", s.u, 1.0), ("u", s.u, 3.0), ("v", s.v, -1.0), ("v", s.v, 1.0)))
         self.t.append(s.time)
@@ -159,7 +161,7 @@ class TrajectoryLog:
         self.norm2.append(math.sqrt(u3 + v1))
         self.ut_vprime.append(math.sqrt(v_1))
         self.energy.append(stepper.energy_total())
-        self.cal_f.append(diagnostic_F(s, stepper.nl, stepper.g, shared, fhat))
+        self.cal_f.append(diagnostic_F(s, stepper.nl, stepper._g, shared, fhat))
         self.cal_g.append(hf.g)
         self.cal_h.append(hf.h)
         self.dissip_cum.append(dissip_cum)
@@ -183,8 +185,10 @@ class Checkpoint:
 
 
 def _require_finite(t: float, *arrays: np.ndarray) -> None:
-    """InstabilityError (at time t) unless every coefficient is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
+    """InstabilityError (at time t) unless every coefficient is finite.  A
+    finite sum proves it in one pass (a nan or an inf never sums to a
+    finite value); only a sum that is not is checked entry by entry."""
+    if not all(math.isfinite(a.sum()) or np.isfinite(a).all() for a in arrays):
         raise InstabilityError(
             f"non-finite state at t={t:g}; reduce dt or the resolution/nonlinearity "
             "stiffness",
@@ -291,27 +295,68 @@ def ab2(fhat: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
 
 class CrankNicolson:
     """Crank-Nicolson steps of the per-mode systems c' = w,
-    w' = -w - lam2 c + rhs for a fixed lam2; each mode's 2x2 system is
-    solved in closed form, with its determinant computed once per step
-    size."""
+    w' = -w - lam2 c + r for a fixed lam2, with the forcing r held fixed
+    over a step.  Each mode's 2x2 solve is a propagator whose w row is
+    tabled per step size h: with det = 1 + h/2 + h^2 lam2/4,
 
-    def __init__(self, lam2: np.ndarray):
-        self.lam2, self._h, self._det = lam2, None, None
+        w_new = P_wc c + P_ww w + P_wr r,
+        (P_wc, P_ww, P_wr) = (-h lam2, 1 - h/2 - h^2 lam2/4, h) / det;
+
+    the c row is the trapezoid c_new = c + h/2 (w + w_new).  Given lam,
+    step_ab2 folds the -lam and AB2 weights of r = g - lam ab2(fhat, prev)
+    into tables for fhat and prev: ten n x n passes a step."""
+
+    def __init__(self, lam2: np.ndarray, lam: np.ndarray | None = None):
+        self.lam2, self.lam = lam2, lam
+        self._h, self._tables = None, None
+        self._term = np.empty(lam2.shape)
+
+    def _propagator(self, h: float) -> dict:
+        """The w row's tables for step size h, rebuilt when h changes."""
+        if h != self._h:
+            half, lam2 = h / 2.0, self.lam2
+            q = (h * h / 4.0) * lam2
+            det = 1.0 + half + q
+            tables = {"c": -h * lam2 / det, "w": (1.0 - half - q) / det, "r": h / det}
+            if self.lam is not None:
+                tables["fhat"] = (-1.5 * self.lam) * tables["r"]
+                tables["prev"] = (0.5 * self.lam) * tables["r"]
+            self._h, self._tables = h, tables
+        return self._tables
+
+    def _advance(self, c: np.ndarray, w: np.ndarray, forcing, h: float,
+                 t: float) -> tuple[np.ndarray, np.ndarray]:
+        """(c_new, w_new), views into one fresh (2, n, n) array, with the
+        w row's forcing terms given as (table name, x) pairs;
+        InstabilityError (at t + h) when they are not finite."""
+        tables = self._propagator(h)
+        new = np.empty((2,) + c.shape)
+        c_new, w_new = new
+        np.multiply(tables["c"], c, out=w_new)
+        for name, x in (("w", w), *forcing):
+            w_new += np.multiply(tables[name], x, out=self._term)
+        np.add(w, w_new, out=c_new)
+        c_new *= h / 2.0
+        c_new += c
+        _require_finite(t + h, new)
+        return c_new, w_new
 
     def step(self, c: np.ndarray, w: np.ndarray, rhs: np.ndarray, h: float,
              t: float) -> tuple[np.ndarray, np.ndarray]:
         """One step of size h from time t, with the forcing rhs held fixed
         over the step.  Raises InstabilityError (at t + h) when the new
         state is not finite."""
-        half, lam2 = h / 2.0, self.lam2
-        if h != self._h:
-            self._h, self._det = h, 1.0 + half + (h * h / 4.0) * lam2
-        r1 = c + half * w
-        r2 = w - half * (w + lam2 * c) + h * rhs
-        c_new = ((1.0 + half) * r1 + half * r2) / self._det
-        w_new = (r2 - half * lam2 * r1) / self._det
-        _require_finite(t + h, c_new, w_new)
-        return c_new, w_new
+        return self._advance(c, w, (("r", rhs),), h, t)
+
+    def step_ab2(self, c: np.ndarray, w: np.ndarray, fhat: np.ndarray, prev: np.ndarray | None,
+                 g: np.ndarray | None, h: float, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """step with rhs = g - lam ab2(fhat, prev), g None for g = 0: by the
+        folded tables once there is a prev, as step on the start-up step."""
+        if prev is None:
+            rhs = -self.lam * fhat
+            return self.step(c, w, rhs if g is None else rhs + g, h, t)
+        forcing = (("fhat", fhat), ("prev", prev)) + ((("r", g),) if g is not None else ())
+        return self._advance(c, w, forcing, h, t)
 
 
 class Stepper:
@@ -329,10 +374,11 @@ class Stepper:
         self.state = state.copy()
         self.nl = nl
         self.g = g
+        self._g = g if g.g_modal.coeff.any() else None  # g is fixed for the run; None: g = 0
         self.cfg = cfg
         self.step_count = int(step_count)
         self.lam = eigenvalues(state.grid)
-        self._cn = CrankNicolson(eigenvalue_power(state.grid, 2.0))
+        self._cn = CrankNicolson(eigenvalue_power(state.grid, 2.0), self.lam)
         self._fhat_prev = None if fhat_prev is None else np.array(fhat_prev, dtype=np.float64)
         self._cur = None  # (fhat, potential) for self.state.u
         self._energy = None  # energy of self.state
@@ -355,18 +401,18 @@ class Stepper:
     def _row_inputs(self) -> tuple[np.ndarray, dict]:
         """P_n f(u) of the current state and the shared dict of a log row
         (see model.higher_functionals), seeded with the energy's square sums
-        and with u on the 2n grid as the step's transform left it (f = 0
+        and with u on the 2n grid as the step's transform left it (a3 = 0
         leaves none, and no row reads it)."""
         fhat = self._ensure_current()[0]
         self.energy_total()
         shared = dict(self._sums)
-        if not self.nl.is_zero:
+        if self.nl.a3 != 0.0:
             shared[("u", self._padded[0].shape[0])] = self._padded[0]
         return fhat, shared
 
     def energy_total(self) -> float:
         if self._energy is None:
-            self._energy = energy(self.state, self.nl, self.g, self._ensure_current()[1],
+            self._energy = energy(self.state, self.nl, self._g, self._ensure_current()[1],
                                   self._sums)
         return self._energy
 
@@ -379,9 +425,10 @@ class Stepper:
     # the new u, which advance caches with the state
 
     def _advance_imex(self, h: float):
-        rhs = self.g.g_modal.coeff - self.lam * ab2(self._ensure_current()[0], self._fhat_prev)
-        c_new, w_new = self._cn.step(self.state.u.coeff, self.state.v.coeff, rhs, h,
-                                     self.state.time)
+        g = None if self._g is None else self._g.g_modal.coeff
+        c_new, w_new = self._cn.step_ab2(self.state.u.coeff, self.state.v.coeff,
+                                         self._ensure_current()[0], self._fhat_prev, g, h,
+                                         self.state.time)
         return c_new, w_new, self._evaluate(c_new, 1)
 
     def _newton_system(self, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -431,7 +478,7 @@ class Stepper:
             grid = self.state.grid
             new = State(ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h)
             sums = {}
-            e_after = energy(new, self.nl, self.g, cur[1], sums)
+            e_after = energy(new, self.nl, self._g, cur[1], sums)
             rise = e_after - e_before
             if h > 0.0 and not (rise <= self.cfg.safeguard_tol):
                 raise InstabilityError(
@@ -442,13 +489,15 @@ class Stepper:
                 )
         except StepFailureError as exc:
             exc.step = self.step_count + 1
-            d_min = float(self._newton_system(h)[0].min())  # see the module docstring
-            if self.cfg.scheme == "implicit_newton" and d_min <= self.nl.lambda_bound:
-                exc.args = (f"{exc}; the step's system is not monotone (min d = {d_min:.4g} <= "
-                            f"lambda_bound = {self.nl.lambda_bound:.4g}): a smaller dt helps",)
+            if self.cfg.scheme == "implicit_newton":  # see the module docstring
+                d_min = float(self._newton_system(h)[0].min())
+                if d_min <= self.nl.lambda_bound:
+                    exc.args = (f"{exc}; the step's system is not monotone (min d = {d_min:.4g} "
+                                f"<= lambda_bound = {self.nl.lambda_bound:.4g}): a smaller dt "
+                                "helps",)
             raise
-        vbar = 0.5 * (w + w_new)
-        dissip = h * weighted_sum(eigenvalue_power(grid, -1.0), vbar, vbar)
+        w_sum = w + w_new  # h ||(w + w_new) / 2||_{V'}^2, with the exact factor 1/4 outside
+        dissip = 0.25 * h * weighted_sum(eigenvalue_power(grid, -1.0), w_sum, w_sum)
         if self.cfg.scheme == "imex_cn_ab2":
             self._fhat_prev = self._cur[0]  # AB2 history, committed with the step
         self.state = new
@@ -551,22 +600,6 @@ def energy_equality_residual(log: TrajectoryLog, s_idx: int, t_idx: int) -> floa
     y = np.asarray(log.ut_vprime[s_idx : t_idx + 1]) ** 2
     integral = float(np.trapezoid(y, t))
     return abs(log.energy[t_idx] - log.energy[s_idx] + integral)
-
-
-def higher_energy_residual(log: TrajectoryLog) -> float:
-    """max over interior samples of | dG/dt + G - H | with dG/dt by
-    central differences; needs >= 3 uniformly spaced samples."""
-    if len(log) < 3:
-        raise InsufficientDataError("need at least 3 samples for the balance residual")
-    t = np.asarray(log.t)
-    dt = np.diff(t)
-    mean = float(dt.mean())
-    if np.max(np.abs(dt - mean)) > 1e-8 * max(1.0, abs(mean)):
-        raise InsufficientDataError("samples are not uniformly spaced")
-    gg = np.asarray(log.cal_g)
-    hh = np.asarray(log.cal_h)
-    dgdt = (gg[2:] - gg[:-2]) / (2.0 * mean)
-    return float(np.max(np.abs(dgdt + gg[1:-1] - hh[1:-1])))
 
 
 # ---------------------------------------------------------------------------

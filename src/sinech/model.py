@@ -25,6 +25,13 @@ and contracting the sine coefficients with the closed-form integrals of
 the basis functions.  All functionals below are therefore grid-size
 independent up to roundoff once the field is resolved.
 
+What is exact in modal space stays there.  a1 u is band-n, so
+P_n f(u) = P_n(a3 u^3 + a2 u^2) + a1 u, and f = a1 u takes no transform.
+For a2 = 0, int u^4 = <u, P_n(u^3)> (u is band-n and the retained block
+of u^3 is alias-free), so int F(u) = 1/4 <u, P_n f(u)> + 1/4 a1 ||u||^2
+takes no padded-grid sum.  A source g = 0 is passed as None, which skips
+the forcing sums <g, A^(-1) u> and <g, A u>.
+
 The a3 terms of H weigh |grad u|^2 against w = A u and w = A u_t.  They
 take no gradient: 6 u |grad u|^2 = lap(u^3) + 3 u^2 A u, and Green's
 identity (lap(u^3), w) = -(u^3, A w) holds because u^3 and w vanish on
@@ -49,8 +56,7 @@ import numpy as np
 from .errors import UnsupportedNonlinearityError
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue, eigenvalue_power,
                        eigenvalues, field_integral, gradient_values, modal_from_values,
-                       nodal_values, norm_Hs, padded_points, quadrature_weight, weighted_sum,
-                       work_array)
+                       nodal_values, padded_points, quadrature_weight, weighted_sum, work_array)
 
 
 @dataclass
@@ -158,78 +164,80 @@ def _odd_product_integral(side: float, *factors: np.ndarray) -> float:
     return field_integral(prod)
 
 
-def _truncated(values: np.ndarray, grid: GridSpec) -> ModalField:
-    """P_n of a field sampled on a padded grid.  Consumes values: the
-    transform runs in place there, so the retained block is copied out."""
-    coeff = modal_from_values(values, grid.side, overwrite=True, n_modes=grid.n_modes)
-    return ModalField(grid, coeff.copy())
+def _f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None,
+                     values: np.ndarray | None = None,
+                     potential: bool = True) -> tuple[np.ndarray, float | None]:
+    """P_n f(u) as a fresh (n, n) array and int F(u) (None without
+    potential): the one evaluation of both.
 
-
-def _nodal_f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None,
-                           values: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """f(u) on the 2n grid and integral F(u): the one evaluation of both.
-
-    The quartic term of the potential by the midpoint sum on the 2n grid
-    (exact: a cosine polynomial of band 4n < 2m), the quadratic
-    one by Parseval from the n x n coefficients; the cubic term, if
-    present, by the alias-free modal contraction.  Hot path: the padded
-    arrays dominate the step cost at large n, so the square is reused
-    for the quartic sum and then consumed in place by the Horner
-    evaluation of f.  Both padded arrays are pooled work arrays, so the
-    returned values hold only until the next call.  fprime, when given,
-    receives f'(u) on the 2n grid from the same nodal values; values,
-    when given, holds those nodal values instead of a pooled array.
+    Only a3 u^3 + a2 u^2 is formed on the 2n grid, u^3 alone for a2 = 0
+    (two passes, a3 applied to the retained block); a1 u is added in modal
+    space, and f = a1 u transforms nothing (see the module docstring).
+    For a2 = 0, int F(u) = 1/4 <u, P_n f(u)> + 1/4 a1 ||u||^2; for a2 != 0
+    the quartic term is the midpoint sum on the 2n grid (exact: band
+    4n < 2m), the cubic one the alias-free 3n contraction.  The padded
+    arrays are pooled work arrays, valid until the next call.  fprime,
+    when given, receives f'(u) on the 2n grid from the same nodal values;
+    values, when given, holds those nodal values instead of a pooled
+    array (untouched when a3 = 0).
     """
-    m = padded_points(u.grid.n_modes, 2)
+    c, n, side = u.coeff, u.grid.n_modes, u.grid.side
+    a3, a2, a1 = nl.a3, nl.a2, nl.a1
+    if a3 == 0.0:
+        if fprime is not None:
+            fprime.fill(a1)
+        return a1 * c, 0.5 * a1 * dot(c, c) if potential else None
+    m = padded_points(n, 2)
     un = nodal_values(u, m, out=work_array("f.u", (m, m)) if values is None else values)
     if fprime is not None:  # nl.f_prime(un), evaluated in place
-        np.multiply(un, 3.0 * nl.a3, out=fprime)
-        fprime += 2.0 * nl.a2
+        np.multiply(un, 3.0 * a3, out=fprime)
+        fprime += 2.0 * a2
         fprime *= un
-        fprime += nl.a1
-    fv = np.multiply(un, un, out=work_array("f.values", (m, m)))
-    pot = quadrature_weight(u.grid.side, m) * 0.25 * nl.a3 * dot(fv, fv)
-    pot += 0.5 * nl.a1 * dot(u.coeff, u.coeff)
-    quad = None
-    if nl.a2 != 0.0:
-        u3 = nodal_values(u, padded_points(u.grid.n_modes, 3))
-        pot += (nl.a2 / 3.0) * _odd_product_integral(u.grid.side, u3, u3, u3)
-        quad = nl.a2 * fv
-    fv *= nl.a3
-    fv += nl.a1
-    fv *= un
-    if quad is not None:
-        fv += quad
-    return fv, pot
+        fprime += a1
+    fv = np.square(un, out=work_array("f.values", (m, m)))
+    pot = None
+    if a2 == 0.0:
+        fv *= un
+        fhat = a3 * modal_from_values(fv, side, overwrite=True, n_modes=n)
+    else:
+        if potential:
+            u3 = nodal_values(u, padded_points(n, 3))
+            pot = (quadrature_weight(side, m) * 0.25 * a3 * dot(fv, fv)
+                   + (a2 / 3.0) * _odd_product_integral(side, u3, u3, u3) + 0.5 * a1 * dot(c, c))
+        a3u_a2 = np.multiply(un, a3, out=work_array("f.a3u", (m, m)))
+        a3u_a2 += a2
+        fv *= a3u_a2
+        fhat = modal_from_values(fv, side, overwrite=True, n_modes=n).copy()
+    if a1 != 0.0:
+        fhat += a1 * c
+    if potential and a2 == 0.0:
+        pot = 0.25 * (dot(c, fhat) + a1 * dot(c, c))
+    return fhat, pot
 
 
 def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None,
                                  values: np.ndarray | None = None) -> tuple[ModalField, float]:
     """(P_n f(u), integral F(u)), exactly dealiased and sharing one
-    padded transform; the time stepper caches both per state.
+    padded transform pair (none for a3 = 0); the time stepper caches both
+    per state.
 
-    f is applied pointwise on a 2x zero-padded nodal grid and the result
+    a3 u^3 + a2 u^2 is formed pointwise on a 2x zero-padded nodal grid and
     transformed back and truncated: with the cubic degree the retained
-    block is alias-free at padding m > 2n.  fprime, an (m, m) array with
+    block is alias-free at padding m > 2n; a1 u is added in modal space
+    (see _f_and_potential).  fprime, an (m, m) array with
     m = padded_points(n_modes), receives f'(u) sampled from the same
     transform when given: a Newton iteration evaluates its residual and
     the next Jacobian's fprime_multiplier with one padded transform.
     values, an (m, m) array, receives u on the 2n grid from the same
-    transform (untouched when f = 0, which transforms nothing).
+    transform (untouched when a3 = 0, which transforms nothing).
     """
-    if nl.is_zero:
-        if fprime is not None:
-            fprime.fill(0.0)
-        return ModalField.zeros(u.grid), 0.0
-    fv, pot = _nodal_f_and_potential(u, nl, fprime, values)
-    return _truncated(fv, u.grid), pot
+    fhat, pot = _f_and_potential(u, nl, fprime, values)
+    return ModalField(u.grid, fhat), pot
 
 
 def f_eval_dealiased(u: ModalField, nl: Nonlinearity) -> ModalField:
     """Modal coefficients of P_n f(u) (see nonlinear_term_and_potential)."""
-    if nl.is_zero:
-        return ModalField.zeros(u.grid)
-    return _truncated(_nodal_f_and_potential(u, nl)[0], u.grid)
+    return ModalField(u.grid, _f_and_potential(u, nl, potential=False)[0])
 
 
 def fprime_multiplier(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None):
@@ -256,41 +264,43 @@ def fprime_multiplier(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None
     return apply
 
 
-def energy(state, nl: Nonlinearity, g: SourceTerm, potential: float | None = None,
+def energy(state, nl: Nonlinearity, g: SourceTerm | None, potential: float | None = None,
            shared: dict | None = None) -> float:
     """Energy E(u, u_t) = 1/2 ||(u, u_t)||_0^2 + int F(u) - <g, A^{-1} u>.
 
     Along solutions E(t) - E(s) = -int_s^t ||u_t||_{V'}^2 (energy
     equality); the integrator's safeguard and the dissipativity checks
-    rest on it.  potential, when given, is int F(u) as already computed
-    by nonlinear_term_and_potential; shared, when given, keeps the
-    state's two square sums (see square_sum) for its log row.
+    rest on it.  g None stands for g = 0 and skips the forcing sum (the
+    stepper decides this once per run).  potential, when given, is
+    int F(u) as already computed by nonlinear_term_and_potential; shared,
+    when given, keeps the state's two square sums (see square_sum) for its
+    log row.
     """
     u, v = state.u, state.v
-    check_same_grid(u, g.g_modal)
+    if g is not None:
+        check_same_grid(u, g.g_modal)
     shared = {} if shared is None else shared
     quad = 0.5 * (square_sum(shared, "u", u, 1.0) + square_sum(shared, "v", v, -1.0))
     pot = nonlinear_term_and_potential(u, nl)[1] if potential is None else potential
-    forcing = weighted_sum(eigenvalue_power(u.grid, -1.0), g.g_modal.coeff, u.coeff)
+    forcing = 0.0 if g is None else weighted_sum(eigenvalue_power(u.grid, -1.0), g.g_modal.coeff,
+                                                 u.coeff)
     return quad + pot - forcing
 
 
-def acceleration_from_state(state, nl: Nonlinearity, g: SourceTerm,
+def acceleration_from_state(state, nl: Nonlinearity, g: SourceTerm | None,
                             fhat: np.ndarray | None = None) -> ModalField:
-    """u_tt solved from the equation: g - u_t - A^2 u - A f(u), modal.
-    fhat, when given, is P_n f(u) as already computed for this state."""
+    """u_tt solved from the equation: g - u_t - A^2 u - A f(u), modal
+    (g None for g = 0).  fhat, when given, is P_n f(u) as already computed
+    for this state."""
     u, v = state.u, state.v
-    check_same_grid(u, g.g_modal)
+    if g is not None:
+        check_same_grid(u, g.g_modal)
     if fhat is None:
         fhat = f_eval_dealiased(u, nl).coeff
-    acc = (g.g_modal.coeff - v.coeff - eigenvalue_power(u.grid, 2.0) * u.coeff
-           - eigenvalues(u.grid) * fhat)
+    acc = -v.coeff if g is None else g.g_modal.coeff - v.coeff
+    acc -= eigenvalue_power(u.grid, 2.0) * u.coeff
+    acc -= eigenvalues(u.grid) * fhat
     return ModalField(u.grid, acc)
-
-
-def pde_residual(state, u_tt: ModalField, nl: Nonlinearity, g: SourceTerm) -> float:
-    """|| u_tt + u_t + A^2 u + A f(u) - g ||_{V'} for given acceleration."""
-    return norm_Hs(u_tt - acceleration_from_state(state, nl, g), -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +415,7 @@ def _fprime_quadratic_form(u: ModalField, v: ModalField, nl: Nonlinearity,
     return val
 
 
-def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, shared: dict | None = None,
+def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm | None, shared: dict | None = None,
                  fhat: np.ndarray | None = None) -> float:
     """Velocity diagnostic functional for V = (u_t, u_tt):
 
@@ -416,9 +426,10 @@ def diagnostic_F(state, nl: Nonlinearity, g: SourceTerm, shared: dict | None = N
     and big_l = max(1, lambda, lambda^2/2), lambda = nl.lambda_bound,
     which absorbs the f' defect through the interpolation
     ||v||^2 <= ||v||_V ||v||_V'.  F is then coercive with the certified
-    constant sigma = 1/8: F >= sigma ||V||_0^2.  shared holds what
-    higher_functionals and the log row computed on the same state; fhat is
-    P_n f(u) when already computed (the stepper caches it).
+    constant sigma = 1/8: F >= sigma ||V||_0^2.  g None stands for g = 0.
+    shared holds what higher_functionals and the log row computed on the
+    same state; fhat is P_n f(u) when already computed (the stepper caches
+    it).
     """
     lam_f = nl.lambda_bound
     beta, big_l = 0.25, max(1.0, lam_f, 0.5 * lam_f**2)
@@ -448,7 +459,7 @@ class HigherFunctionals:
     h: float
 
 
-def higher_functionals(state, nl: Nonlinearity, src: SourceTerm, shared: dict | None = None,
+def higher_functionals(state, nl: Nonlinearity, src: SourceTerm | None, shared: dict | None = None,
                        fhat: np.ndarray | None = None) -> HigherFunctionals:
     """Quasi-strong functionals of the flow.
 
@@ -468,6 +479,7 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm, shared: dict | 
     for w = A u_t and w = A u.  For a2 = 0, a3 P_n(u^3) = fhat - a1 u with
     fhat = P_n f(u), given when already computed (the stepper caches it);
     for a2 != 0 it is one forward transform of a3 u^3 on the 2n grid.
+    src None stands for g = 0 and skips <g, A u>.
 
     shared, one dict for the functionals of this state (a log row passes
     it to diagnostic_F too), keeps what more than one of them uses, so
@@ -479,13 +491,14 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm, shared: dict | 
     with ("u", m) for the 2n grid from the step's own transform.
     """
     u, v = state.u, state.v
-    check_same_grid(u, src.g_modal)
+    if src is not None:
+        check_same_grid(u, src.g_modal)
     shared = {} if shared is None else shared
     n, side = u.grid.n_modes, u.grid.side
     lam, lam2 = eigenvalues(u.grid), eigenvalue_power(u.grid, 2.0)
 
     norm2_sq = square_sum(shared, "u", u, 3.0) + square_sum(shared, "v", v, 1.0)
-    g_au = weighted_sum(lam, src.g_modal.coeff, u.coeff)
+    g_au = 0.0 if src is None else weighted_sum(lam, src.g_modal.coeff, u.coeff)
     ut_au = weighted_sum(lam, v.coeff, u.coeff)
     grad_sq = square_sum(shared, "u", u, 1.0)
     lap_sq = square_sum(shared, "u", u, 2.0)

@@ -1,12 +1,20 @@
 """Independent test oracles: dense sine-matrix transforms, exact
-integrals and the closed-form linear mode.
+integrals, the closed-form linear mode and the residuals the tests
+measure runs with.
 
 Everything here is deliberately naive -- direct basis summation with
-dense matrices instead of fast transforms -- so the library's FFT-based
-paths are checked against unrelated arithmetic.
+dense matrices instead of fast transforms, the per-mode Crank-Nicolson
+solve and f(u) wholly on the padded grid as the package once computed
+them -- so the library's fast paths are checked against unrelated
+arithmetic.
 """
 
 import numpy as np
+
+from sinech.errors import InsufficientDataError
+from sinech.model import acceleration_from_state
+from sinech.spectral import (dot, modal_from_values, nodal_values, norm_Hs, padded_points,
+                             quadrature_weight)
 
 
 def sine_matrix(n_modes: int, n_points: int, side: float, centred: bool = False) -> np.ndarray:
@@ -282,3 +290,54 @@ def exact_linear_mode(lam: float, u0: float, v0: float, t):
         u = alpha * np.exp(sp * t) + beta * np.exp(sm * t)
         v = alpha * sp * np.exp(sp * t) + beta * sm * np.exp(sm * t)
     return u, v
+
+
+def crank_nicolson_closed_form(lam2, c, w, rhs, h: float):
+    """One Crank-Nicolson step of c' = w, w' = -w - lam2 c + rhs per mode,
+    by the closed-form 2x2 solve with its determinant
+    det = 1 + h/2 + h^2 lam2 / 4; returns (c_new, w_new)."""
+    half = h / 2.0
+    det = 1.0 + half + (h * h / 4.0) * lam2
+    r1 = c + half * w
+    r2 = w - half * (w + lam2 * c) + h * rhs
+    return ((1.0 + half) * r1 + half * r2) / det, (r2 - half * lam2 * r1) / det
+
+
+def nodal_f_and_potential(u_field, nl):
+    """(P_N f(u), int F(u)) with all of f on the 2N padded grid: f(u) by
+    Horner there and transformed back, the quartic term of the potential
+    by the midpoint sum there (exact: band 4N < 2m), the quadratic one by
+    Parseval and, for a2 != 0, the cubic one through the alias-free 3N
+    grid transform and the closed-form basis integrals."""
+    n, side, c = u_field.grid.n_modes, u_field.grid.side, u_field.coeff
+    m = padded_points(n, 2)
+    un = nodal_values(u_field, m)
+    pot = (quadrature_weight(side, m) * 0.25 * nl.a3 * float(np.sum(un**4))
+           + 0.5 * nl.a1 * dot(c, c))
+    if nl.a2 != 0.0:
+        m3 = padded_points(n, 3)
+        cube = modal_from_values(nodal_values(u_field, m3) ** 3, side)
+        pot += (nl.a2 / 3.0) * exact_integral_from_modal(cube, side)
+    return modal_from_values(nl.f(un), side)[:n, :n].copy(), pot
+
+
+def pde_residual(state, u_tt, nl, g) -> float:
+    """|| u_tt + u_t + A^2 u + A f(u) - g ||_{V'} for a given acceleration."""
+    return norm_Hs(u_tt - acceleration_from_state(state, nl, g), -0.5)
+
+
+def higher_energy_residual(log) -> float:
+    """max over interior samples of | dG/dt + G - H | for a TrajectoryLog,
+    with dG/dt by central differences; needs >= 3 uniformly spaced
+    samples."""
+    if len(log) < 3:
+        raise InsufficientDataError("need at least 3 samples for the balance residual")
+    t = np.asarray(log.t)
+    dt = np.diff(t)
+    mean = float(dt.mean())
+    if np.max(np.abs(dt - mean)) > 1e-8 * max(1.0, abs(mean)):
+        raise InsufficientDataError("samples are not uniformly spaced")
+    gg = np.asarray(log.cal_g)
+    hh = np.asarray(log.cal_h)
+    dgdt = (gg[2:] - gg[:-2]) / (2.0 * mean)
+    return float(np.max(np.abs(dgdt + gg[1:-1] - hh[1:-1])))

@@ -164,7 +164,7 @@ def test_lipschitz_rate_is_stable(tmp_path):
     assert time.perf_counter() <= budget
 
 
-def test_stepping_throughput_and_scaling():
+def test_stepping_throughput_and_scaling(record_property):
     # absolute budget: 10k steps at N = 64 in under a minute,
     # single-threaded; relative budget: the per-step cost grows by less
     # than 5x from N = 64 to N = 128 (theory ~4.6 for the padded
@@ -196,6 +196,9 @@ def test_stepping_throughput_and_scaling():
         for _ in range(20):
             s128.advance()
         per128 = min(per128, (time.process_time() - c0) / 20)
+    record_property("per64_s", per64)
+    record_property("per128_s", per128)
+    record_property("per128_over_per64", per128 / per64)
     assert per128 / per64 < 5.0
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import pde_residual
 
 from sinech import analysis, integrator
 from sinech.analysis import (
@@ -22,7 +23,7 @@ from sinech.analysis import (
 )
 from sinech.errors import DimensionMismatchError, InstabilityError, StepFailureError
 from sinech.integrator import SchemeConfig, State, newton_operator
-from sinech.model import Nonlinearity, SourceTerm, f_eval_dealiased, pde_residual
+from sinech.model import Nonlinearity, SourceTerm, f_eval_dealiased
 from sinech.spectral import (
     GridSpec,
     ModalField,

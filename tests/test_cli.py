@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import exact_linear_mode
 
@@ -454,17 +454,48 @@ _OPTIONAL = {key: default for key, default in _leaves(DEFAULTS)
              if key not in _SIZES and key != "output_dir"}
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(command=st.sampled_from(sorted(sinech.cli._COMMANDS)), data=st.data())
-def test_right_typed_config_exits_0_1_or_2(tmp_path_factory, command, data):
-    body = {"output_dir": str(tmp_path_factory.getbasetemp() / "right_type")}
-    picked = data.draw(st.lists(st.sampled_from(sorted(_OPTIONAL)), max_size=4, unique=True))
-    for key, strategy in [*_SIZES.items(), *((k, _right_type(k, _OPTIONAL[k])) for k in picked)]:
+def _nest(leaves: dict) -> dict:
+    """The config object whose dotted keys hold these values."""
+    body = {}
+    for key, val in leaves.items():
         node = body
         *blocks, leaf = key.split(".")
         for name in blocks:
             node = node.setdefault(name, {})
-        node[leaf] = data.draw(strategy, label=key)
+        node[leaf] = val
+    return body
+
+
+@st.composite
+def _right_typed_configs(draw):
+    """A config with every size key of _SIZES and up to four more keys,
+    each of the type it takes."""
+    picked = draw(st.lists(st.sampled_from(sorted(_OPTIONAL)), max_size=4, unique=True))
+    return _nest({key: draw(strategy) for key, strategy in
+                  [*_SIZES.items(), *((k, _right_type(k, _OPTIONAL[k])) for k in picked)]})
+
+
+# small sizes for the pinned examples below: one step of every driver
+_SMALL = {"grid.n_modes": 4, "check.n_modes_list": [2], "converge.resolutions": [2, 4],
+          "converge.band": 2, "converge.n_ref": 8, "scheme.dt": 1e-3, "t_end": 1e-3,
+          "converge.t_star": 1e-3, "decompose.t_end": 1e-3, "lojasiewicz.t_end": 1e-3,
+          "absorb.t_end": 1e-3, "lipschitz.t_end": 1e-3}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(command=st.sampled_from(sorted(sinech.cli._COMMANDS)), body=_right_typed_configs())
+# pinned: the branches a random draw reaches only by chance
+@example(command="converge", body=_nest(_SMALL))  # a convergence fit over two resolutions
+@example(command="simulate", body=_nest(dict(_SMALL, **{
+    "initial.u.preset": "single_mode", "initial.ut.preset": "random_band"})))
+@example(command="simulate", body=_nest(dict(_SMALL, **{"initial.u.preset": "file",
+                                                          "initial.u.path": "no-such-file.mfld"})))
+@example(command="simulate", body=_nest(dict(_SMALL, **{"initial.ut.preset": "other"})))
+@example(command="simulate", body=_nest(dict(_SMALL, **{"source.preset": "other"})))
+@example(command="simulate", body=_nest(dict(_SMALL, **{"scheme.scheme": "other"})))
+@example(command="equilibrium", body=_nest(dict(_SMALL, **{"nonlinearity.a2": 1e308})))
+def test_right_typed_config_exits_0_1_or_2(tmp_path_factory, command, body):
+    body = dict(body, output_dir=str(tmp_path_factory.getbasetemp() / "right_type"))
     cfg = tmp_path_factory.getbasetemp() / "right_type.json"
     cfg.write_text(json.dumps(body))
     with contextlib.redirect_stderr(io.StringIO()):

@@ -130,6 +130,7 @@ def _finite_number(val) -> bool:
 @example(blob=_with(MFLD, side="3"))
 @example(blob=_with(MFLD, side=math.inf))
 @example(blob=_with(MFLD, n_modes=7))  # 49 values claimed over a block of 64
+@example(blob=b"[8]" + MFLD[MFLD.index(b"\n"):])  # a header that is no JSON object
 def test_mutated_snapshot_raises_or_loads_what_it_holds(tmp_path_factory, blob):
     loaded = _load(tmp_path_factory, load_field, blob)
     if loaded is None:

@@ -6,7 +6,8 @@ import resource
 
 import numpy as np
 import pytest
-from oracles import exact_linear_mode, oracle_multiplier_matrix
+from oracles import (crank_nicolson_closed_form, exact_linear_mode, higher_energy_residual,
+                     oracle_multiplier_matrix)
 from scipy.sparse.linalg import minres
 
 from sinech.errors import (
@@ -20,12 +21,13 @@ from sinech.errors import (
 from sinech import analysis, integrator
 from sinech.analysis import find_equilibrium, random_pair_state
 from sinech.integrator import (
+    CrankNicolson,
     SchemeConfig,
     State,
     Stepper,
     TrajectoryLog,
     energy_equality_residual,
-    higher_energy_residual,
+    horizon_steps,
     load_checkpoint,
     newton_krylov,
     newton_operator,
@@ -47,6 +49,7 @@ from sinech.model import (
 from sinech.spectral import (
     GridSpec,
     ModalField,
+    eigenvalue_power,
     eigenvalues,
     norm_Hs,
     norm_pair,
@@ -143,6 +146,59 @@ def _linear_mode_error(scheme, dt):
     final = _final_state(st, LINEAR, g, SchemeConfig(dt=dt, scheme=scheme), 1.0)
     ue, ve = exact_linear_mode(2.0, 1.0, 0.0, 1.0)
     return abs(final.u.coeff[0, 0] - float(ue)) + abs(final.v.coeff[0, 0] - float(ve))
+
+
+@pytest.mark.parametrize("h", [1e-3, horizon_steps(0.0105, 1e-3)[1], 0.1, 2.0])
+@pytest.mark.parametrize("big_l", [0.0, 10.0])  # the stepper's lam^2, the decomposition's lam^2 + L
+def test_crank_nicolson_tables_match_the_closed_form_solve(h, big_l):
+    # the w row's tables are the closed-form 2x2 solve's response to a unit
+    # c, w and rhs, and a step's (c, w) are its response to each input; the
+    # IMEX step, with -lam and the AB2 weights folded into its tables, is
+    # that solve with rhs = g - lam (1.5 fhat - 0.5 prev), or g - lam fhat
+    # on the start-up step
+    grid = GridSpec(32, PI)
+    lam, lam2 = eigenvalues(grid), eigenvalue_power(grid, 2.0) + big_l
+    cn = CrankNicolson(lam2, lam)
+
+    def close(new, ref, what):
+        for a, b in zip(new, ref):
+            assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max(), what
+
+    one, zero = np.ones(grid.shape), np.zeros(grid.shape)
+    units = {"c": (one, zero, zero), "w": (zero, one, zero), "r": (zero, zero, one),
+             "fhat": (zero, zero, -1.5 * lam), "prev": (zero, zero, 0.5 * lam)}
+    tables = cn._propagator(h)
+    for name, unit in units.items():
+        ref = crank_nicolson_closed_form(lam2, *unit, h)
+        close([tables[name]], [ref[1]], name)
+        if name in ("c", "w", "r"):
+            close(cn.step(*unit, h, 0.0), ref, name)
+    close(cn.step_ab2(zero, zero, one, zero, None, h, 0.0), crank_nicolson_closed_form(
+        lam2, zero, zero, -1.5 * lam, h), "fhat")
+    close(cn.step_ab2(zero, zero, zero, one, None, h, 0.0), crank_nicolson_closed_form(
+        lam2, zero, zero, 0.5 * lam, h), "prev")
+    c, w, fhat, prev, g = (random_band_limited(grid, 32, 1.0, seed=k).coeff for k in range(5))
+    for g_k in (None, g):
+        for prev_k in (None, prev):
+            rhs = -lam * (fhat if prev_k is None else 1.5 * fhat - 0.5 * prev_k)
+            ref = crank_nicolson_closed_form(lam2, c, w, rhs if g_k is None else rhs + g_k, h)
+            close(cn.step_ab2(c, w, fhat, prev_k, g_k, h, 0.0), ref, "step_ab2")
+
+
+def test_crank_nicolson_rebuilds_its_tables_for_a_new_step_size():
+    # the tables are cached per step size: the same h reuses them, another
+    # h builds the ones a fresh instance builds, bitwise
+    grid = GridSpec(8, PI)
+    lam, lam2 = eigenvalues(grid), eigenvalue_power(grid, 2.0)
+    cn = CrankNicolson(lam2, lam)
+    first = cn._propagator(1e-3)
+    assert cn._propagator(1e-3) is first
+    second = cn._propagator(2e-3)
+    assert second is not first
+    fresh = CrankNicolson(lam2, lam)._propagator(2e-3)
+    assert second.keys() == fresh.keys()
+    assert all(np.array_equal(second[k], fresh[k]) for k in fresh)
+    assert not any(np.array_equal(second[k], first[k]) for k in fresh)
 
 
 def test_crank_nicolson_second_order():
@@ -869,6 +925,26 @@ def test_failed_step_keeps_ab2_history():
         with pytest.raises(InstabilityError):
             stepper.advance(2.0)
         assert np.array_equal(stepper._fhat_prev, fresh._fhat_prev)
+
+
+def test_failed_imex_step_builds_no_newton_system(monkeypatch):
+    # only implicit_newton reads the Newton system (its min d, for the
+    # not-monotone hint), so a failing IMEX step does not build it; the
+    # failure's message, step and time are what they were when it did
+    built = []
+    newton_system = Stepper._newton_system
+    monkeypatch.setattr(Stepper, "_newton_system",
+                        lambda self, h: built.append(h) or newton_system(self, h))
+    grid = GridSpec(16, PI)
+    st = State(random_band_limited(grid, 4, 8.0, seed=3), ModalField.zeros(grid))
+    stepper = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=2.0))
+    with pytest.raises(InstabilityError) as exc:
+        stepper.advance()
+    assert built == []
+    assert str(exc.value) == ("energy increased by 2.955e+01 in the step to t=2 (safeguard "
+                              "1e-06); reduce dt or the resolution/nonlinearity stiffness")
+    assert exc.value.step == 1 and exc.value.time == 2.0
+    assert stepper.step_count == 0 and stepper.state.time == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 33, 64])

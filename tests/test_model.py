@@ -15,13 +15,16 @@ from oracles import (
     exact_projection_of_square,
     naive_modal,
     naive_nodal,
+    nodal_f_and_potential,
     oracle_diagnostic_F,
     oracle_higher_g,
     oracle_higher_h,
     oracle_pointwise_projection,
     oracle_poly_integral,
+    pde_residual,
 )
 
+from sinech import model
 from sinech.errors import UnsupportedNonlinearityError
 from sinech.integrator import SchemeConfig, State, Stepper, simulate
 from sinech.model import (
@@ -37,7 +40,6 @@ from sinech.model import (
     fprime_multiplier,
     higher_functionals,
     nonlinear_term_and_potential,
-    pde_residual,
 )
 from sinech.analysis import random_pair_state
 from sinech.spectral import (
@@ -263,6 +265,48 @@ def test_fprime_sampled_with_f_is_the_multipliers_own(nl):
     assert np.array_equal(fh.coeff, f_eval_dealiased(u, nl).coeff)
     assert pot == nonlinear_term_and_potential(u, nl)[1]
     assert np.array_equal(fprime_multiplier(u, nl, fprime)(v), fprime_multiplier(u, nl)(v))
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+@pytest.mark.parametrize("nl", [DOUBLE_WELL, Nonlinearity(2.0, -0.5, 0.7),
+                                Nonlinearity(0.0, 0.0, 1.5)], ids=["a2=0", "a2!=0", "a3=a2=0"])
+def test_modal_a1_term_and_potential_match_the_all_nodal_evaluation(n, nl):
+    # P_n f(u) = P_n(a3 u^3 + a2 u^2) + a1 u and, for a2 = 0,
+    # int F(u) = 1/4 <u, P_n f(u)> + 1/4 a1 ||u||^2 hold exactly for band-n u,
+    # so they match f(u) and int F(u) taken wholly on the padded grid to
+    # roundoff; and energy(-U) = energy(U) stays bitwise for even potentials
+    grid = GridSpec(n, PI)
+    u = random_band_limited(grid, n, 1.0, seed=n)
+    fhat, pot = nonlinear_term_and_potential(u, nl)
+    ref_fhat, ref_pot = nodal_f_and_potential(u, nl)
+    assert np.abs(fhat.coeff - ref_fhat).max() <= 1e-14 * np.abs(ref_fhat).max()
+    assert np.array_equal(f_eval_dealiased(u, nl).coeff, fhat.coeff)
+    assert abs(pot - ref_pot) <= 1e-14 * abs(ref_pot)
+    if nl.a2 == 0.0:
+        state = random_pair_state(grid, n, 1.5, seed=n + 1)
+        flipped = State(-state.u, -state.v, state.time)
+        g0 = SourceTerm.zero(grid)
+        assert energy(flipped, nl, g0) == energy(state, nl, g0)
+
+
+def test_linear_f_takes_no_transform(monkeypatch):
+    # f = a1 u is band-n: P_n f(u) = a1 u and int F(u) = a1/2 ||u||^2 from
+    # the coefficients alone; fprime is the constant a1 and values stay as
+    # they were
+    def no_transform(*args, **kwargs):
+        raise AssertionError("f = a1 u must take no transform")
+
+    monkeypatch.setattr(model, "nodal_values", no_transform)
+    monkeypatch.setattr(model, "modal_from_values", no_transform)
+    grid = GridSpec(8, PI)
+    u = random_band_limited(grid, 8, 1.0, seed=3)
+    nl = Nonlinearity(0.0, 0.0, 1.5)
+    m = padded_points(grid.n_modes, 2)
+    fprime, values = np.full((m, m), np.nan), np.full((m, m), 7.0)
+    fhat, pot = nonlinear_term_and_potential(u, nl, fprime, values)
+    assert np.array_equal(fhat.coeff, 1.5 * u.coeff)
+    assert pot == pytest.approx(0.75 * float(np.sum(u.coeff**2)), rel=1e-15)
+    assert np.all(fprime == 1.5) and np.all(values == 7.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
