@@ -38,8 +38,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg, minres
 
 from .errors import InstabilityError, StepFailureError
-from .integrator import (CrankNicolson, SchemeConfig, State, Stepper, _inverse_diagonal, ab2,
-                         horizon_steps, newton_krylov, newton_operator, run)
+from .integrator import (CrankNicolson, SchemeConfig, State, Stepper, ab2, horizon_steps,
+                         inverse_diagonal, newton_krylov, newton_operator, run)
 from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
                        lambda_max, norm_Hs, norm_pair, resample, sup_norm, weighted_sum)
@@ -279,6 +279,7 @@ class LipschitzReport:
     c6: float
     c7: float
     max_rho: float
+    super_exponential_flag: bool  # see _super_exponential
 
 
 def lipschitz_dependence(initial: State, perturbation_scale: float,
@@ -288,7 +289,7 @@ def lipschitz_dependence(initial: State, perturbation_scale: float,
     """Run U and U + delta to t_end, pair their (about 200) samples and
     track the growth ratio rho(t) of the gap in the s=0 pair norm; fit
     rho <= c6 exp(c7 t) over the second half of the window (the
-    transient-free regime)."""
+    transient-free regime), and flag super-exponential growth."""
     if perturbation_scale <= 0:
         raise ValueError("perturbation_scale must be positive")
     grid = initial.grid
@@ -311,8 +312,18 @@ def lipschitz_dependence(initial: State, perturbation_scale: float,
     half = initial.time + 0.5 * (t_end - initial.time)
     mask = t_arr >= half
     c7, logc6, _ = _log_linear_fit(t_arr[mask], r_arr[mask])
-    return LipschitzReport(perturbation_scale, times, rho,
-                           math.exp(logc6), c7, float(r_arr.max()))
+    return LipschitzReport(perturbation_scale, times, rho, math.exp(logc6), c7,
+                           float(r_arr.max()), _super_exponential(t_arr, r_arr, c7))
+
+
+def _super_exponential(t: np.ndarray, rho: np.ndarray, c7: float) -> bool:
+    """Whether rho grows super-exponentially: the late-window rate c7
+    positive and outrunning the rate fitted over the second quarter of the
+    sampled window by more than max(20 %, 0.05)."""
+    t0, span = t[0], t[-1] - t[0]
+    early = (t >= t0 + 0.25 * span) & (t <= t0 + 0.5 * span)
+    c7_early = _log_linear_fit(t[early], rho[early])[0]
+    return bool(c7 > 0 and c7 > c7_early + max(0.2 * abs(c7_early), 0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +379,7 @@ def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12
     with warnings.catch_warnings():
         # non-convergence is checked below and raised, not warned about
         warnings.simplefilter("ignore", UserWarning)
-        vals, vecs = lobpcg(op, x0, M=_inverse_diagonal(lam), tol=tol, maxiter=maxiter,
+        vals, vecs = lobpcg(op, x0, M=inverse_diagonal(lam), tol=tol, maxiter=maxiter,
                             largest=False)
     resid = float(np.linalg.norm(op.matvec(vecs[:, 0]) - vals[0] * vecs[:, 0]))
     if not resid <= tol:

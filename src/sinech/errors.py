@@ -42,10 +42,6 @@ class CheckpointMismatchError(ValueError):
     """Checkpoint does not match the grid/nonlinearity it is resumed with."""
 
 
-class InsufficientDataError(ValueError):
-    """A log does not contain enough samples for the requested estimate."""
-
-
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 2)."""
 

@@ -11,11 +11,9 @@ Two schemes:
   moderate.  Besides one padded transform pair (the new state's P_n f(u)
   and int F(u)) a step is O(n^2) modal work; a source g = 0, decided once
   per run, adds no forcing term and no <g, A^(-1) u> to the energy.
-* ``implicit_newton`` -- backward Euler, solved to ||residual|| / |dt| <=
+* ``implicit_newton`` -- backward Euler, solved to ||residual|| / dt <=
   newton_tol by newton_krylov from the linearly implicit step (f frozen
-  at the current state's cached P_n f(u)).  First order, very robust;
-  also accepts negative dt for (experimental) backward-in-time
-  integration.
+  at the current state's cached P_n f(u)).  First order, very robust.
 
 newton_krylov is the one damped inexact Newton loop.  It solves
 R(x) = d x + P_n f(x) - b = 0: the step divided by h^2 Lam, with
@@ -28,10 +26,11 @@ update is halved, up to 12 times, until ||R|| drops.  The map is strongly
 monotone when min d > lambda_bound (f' >= -lambda_bound); a failed
 implicit step whose system is not says so.
 
-Both schemes reject a step that leaves a non-finite state or increases
-the energy by more than the configured safeguard tolerance: for this
-equation the energy is nonincreasing along forward solutions, so a jump
-is a reliable instability signal.
+Time runs forward only (dt > 0).  Both schemes reject a step that
+leaves a non-finite state or increases the energy by more than the
+configured safeguard tolerance: for this equation the energy is
+nonincreasing along forward solutions, so a jump is a reliable
+instability signal.
 
 ``run`` is the one loop that advances a ``Stepper`` to a horizon, calling
 an observer that records what its caller reads at the sample points:
@@ -48,6 +47,7 @@ O(dt^2) otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -93,10 +93,9 @@ class State:
 class SchemeConfig:
     """Step size and scheme selection.
 
-    safeguard_tol is the maximum tolerated single-step energy increase;
-    newton_* only apply to the implicit scheme.  Negative dt (backward
-    time) is accepted for implicit_newton only and disables the
-    safeguard, since the energy grows along backward orbits.
+    dt must be finite and > 0; safeguard_tol is the maximum tolerated
+    single-step energy increase; newton_* only apply to the implicit
+    scheme.
     """
 
     dt: float
@@ -108,12 +107,8 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        if not np.isfinite(self.dt):
-            raise ValueError(f"dt must be finite, got {self.dt}")
-        if self.dt == 0.0:
-            raise ValueError("dt must be nonzero")
-        if self.dt < 0.0 and self.scheme != "implicit_newton":
-            raise ValueError("backward time (dt < 0) is supported by implicit_newton only")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and > 0 (no backward time), got {self.dt}")
         if not (self.newton_tol > 0.0):
             raise ValueError("newton_tol must be > 0")
         if self.newton_max_iter < 1:
@@ -252,7 +247,7 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
         if len(history) > max_iter:
             failure = f"Newton did not reach tol={tol:g} in {max_iter} iterations"
             break
-        pre = _inverse_diagonal(_preconditioner_diagonal(d, fprimes[slot].mean()))
+        pre = inverse_diagonal(_preconditioner_diagonal(d, fprimes[slot].mean()))
         delta, info = solve(newton_operator(ModalField(grid, x), nl, d, fprimes[slot]), -r.ravel(),
                             M=pre, rtol=_forcing(history, tol), maxiter=_MINRES_MAXITER)
         if info != 0:
@@ -272,7 +267,7 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
     return failure, x, cached, fprimes[slot], slot, history
 
 
-def _inverse_diagonal(d: np.ndarray) -> LinearOperator:
+def inverse_diagonal(d: np.ndarray) -> LinearOperator:
     """The preconditioner vec -> vec / d for a positive diagonal d; it also takes
     the (size, 1) columns that LinearOperator.matmat (LOBPCG) passes."""
     return LinearOperator((d.size, d.size), dtype=np.float64,
@@ -433,18 +428,25 @@ class Stepper:
 
     def _newton_system(self, h: float) -> tuple[np.ndarray, np.ndarray]:
         """(d, b) of the step as newton_krylov's system d x + P_n f(x) = b:
-        backward Euler divided by h^2 Lam, with d = Lam + (1 + h) / (h^2 Lam)."""
+        backward Euler divided by h^2 Lam, with d = Lam + (1 + h) / (h^2 Lam).
+        StepFailureError, before any division, when h^2 Lam_1 is below the
+        normal floats, where 1 / (h^2 Lam) overflows or divides by zero."""
         c, w, lam = self.state.u.coeff, self.state.v.coeff, self.lam
         scale = h * h * lam
+        if not scale[0, 0] >= sys.float_info.min:  # Lam_1 = lam[0, 0], the smallest
+            t = self.state.time + h
+            raise StepFailureError(
+                f"a step of h={h:g} is too small for implicit_newton at t={t:g}: h^2 lambda_1 = "
+                f"{scale[0, 0]:g} is below the smallest normal float, so the step's system "
+                "cannot be divided by it; use a longer step or imex_cn_ab2", time=t)
         return lam + (1.0 + h) / scale, self.g.g_modal.coeff / lam + ((1.0 + h) * c + h * w) / scale
 
-    def _advance_newton(self, h: float):
+    def _advance_newton(self, h: float, d: np.ndarray, b: np.ndarray):
         c = self.state.u.coeff
         tol = self.cfg.newton_tol
-        d, b = self._newton_system(h)
         h_lam = h * self.lam
 
-        def stop(res):  # ||h^2 Lam R|| / |h|; a non-finite norm stops too, for _require_finite
+        def stop(res):  # ||h^2 Lam R|| / h; a non-finite norm stops too, for _require_finite
             merit = h_lam * res
             rn = math.sqrt(dot(merit, merit))
             return rn, not rn > tol
@@ -470,17 +472,19 @@ class Stepper:
         h = self.cfg.dt if dt is None else dt
         e_before = self.energy_total()
         w = self.state.v.coeff
+        d = None  # the implicit step's diagonal, once formed
         try:
             if self.cfg.scheme == "imex_cn_ab2":
                 c_new, w_new, cur = self._advance_imex(h)
             else:
-                c_new, w_new, cur = self._advance_newton(h)
+                d, b = self._newton_system(h)
+                c_new, w_new, cur = self._advance_newton(h, d, b)
             grid = self.state.grid
             new = State(ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h)
             sums = {}
             e_after = energy(new, self.nl, self._g, cur[1], sums)
             rise = e_after - e_before
-            if h > 0.0 and not (rise <= self.cfg.safeguard_tol):
+            if not rise <= self.cfg.safeguard_tol:
                 raise InstabilityError(
                     f"energy increased by {rise:.3e} in the step to t={new.time:g} "
                     f"(safeguard {self.cfg.safeguard_tol:g}); "
@@ -489,12 +493,11 @@ class Stepper:
                 )
         except StepFailureError as exc:
             exc.step = self.step_count + 1
-            if self.cfg.scheme == "implicit_newton":  # see the module docstring
-                d_min = float(self._newton_system(h)[0].min())
-                if d_min <= self.nl.lambda_bound:
-                    exc.args = (f"{exc}; the step's system is not monotone (min d = {d_min:.4g} "
-                                f"<= lambda_bound = {self.nl.lambda_bound:.4g}): a smaller dt "
-                                "helps",)
+            d_min = math.inf if d is None else float(d.min())
+            if d_min <= self.nl.lambda_bound:  # see the module docstring
+                exc.args = (f"{exc}; the step's system is not monotone (min d = {d_min:.4g} "
+                            f"<= lambda_bound = {self.nl.lambda_bound:.4g}): a smaller dt "
+                            "helps",)
             raise
         w_sum = w + w_new  # h ||(w + w_new) / 2||_{V'}^2, with the exact factor 1/4 outside
         dissip = 0.25 * h * weighted_sum(eigenvalue_power(grid, -1.0), w_sum, w_sum)
@@ -519,20 +522,20 @@ class Stepper:
 
 
 def horizon_steps(span: float, dt: float) -> tuple[int, float]:
-    """(n_steps, h) covering span: none for an empty span, else
-    round(span/dt) >= 1 steps snapped to land on the horizon (h == dt when
-    span divides evenly).  ValueError when dt points away from span, or
-    when span/dt is not finite or asks for more than 2**53 steps, beyond
-    which step_count * h is no longer exact."""
+    """(n_steps, h) covering span with steps of about dt > 0: none for an
+    empty span, else round(span/dt) >= 1 steps snapped to land on the
+    horizon (h == dt when span divides evenly).  ValueError when span is
+    negative, or when span/dt is not finite or asks for more than 2**53
+    steps, beyond which step_count * h is no longer exact."""
     if span == 0.0:
         return 0, dt
-    if (span < 0.0) != (dt < 0.0):
-        raise ValueError(f"a span of {span} is not reachable with dt={dt}")
+    if span < 0.0:
+        raise ValueError(f"a span of {span} is negative: time runs forward only")
     if not span / dt <= 2.0**53:
         raise ValueError(f"a span of {span} asks for {span / dt:g} steps of dt={dt}, "
                          "more than 2**53")
     n_steps = max(1, int(round(span / dt)))
-    if abs(span / n_steps - dt) > 1e-9 * abs(dt):
+    if abs(span / n_steps - dt) > 1e-9 * dt:
         dt = span / n_steps
     return n_steps, dt
 

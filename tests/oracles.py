@@ -11,10 +11,13 @@ arithmetic.
 
 import numpy as np
 
-from sinech.errors import InsufficientDataError
 from sinech.model import acceleration_from_state
 from sinech.spectral import (dot, modal_from_values, nodal_values, norm_Hs, padded_points,
                              quadrature_weight)
+
+
+class InsufficientDataError(ValueError):
+    """A log does not contain enough samples for the requested estimate."""
 
 
 def sine_matrix(n_modes: int, n_points: int, side: float, centred: bool = False) -> np.ndarray:

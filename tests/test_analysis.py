@@ -20,6 +20,7 @@ from sinech.analysis import (
     lojasiewicz_probe,
     random_pair_state,
     _log_linear_fit,
+    _super_exponential,
 )
 from sinech.errors import DimensionMismatchError, InstabilityError, StepFailureError
 from sinech.integrator import SchemeConfig, State, newton_operator
@@ -72,6 +73,20 @@ def test_log_linear_fit_recovers_exponential():
     assert slope == pytest.approx(-2.0, abs=1e-12)
     assert intercept == pytest.approx(math.log(3.0), abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rho, flagged", [(lambda t: np.exp(t * t), True),
+                                          (lambda t: 1e-3 * np.exp(0.5 * t), False)],
+                         ids=["exp-t-squared", "exponential"])
+def test_super_exponential_flag(rho, flagged):
+    # the late-window rate c7 of lipschitz_dependence against the rate over
+    # the second quarter: exp(t^2) on [0, 4] grows at about 6 late and 3
+    # early, an exponential at 0.5 in both
+    t = np.linspace(0.0, 4.0, 201)
+    r = rho(t)
+    late = t >= 2.0
+    c7 = _log_linear_fit(t[late], r[late])[0]
+    assert _super_exponential(t, r, c7) is flagged
 
 
 # ---------------------------------------------------------------------------

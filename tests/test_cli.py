@@ -565,6 +565,21 @@ def test_simulate_instability_exit_code(tmp_path, capsys):
     assert float(match.group(2)) == 2.0 * int(match.group(1))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_implicit_step_too_small_to_form_its_system(tmp_path, capsys):
+    # a horizon of 1e-320 is one subnormal step, whose h^2 lambda_1
+    # underflows: the step fails before dividing by it, says why and
+    # names h, with the step and time stamped; no numpy warning is raised
+    cfg = _simulate_cfg(tmp_path, grid={"n_modes": 4}, t_end=1e-320,
+                        scheme={"dt": 1e-3, "scheme": "implicit_newton"})
+    assert run_cli("simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert "a step of h=9.99989e-321 is too small for implicit_newton" in err
+    assert "below the smallest normal float" in err
+    assert "reduce dt" not in err
+    assert err.rstrip().endswith("(step 1, t=9.99989e-321)")
+
+
 def test_equilibrium_refuses_a_non_finite_seed(tmp_path, capsys):
     seed_field = random_band_limited(GridSpec(32, math.pi), 4, 1.0, seed=3)
     seed_field.coeff[2, 3] = math.nan
