@@ -38,10 +38,6 @@ class CheckpointVersionError(FileFormatError):
     """Checkpoint written by an incompatible format version."""
 
 
-class CheckpointMismatchError(ValueError):
-    """Checkpoint does not match the grid/nonlinearity it is resumed with."""
-
-
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration (CLI exit code 2)."""
 

@@ -12,8 +12,9 @@ Two schemes:
   and int F(u)) a step is O(n^2) modal work; a source g = 0, decided once
   per run, adds no forcing term and no <g, A^(-1) u> to the energy.
 * ``implicit_newton`` -- backward Euler, solved to ||residual|| / dt <=
-  newton_tol by newton_krylov from the linearly implicit step (f frozen
-  at the current state's cached P_n f(u)).  First order, very robust.
+  newton_tol (or the step's roundoff floor, if higher) by newton_krylov
+  from the linearly implicit step (f frozen at the current state's
+  cached P_n f(u)).  First order, very robust.
 
 newton_krylov is the one damped inexact Newton loop.  It solves
 R(x) = d x + P_n f(x) - b = 0: the step divided by h^2 Lam, with
@@ -53,12 +54,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
 
-from .errors import (
-    CheckpointMismatchError,
-    CheckpointVersionError,
-    InstabilityError,
-    StepFailureError,
-)
+from .errors import CheckpointVersionError, InstabilityError, StepFailureError
 from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
                     higher_functionals, nonlinear_term_and_potential, square_sum)
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
@@ -165,18 +161,6 @@ class TrajectoryLog:
     def write_csv(self, path) -> None:
         cols = np.column_stack([np.asarray(getattr(self, f.name)) for f in fields(self)[:9]])
         np.savetxt(path, cols, delimiter=",", header=self.CSV_HEADER, comments="", fmt="%.17g")
-
-
-@dataclass
-class Checkpoint:
-    """Everything needed to continue a run bit-for-bit."""
-
-    state: State
-    cfg: SchemeConfig
-    nl: Nonlinearity
-    g: SourceTerm
-    step_count: int = 0
-    fhat_prev: np.ndarray | None = None  # AB2 history (previous nonlinear term)
 
 
 def _require_finite(t: float, *arrays: np.ndarray) -> None:
@@ -360,7 +344,8 @@ class Stepper:
     leaves u on the 2n grid in a stepper-owned array for the log rows:
     _padded[0] for the current state, [1] for the step's new state, [2]
     for a Newton line-search trial.  A step writes only [1] and [2], and
-    its commit swaps [0] and [1]."""
+    its commit swaps [0] and [1].  A stepper is also its own checkpoint:
+    save_checkpoint writes it, load_checkpoint reads it back."""
 
     def __init__(self, state: State, nl: Nonlinearity, g: SourceTerm,
                  cfg: SchemeConfig, step_count: int = 0,
@@ -443,8 +428,14 @@ class Stepper:
 
     def _advance_newton(self, h: float, d: np.ndarray, b: np.ndarray):
         c = self.state.u.coeff
-        tol = self.cfg.newton_tol
         h_lam = h * self.lam
+        # ||h^2 Lam R|| / h cannot go below the roundoff of the terms of
+        # h^2 Lam b = (1 + h) c + h w + h^2 g that cancel in it, so the stop is
+        # floored at a few eps ||h^2 Lam b|| / h (which short steps reach),
+        # unless that overflows: an infinite floor would accept any iterate
+        hb = h_lam * b
+        floor = 8.0 * sys.float_info.epsilon * math.sqrt(dot(hb, hb))
+        tol = max(self.cfg.newton_tol, floor if floor < math.inf else 0.0)
 
         def stop(res):  # ||h^2 Lam R|| / h; a non-finite norm stops too, for _require_finite
             merit = h_lam * res
@@ -510,16 +501,6 @@ class Stepper:
         self._energy, self._sums = e_after, sums
         return dissip
 
-    def checkpoint(self) -> Checkpoint:
-        return Checkpoint(state=self.state.copy(), cfg=self.cfg, nl=self.nl, g=self.g,
-                          step_count=self.step_count,
-                          fhat_prev=None if self._fhat_prev is None else self._fhat_prev.copy())
-
-    @classmethod
-    def from_checkpoint(cls, ckpt: Checkpoint) -> "Stepper":
-        return cls(ckpt.state, ckpt.nl, ckpt.g, ckpt.cfg, step_count=ckpt.step_count,
-                   fhat_prev=ckpt.fhat_prev)
-
 
 def horizon_steps(span: float, dt: float) -> tuple[int, float]:
     """(n_steps, h) covering span with steps of about dt > 0: none for an
@@ -565,26 +546,6 @@ def simulate(initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
     return log
 
 
-def resume_simulation(ckpt: Checkpoint, t_end: float, sample_every: int = 1,
-                      nl: Nonlinearity | None = None,
-                      g: SourceTerm | None = None) -> TrajectoryLog:
-    """Continue a checkpointed run (bit-for-bit with the original).
-
-    Optional nl/g are cross-checked against the checkpoint and refused
-    on mismatch; the checkpointed values are always the ones used.
-    """
-    if nl is not None and (nl.a3, nl.a2, nl.a1) != (ckpt.nl.a3, ckpt.nl.a2, ckpt.nl.a1):
-        raise CheckpointMismatchError("nonlinearity does not match the checkpoint")
-    if g is not None:
-        if g.grid != ckpt.g.grid:
-            raise CheckpointMismatchError("grid does not match the checkpoint")
-        if not np.array_equal(g.g_modal.coeff, ckpt.g.g_modal.coeff):
-            raise CheckpointMismatchError("source term does not match the checkpoint")
-    log = TrajectoryLog()
-    run(Stepper.from_checkpoint(ckpt), t_end, sample_every, log.record)
-    return log
-
-
 # ---------------------------------------------------------------------------
 # residual estimates on logs
 # ---------------------------------------------------------------------------
@@ -613,18 +574,20 @@ def energy_equality_residual(log: TrajectoryLog, s_idx: int, t_idx: int) -> floa
 _CKPT_LAYOUTS = (["g", "u", "ut"], ["fhat_prev", "g", "u", "ut"])
 
 
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write a .ckpt file (see spectral.write_binary): the blocks listed
-    in header['blocks'] are u and ut, the source term and, when present,
-    the extrapolation history, so a resumed run reproduces the original
-    bitwise."""
-    arrays = {"u": ckpt.state.u.coeff, "ut": ckpt.state.v.coeff, "g": ckpt.g.g_modal.coeff}
-    if ckpt.fhat_prev is not None:
-        arrays["fhat_prev"] = ckpt.fhat_prev
+def save_checkpoint(path, stepper: Stepper) -> None:
+    """Write the stepper to a .ckpt file (see spectral.write_binary): the
+    blocks listed in header['blocks'] are u and ut, the source term and,
+    after a step of imex_cn_ab2, the extrapolation history, so the stepper
+    that load_checkpoint returns continues the run bitwise."""
+    state = stepper.state
+    arrays = {"u": state.u.coeff, "ut": state.v.coeff, "g": stepper.g.g_modal.coeff}
+    if stepper._fhat_prev is not None:
+        arrays["fhat_prev"] = stepper._fhat_prev
     header = {"format": "sinech-checkpoint", "version": _CKPT_VERSION,
-              "n_modes": ckpt.state.grid.n_modes, "side": ckpt.state.grid.side,
-              "time": ckpt.state.time, "step_count": ckpt.step_count,
-              "scheme": asdict(ckpt.cfg), "nonlinearity": asdict(ckpt.nl), "blocks": list(arrays)}
+              "n_modes": state.grid.n_modes, "side": state.grid.side,
+              "time": state.time, "step_count": stepper.step_count,
+              "scheme": asdict(stepper.cfg), "nonlinearity": asdict(stepper.nl),
+              "blocks": list(arrays)}
     write_binary(path, header, arrays.values())
 
 
@@ -648,22 +611,23 @@ def _from_header(cls, block: dict):
     return cls(**{f.name: block[f.name] for f in fields(cls)})
 
 
-def _checkpoint(header: dict, grid: GridSpec, blocks: dict) -> Checkpoint:
-    """The checkpoint a header and its blocks describe."""
-    return Checkpoint(
-        state=State(ModalField(grid, blocks["u"]), ModalField(grid, blocks["ut"]),
-                    header_value(header, "time", float)),
-        cfg=_from_header(SchemeConfig, header["scheme"]),
-        nl=_from_header(Nonlinearity, header["nonlinearity"]),
-        g=SourceTerm(ModalField(grid, blocks["g"])),
-        step_count=header_value(header, "step_count", int),
-        fhat_prev=blocks.get("fhat_prev"),
-    )
+def _stepper(header: dict, grid: GridSpec, blocks: dict) -> Stepper:
+    """The stepper a header and its blocks describe, built state, scheme,
+    nonlinearity, source, so a header with several bad blocks names the
+    first of these."""
+    state = State(ModalField(grid, blocks["u"]), ModalField(grid, blocks["ut"]),
+                  header_value(header, "time", float))
+    cfg = _from_header(SchemeConfig, header["scheme"])
+    nl = _from_header(Nonlinearity, header["nonlinearity"])
+    return Stepper(state, nl, SourceTerm(ModalField(grid, blocks["g"])), cfg,
+                   step_count=header_value(header, "step_count", int),
+                   fhat_prev=blocks.get("fhat_prev"))
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read a .ckpt file.  A malformed file raises FileFormatError (see
-    spectral.read_binary), one of another format version
-    CheckpointVersionError; header keys the format does not use are
-    ignored."""
-    return read_binary(path, _checkpoint_blocks, _checkpoint)
+def load_checkpoint(path) -> Stepper:
+    """Read a .ckpt file into the Stepper it saved, ready for run; nothing
+    is evaluated on the state until it steps.  A malformed file raises
+    FileFormatError (see spectral.read_binary), one of another format
+    version CheckpointVersionError; header keys the format does not use
+    are ignored."""
+    return read_binary(path, _checkpoint_blocks, _stepper)

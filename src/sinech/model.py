@@ -332,22 +332,21 @@ def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> Assumpt
     checks the growth bound on f'' and the sign radius r0, and reports
     lambda_1 when a grid is supplied (the relaxed dissipativity condition
     liminf f(r)/r > -lambda_1 holds for every coercive cubic).
-    Overridden bounds that fail the sampling are flagged.
+    Overridden bounds that fail the sampling are flagged, and so is a
+    bound whose sampled values overflow, since those verify nothing.
     """
     if nl.a3 <= 0.0:
         raise UnsupportedNonlinearityError(
             f"assumption checks need a coercive cubic (a3 > 0), got a3 = {nl.a3}"
         )
     r = np.linspace(-1000.0, 1000.0, 1_000_001)
-    fp = nl.f_prime(r)
-    min_fp = float(fp.min())
-    lam_ok = min_fp >= -nl.lambda_bound - 1e-6
-
-    fs = nl.f_second(r)
-    m_ok = bool(np.all(np.abs(fs) <= nl.m_bound * (1.0 + np.abs(r)) + 1e-9))
-
-    outside = np.abs(r) >= nl.r0
-    r0_ok = bool(np.all((nl.f(r) * r)[outside] >= -1e-9))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp, fs, fr = nl.f_prime(r), nl.f_second(r), nl.f(r) * r
+        min_fp = float(fp.min())
+        lam_ok = bool(np.isfinite(fp).all()) and min_fp >= -nl.lambda_bound - 1e-6
+        m_ok = bool(np.isfinite(fs).all()
+                    and np.all(np.abs(fs) <= nl.m_bound * (1.0 + np.abs(r)) + 1e-9))
+        r0_ok = bool(np.isfinite(fr).all() and np.all(fr[np.abs(r) >= nl.r0] >= -1e-9))
 
     lam1 = eigenvalue(grid, 1, 1) if grid is not None else None
     return AssumptionReport(

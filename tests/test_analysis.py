@@ -414,6 +414,22 @@ def test_stability_indicator_tiny_grids_exact(n):
     assert value == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_equilibrium_indicator_on_tiny_grids_is_the_dense_eigenvalue(n):
+    # below 5 unknowns find_equilibrium's indicator comes from eigvalsh:
+    # at a nonzero well of u^3 - 3u (|u*| ~ 2.09 on mode (1,1), where
+    # f'(u*) lifts A - 3 to about 2) it is the smallest eigenvalue of the
+    # assembled Newton operator there
+    grid = GridSpec(n, PI)
+    res = find_equilibrium(ModalField.single_mode(grid, 1, 1, 1.0), STIFF_WELL,
+                           SourceTerm.zero(grid))
+    assert res.converged
+    op, lam = _jacobian_at(res.u_star, STIFF_WELL)
+    smallest = float(np.linalg.eigvalsh(op.matmat(np.eye(lam.size)))[0])
+    assert smallest == pytest.approx(2.0, rel=1e-9)
+    assert res.stability_indicator == pytest.approx(smallest, rel=1e-12)
+
+
 def test_stability_indicator_nonconvergence_raises():
     grid = GridSpec(24, PI)
     op, lam = _jacobian_at(random_band_limited(grid, 8, 6.0, seed=2), STIFF_WELL)

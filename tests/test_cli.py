@@ -132,6 +132,20 @@ def test_check_flags_false_claim(tmp_path):
     assert [r["check"] for r in bad] == ["assumptions"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_fails_assumptions_whose_samples_overflow(tmp_path):
+    # a1 = 1e308 passes Nonlinearity's range checks, but f(r) r overflows
+    # on the sampled r: an inf sample verifies no bound, so the row fails
+    # (and the sampling raises no numpy warning)
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, grid={"n_modes": 4}, nonlinearity={"a1": 1e308},
+                       check={"n_modes_list": [4]})
+    assert run_cli("check", "--config", cfg, "--output-dir", str(out),
+                   "--only", "assumptions") == 1
+    rows = json.loads((out / "check_report.json").read_text())["rows"]
+    assert [(r["check"], r["pass"]) for r in rows] == [("assumptions", False)]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -578,6 +592,19 @@ def test_implicit_step_too_small_to_form_its_system(tmp_path, capsys):
     assert "below the smallest normal float" in err
     assert "reduce dt" not in err
     assert err.rstrip().endswith("(step 1, t=9.99989e-321)")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_short_implicit_steps_stop_at_their_roundoff_floor(tmp_path):
+    # at h = 1e-7 the roundoff of h^2 Lam R over h is about 5e-9, above
+    # newton_tol = 1e-10: with a stop that ignored it, the first step's
+    # line search failed at residual 1.6e-10
+    out = tmp_path / "o"
+    cfg = _simulate_cfg(tmp_path, t_end=3e-7,
+                        scheme={"dt": 1e-7, "scheme": "implicit_newton"})
+    assert run_cli("simulate", "--config", cfg, "--output-dir", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["samples"] == 4 and summary["t_final"] == pytest.approx(3e-7)
 
 
 def test_equilibrium_refuses_a_non_finite_seed(tmp_path, capsys):

@@ -11,7 +11,6 @@ from oracles import (InsufficientDataError, crank_nicolson_closed_form, exact_li
 from scipy.sparse.linalg import minres
 
 from sinech.errors import (
-    CheckpointMismatchError,
     CheckpointVersionError,
     FileFormatError,
     InstabilityError,
@@ -30,7 +29,6 @@ from sinech.integrator import (
     load_checkpoint,
     newton_krylov,
     newton_operator,
-    resume_simulation,
     run,
     save_checkpoint,
     simulate,
@@ -736,10 +734,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, scheme):
     half = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
     _run_stepper(half, 7)
     path = tmp_path / "run.ckpt"
-    save_checkpoint(path, half.checkpoint())
-    loaded = load_checkpoint(path)
-    assert loaded.step_count == 7
-    resumed = Stepper.from_checkpoint(loaded)
+    save_checkpoint(path, half)
+    resumed = load_checkpoint(path)
+    assert resumed.step_count == 7
     _run_stepper(resumed, 10)
 
     assert np.array_equal(resumed.state.u.coeff, ref.state.u.coeff)
@@ -761,19 +758,13 @@ def test_resume_simulation_matches_uninterrupted(tmp_path):
 
     half = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
     _run_stepper(half, 10)
-    ckpt = half.checkpoint()
-    tail = resume_simulation(ckpt, t_end)
+    path = tmp_path / "half.ckpt"
+    save_checkpoint(path, half)
+    tail = TrajectoryLog()
+    run(load_checkpoint(path), t_end, 1, tail.record)
     assert tail.final.time == full.final.time == t_end
     assert np.array_equal(tail.final.u.coeff, full.final.u.coeff)
     assert np.array_equal(tail.final.v.coeff, full.final.v.coeff)
-
-    # mismatched physics is refused
-    with pytest.raises(CheckpointMismatchError):
-        resume_simulation(ckpt, t_end, nl=Nonlinearity(1.0, 0.0, -2.0))
-    with pytest.raises(CheckpointMismatchError):
-        resume_simulation(
-            ckpt, t_end, g=SourceTerm(random_band_limited(grid, 3, 0.5, seed=99))
-        )
 
 
 def test_checkpoint_file_corruption(tmp_path):
@@ -782,7 +773,7 @@ def test_checkpoint_file_corruption(tmp_path):
                       SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
     _run_stepper(stepper, 3)
     path = tmp_path / "ok.ckpt"
-    save_checkpoint(path, stepper.checkpoint())
+    save_checkpoint(path, stepper)
     blob = path.read_bytes()
 
     trunc = tmp_path / "trunc.ckpt"
@@ -813,12 +804,12 @@ def test_checkpoint_ignores_retired_header_keys(tmp_path):
     half = Stepper(st.copy(), DOUBLE_WELL, SourceTerm.zero(grid), cfg)
     _run_stepper(half, 4)
     path = tmp_path / "old.ckpt"
-    save_checkpoint(path, half.checkpoint())
+    save_checkpoint(path, half)
     head, _, rest = path.read_bytes().partition(b"\n")
     assert b"rng_seed" not in head
     path.write_bytes(head.replace(b'"step_count": 4', b'"step_count": 4, "rng_seed": 70')
                      + b"\n" + rest)
-    resumed = Stepper.from_checkpoint(load_checkpoint(path))
+    resumed = load_checkpoint(path)
     _run_stepper(resumed, 5)
     assert np.array_equal(resumed.state.u.coeff, ref.state.u.coeff)
     assert np.array_equal(resumed.state.v.coeff, ref.state.v.coeff)
@@ -851,7 +842,7 @@ def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
                       SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
     _run_stepper(stepper, 2)
     path = tmp_path / "run.ckpt"
-    save_checkpoint(path, stepper.checkpoint())
+    save_checkpoint(path, stepper)
     head, _, rest = path.read_bytes().partition(b"\n")
     header = json.loads(head)
     edit(header)
@@ -867,7 +858,7 @@ def test_checkpoint_short_last_block_names_it(tmp_path, cut):
                       SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
     _run_stepper(stepper, 2)
     path = tmp_path / "run.ckpt"
-    save_checkpoint(path, stepper.checkpoint())
+    save_checkpoint(path, stepper)
     last = json.loads(path.read_bytes().partition(b"\n")[0])["blocks"][-1]
     path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(FileFormatError, match=f"truncated block '{last}'"):

@@ -1,22 +1,32 @@
-"""The README's Python quick start runs as written (on a short horizon),
-and its minimal config is a valid config."""
+"""The README's Python blocks run as written, in order and sharing names
+(the quick start on a short horizon), and its minimal config is a valid
+config."""
 
 import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from sinech.cli import DEFAULTS, _merge
+from sinech.integrator import SchemeConfig, simulate
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_quick_start_runs(tmp_path, monkeypatch):
-    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    assert block.count("t_end=5.0") == 1
+    quick, *rest = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert quick.count("t_end=5.0") == 1 and len(rest) == 1
     monkeypatch.chdir(tmp_path)
-    exec(compile(block.replace("t_end=5.0", "t_end=0.05"), str(README), "exec"), {})
-    rows = (tmp_path / "trajectory.csv").read_text().splitlines()
-    assert rows[0].startswith("t,") and len(rows) == 1 + 6
+    names = {}
+    for block in (quick.replace("t_end=5.0", "t_end=0.05"), *rest):
+        exec(compile(block, str(README), "exec"), names)
+    for csv in ("trajectory.csv", "resumed.csv"):  # t = 0 to 0.05, then 0.05 to 0.1
+        rows = (tmp_path / csv).read_text().splitlines()
+        assert rows[0].startswith("t,") and len(rows) == 1 + 6
+    full = simulate(names["init"], names["nl"], names["g"], SchemeConfig(dt=1e-3), t_end=0.1)
+    assert np.array_equal(names["tail"].final.u.coeff, full.final.u.coeff)
+    assert np.array_equal(names["tail"].final.v.coeff, full.final.v.coeff)
 
 
 def test_minimal_config_passes_the_checks():
