@@ -445,6 +445,7 @@ class LojReport:
     tol: float
     tol_reached: bool
     started_at_rest: bool     # u_t(0) = 0 and u(0) already meets find_equilibrium's stop
+    steps: int                # steps run: none when started_at_rest
     ut_final: float           # ||u_t(t_end)||_V'
     distance_v: float         # ||u(t_end) - u*||_V
     energy_gap: float         # E(t_end) - E(u*, 0)
@@ -460,7 +461,8 @@ def lojasiewicz_probe(initial: State, nl: Nonlinearity, g: SourceTerm,
     report the V-distance and energy gap to that equilibrium.  A missed
     tol is reported, not raised: the convergence claim is asymptotic.  A
     start that is already an equilibrium at rest is reported as
-    started_at_rest: its run shows nothing about convergence."""
+    started_at_rest and not run (steps 0, one sample at the start): the
+    orbit would stay where it is and show nothing about convergence."""
     at_rest = (not initial.v.coeff.any()
                and _stationary_newton(initial.u, nl, g, _EQUILIBRIUM_TOL, 0)[0] is None)
     stepper = Stepper(initial, nl, g, cfg)
@@ -470,13 +472,17 @@ def lojasiewicz_probe(initial: State, nl: Nonlinearity, g: SourceTerm,
         times.append(s.state.time)
         ut.append(s.ut_vprime())
 
-    run(stepper, t_end, _stride(t_end - initial.time, cfg.dt, 256), observe)
+    if at_rest:
+        observe(stepper, None)
+    else:
+        run(stepper, t_end, _stride(t_end - initial.time, cfg.dt, 256), observe)
     final = stepper.state
     eq = find_equilibrium(final.u, nl, g)
     return LojReport(
         tol=tol,
         tol_reached=ut[-1] <= tol,
         started_at_rest=at_rest,
+        steps=stepper.step_count,
         ut_final=ut[-1],
         distance_v=norm_Hs(final.u - eq.u_star, 0.5),
         energy_gap=stepper.energy_total() - eq.energy_at,

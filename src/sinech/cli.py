@@ -29,9 +29,9 @@ from . import analysis
 from .errors import ConfigError, FileFormatError, StepFailureError
 from .integrator import SchemeConfig, State, energy_equality_residual, horizon_steps, simulate
 from .model import Nonlinearity, SourceTerm, check_assumptions
-from .spectral import (GridSpec, ModalField, apply_power, inner, load_field, modal_from_values,
-                       nodal_values, norm_Hs, padded_points, project, quadrature_weight,
-                       random_band_limited, save_field, sup_norm)
+from .spectral import (GridSpec, ModalField, apply_power, inner, lambda_max, load_field,
+                       modal_from_values, nodal_values, norm_Hs, padded_points, project,
+                       quadrature_weight, random_band_limited, save_field, sup_norm)
 
 _FIELD_BLOCK = {
     "preset": "zero", "j": 1, "k": 1, "amp": 1.0,
@@ -203,7 +203,22 @@ def _build_problem(cfg: dict) -> tuple[GridSpec, Nonlinearity, SourceTerm]:
     """The run's grid, nonlinearity and source, built in that order: of
     several bad blocks, the first in that order is the one named."""
     grid = _build(GridSpec, cfg, "grid")
-    return grid, _build(Nonlinearity, cfg, "nonlinearity"), _build_source(cfg, grid)
+    nl = _check_stiffness(_build(Nonlinearity, cfg, "nonlinearity"), grid)
+    return grid, nl, _build_source(cfg, grid)
+
+
+def _check_stiffness(nl: Nonlinearity, grid: GridSpec) -> Nonlinearity:
+    """nl, unless a3 or a1 times the grid's largest eigenvalue overflows: a
+    step weighs P_n f(u) by the eigenvalues, so such a run could only
+    overflow on its first step.  The coefficient is named.  (a2 cannot:
+    Nonlinearity keeps a2^2 finite, and GridSpec the eigenvalue cubes.)"""
+    lam = lambda_max(grid)
+    for key in ("a3", "a1"):
+        if not lam * abs(getattr(nl, key)) < math.inf:
+            raise ConfigError(f"{key}={getattr(nl, key):g} times the largest eigenvalue "
+                              f"{lam:g} of n_modes {grid.n_modes} overflows",
+                              key=f"nonlinearity.{key}")
+    return nl
 
 
 def _build_source(cfg: dict, grid: GridSpec) -> SourceTerm:
@@ -388,7 +403,7 @@ def cmd_converge(cfg: dict, outdir: Path, args) -> int:
         raise ConfigError("band must not exceed the coarsest resolution",
                           key="converge.band")
     nl = _build(Nonlinearity, cfg, "nonlinearity")
-    _build(GridSpec, cfg, "grid", n_modes=n_ref)  # the finest grid of the run
+    _check_stiffness(nl, _build(GridSpec, cfg, "grid", n_modes=n_ref))  # the finest grid of the run
     coarse = _build(GridSpec, cfg, "grid", n_modes=min(resolutions))
     initial = State(random_band_limited(coarse, band, block["amplitude"], cfg["seed"]),
                     ModalField.zeros(coarse))
@@ -445,7 +460,7 @@ def cmd_lojasiewicz(cfg: dict, outdir: Path, args) -> int:
     ok = rep.tol_reached and rep.energy_gap >= -1e-10
     if rep.started_at_rest:
         _say(args, "lojasiewicz: the start is already an equilibrium at rest (u_t = 0 and u "
-                   "meets the equilibrium tolerance), so the run tests no convergence")
+                   "meets the equilibrium tolerance), so no step was run: it tests no convergence")
     _say(args, f"lojasiewicz: |u_t|={rep.ut_final:.2e} dist_V={rep.distance_v:.2e} "
                f"gap={rep.energy_gap:.2e}")
     return 0 if ok else 1

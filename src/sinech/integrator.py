@@ -411,31 +411,41 @@ class Stepper:
                                          self.state.time)
         return c_new, w_new, self._evaluate(c_new, 1)
 
-    def _newton_system(self, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """(d, b) of the step as newton_krylov's system d x + P_n f(x) = b:
-        backward Euler divided by h^2 Lam, with d = Lam + (1 + h) / (h^2 Lam).
-        StepFailureError, before any division, when h^2 Lam_1 is below the
-        normal floats, where 1 / (h^2 Lam) overflows or divides by zero."""
+    def _newton_system(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """(d, b, tol) of the step as newton_krylov's system d x + P_n f(x) = b:
+        backward Euler divided by h^2 Lam, with d = Lam + (1 + h) / (h^2 Lam),
+        and the stop's tolerance on ||h^2 Lam R|| / h.  StepFailureError,
+        before any solve, when h^2 Lam_1 is below the normal floats, where
+        1 / (h^2 Lam) overflows or divides by zero, or when the square sum of
+        h Lam b = ((1 + h) c + h w) / h + h g overflows, where no residual
+        of the step can be measured."""
         c, w, lam = self.state.u.coeff, self.state.v.coeff, self.lam
         scale = h * h * lam
+        t = self.state.time + h
         if not scale[0, 0] >= sys.float_info.min:  # Lam_1 = lam[0, 0], the smallest
-            t = self.state.time + h
             raise StepFailureError(
                 f"a step of h={h:g} is too small for implicit_newton at t={t:g}: h^2 lambda_1 = "
                 f"{scale[0, 0]:g} is below the smallest normal float, so the step's system "
                 "cannot be divided by it; use a longer step or imex_cn_ab2", time=t)
-        return lam + (1.0 + h) / scale, self.g.g_modal.coeff / lam + ((1.0 + h) * c + h * w) / scale
-
-    def _advance_newton(self, h: float, d: np.ndarray, b: np.ndarray):
-        c = self.state.u.coeff
-        h_lam = h * self.lam
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            b = self.g.g_modal.coeff / lam + ((1.0 + h) * c + h * w) / scale
+            hb = h * lam * b
+        hb_sq = dot(hb, hb)
+        if hb_sq == math.inf:  # a NaN state goes on to the step's finiteness check
+            raise StepFailureError(
+                f"a step of h={h:g} is too small for implicit_newton at t={t:g}: the square "
+                "sum of h lambda b = ((1 + h) u + h u_t) / h + h g overflows, so the step's "
+                "residual cannot be measured; use a longer step or imex_cn_ab2", time=t)
         # ||h^2 Lam R|| / h cannot go below the roundoff of the terms of
         # h^2 Lam b = (1 + h) c + h w + h^2 g that cancel in it, so the stop is
-        # floored at a few eps ||h^2 Lam b|| / h (which short steps reach),
-        # unless that overflows: an infinite floor would accept any iterate
-        hb = h_lam * b
-        floor = 8.0 * sys.float_info.epsilon * math.sqrt(dot(hb, hb))
-        tol = max(self.cfg.newton_tol, floor if floor < math.inf else 0.0)
+        # floored at a few eps ||h^2 Lam b|| / h, which short steps reach (a NaN
+        # floor leaves newton_tol)
+        tol = max(self.cfg.newton_tol, 8.0 * sys.float_info.epsilon * math.sqrt(hb_sq))
+        return lam + (1.0 + h) / scale, b, tol
+
+    def _advance_newton(self, h: float, d: np.ndarray, b: np.ndarray, tol: float):
+        c = self.state.u.coeff
+        h_lam = h * self.lam
 
         def stop(res):  # ||h^2 Lam R|| / h; a non-finite norm stops too, for _require_finite
             merit = h_lam * res
@@ -468,8 +478,8 @@ class Stepper:
             if self.cfg.scheme == "imex_cn_ab2":
                 c_new, w_new, cur = self._advance_imex(h)
             else:
-                d, b = self._newton_system(h)
-                c_new, w_new, cur = self._advance_newton(h, d, b)
+                d, b, tol = self._newton_system(h)
+                c_new, w_new, cur = self._advance_newton(h, d, b, tol)
             grid = self.state.grid
             new = State(ModalField(grid, c_new), ModalField(grid, w_new), self.state.time + h)
             sums = {}

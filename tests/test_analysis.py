@@ -544,10 +544,14 @@ def test_lojasiewicz_probe_reports_a_start_at_rest():
     rest = lojasiewicz_probe(State(zero, zero), DOUBLE_WELL, g, cfg, 0.1)
     assert rest.started_at_rest
     assert rest.ut_final == 0.0 and rest.equilibrium.newton_iters == 0
+    # a start at rest is not run: one sample at t = 0, no step
+    assert rest.steps == 0 and rest.times == [0.0] and rest.ut_trace == [0.0]
     moving = State(zero, ModalField.single_mode(grid, 1, 1, 1e-3))
-    assert not lojasiewicz_probe(moving, DOUBLE_WELL, g, cfg, 0.1).started_at_rest
     off = State(ModalField.single_mode(grid, 1, 1, 1e-6), zero)
-    assert not lojasiewicz_probe(off, DOUBLE_WELL, g, cfg, 0.1).started_at_rest
+    for start in (moving, off):
+        rep = lojasiewicz_probe(start, DOUBLE_WELL, g, cfg, 0.1)
+        assert not rep.started_at_rest
+        assert rep.steps == 20 and rep.times[-1] == pytest.approx(0.1)
 
 
 def test_absorbing_probe_collapse_passes():

@@ -146,6 +146,28 @@ def test_check_fails_assumptions_whose_samples_overflow(tmp_path):
     assert [(r["check"], r["pass"]) for r in rows] == [("assumptions", False)]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, key, value, side", [("simulate", "a1", 1e308, math.pi),
+                                                       ("converge", "a1", 1e308, math.pi),
+                                                       ("equilibrium", "a3", 1e250, 1e-50)],
+                         ids=["simulate", "converge", "equilibrium"])
+def test_coefficients_that_overflow_with_the_eigenvalues_name_the_key(tmp_path, capsys, command,
+                                                                       key, value, side):
+    # a step weighs P_n f(u) by the eigenvalues: a1 = 1e308 times
+    # lambda_max = 32 at n_modes 4 overflows, as does a3 = 1e250 times 3e102
+    # on a side of 1e-50, so the run is refused before it steps (converge
+    # checks its finest grid) instead of warning and failing at t = dt
+    nonlinearity = {"a3": 1.0, "a2": 0.0, "a1": -1.0}
+    nonlinearity[key] = value
+    cfg = write_config(tmp_path, grid={"n_modes": 4, "side": side}, nonlinearity=nonlinearity,
+                       t_end=0.01,
+                       initial={"u": {"preset": "random_band", "band": 2, "amplitude": 1.0}},
+                       converge={"resolutions": [2, 4], "n_ref": 8, "band": 2})
+    assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert f"'nonlinearity.{key}'" in err and "overflows" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -595,6 +617,25 @@ def test_implicit_step_too_small_to_form_its_system(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("band, seed", [(4, 0), (2, 0)])
+def test_implicit_step_whose_residual_overflows(tmp_path, capsys, band, seed):
+    # at h = 1.1e-154, h^2 lambda_1 is a normal float, but the square sum of
+    # h Lam b ~ u / h overflows: without the refusal, band 4 seed 0 ended in
+    # a failed line search (and MINRES's norm warned), band 2 seed 0 in an
+    # energy rise of 3.6e275.  Now the step fails before any solve, names h
+    # and says why
+    cfg = write_config(tmp_path, grid={"n_modes": 4}, t_end=1.1e-154, seed=seed,
+                       scheme={"dt": 1.1e-154, "scheme": "implicit_newton"},
+                       initial={"u": {"preset": "random_band", "band": band, "amplitude": 8.0}})
+    assert run_cli("simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert "a step of h=1.1e-154 is too small for implicit_newton" in err
+    assert "overflows, so the step's residual cannot be measured" in err
+    assert "energy increased" not in err and "line search" not in err
+    assert err.rstrip().endswith("(step 1, t=1.1e-154)")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_short_implicit_steps_stop_at_their_roundoff_floor(tmp_path):
     # at h = 1e-7 the roundoff of h^2 Lam R over h is about 5e-9, above
     # newton_tol = 1e-10: with a stop that ignored it, the first step's
@@ -734,3 +775,5 @@ def test_lojasiewicz_says_when_it_starts_at_rest(tmp_path, capsys):
     rep = json.loads((out / "lojasiewicz.json").read_text())
     assert rep["started_at_rest"] is True
     assert rep["ut_final"] == 0.0
+    # the orbit would stay at rest, so no step is run
+    assert rep["steps"] == 0 and rep["times"] == [0.0] and rep["ut_trace"] == [0.0]

@@ -366,6 +366,32 @@ def test_pruned_transforms_match_full_grid_dstn_bitwise(n, grid_size):
         modal_from_values(kept, side, n_modes=m + 1)
 
 
+def _full_ddx(coeff, side, m):
+    # the unpruned d/dx: 4 x the cosine-in-x, sine-in-y coefficients of the
+    # derivative on the whole grid (cosine j sits in row j; the cosine of
+    # frequency m vanishes at every centre), a DST-III along axis 1 over
+    # every row, then a DCT-III along axis 0
+    n = coeff.shape[0]
+    k = min(n, m - 1)
+    padded = np.zeros((m, m))
+    padded[1 : k + 1, :n] = coeff[:k] * (np.arange(1, k + 1) * (np.pi / (2.0 * side ** 2)))[:, None]
+    if m == n:
+        padded[:, -1] *= 2.0
+    return sfft.dct(sfft.dst(padded, type=3, axis=1), type=3, axis=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 33, 64, 128])
+@pytest.mark.parametrize("grid_size", ["n", "pad2", "pad3", "4n"])
+def test_gradient_values_match_full_grid_scipy_fft_bitwise(n, grid_size):
+    m = {"n": n, "pad2": padded_points(n, 2), "pad3": padded_points(n, 3),
+         "4n": 4 * n}[grid_size]
+    side = 2.5
+    z = ModalField(GridSpec(n, side), np.random.default_rng(n).standard_normal((n, n)))
+    gx, gy = gradient_values(z, m)
+    assert np.array_equal(gx, _full_ddx(z.coeff, side, m))
+    assert np.array_equal(gy, _full_ddx(z.coeff.T, side, m).T)
+
+
 @pytest.mark.parametrize("n", [1, 8])
 def test_default_calls_return_fresh_arrays(n):
     grid = GridSpec(n, PI)
