@@ -35,11 +35,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg, minres
+from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import InstabilityError, StepFailureError
 from .integrator import (CrankNicolson, SchemeConfig, State, Stepper, ab2, horizon_steps,
-                         inverse_diagonal, newton_krylov, newton_operator, run)
+                         inverse_diagonal, minres, newton_krylov, newton_operator, run)
 from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
                        lambda_max, norm_Hs, norm_pair, resample, sup_norm, weighted_sum)

@@ -13,13 +13,16 @@ Two schemes:
   per run, adds no forcing term and no <g, A^(-1) u> to the energy.
 * ``implicit_newton`` -- backward Euler, solved to ||residual|| / dt <=
   newton_tol (or the step's roundoff floor, if higher) by newton_krylov
-  from the linearly implicit step (f frozen at the current state's
-  cached P_n f(u)).  First order, very robust.
+  from the linearly implicit step with P_n f extrapolated from the last
+  two accepted states, 2 P_n f(u_n) - P_n f(u_{n-1}) (frozen at the
+  current state's cached P_n f(u_n) on a first step).  First order, very
+  robust.
 
 newton_krylov is the one damped inexact Newton loop.  It solves
 R(x) = d x + P_n f(x) - b = 0: the step divided by h^2 Lam, with
 d = Lam + (1 + h) / (h^2 Lam), and analysis.find_equilibrium's
-A u + P_n f(u) = A^(-1) g, with d = Lam.  Its inner MINRES solves apply
+A u + P_n f(u) = A^(-1) g, with d = Lam.  Its inner solves, by the
+module's own MINRES (scipy's recurrences, with sums by einsum), apply
 the one operator d + P_n f'(x) (newton_operator), preconditioned by
 d + mean f', and stop at a fixed Eisenstat-Walker tolerance (_forcing);
 an iterate's residual transform also samples f' for its operator, and an
@@ -52,7 +55,7 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import LinearOperator
 
 from .errors import CheckpointVersionError, InstabilityError, StepFailureError
 from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
@@ -185,6 +188,86 @@ def _forcing(history: list, tol: float) -> float:
     r = history[-1]
     eta = 1e-3 if len(history) == 1 else min(1e-3, 0.9 * (r / history[-2]) ** 2)
     return max(eta, 1e-12, 0.5 * tol / r)
+
+
+def _vdot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b) over two vectors by numpy's einsum loop, as spectral.dot."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def minres(A, b: np.ndarray, *, M, rtol: float, maxiter: int, callback=None):
+    """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for the
+    symmetric A x = b from x = 0, preconditioned by the SPD M; A and M are
+    applied through their matvec, which must return a new array.  The
+    recurrences and stopping tests are those of scipy.sparse.linalg.minres
+    (scipy 1.17, no shift), so it takes as many iterations: it stops
+    when ||r|| / (||A|| ||x||) or ||A r|| / (||A|| ||r||) reaches rtol, when
+    cond(A) exceeds 0.1 / eps or ||A|| ||x|| eps exceeds ||b||_M, or when
+    the first Lanczos step finds b an eigenvector.  Returns (x, info), info
+    maxiter when none of these held in maxiter iterations, else 0.
+    callback(x) follows every iteration, with x updated in place."""
+    eps = sys.float_info.epsilon
+    n = b.size
+    x = np.zeros(n)
+    r1 = b  # never written: the Lanczos vectors after it are fresh arrays
+    y = M.matvec(r1)
+    beta1 = _vdot(r1, y)
+    if beta1 < 0.0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0.0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+    beta, oldb, dbar, epsln, phibar = beta1, 0.0, 0.0, 0.0, beta1
+    tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, sys.float_info.max, -1.0, 0.0
+    w, w_prev, term = np.zeros(n), np.zeros(n), np.empty(n)
+    r2 = r1
+    for itn in range(1, maxiter + 1):
+        # Lanczos step: v = y / beta, y = A v - (beta / oldb) r1 - (alfa / beta) r2
+        v = y * (1.0 / beta)
+        y = A.matvec(v)
+        if itn >= 2:
+            y -= np.multiply(r1, beta / oldb, out=term)
+        alfa = _vdot(v, y)
+        y -= np.multiply(r2, alfa / beta, out=term)
+        r1, r2 = r2, y
+        y = M.matvec(r2)
+        oldb, beta = beta, _vdot(r2, y)
+        if beta < 0.0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa * alfa + oldb * oldb + beta * beta
+        # the previous plane rotation, then the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = math.sqrt(gbar * gbar + dbar * dbar)
+        gamma = max(math.sqrt(gbar * gbar + beta * beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        # w_k = (v - oldeps w_{k-2} - delta w_{k-1}) / gamma, into w_{k-2}'s array
+        w_prev *= -oldeps
+        w_prev += v
+        w_prev -= np.multiply(w, delta, out=term)
+        w_prev *= 1.0 / gamma
+        w, w_prev = w_prev, w
+        x += np.multiply(w, phi, out=term)
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        # the stopping tests, on the estimates of ||A||, ||x||, ||r||, ||A r||
+        anorm = math.sqrt(tnorm2)
+        ynorm = math.sqrt(_vdot(x, x))
+        den = anorm * ynorm
+        test1 = phibar / den if den else math.inf
+        test2 = root / anorm if anorm else math.inf
+        done = (test1 <= rtol or test2 <= rtol or 1.0 + test1 <= 1.0 or 1.0 + test2 <= 1.0
+                or gmax / gmin >= 0.1 / eps or den * eps >= beta1
+                or (itn == 1 and beta / beta1 <= 10.0 * eps))
+        if callback is not None:
+            callback(x)
+        if done:
+            return x, 0
+    return x, maxiter
 
 
 def newton_operator(u: ModalField, nl: Nonlinearity, d: np.ndarray,
@@ -339,13 +422,15 @@ class CrankNicolson:
 
 
 class Stepper:
-    """Stateful single-run integrator (owns the AB2 history and the
-    fused nonlinear-term/potential cache).  The transform behind P_n f(u)
-    leaves u on the 2n grid in a stepper-owned array for the log rows:
-    _padded[0] for the current state, [1] for the step's new state, [2]
-    for a Newton line-search trial.  A step writes only [1] and [2], and
-    its commit swaps [0] and [1].  A stepper is also its own checkpoint:
-    save_checkpoint writes it, load_checkpoint reads it back."""
+    """Stateful single-run integrator (owns the fused nonlinear-term/
+    potential cache and _fhat_prev, P_n f of the previous accepted state:
+    the AB2 history of imex_cn_ab2, the predictor's of implicit_newton).
+    The transform behind P_n f(u) leaves u on the 2n grid in a
+    stepper-owned array for the log rows: _padded[0] for the current
+    state, [1] for the step's new state, [2] for a Newton line-search
+    trial.  A step writes only [1] and [2], and its commit swaps [0] and
+    [1].  A stepper is also its own checkpoint: save_checkpoint writes it,
+    load_checkpoint reads it back."""
 
     def __init__(self, state: State, nl: Nonlinearity, g: SourceTerm,
                  cfg: SchemeConfig, step_count: int = 0,
@@ -428,7 +513,9 @@ class Stepper:
                 f"{scale[0, 0]:g} is below the smallest normal float, so the step's system "
                 "cannot be divided by it; use a longer step or imex_cn_ab2", time=t)
         with np.errstate(over="ignore"):  # an overflow is refused below
-            b = self.g.g_modal.coeff / lam + ((1.0 + h) * c + h * w) / scale
+            b = ((1.0 + h) * c + h * w) / scale
+            if self._g is not None:
+                b += self._g.g_modal.coeff / lam
             hb = h * lam * b
         hb_sq = dot(hb, hb)
         if hb_sq == math.inf:  # a NaN state goes on to the step's finiteness check
@@ -444,6 +531,10 @@ class Stepper:
         return lam + (1.0 + h) / scale, b, tol
 
     def _advance_newton(self, h: float, d: np.ndarray, b: np.ndarray, tol: float):
+        """Backward Euler by newton_krylov on the system (d, b, tol) of
+        _newton_system, from the linearly implicit predictor
+        d x0 = b - (2 fhat_n - fhat_{n-1}), with P_n f of the current and the
+        previous accepted state (d x0 = b - fhat_n without a previous one)."""
         c = self.state.u.coeff
         h_lam = h * self.lam
 
@@ -452,8 +543,8 @@ class Stepper:
             rn = math.sqrt(dot(merit, merit))
             return rn, not rn > tol
 
-        # linearly implicit predictor: f frozen at the cached P_n f(c), solved per mode
-        u0 = ModalField(self.state.grid, (b - self._ensure_current()[0]) / d)
+        fhat, prev = self._ensure_current()[0], self._fhat_prev
+        u0 = ModalField(self.state.grid, (b - (fhat if prev is None else 2.0 * fhat - prev)) / d)
         failure, x, cached, _, slot, history = newton_krylov(
             u0, self.nl, d, b, minres, stop, tol, self.cfg.newton_max_iter,
             (self._padded[1], self._padded[2]))
@@ -502,8 +593,7 @@ class Stepper:
             raise
         w_sum = w + w_new  # h ||(w + w_new) / 2||_{V'}^2, with the exact factor 1/4 outside
         dissip = 0.25 * h * weighted_sum(eigenvalue_power(grid, -1.0), w_sum, w_sum)
-        if self.cfg.scheme == "imex_cn_ab2":
-            self._fhat_prev = self._cur[0]  # AB2 history, committed with the step
+        self._fhat_prev = self._cur[0]  # P_n f of the previous state, committed with the step
         self.state = new
         self.step_count += 1
         self._cur = cur
@@ -587,7 +677,8 @@ _CKPT_LAYOUTS = (["g", "u", "ut"], ["fhat_prev", "g", "u", "ut"])
 def save_checkpoint(path, stepper: Stepper) -> None:
     """Write the stepper to a .ckpt file (see spectral.write_binary): the
     blocks listed in header['blocks'] are u and ut, the source term and,
-    after a step of imex_cn_ab2, the extrapolation history, so the stepper
+    after a step of either scheme, fhat_prev (P_n f of the previous state,
+    which AB2 and the implicit predictor extrapolate from), so the stepper
     that load_checkpoint returns continues the run bitwise."""
     state = stepper.state
     arrays = {"u": state.u.coeff, "ut": state.v.coeff, "g": stepper.g.g_modal.coeff}

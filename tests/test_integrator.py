@@ -579,6 +579,53 @@ def test_newton_krylov_statuses(monkeypatch):
     assert np.array_equal(x, ModalField.single_mode(GridSpec(4, PI), 1, 1, 3.0).coeff)
 
 
+def _newton_krylov_system(system):
+    # the operator and preconditioner newton_krylov builds for f = u^3 - 3u
+    # at N = 16: an implicit step's (SPD) with d = lam + (1 + h) / (h^2 lam)
+    # at band-4 data, or find_equilibrium's, indefinite at u = 0.1 e_11
+    # since lam_11 - 3 < 0, with d = lam
+    grid = GridSpec(16, PI)
+    nl, lam = Nonlinearity(1.0, 0.0, -3.0), np.asarray(eigenvalues(grid))
+    if system == "equilibrium":
+        u, d = ModalField.single_mode(grid, 1, 1, 0.1), lam
+    else:
+        u, d = random_band_limited(grid, 4, 1.0, seed=5), lam + (1.0 + system) / (system**2 * lam)
+    fprime = np.empty((padded_points(16),) * 2)
+    nonlinear_term_and_potential(u, nl, fprime)
+    pre = integrator.inverse_diagonal(integrator._preconditioner_diagonal(d, fprime.mean()))
+    return newton_operator(u, nl, d, fprime), pre, random_band_limited(grid, 16, 1.0, seed=6)
+
+
+def _counted_solve(solve, op, rhs, **kw):
+    iters = []
+    x, info = solve(op, rhs, callback=lambda xk: iters.append(1), **kw)
+    return x, info, len(iters)
+
+
+@pytest.mark.parametrize("system", [1e-3, 0.1, 1.0, "equilibrium"])
+@pytest.mark.parametrize("rtol", [1e-3, 1e-10])
+def test_minres_matches_scipy(system, rtol):
+    # the package's MINRES runs scipy's recurrences and stopping tests, so
+    # it takes as many iterations to the same solution; only its sums,
+    # by einsum, differ in the last bits
+    op, pre, rhs = _newton_krylov_system(system)
+    kw = dict(M=pre, rtol=rtol, maxiter=1000)
+    x, info, iters = _counted_solve(integrator.minres, op, rhs.coeff.ravel(), **kw)
+    x_ref, info_ref, iters_ref = _counted_solve(minres, op, rhs.coeff.ravel(), **kw)
+    assert info == info_ref == 0 and iters == iters_ref >= 1
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_minres_iteration_limit_and_zero_rhs():
+    op, pre, rhs = _newton_krylov_system(0.1)
+    x, info, iters = _counted_solve(integrator.minres, op, rhs.coeff.ravel(), M=pre,
+                                    rtol=1e-10, maxiter=1)
+    assert info == 1 and iters == 1 and np.any(x)
+    x, info, iters = _counted_solve(integrator.minres, op, np.zeros(rhs.coeff.size), M=pre,
+                                    rtol=1e-10, maxiter=1000)
+    assert info == 0 and iters == 0 and not np.any(x)
+
+
 @pytest.mark.parametrize("a1, dt", [(-3.0, 0.1), (-60.0, 0.1), (-4.0, 1.0), (-1.0, 2.0)])
 def test_newton_operator_is_the_backward_euler_jacobian(a1, dt):
     # h^2 Lam (d + P_N f'(x)) is the Jacobian (1 + h) + h^2 Lam^2 + h^2 Lam P_N f'(x)
@@ -668,7 +715,9 @@ def test_implicit_path_needs_fewer_solves(monkeypatch):
     # iterations; the linearly implicit predictor, the mean-f'
     # preconditioner and the shared forcing took 21, 47 and 16, and the
     # one system d x + P_N f(x) = b (with d + mean f' preconditioning the
-    # equilibrium too) takes 20, 51 and 7.
+    # equilibrium too) took 20, 51 and 7, and the package's MINRES (as many
+    # iterations as scipy's) with the predictor's P_N f extrapolated from the
+    # last two states takes 20, 49 and 7.
     counts = {"integrator": [0, 0], "analysis": [0, 0]}
 
     def counted(module, key):
@@ -743,6 +792,41 @@ def test_checkpoint_roundtrip_bitwise(tmp_path, scheme):
     assert np.array_equal(resumed.state.v.coeff, ref.state.v.coeff)
     assert resumed.state.time == ref.state.time
     assert resumed.step_count == ref.step_count == 17
+
+
+def test_implicit_checkpoint_carries_the_predictor_history(tmp_path):
+    # implicit_newton's predictor extrapolates P_N f from the last two
+    # accepted states, so its checkpoints hold fhat_prev too; a checkpoint
+    # without it (as implicit steppers wrote before the extrapolation) still
+    # loads, and its first step starts from the frozen predictor, so the run
+    # is not bitwise but within Newton's 1e-10 stop of the uninterrupted one
+    # (measured: 4.7e-13 relative in u, 4.2e-12 in u_t)
+    grid = GridSpec(8, PI)
+    g = SourceTerm(random_band_limited(grid, 3, 0.5, seed=71))
+    cfg = SchemeConfig(dt=1e-3, scheme="implicit_newton")
+    st = random_pair_state(grid, 4, 1.0, seed=70)
+
+    one = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
+    _run_stepper(one, 1)
+    save_checkpoint(tmp_path / "one.ckpt", one)
+    header = json.loads((tmp_path / "one.ckpt").read_bytes().partition(b"\n")[0])
+    assert header["blocks"] == ["u", "ut", "g", "fhat_prev"]
+
+    ref = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
+    _run_stepper(ref, 17)
+    half = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
+    _run_stepper(half, 7)
+    half._fhat_prev = None
+    path = tmp_path / "no_history.ckpt"
+    save_checkpoint(path, half)
+    assert json.loads(path.read_bytes().partition(b"\n")[0])["blocks"] == ["u", "ut", "g"]
+    resumed = load_checkpoint(path)
+    _run_stepper(resumed, 10)
+    assert resumed.step_count == 17 and resumed.state.time == ref.state.time
+    for new, old, rel in ((resumed.state.u, ref.state.u, 1e-10),
+                          (resumed.state.v, ref.state.v, 1e-9)):
+        assert np.abs(new.coeff - old.coeff).max() <= rel * np.abs(old.coeff).max()
+        assert not np.array_equal(new.coeff, old.coeff)
 
 
 def test_resume_simulation_matches_uninterrupted(tmp_path):
