@@ -35,14 +35,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.sparse.linalg import lobpcg
 
 from .errors import InstabilityError, StepFailureError
-from .integrator import (CrankNicolson, SchemeConfig, State, Stepper, ab2, horizon_steps,
+from .integrator import (CrankNicolson, SchemeConfig, State, Stepper, horizon_steps,
                          inverse_diagonal, minres, newton_krylov, newton_operator, run)
 from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased
-from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
-                       lambda_max, norm_Hs, norm_pair, resample, sup_norm, weighted_sum)
+from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalues, lambda_max,
+                       norm_Hs, norm_pair, resample, sup_norm, weighted_sum)
 
 
 def random_pair_state(grid: GridSpec, band: int, amplitude: float, seed: int,
@@ -188,25 +188,25 @@ class _Split(Stepper):
     the compact part v (zero data, forced by L ubar + A^(-1) g with ubar the
     endpoint average of u's step) and the decaying part w (data U_0, forced
     by the difference of u's and v's AB2 terms); v and w are coefficient
-    pairs (c, c_t)."""
+    pairs (c, c_t), stepped by CrankNicolson.step_ab2 on lam^2 + L."""
 
     def __init__(self, initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
                  big_l: float):
         super().__init__(State(initial.u, initial.v), nl, g, cfg)
-        self.big_l, self._cn_l = big_l, CrankNicolson(self._cn.lam2 + big_l)
+        self.big_l, self._cn_l = big_l, CrankNicolson(self._cn.lam2 + big_l, self.lam)
         zero = np.zeros(initial.grid.shape)
         self.v, self.w, self._fv_prev = (zero, zero), (initial.u.coeff, initial.v.coeff), None
 
     def advance(self, h: float) -> float:
         c, t = self.state.u.coeff, self.state.time
-        nu = ab2(self._ensure_current()[0], self._fhat_prev)
+        fu, fu_prev, fv_prev = self._ensure_current()[0], self._fhat_prev, self._fv_prev
         fv = f_eval_dealiased(ModalField(self.state.grid, self.v[0]), self.nl).coeff
-        nv = ab2(fv, self._fv_prev)
         dissip = super().advance(h)
         ubar = 0.5 * (c + self.state.u.coeff)
-        rhs_v = self.g.g_modal.coeff + self.big_l * ubar - self.lam * nv
-        self.v = self._cn_l.step(*self.v, rhs_v, h, t)
-        self.w = self._cn_l.step(*self.w, -self.lam * (nu - nv), h, t)
+        self.v = self._cn_l.step_ab2(*self.v, fv, fv_prev, self.g.g_modal.coeff + self.big_l * ubar,
+                                     h, t)
+        diff_prev = None if fv_prev is None else fu_prev - fv_prev
+        self.w = self._cn_l.step_ab2(*self.w, fu - fv, diff_prev, None, h, t)
         self._fv_prev = fv
         return dissip
 
@@ -231,17 +231,13 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
     if cfg.scheme != "imex_cn_ab2":
         raise ValueError("decomposition_run requires the imex_cn_ab2 scheme")
     n_steps, h = horizon_steps(t_end, cfg.dt)
-    lam, inv = eigenvalues(initial.grid), eigenvalue_power(initial.grid, -1.0)
-
-    def pair_norm(c, w):
-        return math.sqrt(weighted_sum(lam, c, c) + weighted_sum(inv, w, w))
-
     rows = []
 
     def observe(s: _Split, _):
-        (cu, wu), (cv, wv), (cw, ww) = (s.state.u.coeff, s.state.v.coeff), s.v, s.w
-        err = pair_norm(cv + cw - cu, wv + ww - wu)
-        rows.append((s.step_count * h, pair_norm(cw, ww), err, err / (1.0 + pair_norm(cu, wu))))
+        u = (s.state.u, s.state.v)
+        v, w = ([ModalField(s.state.grid, c) for c in part] for part in (s.v, s.w))
+        err = norm_pair(v[0] + w[0] - u[0], v[1] + w[1] - u[1], 0.0)
+        rows.append((s.step_count * h, norm_pair(*w, 0.0), err, err / (1.0 + norm_pair(*u, 0.0))))
 
     run(_Split(initial, nl, g, cfg, big_l), t_end, max(1, n_steps // 200), observe)
     times, trace, errs, rels = (list(col) for col in zip(*rows))
@@ -360,10 +356,10 @@ class EquilibriumResult:
     residual_history: list = field(default_factory=list)
 
 
-def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12,
-                         maxiter: int = 200) -> float:
-    """Smallest eigenvalue of the symmetric operator op = A + P_n f'(u*)
-    on the full n x n space.
+def _stability_indicator(op, lam: np.ndarray, tol: float = 1e-12, maxiter: int = 200) -> float:
+    """Smallest eigenvalue of the symmetric operator op = A + P_n f'(u*), a
+    map of (n, n) coefficient arrays (see integrator.newton_operator), on
+    the full n x n space.
 
     LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by
     A^(-1), from the fixed start e_(1,1) so repeated calls agree
@@ -372,16 +368,21 @@ def _stability_indicator(op: LinearOperator, lam: np.ndarray, tol: float = 1e-12
     StepFailureError when the eigenresidual stays above tol.
     """
     size = lam.size
+
+    def columns(apply):  # apply to each column of an (n^2, k) block, as LOBPCG passes them
+        return lambda x: np.column_stack([apply(col.reshape(lam.shape)).ravel() for col in x.T])
+
+    block = columns(op)
     if size < 5:
-        return float(np.linalg.eigvalsh(op.matmat(np.eye(size)))[0])
+        return float(np.linalg.eigvalsh(block(np.eye(size)))[0])
     x0 = np.zeros((size, 1))
     x0[0, 0] = 1.0
     with warnings.catch_warnings():
         # non-convergence is checked below and raised, not warned about
         warnings.simplefilter("ignore", UserWarning)
-        vals, vecs = lobpcg(op, x0, M=inverse_diagonal(lam), tol=tol, maxiter=maxiter,
-                            largest=False)
-    resid = float(np.linalg.norm(op.matvec(vecs[:, 0]) - vals[0] * vecs[:, 0]))
+        vals, vecs = lobpcg(block, x0, M=columns(inverse_diagonal(lam)), tol=tol,
+                            maxiter=maxiter, largest=False)
+    resid = float(np.linalg.norm(block(vecs[:, :1])[:, 0] - vals[0] * vecs[:, 0]))
     if not resid <= tol:
         raise StepFailureError(
             f"stability eigensolve stalled: residual {resid:.3e} > {tol:g} "
@@ -427,8 +428,8 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
         raise InstabilityError("non-finite seed: find_equilibrium needs a finite u")
     grid = seed_field.grid
     lam = np.asarray(eigenvalues(grid))
-    failure, c, (_, pot), fprime, _, history = _stationary_newton(seed_field.copy(), nl, g, tol,
-                                                                  max_iter)
+    failure, c, (_, pot), fprime, history = _stationary_newton(seed_field.copy(), nl, g, tol,
+                                                               max_iter)
     u_star = ModalField(grid, c)
     e = energy(State(u_star, ModalField.zeros(grid)), nl, g, pot)
     indicator = _stability_indicator(newton_operator(u_star, nl, lam, fprime), lam)

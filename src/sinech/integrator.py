@@ -5,7 +5,8 @@ Two schemes:
 * ``imex_cn_ab2`` -- Crank-Nicolson on the stiff linear part (per-mode
   2x2 solves in closed form, as propagator tables cached per step size),
   Adams-Bashforth-2 extrapolation of the dealiased nonlinear term at the
-  half step, with a single nonlinearity-explicit Euler start-up step.
+  half step, with a single nonlinearity-explicit Euler start-up step;
+  CrankNicolson.step_ab2 is the one home of this rule.
   Second order; the linear part is unconditionally stable, the explicit
   part is benign at desk scale as long as dt * lambda_max * |f'| stays
   moderate.  Besides one padded transform pair (the new state's P_n f(u)
@@ -22,11 +23,13 @@ newton_krylov is the one damped inexact Newton loop.  It solves
 R(x) = d x + P_n f(x) - b = 0: the step divided by h^2 Lam, with
 d = Lam + (1 + h) / (h^2 Lam), and analysis.find_equilibrium's
 A u + P_n f(u) = A^(-1) g, with d = Lam.  Its inner solves, by the
-module's own MINRES (scipy's recurrences, with sums by einsum), apply
-the one operator d + P_n f'(x) (newton_operator), preconditioned by
-d + mean f', and stop at a fixed Eisenstat-Walker tolerance (_forcing);
-an iterate's residual transform also samples f' for its operator, and an
-update is halved, up to 12 times, until ||R|| drops.  The map is strongly
+module's own MINRES (scipy's recurrences, with sums by spectral.dot),
+apply the one operator w -> d w + P_n(f'(x) w) (newton_operator),
+preconditioned by w -> w / (d + mean f'), and stop at a fixed
+Eisenstat-Walker tolerance (_forcing); an operator here is a map of
+(n, n) coefficient arrays, as model.fprime_multiplier is.  An iterate's
+residual transform also samples f' for its operator, and an update is
+halved, up to 12 times, until ||R|| drops.  The map is strongly
 monotone when min d > lambda_bound (f' >= -lambda_bound); a failed
 implicit step whose system is not says so.
 
@@ -55,7 +58,6 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .errors import CheckpointVersionError, InstabilityError, StepFailureError
 from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
@@ -190,28 +192,24 @@ def _forcing(history: list, tol: float) -> float:
     return max(eta, 1e-12, 0.5 * tol / r)
 
 
-def _vdot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b) over two vectors by numpy's einsum loop, as spectral.dot."""
-    return float(np.einsum("i,i->", a, b))
-
-
 def minres(A, b: np.ndarray, *, M, rtol: float, maxiter: int, callback=None):
     """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for the
-    symmetric A x = b from x = 0, preconditioned by the SPD M; A and M are
-    applied through their matvec, which must return a new array.  The
-    recurrences and stopping tests are those of scipy.sparse.linalg.minres
-    (scipy 1.17, no shift), so it takes as many iterations: it stops
-    when ||r|| / (||A|| ||x||) or ||A r|| / (||A|| ||r||) reaches rtol, when
-    cond(A) exceeds 0.1 / eps or ||A|| ||x|| eps exceeds ||b||_M, or when
-    the first Lanczos step finds b an eigenvector.  Returns (x, info), info
+    symmetric A x = b on (n, n) coefficient arrays from x = 0,
+    preconditioned by the SPD M; A and M are maps of such arrays (see
+    newton_operator), each returning a new array, and sums are by
+    spectral.dot.  The recurrences and stopping tests are those of
+    scipy.sparse.linalg.minres (scipy 1.17, no shift), so it takes as
+    many iterations: it stops when ||r|| / (||A|| ||x||) or
+    ||A r|| / (||A|| ||r||) reaches rtol, when cond(A) exceeds 0.1 / eps
+    or ||A|| ||x|| eps exceeds ||b||_M, or when the first Lanczos step
+    finds b an eigenvector.  Returns (x, info), info
     maxiter when none of these held in maxiter iterations, else 0.
     callback(x) follows every iteration, with x updated in place."""
     eps = sys.float_info.epsilon
-    n = b.size
-    x = np.zeros(n)
+    x = np.zeros(b.shape)
     r1 = b  # never written: the Lanczos vectors after it are fresh arrays
-    y = M.matvec(r1)
-    beta1 = _vdot(r1, y)
+    y = M(r1)
+    beta1 = dot(r1, y)
     if beta1 < 0.0:
         raise ValueError("indefinite preconditioner")
     if beta1 == 0.0:
@@ -219,19 +217,19 @@ def minres(A, b: np.ndarray, *, M, rtol: float, maxiter: int, callback=None):
     beta1 = math.sqrt(beta1)
     beta, oldb, dbar, epsln, phibar = beta1, 0.0, 0.0, 0.0, beta1
     tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, sys.float_info.max, -1.0, 0.0
-    w, w_prev, term = np.zeros(n), np.zeros(n), np.empty(n)
+    w, w_prev, term = np.zeros(b.shape), np.zeros(b.shape), np.empty(b.shape)
     r2 = r1
     for itn in range(1, maxiter + 1):
         # Lanczos step: v = y / beta, y = A v - (beta / oldb) r1 - (alfa / beta) r2
         v = y * (1.0 / beta)
-        y = A.matvec(v)
+        y = A(v)
         if itn >= 2:
             y -= np.multiply(r1, beta / oldb, out=term)
-        alfa = _vdot(v, y)
+        alfa = dot(v, y)
         y -= np.multiply(r2, alfa / beta, out=term)
         r1, r2 = r2, y
-        y = M.matvec(r2)
-        oldb, beta = beta, _vdot(r2, y)
+        y = M(r2)
+        oldb, beta = beta, dot(r2, y)
         if beta < 0.0:
             raise ValueError("non-symmetric matrix")
         beta = math.sqrt(beta)
@@ -256,7 +254,7 @@ def minres(A, b: np.ndarray, *, M, rtol: float, maxiter: int, callback=None):
         gmax, gmin = max(gmax, gamma), min(gmin, gamma)
         # the stopping tests, on the estimates of ||A||, ||x||, ||r||, ||A r||
         anorm = math.sqrt(tnorm2)
-        ynorm = math.sqrt(_vdot(x, x))
+        ynorm = math.sqrt(dot(x, x))
         den = anorm * ynorm
         test1 = phibar / den if den else math.inf
         test2 = root / anorm if anorm else math.inf
@@ -271,74 +269,71 @@ def minres(A, b: np.ndarray, *, M, rtol: float, maxiter: int, callback=None):
 
 
 def newton_operator(u: ModalField, nl: Nonlinearity, d: np.ndarray,
-                    fprime: np.ndarray | None = None) -> LinearOperator:
-    """The Jacobian d + P_n f'(u) of R(x) = d x + P_n f(x) - b at x = u, matrix-free
-    and symmetric; fprime is f'(u) on the 2n grid when already sampled (see
-    fprime_multiplier)."""
-    n = u.grid.n_modes
+                    fprime: np.ndarray | None = None):
+    """The Jacobian w -> d w + P_n(f'(u) w) of R(x) = d x + P_n f(x) - b at
+    x = u on (n, n) coefficient arrays, matrix-free and symmetric; fprime is
+    f'(u) on the 2n grid when already sampled (see fprime_multiplier)."""
     mult = fprime_multiplier(u, nl, fprime)
-
-    def matvec(vec):
-        w = vec.reshape(n, n)
-        return (d * w + mult(w)).ravel()
-
-    return LinearOperator((n * n, n * n), matvec=matvec, dtype=np.float64)
+    return lambda w: d * w + mult(w)
 
 
 def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray, solve, stop,
-                  tol: float, max_iter: int, values: tuple = (None, None)):
+                  tol: float, max_iter: int, out: np.ndarray | None = None):
     """The damped inexact Newton loop of the module docstring on
     R(x) = d x + P_n f(x) - b, from u0.
 
-    solve is a scipy-style minres(op, rhs, M=, rtol=, maxiter=), returning
-    (delta, info); stop(R) returns (||R||, done).  values[slot] receives u
-    on the 2n grid at the iterates of slot 0 or 1 (pooled arrays when None).
-    Returns (failure, x, cached, fprime, slot, history): why Newton stopped
-    short (None when stop is done), the last accepted iterate with its
-    cached (P_n f(x), int F(x)), f'(x) and slot, and its ||R||s.
+    solve is a minres(op, rhs, M=, rtol=, maxiter=) on (n, n) arrays,
+    returning (delta, info); stop(R) returns (||R||, done).  An iterate's
+    residual transform leaves f'(x) and x on the 2n grid in one of two
+    pooled pairs of arrays, the accepted iterate's and the line search's,
+    which swap roles at each accepted update; out, when given, receives the
+    accepted iterate's 2n-grid values.  Returns (failure, x, cached, fprime,
+    history): why Newton stopped short (None when stop is done), the last
+    accepted iterate with its cached (P_n f(x), int F(x)) and f'(x), and its
+    ||R||s.
     """
     grid = u0.grid
     m = padded_points(grid.n_modes, 2)
-    fprimes = (work_array("newton.fprime", (m, m)), work_array("newton.fprime_try", (m, m)))
+    cur, trial = ((work_array("newton.fprime" + k, (m, m)), work_array("newton.values" + k, (m, m)))
+                  for k in ("", "_try"))
 
-    def residual(x, slot):
-        fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, fprimes[slot],
-                                               values[slot])
+    def residual(x, pair):
+        fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, *pair)
         return d * x + fh.coeff - b, (fh.coeff, pot)
 
-    x, slot, failure = u0.coeff, 0, None
-    r, cached = residual(x, 0)
+    x, failure = u0.coeff, None
+    r, cached = residual(x, cur)
     rn, done = stop(r)
     history = [rn]
     while not done:
         if len(history) > max_iter:
             failure = f"Newton did not reach tol={tol:g} in {max_iter} iterations"
             break
-        pre = inverse_diagonal(_preconditioner_diagonal(d, fprimes[slot].mean()))
-        delta, info = solve(newton_operator(ModalField(grid, x), nl, d, fprimes[slot]), -r.ravel(),
-                            M=pre, rtol=_forcing(history, tol), maxiter=_MINRES_MAXITER)
+        pre = inverse_diagonal(_preconditioner_diagonal(d, cur[0].mean()))
+        delta, info = solve(newton_operator(ModalField(grid, x), nl, d, cur[0]), -r, M=pre,
+                            rtol=_forcing(history, tol), maxiter=_MINRES_MAXITER)
         if info != 0:
             failure = f"inner MINRES stalled (info={info})"
             break
         for k in range(12):  # halve the update until ||R|| decreases
-            x_try = x + 0.5**k * delta.reshape(x.shape)
-            r_try, cached_try = residual(x_try, 1 - slot)
+            x_try = x + 0.5**k * delta
+            r_try, cached_try = residual(x_try, trial)
             rn_try, done = stop(r_try)
             if rn_try < rn:
                 break
         else:
             failure = "Newton line search failed"
             break
-        x, r, cached, rn, slot = x_try, r_try, cached_try, rn_try, 1 - slot
+        x, r, cached, rn, cur, trial = x_try, r_try, cached_try, rn_try, trial, cur
         history.append(rn)
-    return failure, x, cached, fprimes[slot], slot, history
+    if out is not None:
+        np.copyto(out, cur[1])
+    return failure, x, cached, cur[0], history
 
 
-def inverse_diagonal(d: np.ndarray) -> LinearOperator:
-    """The preconditioner vec -> vec / d for a positive diagonal d; it also takes
-    the (size, 1) columns that LinearOperator.matmat (LOBPCG) passes."""
-    return LinearOperator((d.size, d.size), dtype=np.float64,
-                          matvec=lambda vec: (vec.reshape(d.shape) / d).ravel())
+def inverse_diagonal(d: np.ndarray):
+    """The preconditioner w -> w / d for a positive diagonal d."""
+    return lambda w: w / d
 
 
 def _preconditioner_diagonal(d: np.ndarray, fprime_mean: float) -> np.ndarray:
@@ -349,26 +344,24 @@ def _preconditioner_diagonal(d: np.ndarray, fprime_mean: float) -> np.ndarray:
     return np.where(shifted > 0.0, shifted, d)
 
 
-def ab2(fhat: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
-    """The nonlinear term extrapolated to the half step, 1.5 fhat - 0.5 prev;
-    fhat itself on the start-up step (no prev)."""
-    return fhat if prev is None else 1.5 * fhat - 0.5 * prev
-
-
 class CrankNicolson:
-    """Crank-Nicolson steps of the per-mode systems c' = w,
-    w' = -w - lam2 c + r for a fixed lam2, with the forcing r held fixed
-    over a step.  Each mode's 2x2 solve is a propagator whose w row is
-    tabled per step size h: with det = 1 + h/2 + h^2 lam2/4,
+    """Crank-Nicolson/AB2 steps of the per-mode systems c' = w,
+    w' = -w - lam2 c + r for a fixed lam2, with the forcing
+    r = g - lam (1.5 fhat - 0.5 prev) held fixed over a step: AB2
+    extrapolation of the nonlinear term fhat to the half step from its
+    previous value prev, or r = g - lam fhat on the start-up step.  Each
+    mode's 2x2 solve is a propagator whose w row is tabled per step size h:
+    with det = 1 + h/2 + h^2 lam2/4,
 
         w_new = P_wc c + P_ww w + P_wr r,
         (P_wc, P_ww, P_wr) = (-h lam2, 1 - h/2 - h^2 lam2/4, h) / det;
 
-    the c row is the trapezoid c_new = c + h/2 (w + w_new).  Given lam,
-    step_ab2 folds the -lam and AB2 weights of r = g - lam ab2(fhat, prev)
-    into tables for fhat and prev: ten n x n passes a step."""
+    the c row is the trapezoid c_new = c + h/2 (w + w_new).  The tables for
+    fhat and prev fold in the -lam and AB2 weights: ten n x n passes a
+    step.  This is the one AB2 rule of the package: the stepper's IMEX
+    scheme and the decomposition's compact and decaying parts step by it."""
 
-    def __init__(self, lam2: np.ndarray, lam: np.ndarray | None = None):
+    def __init__(self, lam2: np.ndarray, lam: np.ndarray):
         self.lam2, self.lam = lam2, lam
         self._h, self._tables = None, None
         self._term = np.empty(lam2.shape)
@@ -379,11 +372,10 @@ class CrankNicolson:
             half, lam2 = h / 2.0, self.lam2
             q = (h * h / 4.0) * lam2
             det = 1.0 + half + q
-            tables = {"c": -h * lam2 / det, "w": (1.0 - half - q) / det, "r": h / det}
-            if self.lam is not None:
-                tables["fhat"] = (-1.5 * self.lam) * tables["r"]
-                tables["prev"] = (0.5 * self.lam) * tables["r"]
-            self._h, self._tables = h, tables
+            r = h / det
+            self._h, self._tables = h, {"c": -h * lam2 / det, "w": (1.0 - half - q) / det,
+                                        "r": r, "fhat": (-1.5 * self.lam) * r,
+                                        "prev": (0.5 * self.lam) * r}
         return self._tables
 
     def _advance(self, c: np.ndarray, w: np.ndarray, forcing, h: float,
@@ -403,20 +395,15 @@ class CrankNicolson:
         _require_finite(t + h, new)
         return c_new, w_new
 
-    def step(self, c: np.ndarray, w: np.ndarray, rhs: np.ndarray, h: float,
-             t: float) -> tuple[np.ndarray, np.ndarray]:
-        """One step of size h from time t, with the forcing rhs held fixed
-        over the step.  Raises InstabilityError (at t + h) when the new
-        state is not finite."""
-        return self._advance(c, w, (("r", rhs),), h, t)
-
     def step_ab2(self, c: np.ndarray, w: np.ndarray, fhat: np.ndarray, prev: np.ndarray | None,
                  g: np.ndarray | None, h: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """step with rhs = g - lam ab2(fhat, prev), g None for g = 0: by the
-        folded tables once there is a prev, as step on the start-up step."""
+        """One step of size h from time t with r = g - lam (1.5 fhat - 0.5 prev),
+        g None for g = 0: by the folded tables once there is a prev, with
+        r = g - lam fhat on the start-up step (prev None).  Raises
+        InstabilityError (at t + h) when the new state is not finite."""
         if prev is None:
             rhs = -self.lam * fhat
-            return self.step(c, w, rhs if g is None else rhs + g, h, t)
+            return self._advance(c, w, (("r", rhs if g is None else rhs + g),), h, t)
         forcing = (("fhat", fhat), ("prev", prev)) + ((("r", g),) if g is not None else ())
         return self._advance(c, w, forcing, h, t)
 
@@ -427,10 +414,10 @@ class Stepper:
     the AB2 history of imex_cn_ab2, the predictor's of implicit_newton).
     The transform behind P_n f(u) leaves u on the 2n grid in a
     stepper-owned array for the log rows: _padded[0] for the current
-    state, [1] for the step's new state, [2] for a Newton line-search
-    trial.  A step writes only [1] and [2], and its commit swaps [0] and
-    [1].  A stepper is also its own checkpoint: save_checkpoint writes it,
-    load_checkpoint reads it back."""
+    state, [1] for the step's new state (newton_krylov copies its accepted
+    iterate's values there).  A step writes only [1], and its commit swaps
+    the two.  A stepper is also its own checkpoint: save_checkpoint writes
+    it, load_checkpoint reads it back."""
 
     def __init__(self, state: State, nl: Nonlinearity, g: SourceTerm,
                  cfg: SchemeConfig, step_count: int = 0,
@@ -449,7 +436,7 @@ class Stepper:
         self._energy = None  # energy of self.state
         self._sums = {}  # its square sums (model.square_sum), kept for the log row
         m = padded_points(state.grid.n_modes, 2)
-        self._padded = [np.empty((m, m)) for _ in range(3)]
+        self._padded = [np.empty((m, m)), np.empty((m, m))]
 
     def _evaluate(self, c: np.ndarray, slot: int):
         """(P_n f(u), int F(u)) for the coefficients c, with u on the 2n grid
@@ -545,14 +532,11 @@ class Stepper:
 
         fhat, prev = self._ensure_current()[0], self._fhat_prev
         u0 = ModalField(self.state.grid, (b - (fhat if prev is None else 2.0 * fhat - prev)) / d)
-        failure, x, cached, _, slot, history = newton_krylov(
-            u0, self.nl, d, b, minres, stop, tol, self.cfg.newton_max_iter,
-            (self._padded[1], self._padded[2]))
+        failure, x, cached, _, history = newton_krylov(
+            u0, self.nl, d, b, minres, stop, tol, self.cfg.newton_max_iter, self._padded[1])
         t = self.state.time + h
         if failure:
             raise StepFailureError(f"{failure} at t={t:g}", residual_history=history, time=t)
-        if slot:  # the new state's u values go to _padded[1]
-            self._padded[1], self._padded[2] = self._padded[2], self._padded[1]
         w_new = (x - c) / h
         _require_finite(t, x, w_new)
         return x, w_new, cached

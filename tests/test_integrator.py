@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from oracles import (InsufficientDataError, crank_nicolson_closed_form, exact_linear_mode,
                      higher_energy_residual, oracle_multiplier_matrix)
-from scipy.sparse.linalg import minres
+from scipy.sparse.linalg import LinearOperator, minres
 
 from sinech.errors import (
     CheckpointVersionError,
@@ -149,10 +149,10 @@ def _linear_mode_error(scheme, dt):
 @pytest.mark.parametrize("big_l", [0.0, 10.0])  # the stepper's lam^2, the decomposition's lam^2 + L
 def test_crank_nicolson_tables_match_the_closed_form_solve(h, big_l):
     # the w row's tables are the closed-form 2x2 solve's response to a unit
-    # c, w and rhs, and a step's (c, w) are its response to each input; the
-    # IMEX step, with -lam and the AB2 weights folded into its tables, is
-    # that solve with rhs = g - lam (1.5 fhat - 0.5 prev), or g - lam fhat
-    # on the start-up step
+    # c, w and rhs, and a start-up step's (c, w) are its response to each
+    # input (a unit rhs as g); the IMEX step, with -lam and the AB2 weights
+    # folded into its tables, is that solve with
+    # rhs = g - lam (1.5 fhat - 0.5 prev), or g - lam fhat on the start-up step
     grid = GridSpec(32, PI)
     lam, lam2 = eigenvalues(grid), eigenvalue_power(grid, 2.0) + big_l
     cn = CrankNicolson(lam2, lam)
@@ -169,7 +169,7 @@ def test_crank_nicolson_tables_match_the_closed_form_solve(h, big_l):
         ref = crank_nicolson_closed_form(lam2, *unit, h)
         close([tables[name]], [ref[1]], name)
         if name in ("c", "w", "r"):
-            close(cn.step(*unit, h, 0.0), ref, name)
+            close(cn.step_ab2(*unit[:2], zero, None, unit[2], h, 0.0), ref, name)
     close(cn.step_ab2(zero, zero, one, zero, None, h, 0.0), crank_nicolson_closed_form(
         lam2, zero, zero, -1.5 * lam, h), "fhat")
     close(cn.step_ab2(zero, zero, zero, one, None, h, 0.0), crank_nicolson_closed_form(
@@ -520,32 +520,36 @@ def test_newton_step_failures_name_their_cause(monkeypatch):
     assert msg.startswith("inner MINRES stalled (info=7)") and len(history) == 1
 
 
-def _newton_on_a_well(monkeypatch, max_iter=30, solve=minres):
+def _newton_on_a_well(monkeypatch, max_iter=30, solve=integrator.minres):
     # R(u) = A u + P_N f(u) for f = u^3 - 3u at N = 4 (d = A, b = 0) from a
-    # seed off the nonzero equilibrium; the slot of each residual is recorded
+    # seed off the nonzero equilibrium; the slot of each residual (0 for the
+    # 2n-grid buffer of the first residual, 1 for the other) is recorded
     grid = GridSpec(4, PI)
     nl, lam, m = Nonlinearity(1.0, 0.0, -3.0), np.asarray(eigenvalues(grid)), padded_points(4)
-    values, slots = (np.empty((m, m)), np.empty((m, m))), []
+    buffers, slots = [], []
 
-    def spy(u, nl, fprime, out):
-        slots.append(1 if out is values[1] else 0)
-        return nonlinear_term_and_potential(u, nl, fprime, out)
+    def spy(u, nl, fprime, values):
+        if id(values) not in buffers:
+            buffers.append(id(values))
+        slots.append(buffers.index(id(values)))
+        return nonlinear_term_and_potential(u, nl, fprime, values)
 
     def stop(r):
         rn = float(np.linalg.norm(r))
         return rn, rn <= 1e-12
 
     monkeypatch.setattr(integrator, "nonlinear_term_and_potential", spy)
-    failure, x, cached, fprime, slot, history = newton_krylov(
+    out = np.full((m, m), np.nan)
+    failure, x, cached, fprime, history = newton_krylov(
         ModalField.single_mode(grid, 1, 1, 3.0), nl, lam, np.zeros(grid.shape), solve, stop,
-        1e-12, max_iter, values)
-    # x, its cache, its f' buffer, its 2n-grid values and its slot all
+        1e-12, max_iter, out)
+    # x, its cache, its f' buffer and the 2n-grid values copied to out all
     # belong to one accepted iterate
     fp, un = np.empty((m, m)), np.empty((m, m))
     fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, fp, un)
     assert np.array_equal(cached[0], fh.coeff) and cached[1] == pot
-    assert np.array_equal(fprime, fp) and np.array_equal(values[slot], un)
-    assert slot == (len(history) - 1) % 2
+    assert np.array_equal(fprime, fp) and np.array_equal(out, un)
+    assert len(buffers) <= 2
     return failure, x, history, slots
 
 
@@ -570,7 +574,7 @@ def test_newton_krylov_statuses(monkeypatch):
 
     # an uphill direction: 12 halvings, then the start is still the best
     def uphill(op, rhs, **kw):
-        delta, info = minres(op, rhs, **kw)
+        delta, info = integrator.minres(op, rhs, **kw)
         return -delta, info
 
     failure, x, history, slots = _newton_on_a_well(monkeypatch, solve=uphill)
@@ -602,6 +606,13 @@ def _counted_solve(solve, op, rhs, **kw):
     return x, info, len(iters)
 
 
+def _as_linear_operator(op, shape):
+    # scipy's minres takes vectors: op on (n, n) arrays, raveled
+    size = shape[0] * shape[1]
+    return LinearOperator((size, size), dtype=np.float64,
+                          matvec=lambda vec: op(vec.reshape(shape)).ravel())
+
+
 @pytest.mark.parametrize("system", [1e-3, 0.1, 1.0, "equilibrium"])
 @pytest.mark.parametrize("rtol", [1e-3, 1e-10])
 def test_minres_matches_scipy(system, rtol):
@@ -609,19 +620,22 @@ def test_minres_matches_scipy(system, rtol):
     # it takes as many iterations to the same solution; only its sums,
     # by einsum, differ in the last bits
     op, pre, rhs = _newton_krylov_system(system)
-    kw = dict(M=pre, rtol=rtol, maxiter=1000)
-    x, info, iters = _counted_solve(integrator.minres, op, rhs.coeff.ravel(), **kw)
-    x_ref, info_ref, iters_ref = _counted_solve(minres, op, rhs.coeff.ravel(), **kw)
+    x, info, iters = _counted_solve(integrator.minres, op, rhs.coeff, M=pre, rtol=rtol,
+                                    maxiter=1000)
+    shape = rhs.coeff.shape
+    x_ref, info_ref, iters_ref = _counted_solve(
+        minres, _as_linear_operator(op, shape), rhs.coeff.ravel(),
+        M=_as_linear_operator(pre, shape), rtol=rtol, maxiter=1000)
     assert info == info_ref == 0 and iters == iters_ref >= 1
-    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(x.ravel() - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
 def test_minres_iteration_limit_and_zero_rhs():
     op, pre, rhs = _newton_krylov_system(0.1)
-    x, info, iters = _counted_solve(integrator.minres, op, rhs.coeff.ravel(), M=pre,
-                                    rtol=1e-10, maxiter=1)
+    x, info, iters = _counted_solve(integrator.minres, op, rhs.coeff, M=pre, rtol=1e-10,
+                                    maxiter=1)
     assert info == 1 and iters == 1 and np.any(x)
-    x, info, iters = _counted_solve(integrator.minres, op, np.zeros(rhs.coeff.size), M=pre,
+    x, info, iters = _counted_solve(integrator.minres, op, np.zeros(rhs.coeff.shape), M=pre,
                                     rtol=1e-10, maxiter=1000)
     assert info == 0 and iters == 0 and not np.any(x)
 
@@ -638,7 +652,8 @@ def test_newton_operator_is_the_backward_euler_jacobian(a1, dt):
     stepper = Stepper(State(x, ModalField.zeros(grid)), nl, SourceTerm.zero(grid),
                       SchemeConfig(dt=dt, scheme="implicit_newton"))
     d = stepper._newton_system(dt)[0]
-    op = newton_operator(x, nl, d).matmat(np.eye(64))
+    apply = newton_operator(x, nl, d)
+    op = np.column_stack([apply(e.reshape(8, 8)).ravel() for e in np.eye(64)])
     lam = np.asarray(eigenvalues(grid)).ravel()
     jacobian = (np.diag(1.0 + dt + dt * dt * lam**2)
                 + dt * dt * lam[:, None] * oracle_multiplier_matrix(x, nl.f_prime))
@@ -973,22 +988,31 @@ def test_nan_coefficient_raises_on_first_step(scheme):
 # ---------------------------------------------------------------------------
 
 def test_failed_step_keeps_ab2_history():
-    # the AB2 history is committed with an accepted step only, so a retry
-    # at a smaller dt takes the step a fresh stepper would
+    # the AB2 (or predictor) history and the current state's 2n-grid values
+    # change with an accepted step only, so a retry at a smaller dt takes
+    # the step a fresh stepper would.  Per scheme, (a1, amplitude, source
+    # amplitude, rejected dt, dt): the safeguard rejects the longer step
+    # from the initial state and after an accepted step; the implicit case
+    # is the data of test_log_rows_never_read_stale_padded_values
     grid = GridSpec(16, PI)
-    st = State(random_band_limited(grid, 4, 8.0, seed=3), ModalField.zeros(grid))
-    stepper = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=2.0))
-    with pytest.raises(InstabilityError):
-        stepper.advance()
-    assert stepper.state.time == 0.0 and stepper._fhat_prev is None
-    fresh = Stepper(st, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
-    for _ in range(2):  # the start-up step, then the first AB2 step
-        stepper.advance(1e-3)
-        fresh.advance()
-        assert np.array_equal(stepper.state.u.coeff, fresh.state.u.coeff)
-        assert np.array_equal(stepper.state.v.coeff, fresh.state.v.coeff)
-        with pytest.raises(InstabilityError):
-            stepper.advance(2.0)
+    for scheme, a1, amp, g_amp, big, dt in [("imex_cn_ab2", -1.0, 8.0, 0.0, 2.0, 1e-3),
+                                             ("implicit_newton", -20.0, 0.5, 0.3, 0.2, 0.05)]:
+        nl, g = Nonlinearity(1.0, 0.0, a1), SourceTerm(ModalField.single_mode(grid, 2, 1, g_amp))
+        st = State(random_band_limited(grid, 4, amp, seed=3), ModalField.zeros(grid))
+        stepper = Stepper(st, nl, g, SchemeConfig(dt=big, scheme=scheme))
+        fresh = Stepper(st, nl, g, SchemeConfig(dt=dt, scheme=scheme))
+        stepper.energy_total()  # evaluates the current state, leaving its values in _padded[0]
+        for _ in range(2):  # the start-up step, then the first with a history
+            state, padded = stepper.state, stepper._padded[0].copy()
+            with pytest.raises(InstabilityError, match="energy increased"):
+                stepper.advance(big)
+            assert stepper.state is state and np.array_equal(stepper._padded[0], padded)
+            assert (stepper._fhat_prev is fresh._fhat_prev is None
+                    or np.array_equal(stepper._fhat_prev, fresh._fhat_prev))
+            stepper.advance(dt)
+            fresh.advance()
+            assert np.array_equal(stepper.state.u.coeff, fresh.state.u.coeff)
+            assert np.array_equal(stepper.state.v.coeff, fresh.state.v.coeff)
         assert np.array_equal(stepper._fhat_prev, fresh._fhat_prev)
 
 

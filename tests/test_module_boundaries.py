@@ -38,3 +38,26 @@ def _private_uses(path: Path) -> list:
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_module_uses_another_modules_private_names(path):
     assert _private_uses(path) == []
+
+
+def _scipy_sparse_imports(path: Path) -> list:
+    """The names the module at path imports from scipy.sparse (or its
+    submodules), and the scipy.sparse modules it imports whole."""
+    def sparse(module):
+        return module is not None and (module + ".").startswith("scipy.sparse.")
+
+    names = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and sparse(node.module):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if sparse(alias.name)]
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_analysis_imports_from_scipy_sparse_and_only_lobpcg(path):
+    # the solvers' operators are maps of (n, n) arrays, not scipy
+    # LinearOperators; LOBPCG, the stability indicator's eigensolver, is the
+    # one scipy.sparse name the package uses
+    assert _scipy_sparse_imports(path) == (["lobpcg"] if path.stem == "analysis" else [])
