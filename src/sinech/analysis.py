@@ -64,18 +64,14 @@ def random_pair_state(grid: GridSpec, band: int, amplitude: float, seed: int,
     return State(u * (amplitude / cur), v * (amplitude / cur))
 
 
-def _stride(span: float, dt: float, rows: int) -> int:
-    """The step stride that gives about rows samples over span."""
-    return max(1, horizon_steps(span, dt)[0] // rows)
-
-
-def _states(initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
-            t_end: float, sample_every: int) -> list:
-    """The sampled states of a run from initial to t_end."""
-    states = []
-    run(Stepper(initial, nl, g, cfg), t_end, sample_every,
-        lambda stepper, _: states.append(stepper.state))
-    return states
+def _samples(stepper: Stepper, t_end: float, rows: int, record) -> list:
+    """About rows samples of a run of stepper to t_end: record(stepper) at
+    the start, every n // rows of run's n steps (every step when n < rows)
+    and at the last step."""
+    n_steps = horizon_steps(t_end - stepper.state.time, stepper.cfg.dt)[0]
+    out = []
+    run(stepper, t_end, max(1, n_steps // rows), lambda s, _: out.append(record(s)))
+    return out
 
 
 def _log_linear_fit(t: np.ndarray, y: np.ndarray):
@@ -130,12 +126,12 @@ def galerkin_convergence(initial: State, nl: Nonlinearity, g: SourceTerm,
         if nz[0].size and (nz[0].max() >= band or nz[1].max() >= band):
             raise ValueError(f"initial data must be band-limited within {band} modes")
 
-    side = initial.grid.side
-
     def run_at(n: int):
         st = State(resample(initial.u, n), resample(initial.v, n), initial.time)
-        return _states(st, nl, SourceTerm(resample(g.g_modal, n)), cfg,
-                       initial.time + t_star, sample_every)
+        states = []
+        run(Stepper(st, nl, SourceTerm(resample(g.g_modal, n)), cfg), initial.time + t_star,
+            sample_every, lambda stepper, _: states.append(stepper.state))
+        return states
 
     ref_states = run_at(n_ref)
     gaps, failed = [], []
@@ -153,15 +149,10 @@ def galerkin_convergence(initial: State, nl: Nonlinearity, g: SourceTerm,
             worst = max(worst, norm_pair(du, dv, -1.0))
         gaps.append(worst)
 
-    ok = [(n, gap) for n, gap in zip(resolutions, gaps) if math.isfinite(gap) and gap > 0]
-    if len(ok) >= 2:
-        # fit gap ~ lambda_N^(-q) on the surviving resolutions
-        lx = np.log([lambda_max(GridSpec(n, side)) for n, _ in ok])
-        ly = np.log([gap for _, gap in ok])
-        coef = np.polynomial.polynomial.polyfit(lx, ly, 1)
-        q = -float(coef[1])
-    else:
-        q = 0.0
+    # fit gap ~ lambda_N^(-q) on the survivors; 0.0 - slope so that no fit gives 0.0, not -0.0
+    lx = np.log([lambda_max(GridSpec(n, initial.grid.side)) for n in resolutions])
+    finite = np.isfinite(gaps)
+    q = 0.0 - _log_linear_fit(lx[finite], np.asarray(gaps)[finite])[0]
     c1 = (0.5 - 2.0 * q) / t_star if t_star > 0 else 0.0
     return ConvergenceReport(resolutions, gaps, t_star, n_ref, q, c1, failed)
 
@@ -181,6 +172,11 @@ class DecompositionRun:
     fit_r2: float
     fit_window: tuple
     doublings: int = 0
+
+    @property
+    def decays(self) -> bool:
+        """Whether the fitted decay rate is positive with a decent fit."""
+        return self.fitted_kappa > 0 and self.fit_r2 >= 0.9
 
 
 class _Split(Stepper):
@@ -230,16 +226,15 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
         raise ValueError("big_l must be positive")
     if cfg.scheme != "imex_cn_ab2":
         raise ValueError("decomposition_run requires the imex_cn_ab2 scheme")
-    n_steps, h = horizon_steps(t_end, cfg.dt)
-    rows = []
+    h = horizon_steps(t_end, cfg.dt)[1]
 
-    def observe(s: _Split, _):
+    def record(s: _Split):
         u = (s.state.u, s.state.v)
         v, w = ([ModalField(s.state.grid, c) for c in part] for part in (s.v, s.w))
         err = norm_pair(v[0] + w[0] - u[0], v[1] + w[1] - u[1], 0.0)
-        rows.append((s.step_count * h, norm_pair(*w, 0.0), err, err / (1.0 + norm_pair(*u, 0.0))))
+        return s.step_count * h, norm_pair(*w, 0.0), err, err / (1.0 + norm_pair(*u, 0.0))
 
-    run(_Split(initial, nl, g, cfg, big_l), t_end, max(1, n_steps // 200), observe)
+    rows = _samples(_Split(initial, nl, g, cfg, big_l), t_end, 200, record)
     times, trace, errs, rels = (list(col) for col in zip(*rows))
     fit_window = (0.1 * t_end, t_end)
     t_arr, w_arr = np.asarray(times), np.asarray(trace)
@@ -252,10 +247,10 @@ def decompose_with_retries(initial: State, nl: Nonlinearity, g: SourceTerm,
                            cfg: SchemeConfig, big_l: float, t_end: float,
                            max_doublings: int = 3) -> DecompositionRun:
     """decomposition_run, doubling L (up to max_doublings times) until
-    the fitted decay rate comes out positive with a decent fit."""
+    the fit decays (DecompositionRun.decays)."""
     result = decomposition_run(initial, nl, g, cfg, big_l, t_end)
     doublings = 0
-    while (result.fitted_kappa <= 0 or result.fit_r2 < 0.9) and doublings < max_doublings:
+    while not result.decays and doublings < max_doublings:
         doublings += 1
         big_l *= 2.0
         result = decomposition_run(initial, nl, g, cfg, big_l, t_end)
@@ -276,40 +271,48 @@ class LipschitzReport:
     c7: float
     max_rho: float
     super_exponential_flag: bool  # see _super_exponential
+    c7_half_scale: float      # c7 of the perturbation at half the scale
+    c7_stable: bool           # see _c7_stable
 
 
 def lipschitz_dependence(initial: State, perturbation_scale: float,
                          nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
                          t_end: float, seed: int = 7,
                          band: int | None = None) -> LipschitzReport:
-    """Run U and U + delta to t_end, pair their (about 200) samples and
-    track the growth ratio rho(t) of the gap in the s=0 pair norm; fit
+    """Run U to t_end once and U + delta at perturbation_scale and at half
+    of it (both checked before any run), pair their (about 200) samples
+    and track the growth ratio rho(t) of each gap in the s=0 pair norm; fit
     rho <= c6 exp(c7 t) over the second half of the window (the
-    transient-free regime), and flag super-exponential growth."""
+    transient-free regime), flag super-exponential growth, and check c7
+    against the half-scale rate (_c7_stable)."""
     if perturbation_scale <= 0:
         raise ValueError("perturbation_scale must be positive")
     grid = initial.grid
     if band is None:
         band = max(1, grid.n_modes // 4)
-    delta = random_pair_state(grid, band, perturbation_scale, seed)
-    base = norm_pair(delta.u, delta.v, 0.0)
-    if not base > 0.0:
-        raise ValueError(f"perturbation_scale {perturbation_scale:g} is too small: "
-                         "the perturbation's norm underflows to 0")
-    pert = State(initial.u + delta.u, initial.v + delta.v, initial.time)
+    perturbed = []
+    for scale in (perturbation_scale, perturbation_scale / 2.0):
+        delta = random_pair_state(grid, band, scale, seed)
+        base = norm_pair(delta.u, delta.v, 0.0)
+        if not base > 0.0:
+            raise ValueError(f"perturbation_scale {scale:g} is too small: "
+                             "the perturbation's norm underflows to 0")
+        perturbed.append((State(initial.u + delta.u, initial.v + delta.v, initial.time), base))
 
-    every = _stride(t_end - initial.time, cfg.dt, 200)
-    a = _states(initial, nl, g, cfg, t_end, every)
-    b = _states(pert, nl, g, cfg, t_end, every)
-    times = [s.time for s in a]
-    rho = [1.0] + [norm_pair(sb.u - sa.u, sb.v - sa.v, 0.0) / base
-                   for sa, sb in zip(a[1:], b[1:])]
-    t_arr, r_arr = np.asarray(times), np.asarray(rho)
-    half = initial.time + 0.5 * (t_end - initial.time)
-    mask = t_arr >= half
+    def states(start: State) -> list:
+        return _samples(Stepper(start, nl, g, cfg), t_end, 200, lambda s: s.state)
+
+    a = states(initial)
+    t_arr = np.asarray([s.time for s in a])
+    mask = t_arr >= initial.time + 0.5 * (t_end - initial.time)
+    r_arr, r_half = (np.asarray([1.0] + [norm_pair(sb.u - sa.u, sb.v - sa.v, 0.0) / base
+                                         for sa, sb in zip(a[1:], states(pert)[1:])])
+                     for pert, base in perturbed)
     c7, logc6, _ = _log_linear_fit(t_arr[mask], r_arr[mask])
-    return LipschitzReport(perturbation_scale, times, rho, math.exp(logc6), c7,
-                           float(r_arr.max()), _super_exponential(t_arr, r_arr, c7))
+    c7_half = _log_linear_fit(t_arr[mask], r_half[mask])[0]
+    return LipschitzReport(perturbation_scale, t_arr.tolist(), r_arr.tolist(), math.exp(logc6),
+                           c7, float(r_arr.max()), _super_exponential(t_arr, r_arr, c7), c7_half,
+                           _c7_stable(c7, c7_half))
 
 
 def _super_exponential(t: np.ndarray, rho: np.ndarray, c7: float) -> bool:
@@ -320,6 +323,11 @@ def _super_exponential(t: np.ndarray, rho: np.ndarray, c7: float) -> bool:
     early = (t >= t0 + 0.25 * span) & (t <= t0 + 0.5 * span)
     c7_early = _log_linear_fit(t[early], rho[early])[0]
     return bool(c7 > 0 and c7 > c7_early + max(0.2 * abs(c7_early), 0.05))
+
+
+def _c7_stable(c7: float, c7_half: float) -> bool:
+    """Whether c7 is stable under halving the perturbation: within 10 %, plus 1e-3."""
+    return abs(c7 - c7_half) <= 0.1 * max(abs(c7), abs(c7_half)) + 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -462,21 +470,14 @@ def lojasiewicz_probe(initial: State, nl: Nonlinearity, g: SourceTerm,
     report the V-distance and energy gap to that equilibrium.  A missed
     tol is reported, not raised: the convergence claim is asymptotic.  A
     start that is already an equilibrium at rest is reported as
-    started_at_rest and not run (steps 0, one sample at the start): the
-    orbit would stay where it is and show nothing about convergence."""
+    started_at_rest and run over a zero span (steps 0, one sample at the
+    start): its orbit would stay put and show nothing about convergence."""
     at_rest = (not initial.v.coeff.any()
                and _stationary_newton(initial.u, nl, g, _EQUILIBRIUM_TOL, 0)[0] is None)
     stepper = Stepper(initial, nl, g, cfg)
-    times, ut = [], []
-
-    def observe(s: Stepper, _):
-        times.append(s.state.time)
-        ut.append(s.ut_vprime())
-
-    if at_rest:
-        observe(stepper, None)
-    else:
-        run(stepper, t_end, _stride(t_end - initial.time, cfg.dt, 256), observe)
+    rows = _samples(stepper, initial.time if at_rest else t_end, 256,
+                    lambda s: (s.state.time, s.ut_vprime()))
+    times, ut = (list(col) for col in zip(*rows))
     final = stepper.state
     eq = find_equilibrium(final.u, nl, g)
     return LojReport(
@@ -526,21 +527,18 @@ def absorbing_probe(radii: list, n_per_radius: int, nl: Nonlinearity,
     grid = g.grid
     if band is None:
         band = max(1, grid.n_modes // 4)
-    every = _stride(t_end, cfg.dt, 100)
+
+    def record(stepper: Stepper):
+        u, v = stepper.state.u, stepper.state.v
+        return stepper.state.time, norm_pair(u, v, 0.0), norm_pair(u, v, 2.0)
+
     tail0, tail2, late_over_early = [], [], []
     for i, r in enumerate(radii):
         sup0 = sup2 = 0.0
         early = late = 0.0
         for j in range(n_per_radius):
             st = random_pair_state(grid, band, r, seed + 1009 * i + j, s=2.0)
-            rows = []
-
-            def observe(stepper: Stepper, _):
-                u, v = stepper.state.u, stepper.state.v
-                rows.append((stepper.state.time, norm_pair(u, v, 0.0), norm_pair(u, v, 2.0)))
-
-            run(Stepper(st, nl, g, cfg), t_end, every, observe)
-            t, n0, n2 = np.array(rows).T
+            t, n0, n2 = np.array(_samples(Stepper(st, nl, g, cfg), t_end, 100, record)).T
             tail = t >= 0.5 * t_end
             sup0 = max(sup0, float(n0[tail].max()))
             sup2 = max(sup2, float(n2[tail].max()))

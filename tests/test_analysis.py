@@ -290,6 +290,8 @@ def test_lipschitz_scale_robustness():
     curves = np.abs(np.asarray(ra.rho) - np.asarray(rb.rho))
     assert curves.max() <= 1e-2 * max(ra.max_rho, 1.0)
     assert abs(ra.c7 - rb.c7) <= 0.1 * max(abs(ra.c7), abs(rb.c7))
+    # the half-scale rate of one call is the rate of a call at half the scale
+    assert ra.c7_half_scale == rb.c7 and ra.c7_stable
     with pytest.raises(ValueError):
         lipschitz_dependence(base, 0.0, DOUBLE_WELL, g, cfg, 1.0)
     with pytest.raises(ValueError):  # a horizon behind the start

@@ -136,14 +136,17 @@ def test_check_flags_false_claim(tmp_path):
 def test_check_fails_assumptions_whose_samples_overflow(tmp_path):
     # a1 = 1e308 passes Nonlinearity's range checks, but f(r) r overflows
     # on the sampled r: an inf sample verifies no bound, so the row fails
-    # (and the sampling raises no numpy warning)
-    out = tmp_path / "o"
-    cfg = write_config(tmp_path, grid={"n_modes": 4}, nonlinearity={"a1": 1e308},
-                       check={"n_modes_list": [4]})
-    assert run_cli("check", "--config", cfg, "--output-dir", str(out),
-                   "--only", "assumptions") == 1
-    rows = json.loads((out / "check_report.json").read_text())["rows"]
-    assert [(r["check"], r["pass"]) for r in rows] == [("assumptions", False)]
+    # (and the sampling raises no numpy warning).  The linear case a3 = 0,
+    # which Nonlinearity accepts and check_assumptions refuses, fails the
+    # row too instead of ending in a traceback.
+    for i, nonlinearity in enumerate([{"a1": 1e308}, {"a3": 0.0, "a1": 1.0}]):
+        out = tmp_path / f"o{i}"
+        cfg = write_config(tmp_path, grid={"n_modes": 4}, nonlinearity=nonlinearity,
+                           check={"n_modes_list": [4]})
+        assert run_cli("check", "--config", cfg, "--output-dir", str(out),
+                       "--only", "assumptions") == 1
+        rows = json.loads((out / "check_report.json").read_text())["rows"]
+        assert [(r["check"], r["pass"]) for r in rows] == [("assumptions", False)]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -360,9 +363,12 @@ def test_simulate_bad_value_type_names_the_key(tmp_path, capsys, overrides, key)
     # a zero horizon leaves one sample: no rate to fit, no verdict to give
     ("lipschitz", {"grid": {"n_modes": 8}, "lipschitz": {"t_end": 0.0}}, "lipschitz.t_end"),
     ("decompose", {"grid": {"n_modes": 8}, "decompose": {"t_end": 0.0}}, "decompose.t_end"),
+    # the split steps v and w by the IMEX step's tables: refused before any step
+    ("decompose", {"grid": {"n_modes": 8}, "scheme": {"scheme": "implicit_newton"}},
+     "scheme.scheme"),
 ], ids=["n_modes_list-empty", "resolutions-zero", "absorb-t_end-zero",
         "perturbation_scale-zero", "tol-zero", "seed-negative", "single_mode-j",
-        "single_mode-k", "lipschitz-t_end-zero", "decompose-t_end-zero"])
+        "single_mode-k", "lipschitz-t_end-zero", "decompose-t_end-zero", "decompose-implicit"])
 def test_out_of_range_value_names_the_key(tmp_path, capsys, command, overrides, key):
     cfg = write_config(tmp_path, **overrides)
     assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
@@ -530,6 +536,9 @@ _SMALL = {"grid.n_modes": 4, "check.n_modes_list": [2], "converge.resolutions": 
 @example(command="simulate", body=_nest(dict(_SMALL, **{"source.preset": "other"})))
 @example(command="simulate", body=_nest(dict(_SMALL, **{"scheme.scheme": "other"})))
 @example(command="equilibrium", body=_nest(dict(_SMALL, **{"nonlinearity.a2": 1e308})))
+@example(command="decompose", body=_nest(dict(_SMALL, **{"scheme.scheme": "implicit_newton"})))
+@example(command="check", body=_nest(dict(_SMALL, **{"nonlinearity.a3": 0.0,
+                                                       "nonlinearity.a1": 1.0})))
 def test_right_typed_config_exits_0_1_or_2(tmp_path_factory, command, body):
     body = dict(body, output_dir=str(tmp_path_factory.getbasetemp() / "right_type"))
     cfg = tmp_path_factory.getbasetemp() / "right_type.json"
@@ -714,6 +723,25 @@ def test_decompose_small_run(tmp_path):
     assert rep["fitted_kappa"] > 0.0
     assert rep["fit_r2"] >= 0.9
     assert rep["sum_error"] <= 1e-9
+
+
+def test_lipschitz_runs_the_unperturbed_orbit_once(tmp_path, monkeypatch):
+    # one run of U and one of U + delta at each of the two scales: three
+    # runs' worth of steps, not four
+    from sinech import integrator
+
+    calls = []
+    advance = integrator.Stepper.advance
+
+    def counted(self, h):
+        calls.append(h)
+        return advance(self, h)
+
+    monkeypatch.setattr(integrator.Stepper, "advance", counted)
+    cfg = write_config(tmp_path, grid={"n_modes": 8}, scheme={"dt": 1e-2},
+                       lipschitz={"t_end": 0.25})
+    assert run_cli("lipschitz", "--config", cfg, "--output-dir", str(tmp_path / "o")) in (0, 1)
+    assert len(calls) == 3 * integrator.horizon_steps(0.25, 1e-2)[0] == 75
 
 
 def test_lipschitz_small_run(tmp_path):
