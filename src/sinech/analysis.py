@@ -40,7 +40,7 @@ from scipy.sparse.linalg import lobpcg
 from .errors import InstabilityError, StepFailureError
 from .integrator import (CrankNicolson, SchemeConfig, State, Stepper, horizon_steps,
                          inverse_diagonal, minres, newton_krylov, newton_operator, run)
-from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased
+from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased, fprime_sample
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalues, lambda_max,
                        norm_Hs, norm_pair, resample, sup_norm, weighted_sum)
 
@@ -373,7 +373,7 @@ def _stability_indicator(op, lam: np.ndarray, tol: float = 1e-12, maxiter: int =
     A^(-1), from the fixed start e_(1,1) so repeated calls agree
     bitwise.  Below 5 unknowns LOBPCG would switch to a dense solve
     with a warning, so that case is solved densely here.  Raises
-    StepFailureError when the eigenresidual stays above tol.
+    StepFailureError when the eigenresidual (by spectral.dot) stays above tol.
     """
     size = lam.size
 
@@ -383,14 +383,15 @@ def _stability_indicator(op, lam: np.ndarray, tol: float = 1e-12, maxiter: int =
     block = columns(op)
     if size < 5:
         return float(np.linalg.eigvalsh(block(np.eye(size)))[0])
-    x0 = np.zeros((size, 1))
-    x0[0, 0] = 1.0
+    x0 = np.eye(size, 1)  # e_(1,1)
     with warnings.catch_warnings():
         # non-convergence is checked below and raised, not warned about
         warnings.simplefilter("ignore", UserWarning)
         vals, vecs = lobpcg(block, x0, M=columns(inverse_diagonal(lam)), tol=tol,
                             maxiter=maxiter, largest=False)
-    resid = float(np.linalg.norm(block(vecs[:, :1])[:, 0] - vals[0] * vecs[:, 0]))
+    x = vecs.reshape(lam.shape)
+    r = op(x) - vals[0] * x
+    resid = math.sqrt(dot(r, r))
     if not resid <= tol:
         raise StepFailureError(
             f"stability eigensolve stalled: residual {resid:.3e} > {tol:g} "
@@ -428,7 +429,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     stationarity failures are findings, not crashes.  A non-finite seed
     raises InstabilityError, and a source on another grid
     DimensionMismatchError, both before any solve.  The stability
-    indicator is the smallest eigenvalue of that operator at the result u*.
+    indicator is the smallest eigenvalue of that operator at u* (f' sampled once).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -436,13 +437,13 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
         raise InstabilityError("non-finite seed: find_equilibrium needs a finite u")
     grid = seed_field.grid
     lam = np.asarray(eigenvalues(grid))
-    failure, c, (_, pot), fprime, history = _stationary_newton(seed_field.copy(), nl, g, tol,
+    failure, c, (_, pot), values, history = _stationary_newton(seed_field.copy(), nl, g, tol,
                                                                max_iter)
     u_star = ModalField(grid, c)
     e = energy(State(u_star, ModalField.zeros(grid)), nl, g, pot)
-    indicator = _stability_indicator(newton_operator(u_star, nl, lam, fprime), lam)
-    return EquilibriumResult(u_star, history[-1], len(history) - 1, e, indicator, failure is None,
-                             history)
+    op = newton_operator(u_star, nl, lam, fprime_sample(values, nl))
+    return EquilibriumResult(u_star, history[-1], len(history) - 1, e,
+                             _stability_indicator(op, lam), failure is None, history)
 
 
 # ---------------------------------------------------------------------------

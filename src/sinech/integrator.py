@@ -27,9 +27,9 @@ module's own MINRES (scipy's recurrences, with sums by spectral.dot),
 apply the one operator w -> d w + P_n(f'(x) w) (newton_operator),
 preconditioned by w -> w / (d + mean f'), and stop at a fixed
 Eisenstat-Walker tolerance (_forcing); an operator here is a map of
-(n, n) coefficient arrays, as model.fprime_multiplier is.  An iterate's
-residual transform also samples f' for its operator, and an update is
-halved, up to 12 times, until ||R|| drops.  The map is strongly
+(n, n) coefficient arrays, as model.fprime_multiplier is.  Each Newton
+iteration samples f' once, and an update is halved, up to 12 times,
+until ||R|| drops.  The map is strongly
 monotone when min d > lambda_bound (f' >= -lambda_bound); a failed
 implicit step whose system is not says so.
 
@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import CheckpointVersionError, InstabilityError, StepFailureError
 from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
-                    higher_functionals, nonlinear_term_and_potential, square_sum)
+                    fprime_sample, higher_functionals, nonlinear_term_and_potential, square_sum)
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
                        header_value, padded_points, read_binary, weighted_sum, work_array,
                        write_binary)
@@ -278,27 +278,26 @@ def newton_operator(u: ModalField, nl: Nonlinearity, d: np.ndarray,
 
 
 def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray, solve, stop,
-                  tol: float, max_iter: int, out: np.ndarray | None = None):
+                  tol: float, max_iter: int):
     """The damped inexact Newton loop of the module docstring on
     R(x) = d x + P_n f(x) - b, from u0.
 
     solve is a minres(op, rhs, M=, rtol=, maxiter=) on (n, n) arrays,
     returning (delta, info); stop(R) returns (||R||, done).  An iterate's
-    residual transform leaves f'(x) and x on the 2n grid in one of two
-    pooled pairs of arrays, the accepted iterate's and the line search's,
-    which swap roles at each accepted update; out, when given, receives the
-    accepted iterate's 2n-grid values.  Returns (failure, x, cached, fprime,
-    history): why Newton stopped short (None when stop is done), the last
-    accepted iterate with its cached (P_n f(x), int F(x)) and f'(x), and its
-    ||R||s.
+    residual transform leaves x on the 2n grid in one of two pooled
+    arrays, the accepted iterate's and the line search's, which swap roles
+    at each accepted update; each iteration samples f'(x) from the
+    accepted iterate's (model.fprime_sample).  Returns (failure, x, cached,
+    values, history): why Newton stopped short (None when stop is done),
+    the last accepted iterate with its cached (P_n f(x), int F(x)) and its
+    2n-grid values (pooled, untouched for a3 = 0), and its ||R||s.
     """
     grid = u0.grid
     m = padded_points(grid.n_modes, 2)
-    cur, trial = ((work_array("newton.fprime" + k, (m, m)), work_array("newton.values" + k, (m, m)))
-                  for k in ("", "_try"))
+    cur, trial = (work_array("newton.values" + k, (m, m)) for k in ("", "_try"))
 
-    def residual(x, pair):
-        fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, *pair)
+    def residual(x, values):
+        fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, values)
         return d * x + fh.coeff - b, (fh.coeff, pot)
 
     x, failure = u0.coeff, None
@@ -309,8 +308,9 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
         if len(history) > max_iter:
             failure = f"Newton did not reach tol={tol:g} in {max_iter} iterations"
             break
-        pre = inverse_diagonal(_preconditioner_diagonal(d, cur[0].mean()))
-        delta, info = solve(newton_operator(ModalField(grid, x), nl, d, cur[0]), -r, M=pre,
+        fprime = fprime_sample(cur, nl)
+        pre = inverse_diagonal(_preconditioner_diagonal(d, fprime.mean()))
+        delta, info = solve(newton_operator(ModalField(grid, x), nl, d, fprime), -r, M=pre,
                             rtol=_forcing(history, tol), maxiter=_MINRES_MAXITER)
         if info != 0:
             failure = f"inner MINRES stalled (info={info})"
@@ -326,9 +326,7 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
             break
         x, r, cached, rn, cur, trial = x_try, r_try, cached_try, rn_try, trial, cur
         history.append(rn)
-    if out is not None:
-        np.copyto(out, cur[1])
-    return failure, x, cached, cur[0], history
+    return failure, x, cached, cur, history
 
 
 def inverse_diagonal(d: np.ndarray):
@@ -414,10 +412,10 @@ class Stepper:
     the AB2 history of imex_cn_ab2, the predictor's of implicit_newton).
     The transform behind P_n f(u) leaves u on the 2n grid in a
     stepper-owned array for the log rows: _padded[0] for the current
-    state, [1] for the step's new state (newton_krylov copies its accepted
-    iterate's values there).  A step writes only [1], and its commit swaps
-    the two.  A stepper is also its own checkpoint: save_checkpoint writes
-    it, load_checkpoint reads it back."""
+    state, [1] for the step's new state (an implicit step copies its
+    Newton iterate's values there).  A step writes only [1], and its
+    commit swaps the two.  A stepper is also its own checkpoint:
+    save_checkpoint writes it, load_checkpoint reads it back."""
 
     def __init__(self, state: State, nl: Nonlinearity, g: SourceTerm,
                  cfg: SchemeConfig, step_count: int = 0,
@@ -532,13 +530,14 @@ class Stepper:
 
         fhat, prev = self._ensure_current()[0], self._fhat_prev
         u0 = ModalField(self.state.grid, (b - (fhat if prev is None else 2.0 * fhat - prev)) / d)
-        failure, x, cached, _, history = newton_krylov(
-            u0, self.nl, d, b, minres, stop, tol, self.cfg.newton_max_iter, self._padded[1])
+        failure, x, cached, values, history = newton_krylov(
+            u0, self.nl, d, b, minres, stop, tol, self.cfg.newton_max_iter)
         t = self.state.time + h
         if failure:
             raise StepFailureError(f"{failure} at t={t:g}", residual_history=history, time=t)
         w_new = (x - c) / h
         _require_finite(t, x, w_new)
+        np.copyto(self._padded[1], values)
         return x, w_new, cached
 
     def advance(self, dt: float | None = None) -> float:

@@ -107,15 +107,16 @@ class Nonlinearity:
     def f(self, r):
         return ((self.a3 * r + self.a2) * r + self.a1) * r
 
-    def f_prime(self, r):
-        return (3.0 * self.a3 * r + 2.0 * self.a2) * r + self.a1
+    def f_prime(self, r, out: np.ndarray | None = None):
+        """f'(r), the package's one f' formula; in place in out when given."""
+        fp = np.multiply(r, 3.0 * self.a3, out=out)
+        fp += 2.0 * self.a2
+        fp *= r
+        fp += self.a1
+        return fp
 
     def f_second(self, r):
         return 6.0 * self.a3 * r + 2.0 * self.a2
-
-    def potential(self, r):
-        """Antiderivative F(r) = a3 r^4/4 + a2 r^3/3 + a1 r^2/2."""
-        return ((self.a3 / 4.0 * r + self.a2 / 3.0) * r + self.a1 / 2.0) * r * r
 
 
 def computed_lambda_bound(a3: float, a2: float, a1: float) -> float:
@@ -164,8 +165,7 @@ def _odd_product_integral(side: float, *factors: np.ndarray) -> float:
     return field_integral(prod)
 
 
-def _f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None,
-                     values: np.ndarray | None = None,
+def _f_and_potential(u: ModalField, nl: Nonlinearity, values: np.ndarray | None = None,
                      potential: bool = True) -> tuple[np.ndarray, float | None]:
     """P_n f(u) as a fresh (n, n) array and int F(u) (None without
     potential): the one evaluation of both.
@@ -176,24 +176,16 @@ def _f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None 
     For a2 = 0, int F(u) = 1/4 <u, P_n f(u)> + 1/4 a1 ||u||^2; for a2 != 0
     the quartic term is the midpoint sum on the 2n grid (exact: band
     4n < 2m), the cubic one the alias-free 3n contraction.  The padded
-    arrays are pooled work arrays, valid until the next call.  fprime,
-    when given, receives f'(u) on the 2n grid from the same nodal values;
-    values, when given, holds those nodal values instead of a pooled
-    array (untouched when a3 = 0).
+    arrays are pooled work arrays, valid until the next call.  values,
+    when given, holds u on the 2n grid instead of a pooled array
+    (untouched when a3 = 0).
     """
     c, n, side = u.coeff, u.grid.n_modes, u.grid.side
     a3, a2, a1 = nl.a3, nl.a2, nl.a1
     if a3 == 0.0:
-        if fprime is not None:
-            fprime.fill(a1)
         return a1 * c, 0.5 * a1 * dot(c, c) if potential else None
     m = padded_points(n, 2)
     un = nodal_values(u, m, out=work_array("f.u", (m, m)) if values is None else values)
-    if fprime is not None:  # nl.f_prime(un), evaluated in place
-        np.multiply(un, 3.0 * a3, out=fprime)
-        fprime += 2.0 * a2
-        fprime *= un
-        fprime += a1
     fv = np.square(un, out=work_array("f.values", (m, m)))
     pot = None
     if a2 == 0.0:
@@ -215,7 +207,7 @@ def _f_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None 
     return fhat, pot
 
 
-def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None,
+def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity,
                                  values: np.ndarray | None = None) -> tuple[ModalField, float]:
     """(P_n f(u), integral F(u)), exactly dealiased and sharing one
     padded transform pair (none for a3 = 0); the time stepper caches both
@@ -224,14 +216,11 @@ def nonlinear_term_and_potential(u: ModalField, nl: Nonlinearity, fprime: np.nda
     a3 u^3 + a2 u^2 is formed pointwise on a 2x zero-padded nodal grid and
     transformed back and truncated: with the cubic degree the retained
     block is alias-free at padding m > 2n; a1 u is added in modal space
-    (see _f_and_potential).  fprime, an (m, m) array with
-    m = padded_points(n_modes), receives f'(u) sampled from the same
-    transform when given: a Newton iteration evaluates its residual and
-    the next Jacobian's fprime_multiplier with one padded transform.
-    values, an (m, m) array, receives u on the 2n grid from the same
-    transform (untouched when a3 = 0, which transforms nothing).
+    (see _f_and_potential).  values, an (m, m) array with
+    m = padded_points(n_modes), receives u on the 2n grid when given, for
+    the log rows and fprime_sample (untouched when a3 = 0).
     """
-    fhat, pot = _f_and_potential(u, nl, fprime, values)
+    fhat, pot = _f_and_potential(u, nl, values)
     return ModalField(u.grid, fhat), pot
 
 
@@ -240,10 +229,20 @@ def f_eval_dealiased(u: ModalField, nl: Nonlinearity) -> ModalField:
     return ModalField(u.grid, _f_and_potential(u, nl, potential=False)[0])
 
 
+def fprime_sample(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
+    """f'(u) on the 2n grid from u's values there, in a pooled work array;
+    for a3 = 0 it is a1, and values (left untouched then) are not read."""
+    fp = work_array("fprime.u", values.shape)
+    if nl.a3 == 0.0:
+        fp.fill(nl.a1)
+        return fp
+    return nl.f_prime(values, out=fp)
+
+
 def fprime_multiplier(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None):
     """The dealiased multiplier v -> P_n(f'(u) v) on (n, n) coefficient
     arrays, with f'(u) sampled once on the 2n grid, or taken from fprime
-    as nonlinear_term_and_potential(u, nl, fprime) sampled it.
+    as fprime_sample gave it.
 
     Exact for cubic f (the product is a sine polynomial of band 3n) and
     symmetric for any f: on the retained modes the forward DST-II is the

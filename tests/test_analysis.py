@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import pde_residual
 
-from sinech import analysis, integrator
+from sinech import analysis, integrator, model
 from sinech.analysis import (
     _stability_indicator,
     absorbing_probe,
@@ -396,6 +396,24 @@ def test_stability_indicator_repeats_bitwise():
     a = find_equilibrium(seed_field, STIFF_WELL, g)
     b = find_equilibrium(seed_field, STIFF_WELL, g)
     assert a.stability_indicator == b.stability_indicator
+
+
+def test_equilibrium_samples_fprime_once_per_jacobian(monkeypatch):
+    # f'(u) is sampled once per Newton iteration, for its MINRES operator
+    # and preconditioner, and once at u* for the stability operator
+    samples = []
+
+    def counted(values, nl):
+        samples.append(nl)
+        return model.fprime_sample(values, nl)
+
+    monkeypatch.setattr(integrator, "fprime_sample", counted)
+    monkeypatch.setattr(analysis, "fprime_sample", counted)
+    grid = GridSpec(16, PI)
+    res = find_equilibrium(ModalField.single_mode(grid, 1, 1, 2.0), STIFF_WELL,
+                           SourceTerm.zero(grid))
+    assert res.converged and res.newton_iters >= 2
+    assert len(samples) == res.newton_iters + 1
 
 
 def test_stability_indicator_matches_dense_full_operator():

@@ -16,7 +16,7 @@ from sinech.errors import (
     InstabilityError,
     StepFailureError,
 )
-from sinech import analysis, integrator
+from sinech import analysis, integrator, model
 from sinech.analysis import find_equilibrium, random_pair_state
 from sinech.integrator import (
     CrankNicolson,
@@ -40,6 +40,7 @@ from sinech.model import (
     diagnostic_F,
     energy,
     f_eval_dealiased,
+    fprime_sample,
     higher_functionals,
     nonlinear_term_and_potential,
 )
@@ -53,6 +54,7 @@ from sinech.spectral import (
     padded_points,
     random_band_limited,
     resample,
+    work_array,
 )
 
 PI = math.pi
@@ -528,27 +530,26 @@ def _newton_on_a_well(monkeypatch, max_iter=30, solve=integrator.minres):
     nl, lam, m = Nonlinearity(1.0, 0.0, -3.0), np.asarray(eigenvalues(grid)), padded_points(4)
     buffers, slots = [], []
 
-    def spy(u, nl, fprime, values):
+    def spy(u, nl, values):
         if id(values) not in buffers:
             buffers.append(id(values))
         slots.append(buffers.index(id(values)))
-        return nonlinear_term_and_potential(u, nl, fprime, values)
+        return nonlinear_term_and_potential(u, nl, values)
 
     def stop(r):
         rn = float(np.linalg.norm(r))
         return rn, rn <= 1e-12
 
     monkeypatch.setattr(integrator, "nonlinear_term_and_potential", spy)
-    out = np.full((m, m), np.nan)
-    failure, x, cached, fprime, history = newton_krylov(
+    failure, x, cached, values, history = newton_krylov(
         ModalField.single_mode(grid, 1, 1, 3.0), nl, lam, np.zeros(grid.shape), solve, stop,
-        1e-12, max_iter, out)
-    # x, its cache, its f' buffer and the 2n-grid values copied to out all
+        1e-12, max_iter)
+    # x, its cache, its 2n-grid values and the f' sampled from them all
     # belong to one accepted iterate
-    fp, un = np.empty((m, m)), np.empty((m, m))
-    fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, fp, un)
+    un = np.empty((m, m))
+    fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, un)
     assert np.array_equal(cached[0], fh.coeff) and cached[1] == pot
-    assert np.array_equal(fprime, fp) and np.array_equal(out, un)
+    assert np.array_equal(values, un) and np.array_equal(fprime_sample(values, nl), nl.f_prime(un))
     assert len(buffers) <= 2
     return failure, x, history, slots
 
@@ -594,8 +595,9 @@ def _newton_krylov_system(system):
         u, d = ModalField.single_mode(grid, 1, 1, 0.1), lam
     else:
         u, d = random_band_limited(grid, 4, 1.0, seed=5), lam + (1.0 + system) / (system**2 * lam)
-    fprime = np.empty((padded_points(16),) * 2)
-    nonlinear_term_and_potential(u, nl, fprime)
+    values = np.empty((padded_points(16),) * 2)
+    nonlinear_term_and_potential(u, nl, values)
+    fprime = fprime_sample(values, nl)
     pre = integrator.inverse_diagonal(integrator._preconditioner_diagonal(d, fprime.mean()))
     return newton_operator(u, nl, d, fprime), pre, random_band_limited(grid, 16, 1.0, seed=6)
 
@@ -766,6 +768,61 @@ def test_implicit_path_needs_fewer_solves(monkeypatch):
     # the benchmark's tracer counts them by, and none through the step's
     assert counts["integrator"] == [newton_iters, minres_iters]
     assert counts["analysis"][0] > 0 and 0 < counts["analysis"][1] < 36
+
+
+def test_implicit_step_samples_fprime_once_per_inner_solve(monkeypatch):
+    # f'(x) is sampled only where a Jacobian is built: once per Newton
+    # iteration, from the accepted iterate's 2n-grid values, for its one
+    # MINRES solve; the residuals (the start's and each trial's) sample none
+    counts = {"samples": 0, "solves": 0, "residuals": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(integrator, "fprime_sample", counted("samples", model.fprime_sample))
+    monkeypatch.setattr(integrator, "minres", counted("solves", integrator.minres))
+    monkeypatch.setattr(integrator, "nonlinear_term_and_potential",
+                        counted("residuals", nonlinear_term_and_potential))
+    grid = GridSpec(16, PI)
+    stepper = Stepper(State(random_band_limited(grid, 4, 1.0, seed=5), ModalField.zeros(grid)),
+                      Nonlinearity(1.0, 0.0, -3.0), SourceTerm.zero(grid),
+                      SchemeConfig(dt=0.1, scheme="implicit_newton"))
+    stepper.advance()
+    assert counts["samples"] == counts["solves"] >= 2
+    assert counts["residuals"] >= counts["samples"] + 1
+
+
+def test_linear_implicit_step_never_reads_the_newton_values(monkeypatch):
+    # for a3 = 0 a residual transforms nothing and leaves the pooled 2n-grid
+    # values as they were, here NaN; f' = a1 must not be sampled from them.
+    # The step is bitwise the one that fills f' with a1 without looking
+    grid = GridSpec(16, PI)
+    m = padded_points(16)
+    nl = Nonlinearity(0.0, 0.0, 1.0)
+    start = random_pair_state(grid, 4, 1.0, seed=12)
+    cfg = SchemeConfig(dt=0.1, scheme="implicit_newton")
+
+    def steps():
+        for k in ("", "_try"):
+            work_array("newton.values" + k, (m, m)).fill(np.nan)
+        stepper = Stepper(start, nl, SourceTerm.zero(grid), cfg)
+        for _ in range(3):
+            stepper.advance()
+        TrajectoryLog().record(stepper, 0.0)  # a row reads no 2n-grid value either
+        assert np.isnan(stepper._padded[0]).all()  # the step's copy of the untouched values
+        return stepper.state
+
+    state = steps()
+    monkeypatch.setattr(integrator, "fprime_sample",
+                        lambda values, nl: np.full(values.shape, nl.a1))
+    ref = steps()
+    assert np.isfinite(state.u.coeff).all()
+    assert np.array_equal(state.u.coeff, ref.u.coeff)
+    assert np.array_equal(state.v.coeff, ref.v.coeff)
 
 
 def test_newton_scheme_dissipates_nonlinear():

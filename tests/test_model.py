@@ -38,6 +38,7 @@ from sinech.model import (
     energy,
     f_eval_dealiased,
     fprime_multiplier,
+    fprime_sample,
     higher_functionals,
     nonlinear_term_and_potential,
 )
@@ -70,7 +71,6 @@ def test_f_pointwise():
     assert nl.f(2.0) == 6.0          # 8 - 2
     assert nl.f_prime(2.0) == 11.0   # 12 - 1
     assert nl.f_second(2.0) == 12.0
-    assert nl.potential(2.0) == pytest.approx(2.0)  # 16/4 - 4/2
 
 
 def test_lambda_bound_closed_form():
@@ -253,14 +253,16 @@ def test_fprime_multiplier_matches_oracle(nl):
 @pytest.mark.parametrize("nl", [DOUBLE_WELL, Nonlinearity(1.0, 0.7, -1.0),
                                 Nonlinearity(0.0, 0.0, 0.0)])
 def test_fprime_sampled_with_f_is_the_multipliers_own(nl):
-    # the f'(u) a Newton residual samples from its own padded transform is
-    # bitwise the one fprime_multiplier samples, and f(u) does not change
+    # the f'(u) a Newton Jacobian samples from the 2n-grid values its
+    # residual's padded transform left is bitwise the one fprime_multiplier
+    # samples, and f(u) does not change
     grid = GridSpec(8, PI)
     u = random_band_limited(grid, 8, 2.0, seed=61)
     v = random_band_limited(grid, 8, 1.0, seed=62).coeff
     m = padded_points(grid.n_modes, 2)
-    fprime = np.full((m, m), np.nan)
-    fh, pot = nonlinear_term_and_potential(u, nl, fprime)
+    values = np.full((m, m), np.nan)
+    fh, pot = nonlinear_term_and_potential(u, nl, values)
+    fprime = fprime_sample(values, nl)
     assert np.array_equal(fprime, nl.f_prime(nodal_values(u, m)))
     assert np.array_equal(fh.coeff, f_eval_dealiased(u, nl).coeff)
     assert pot == nonlinear_term_and_potential(u, nl)[1]
@@ -291,8 +293,8 @@ def test_modal_a1_term_and_potential_match_the_all_nodal_evaluation(n, nl):
 
 def test_linear_f_takes_no_transform(monkeypatch):
     # f = a1 u is band-n: P_n f(u) = a1 u and int F(u) = a1/2 ||u||^2 from
-    # the coefficients alone; fprime is the constant a1 and values stay as
-    # they were
+    # the coefficients alone; values stay as they were, and f' sampled from
+    # them is the constant a1
     def no_transform(*args, **kwargs):
         raise AssertionError("f = a1 u must take no transform")
 
@@ -302,11 +304,11 @@ def test_linear_f_takes_no_transform(monkeypatch):
     u = random_band_limited(grid, 8, 1.0, seed=3)
     nl = Nonlinearity(0.0, 0.0, 1.5)
     m = padded_points(grid.n_modes, 2)
-    fprime, values = np.full((m, m), np.nan), np.full((m, m), 7.0)
-    fhat, pot = nonlinear_term_and_potential(u, nl, fprime, values)
+    values = np.full((m, m), 7.0)
+    fhat, pot = nonlinear_term_and_potential(u, nl, values)
     assert np.array_equal(fhat.coeff, 1.5 * u.coeff)
     assert pot == pytest.approx(0.75 * float(np.sum(u.coeff**2)), rel=1e-15)
-    assert np.all(fprime == 1.5) and np.all(values == 7.0)
+    assert np.all(fprime_sample(values, nl) == 1.5) and np.all(values == 7.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])

@@ -61,3 +61,63 @@ def test_only_analysis_imports_from_scipy_sparse_and_only_lobpcg(path):
     # LinearOperators; LOBPCG, the stability indicator's eigensolver, is the
     # one scipy.sparse name the package uses
     assert _scipy_sparse_imports(path) == (["lobpcg"] if path.stem == "analysis" else [])
+
+
+# sums that call BLAS, whose bits can depend on the thread count; the
+# package's own sums go through spectral.dot and spectral.weighted_sum
+BLAS_SUMS = {"np.linalg.norm", "np.vdot", "np.dot", "np.inner", "np.matmul", "np.tensordot"}
+# the BLAS and LAPACK callers the package keeps, by module and function: the
+# stability indicator's dense fallback for n <= 2 (at most 4 x 4) and its
+# eigensolver, and the log-linear fit
+BLAS_ALLOWED = {("analysis", "_stability_indicator", "np.linalg.eigvalsh"),
+                ("analysis", "_stability_indicator", "lobpcg"),
+                ("analysis", "_log_linear_fit", "np.polynomial.polynomial.polyfit")}
+
+
+def _dotted(node) -> str:
+    """'np.linalg.norm' for the expression np.linalg.norm, '.dot' for x().dot."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id if isinstance(node, ast.Name) else ""] + parts[::-1])
+
+
+def _blas_name(node) -> str | None:
+    """The BLAS or LAPACK use that node is, if any: a call of a BLAS_SUMS
+    name, of any np.linalg routine, of polyfit or lobpcg, or of a .dot
+    method (not spectral.dot, imported by name), or the @ operator."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        return "@"
+    if not isinstance(node, ast.Call):
+        return None
+    name = _dotted(node.func)
+    last = name.rsplit(".", 1)[-1]
+    if (name in BLAS_SUMS or name.startswith("np.linalg.") or last in ("polyfit", "lobpcg")
+            or (last == "dot" and "." in name)):
+        return name
+    return None
+
+
+def _blas_uses(path: Path) -> list:
+    """(line, function, name) for each BLAS or LAPACK use (_blas_name) in
+    the module at path, with the top-level function it sits in ("" at
+    module level)."""
+    uses = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not function:
+            function = node.name
+        name = _blas_name(node)
+        if name is not None:
+            uses.append((node.lineno, function, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), "")
+    return uses
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_sums_through_blas(path):
+    assert [use for use in _blas_uses(path) if (path.stem,) + use[1:] not in BLAS_ALLOWED] == []
