@@ -16,8 +16,8 @@ Two schemes:
   newton_tol (or the step's roundoff floor, if higher) by newton_krylov
   from the linearly implicit step with P_n f extrapolated from the last
   two accepted states, 2 P_n f(u_n) - P_n f(u_{n-1}) (frozen at the
-  current state's cached P_n f(u_n) on a first step).  First order, very
-  robust.
+  current state's cached P_n f(u_n) on a first step), and an a1 > 0 taken
+  implicitly (Stepper._predictor).  First order, very robust.
 
 newton_krylov is the one damped inexact Newton loop.  It solves
 R(x) = d x + P_n f(x) - b = 0: the step divided by h^2 Lam, with
@@ -28,8 +28,11 @@ apply the one operator w -> d w + P_n(f'(x) w) (newton_operator),
 preconditioned by w -> w / (d + mean f'), and stop at a fixed
 Eisenstat-Walker tolerance (_forcing); an operator here is a map of
 (n, n) coefficient arrays, as model.fprime_multiplier is.  Each Newton
-iteration samples f' once, and an update is halved, up to 12 times,
-until ||R|| drops.  The map is strongly
+iteration samples f' once; a solve asked for rtol >= _FLOAT32_RTOL gets
+a float32 copy of the sample, which applies the operator's f' product in
+float32, while the residual, the stop, the line search, the
+preconditioner and MINRES's own arithmetic stay float64.  An update is
+halved, up to 12 times, until ||R|| drops.  The map is strongly
 monotone when min d > lambda_bound (f' >= -lambda_bound); a failed
 implicit step whose system is not says so.
 
@@ -60,14 +63,24 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import CheckpointVersionError, InstabilityError, StepFailureError
-from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
-                    fprime_sample, higher_functionals, nonlinear_term_and_potential, square_sum)
+from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_float32,
+                    fprime_multiplier, fprime_sample, higher_functionals,
+                    nonlinear_term_and_potential, square_sum)
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
                        header_value, padded_points, read_binary, weighted_sum, work_array,
                        write_binary)
 
 _CKPT_VERSION = 1
 _MINRES_MAXITER = 1000  # inner iterations per Newton direction
+# Inner solves asked for an rtol of at least _FLOAT32_RTOL apply the
+# Jacobian's f' product in float32 (model.fprime_float32).  That product is
+# within 1.7-1.8e-7 of the float64 one, relative (N = 16, 64 and 128, for
+# f = u^3 - 3u, u^3 - 60u and u^3 + 0.5u^2 + 1000u): under a fifth of any
+# such rtol, and less against the whole operator, whose d w stays exact.
+# The Newton residual, its stop and the line search stay float64, so a
+# loose Jacobian could cost iterations, never accuracy (Kelley, SIAM Rev.
+# 64, 2022); settle-n64 takes the same Newton and MINRES iterations with it.
+_FLOAT32_RTOL = 1e-6
 SCHEMES = ("imex_cn_ab2", "implicit_newton")
 
 
@@ -287,7 +300,9 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
     residual transform leaves x on the 2n grid in one of two pooled
     arrays, the accepted iterate's and the line search's, which swap roles
     at each accepted update; each iteration samples f'(x) from the
-    accepted iterate's (model.fprime_sample).  Returns (failure, x, cached,
+    accepted iterate's (model.fprime_sample), and hands solves asked for
+    rtol >= _FLOAT32_RTOL its float32 copy (model.fprime_float32), so they
+    apply the f' product in float32.  Returns (failure, x, cached,
     values, history): why Newton stopped short (None when stop is done),
     the last accepted iterate with its cached (P_n f(x), int F(x)) and its
     2n-grid values (pooled, untouched for a3 = 0), and its ||R||s.
@@ -310,8 +325,11 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
             break
         fprime = fprime_sample(cur, nl)
         pre = inverse_diagonal(_preconditioner_diagonal(d, fprime.mean()))
+        rtol = _forcing(history, tol)
+        if rtol >= _FLOAT32_RTOL:
+            fprime = fprime_float32(fprime)
         delta, info = solve(newton_operator(ModalField(grid, x), nl, d, fprime), -r, M=pre,
-                            rtol=_forcing(history, tol), maxiter=_MINRES_MAXITER)
+                            rtol=rtol, maxiter=_MINRES_MAXITER)
         if info != 0:
             failure = f"inner MINRES stalled (info={info})"
             break
@@ -515,11 +533,25 @@ class Stepper:
         tol = max(self.cfg.newton_tol, 8.0 * sys.float_info.epsilon * math.sqrt(hb_sq))
         return lam + (1.0 + h) / scale, b, tol
 
+    def _predictor(self, h: float, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The linearly implicit predictor of the step's system d x + P_n f(x) = b:
+        d x0 = b - E, where E = 2 fhat_n - fhat_{n-1} extrapolates P_n f from
+        the current and the previous accepted state (E = fhat_n without a
+        previous one).  An a1 > 0 is taken implicitly, (d + a1) x0 =
+        b - E + a1 y with y = c + h w = 2 c_n - c_{n-1} (y = c without a
+        previous state): extrapolated, a stiff a1 u left Newton far from the
+        root (a residual near 1e49 at a1 = 1e20, falling 3x an iteration)."""
+        c, fhat, prev = self.state.u.coeff, self._ensure_current()[0], self._fhat_prev
+        rhs = b - (fhat if prev is None else 2.0 * fhat - prev)
+        a1 = self.nl.a1
+        if a1 <= 0.0:
+            return rhs / d
+        y = c if prev is None else c + h * self.state.v.coeff
+        return (rhs + a1 * y) / (d + a1)
+
     def _advance_newton(self, h: float, d: np.ndarray, b: np.ndarray, tol: float):
         """Backward Euler by newton_krylov on the system (d, b, tol) of
-        _newton_system, from the linearly implicit predictor
-        d x0 = b - (2 fhat_n - fhat_{n-1}), with P_n f of the current and the
-        previous accepted state (d x0 = b - fhat_n without a previous one)."""
+        _newton_system, from _predictor's x0."""
         c = self.state.u.coeff
         h_lam = h * self.lam
 
@@ -528,8 +560,7 @@ class Stepper:
             rn = math.sqrt(dot(merit, merit))
             return rn, not rn > tol
 
-        fhat, prev = self._ensure_current()[0], self._fhat_prev
-        u0 = ModalField(self.state.grid, (b - (fhat if prev is None else 2.0 * fhat - prev)) / d)
+        u0 = ModalField(self.state.grid, self._predictor(h, d, b))
         failure, x, cached, values, history = newton_krylov(
             u0, self.nl, d, b, minres, stop, tol, self.cfg.newton_max_iter)
         t = self.state.time + h

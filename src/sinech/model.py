@@ -58,6 +58,9 @@ from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue, e
                        eigenvalues, field_integral, gradient_values, modal_from_values,
                        nodal_values, padded_points, quadrature_weight, weighted_sum, work_array)
 
+# float32's normal range, as Python floats (a comparison with np.float32 bounds casts to them)
+_FLOAT32_RANGE = (float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max))
+
 
 @dataclass
 class Nonlinearity:
@@ -239,6 +242,24 @@ def fprime_sample(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
     return nl.f_prime(values, out=fp)
 
 
+def fprime_float32(fprime: np.ndarray) -> np.ndarray:
+    """A float32 copy of the f' sample fprime, in a pooled work array, for
+    which fprime_multiplier applies its product in float32; fprime itself
+    when max|f'| is outside float32's normal range, where the cast would
+    overflow or round the sample into subnormals."""
+    top = max(float(fprime.max()), -float(fprime.min()))
+    if not _FLOAT32_RANGE[0] <= top <= _FLOAT32_RANGE[1]:
+        return fprime
+    single = work_array("fprime.float32", fprime.shape, np.float32)
+    np.copyto(single, fprime, casting="same_kind")
+    return single
+
+
+def _binary_exponent(a: np.ndarray) -> int:
+    """e with max|a| / 2^e in [0.5, 1) (0 for a = 0): scaling by 2^-e is exact."""
+    return math.frexp(max(float(a.max()), -float(a.min())))[1]
+
+
 def fprime_multiplier(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None):
     """The dealiased multiplier v -> P_n(f'(u) v) on (n, n) coefficient
     arrays, with f'(u) sampled once on the 2n grid, or taken from fprime
@@ -250,17 +271,40 @@ def fprime_multiplier(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None
     Newton's Jacobians and the stability indicator are built on it.  A
     product is computed in a pooled work array and returned as a view
     into it, valid until the next product.
+
+    A float32 fprime (see fprime_float32) applies the product in float32:
+    the padded DST-III/DST-II pair, the pointwise product and the
+    retained block, in pooled float32 arrays (f' scaled into one of them,
+    valid until the next float32 multiplier is built).  f' and each v are
+    scaled by the power of two of their max-abs before the cast, so
+    nothing overflows, and the scales are undone exactly in the float64
+    result (see integrator._FLOAT32_RTOL for its error).
     """
     grid = u.grid
-    m = padded_points(grid.n_modes, 2)
+    n, side = grid.n_modes, grid.side
+    m = padded_points(n, 2)
     fp = nl.f_prime(nodal_values(u, m)) if fprime is None else fprime
+    if fp.dtype == np.float64:
+        def apply(v: np.ndarray) -> np.ndarray:
+            vals = nodal_values(ModalField(grid, v), m, out=work_array("fprime.v", (m, m)))
+            vals *= fp
+            return modal_from_values(vals, side, overwrite=True, n_modes=n)
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        vals = nodal_values(ModalField(grid, v), m, out=work_array("fprime.v", (m, m)))
-        vals *= fp
-        return modal_from_values(vals, grid.side, overwrite=True, n_modes=grid.n_modes)
+        return apply
 
-    return apply
+    f_exp = _binary_exponent(fp)
+    scaled_fp = np.ldexp(fp, -f_exp, out=work_array("fprime.scaled", (m, m), np.float32))
+    scaled_v, vals = work_array("fprime.w", (n, n)), work_array("fprime.v", (m, m), np.float32)
+    product = work_array("fprime.product", (n, n))
+
+    def apply_float32(v: np.ndarray) -> np.ndarray:
+        v_exp = _binary_exponent(v)
+        nodal_values(ModalField(grid, np.ldexp(v, -v_exp, out=scaled_v)), m, out=vals)
+        np.multiply(vals, scaled_fp, out=vals)
+        np.copyto(product, modal_from_values(vals, side, overwrite=True, n_modes=n))
+        return np.ldexp(product, v_exp + f_exp, out=product)
+
+    return apply_float32
 
 
 def energy(state, nl: Nonlinearity, g: SourceTerm | None, potential: float | None = None,

@@ -187,18 +187,18 @@ def padded_points(n_modes: int, factor: int = 2) -> int:
 # ---------------------------------------------------------------------------
 
 # Work arrays of the padded-grid hot paths (the stepper's f(u), a log
-# row's nodal values and products), keyed by (name, shape) and
+# row's nodal values and products), keyed by (name, shape, dtype) and
 # reused so the large grids are not reallocated on every call: an array
 # keeps its contents only until the next user of the same slot.
 # Single-threaded use assumed, as everywhere in this package.
 _work_pool: dict = {}
 
 
-def work_array(name: str, shape: tuple) -> np.ndarray:
-    """The pooled float64 work array `name` of this shape (uninitialised)."""
-    buf = _work_pool.get((name, shape))
+def work_array(name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """The pooled work array `name` of this shape and dtype (uninitialised)."""
+    buf = _work_pool.get((name, shape, dtype))
     if buf is None:
-        buf = _work_pool[(name, shape)] = np.empty(shape)
+        buf = _work_pool[(name, shape, dtype)] = np.empty(shape, dtype)
     return buf
 
 
@@ -209,8 +209,9 @@ def nodal_values(z: ModalField, n_points: int | None = None,
     n_points >= n_modes (defaults to n_modes).  Zero-padding the
     coefficients before the inverse DST-III gives exact point values of
     the band-limited field on the finer grid.  The values are written
-    into out (a C-contiguous float64 array of the grid's shape) when
-    given, else into a fresh array; the transform runs in place there.
+    into out (a C-contiguous array of the grid's shape) when given, else
+    into a fresh float64 array; the transform runs in place there, in
+    out's precision (float32 for a float32 out).
 
     Pruned: the coefficients are scaled as they are copied in, and the
     axis-0 pass skips the m - n padding columns, which are zero and would
@@ -241,6 +242,7 @@ def modal_from_values(values: np.ndarray, side: float, overwrite: bool = False,
     grid (the inverse of nodal_values there); overwrite=True transforms
     in place, consuming values.
 
+    The transform runs in the precision of values (float32 or float64).
     With n_modes, only the retained (n_modes, n_modes) block is computed
     and returned, as a view into the transformed array: the axis-1 pass
     runs over the first n_modes rows only.  dstn also transforms axis 0

@@ -234,10 +234,16 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # size threshold, which the 2N grid at N = 64 is above: the trajectory's
     # calH column used to differ between one and two threads.  Each run
     # gets its own directory and the same relative --output-dir, so even
-    # config_effective.json must match.
+    # config_effective.json must match.  The implicit run's loose inner
+    # solves apply their f' product in float32.
     configs = {
         "simulate": {"grid": {"n_modes": 64}, "t_end": 0.05, "sample_every": 5,
                      "initial": {"u": {"preset": "random_band", "band": 4, "amplitude": 1.0}}},
+        "simulate-implicit": {"grid": {"n_modes": 64}, "t_end": 0.5, "sample_every": 1,
+                              "nonlinearity": {"a3": 1.0, "a2": 0.0, "a1": -3.0},
+                              "scheme": {"scheme": "implicit_newton", "dt": 0.1},
+                              "initial": {"u": {"preset": "random_band", "band": 4,
+                                                "amplitude": 1.0}}},
         "equilibrium": {"grid": {"n_modes": 64},
                         "nonlinearity": {"a3": 1.0, "a2": 0.0, "a1": -3.0},
                         "initial": {"u": {"preset": "random_band", "band": 4, "amplitude": 3.0}}},
@@ -247,17 +253,19 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     digests = {}
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-        for command, cfg in configs.items():
-            cwd = tmp_path / threads / command
+        for name, cfg in configs.items():
+            cwd = tmp_path / threads / name
             cwd.mkdir(parents=True)
             (cwd / "cfg.json").write_text(json.dumps(cfg))
-            subprocess.run([sys.executable, "-m", "sinech.cli", command, "--config", "cfg.json",
-                            "--output-dir", "out", "--quiet"], cwd=cwd, env=env, check=True)
-            digests[threads, command] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                                         for p in (cwd / "out").iterdir()}
-    assert len(digests["1", "simulate"]) == 5 and len(digests["1", "equilibrium"]) == 3
-    for command in configs:
-        assert digests["1", command] == digests["2", command]
+            subprocess.run([sys.executable, "-m", "sinech.cli", name.split("-")[0], "--config",
+                            "cfg.json", "--output-dir", "out", "--quiet"],
+                           cwd=cwd, env=env, check=True)
+            digests[threads, name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                      for p in (cwd / "out").iterdir()}
+    assert len(digests["1", "simulate"]) == len(digests["1", "simulate-implicit"]) == 5
+    assert len(digests["1", "equilibrium"]) == 3
+    for name in configs:
+        assert digests["1", name] == digests["2", name]
 
 
 def test_simulate_reproduces_from_echo(tmp_path):

@@ -3,6 +3,7 @@
 import json
 import math
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -796,6 +797,48 @@ def test_implicit_step_samples_fprime_once_per_inner_solve(monkeypatch):
     assert counts["residuals"] >= counts["samples"] + 1
 
 
+def test_only_loose_inner_solves_apply_a_float32_product(monkeypatch):
+    # the f' sample's dtype picks the product's precision: newton_krylov
+    # hands a float32 copy to inner solves asked for rtol >= _FLOAT32_RTOL
+    # and the float64 sample to tighter ones (rtols scripted on both sides)
+    threshold = integrator._FLOAT32_RTOL
+    script = [1e-3, threshold, 0.5 * threshold, 1e-12]
+    rtols, dtypes = [], []
+
+    def forcing(history, tol):
+        rtols.append(script[(len(history) - 1) % len(script)])
+        return rtols[-1]
+
+    def operator(u, nl, d, fprime):
+        dtypes.append(fprime.dtype)
+        return newton_operator(u, nl, d, fprime)
+
+    monkeypatch.setattr(integrator, "_forcing", forcing)
+    monkeypatch.setattr(integrator, "newton_operator", operator)
+    failure, _, _, _ = _newton_on_a_well(monkeypatch)
+    assert failure is None and len(rtols) >= 3
+    assert dtypes == [np.float32 if r >= threshold else np.float64 for r in rtols]
+
+
+@pytest.mark.parametrize("a1", [1e20, 1e40])
+def test_implicit_step_takes_a_stiff_linear_term_implicitly(a1, monkeypatch):
+    # f = u^3 + a1 u with a1 far above d: a predictor that extrapolates a1 u
+    # explicitly left Newton at a residual near 1e49, falling about 3x an
+    # iteration, and the step failed after 30 iterations.  The predictor takes
+    # a1 u implicitly, and each step meets the outer tolerance.  At a1 = 1e40
+    # max|f'| is beyond float32, so even the loose solves (the first one of
+    # each step, at rtol 1e-3) keep float64
+    dtypes = []
+
+    def operator(u, nl, d, fprime):
+        dtypes.append(fprime.dtype)
+        return newton_operator(u, nl, d, fprime)
+
+    monkeypatch.setattr(integrator, "newton_operator", operator)
+    _steps_meet_the_outer_tolerance(Nonlinearity(1.0, 0.0, a1), 16, 1e-2, steps=3)
+    assert (np.dtype(np.float32) in dtypes) == (a1 < 3.4e38)
+
+
 def test_linear_implicit_step_never_reads_the_newton_values(monkeypatch):
     # for a3 = 0 a residual transforms nothing and leaves the pooled 2n-grid
     # values as they were, here NaN; f' = a1 must not be sampled from them.
@@ -1163,6 +1206,51 @@ def test_log_rows_never_read_stale_padded_values(scheme, a1, amp, dt, a2):
         hf = higher_functionals(s, nl, g)
         assert log.cal_g[k] == hf.g and log.cal_h[k] == hf.h
         assert log.cal_f[k] == diagnostic_F(s, nl, g)
+
+
+def test_float32_products_allocate_no_padded_grid(monkeypatch):
+    # the float32 product's padded grids and its scaled f' are pooled work
+    # arrays: at N = 128 neither building nor applying a loose Jacobian's
+    # product allocates a (270, 270) float32 grid (291,600 bytes) afresh.
+    # tracemalloc sees numpy's buffers.  A minor-fault count, as in
+    # test_hot_paths_reuse_work_arrays, cannot show this at N = 128: MINRES's
+    # (n, n) temporaries, 131 KB each, make the allocator grow and trim the
+    # heap top from step to step, 0 to 280 faults a step by the heap's
+    # earlier layout, with the float32 path or without it
+    grid_bytes = 4 * padded_points(128) ** 2
+    peaks, dtypes = [], []
+
+    def traced(fn):
+        def wrapper(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = fn(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        return wrapper
+
+    def multiplier(u, nl, fprime):
+        dtypes.append(fprime.dtype)
+        return traced(traced(model.fprime_multiplier)(u, nl, fprime))
+
+    monkeypatch.setattr(integrator, "fprime_float32", traced(model.fprime_float32))
+    monkeypatch.setattr(integrator, "fprime_multiplier", multiplier)
+    grid = GridSpec(128, PI)
+    stepper = Stepper(State(random_band_limited(grid, 8, 1.0, seed=76), ModalField.zeros(grid)),
+                      DOUBLE_WELL, SourceTerm.zero(grid),
+                      SchemeConfig(dt=0.1, scheme="implicit_newton"))
+    for _ in range(2):  # warm-up: the pools
+        stepper.advance()
+    peaks.clear()
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            stepper.advance()
+    finally:
+        tracemalloc.stop()
+    assert np.dtype(np.float32) in dtypes and len(peaks) > 10
+    assert max(peaks) < grid_bytes
 
 
 def _minor_faults() -> int:
