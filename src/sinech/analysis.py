@@ -441,7 +441,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
                                                                max_iter)
     u_star = ModalField(grid, c)
     e = energy(State(u_star, ModalField.zeros(grid)), nl, g, pot)
-    op = newton_operator(u_star, nl, lam, fprime_sample(values, nl))
+    op = newton_operator(grid, lam, fprime_sample(values, nl))
     return EquilibriumResult(u_star, history[-1], len(history) - 1, e,
                              _stability_indicator(op, lam), failure is None, history)
 

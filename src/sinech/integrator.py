@@ -28,9 +28,9 @@ apply the one operator w -> d w + P_n(f'(x) w) (newton_operator),
 preconditioned by w -> w / (d + mean f'), and stop at a fixed
 Eisenstat-Walker tolerance (_forcing); an operator here is a map of
 (n, n) coefficient arrays, as model.fprime_multiplier is.  Each Newton
-iteration samples f' once; a solve asked for rtol >= _FLOAT32_RTOL gets
-a float32 copy of the sample, which applies the operator's f' product in
-float32, while the residual, the stop, the line search, the
+iteration samples f' once; a solve asked for rtol >= _FLOAT32_RTOL
+applies the operator's f' product in float32 (the one product, scaled so
+nothing overflows), while the residual, the stop, the line search, the
 preconditioner and MINRES's own arithmetic stay float64.  An update is
 halved, up to 12 times, until ||R|| drops.  The map is strongly
 monotone when min d > lambda_bound (f' >= -lambda_bound); a failed
@@ -63,9 +63,9 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .errors import CheckpointVersionError, InstabilityError, StepFailureError
-from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_float32,
-                    fprime_multiplier, fprime_sample, higher_functionals,
-                    nonlinear_term_and_potential, square_sum)
+from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
+                    fprime_sample, higher_functionals, nonlinear_term_and_potential,
+                    square_sum)
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
                        header_value, padded_points, read_binary, weighted_sum, work_array,
                        write_binary)
@@ -73,7 +73,7 @@ from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_po
 _CKPT_VERSION = 1
 _MINRES_MAXITER = 1000  # inner iterations per Newton direction
 # Inner solves asked for an rtol of at least _FLOAT32_RTOL apply the
-# Jacobian's f' product in float32 (model.fprime_float32).  That product is
+# Jacobian's f' product in float32 (model.fprime_multiplier).  That product is
 # within 1.7-1.8e-7 of the float64 one, relative (N = 16, 64 and 128, for
 # f = u^3 - 3u, u^3 - 60u and u^3 + 0.5u^2 + 1000u): under a fifth of any
 # such rtol, and less against the whole operator, whose d w stays exact.
@@ -121,8 +121,7 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; pick one of {SCHEMES}")
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError(f"dt must be finite and > 0 (no backward time), got {self.dt}")
+        _require_forward(self.dt)
         if not (self.newton_tol > 0.0):
             raise ValueError("newton_tol must be > 0")
         if self.newton_max_iter < 1:
@@ -179,6 +178,12 @@ class TrajectoryLog:
     def write_csv(self, path) -> None:
         cols = np.column_stack([np.asarray(getattr(self, f.name)) for f in fields(self)[:9]])
         np.savetxt(path, cols, delimiter=",", header=self.CSV_HEADER, comments="", fmt="%.17g")
+
+
+def _require_forward(dt: float) -> None:
+    """ValueError unless the step dt is finite and > 0: time runs forward only."""
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and > 0 (no backward time), got {dt}")
 
 
 def _require_finite(t: float, *arrays: np.ndarray) -> None:
@@ -281,12 +286,12 @@ def minres(A, b: np.ndarray, *, M, rtol: float, maxiter: int, callback=None):
     return x, maxiter
 
 
-def newton_operator(u: ModalField, nl: Nonlinearity, d: np.ndarray,
-                    fprime: np.ndarray | None = None):
+def newton_operator(grid: GridSpec, d: np.ndarray, fprime: np.ndarray, dtype=np.float64):
     """The Jacobian w -> d w + P_n(f'(u) w) of R(x) = d x + P_n f(x) - b at
-    x = u on (n, n) coefficient arrays, matrix-free and symmetric; fprime is
-    f'(u) on the 2n grid when already sampled (see fprime_multiplier)."""
-    mult = fprime_multiplier(u, nl, fprime)
+    x = u on (n, n) coefficient arrays of grid, matrix-free and symmetric,
+    for fprime = f'(u) on the 2n grid; its f' product runs in dtype (see
+    model.fprime_multiplier), d w in float64."""
+    mult = fprime_multiplier(grid, fprime, dtype)
     return lambda w: d * w + mult(w)
 
 
@@ -300,9 +305,9 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
     residual transform leaves x on the 2n grid in one of two pooled
     arrays, the accepted iterate's and the line search's, which swap roles
     at each accepted update; each iteration samples f'(x) from the
-    accepted iterate's (model.fprime_sample), and hands solves asked for
-    rtol >= _FLOAT32_RTOL its float32 copy (model.fprime_float32), so they
-    apply the f' product in float32.  Returns (failure, x, cached,
+    accepted iterate's (model.fprime_sample) and builds its solve's
+    operator from it, with the f' product in float32 for a solve asked for
+    rtol >= _FLOAT32_RTOL, else in float64.  Returns (failure, x, cached,
     values, history): why Newton stopped short (None when stop is done),
     the last accepted iterate with its cached (P_n f(x), int F(x)) and its
     2n-grid values (pooled, untouched for a3 = 0), and its ||R||s.
@@ -326,10 +331,9 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
         fprime = fprime_sample(cur, nl)
         pre = inverse_diagonal(_preconditioner_diagonal(d, fprime.mean()))
         rtol = _forcing(history, tol)
-        if rtol >= _FLOAT32_RTOL:
-            fprime = fprime_float32(fprime)
-        delta, info = solve(newton_operator(ModalField(grid, x), nl, d, fprime), -r, M=pre,
-                            rtol=rtol, maxiter=_MINRES_MAXITER)
+        dtype = np.float32 if rtol >= _FLOAT32_RTOL else np.float64
+        delta, info = solve(newton_operator(grid, d, fprime, dtype), -r, M=pre, rtol=rtol,
+                            maxiter=_MINRES_MAXITER)
         if info != 0:
             failure = f"inner MINRES stalled (info={info})"
             break
@@ -573,9 +577,11 @@ class Stepper:
 
     def advance(self, dt: float | None = None) -> float:
         """One step of size dt (default cfg.dt); returns the dissipation
-        increment dt * ||(v_n + v_{n+1})/2||_{V'}^2 of the step.  A failed
+        increment dt * ||(v_n + v_{n+1})/2||_{V'}^2 of the step.  A dt that
+        is not finite and > 0 raises ValueError, as in SchemeConfig.  A failed
         step changes nothing; its StepFailureError carries t + dt and step."""
         h = self.cfg.dt if dt is None else dt
+        _require_forward(h)
         e_before = self.energy_total()
         w = self.state.v.coeff
         d = None  # the implicit step's diagonal, once formed
@@ -720,10 +726,19 @@ def _checkpoint_blocks(header: dict) -> list:
     return blocks
 
 
+_HEADER_KINDS = {"float": float, "int": int, "str": str}
+
+
 def _from_header(cls, block: dict):
-    """Rebuild a config dataclass from its header block; every field is
-    required."""
-    return cls(**{f.name: block[f.name] for f in fields(cls)})
+    """Rebuild a config dataclass from its header block: every field is
+    required and read by header_value as the type it is annotated with;
+    only a field annotated `float | None` may hold null."""
+    values = {}
+    for f in fields(cls):
+        kind, _, optional = f.type.partition(" | ")
+        values[f.name] = (None if optional and block[f.name] is None
+                          else header_value(block, f.name, _HEADER_KINDS[kind]))
+    return cls(**values)
 
 
 def _stepper(header: dict, grid: GridSpec, blocks: dict) -> Stepper:

@@ -58,9 +58,6 @@ from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue, e
                        eigenvalues, field_integral, gradient_values, modal_from_values,
                        nodal_values, padded_points, quadrature_weight, weighted_sum, work_array)
 
-# float32's normal range, as Python floats (a comparison with np.float32 bounds casts to them)
-_FLOAT32_RANGE = (float(np.finfo(np.float32).tiny), float(np.finfo(np.float32).max))
-
 
 @dataclass
 class Nonlinearity:
@@ -242,69 +239,47 @@ def fprime_sample(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
     return nl.f_prime(values, out=fp)
 
 
-def fprime_float32(fprime: np.ndarray) -> np.ndarray:
-    """A float32 copy of the f' sample fprime, in a pooled work array, for
-    which fprime_multiplier applies its product in float32; fprime itself
-    when max|f'| is outside float32's normal range, where the cast would
-    overflow or round the sample into subnormals."""
-    top = max(float(fprime.max()), -float(fprime.min()))
-    if not _FLOAT32_RANGE[0] <= top <= _FLOAT32_RANGE[1]:
-        return fprime
-    single = work_array("fprime.float32", fprime.shape, np.float32)
-    np.copyto(single, fprime, casting="same_kind")
-    return single
-
-
 def _binary_exponent(a: np.ndarray) -> int:
     """e with max|a| / 2^e in [0.5, 1) (0 for a = 0): scaling by 2^-e is exact."""
     return math.frexp(max(float(a.max()), -float(a.min())))[1]
 
 
-def fprime_multiplier(u: ModalField, nl: Nonlinearity, fprime: np.ndarray | None = None):
+def fprime_multiplier(grid: GridSpec, fprime: np.ndarray, dtype=np.float64):
     """The dealiased multiplier v -> P_n(f'(u) v) on (n, n) coefficient
-    arrays, with f'(u) sampled once on the 2n grid, or taken from fprime
-    as fprime_sample gave it.
+    arrays of grid, with f'(u) on the 2n grid as fprime_sample gave it.
 
     Exact for cubic f (the product is a sine polynomial of band 3n) and
     symmetric for any f: on the retained modes the forward DST-II is the
     transpose of the inverse DST-III times the quadrature weight.
-    Newton's Jacobians and the stability indicator are built on it.  A
-    product is computed in a pooled work array and returned as a view
-    into it, valid until the next product.
+    Newton's Jacobians and the stability indicator are built on it.
 
-    A float32 fprime (see fprime_float32) applies the product in float32:
-    the padded DST-III/DST-II pair, the pointwise product and the
-    retained block, in pooled float32 arrays (f' scaled into one of them,
-    valid until the next float32 multiplier is built).  f' and each v are
-    scaled by the power of two of their max-abs before the cast, so
-    nothing overflows, and the scales are undone exactly in the float64
-    result (see integrator._FLOAT32_RTOL for its error).
+    The product runs in dtype (float64, or float32 for Newton's loose
+    inner solves): the padded DST-III/DST-II pair, the pointwise product
+    and the retained block, in pooled work arrays.  f' is scaled by the
+    power of two of its max-abs into one of them (valid until the next
+    multiplier of this dtype is built), each v by its own, and both
+    scales are undone exactly in the float64 result, a pooled (n, n)
+    array valid until the next product.  Power-of-two scales commute with
+    every rounding, so a product is bitwise the unscaled one in its dtype
+    unless a value leaves the normal range, and a float32 one overflows
+    nothing (see integrator._FLOAT32_RTOL for its error).
     """
-    grid = u.grid
     n, side = grid.n_modes, grid.side
     m = padded_points(n, 2)
-    fp = nl.f_prime(nodal_values(u, m)) if fprime is None else fprime
-    if fp.dtype == np.float64:
-        def apply(v: np.ndarray) -> np.ndarray:
-            vals = nodal_values(ModalField(grid, v), m, out=work_array("fprime.v", (m, m)))
-            vals *= fp
-            return modal_from_values(vals, side, overwrite=True, n_modes=n)
-
-        return apply
-
-    f_exp = _binary_exponent(fp)
-    scaled_fp = np.ldexp(fp, -f_exp, out=work_array("fprime.scaled", (m, m), np.float32))
-    scaled_v, vals = work_array("fprime.w", (n, n)), work_array("fprime.v", (m, m), np.float32)
+    f_exp = _binary_exponent(fprime)
+    scaled_fp = np.ldexp(fprime, -f_exp, out=work_array("fprime.scaled", (m, m), dtype))
+    scaled_v, vals = work_array("fprime.w", (n, n)), work_array("fprime.v", (m, m), dtype)
     product = work_array("fprime.product", (n, n))
 
-    def apply_float32(v: np.ndarray) -> np.ndarray:
+    def apply(v: np.ndarray) -> np.ndarray:
         v_exp = _binary_exponent(v)
         nodal_values(ModalField(grid, np.ldexp(v, -v_exp, out=scaled_v)), m, out=vals)
         np.multiply(vals, scaled_fp, out=vals)
-        np.copyto(product, modal_from_values(vals, side, overwrite=True, n_modes=n))
-        return np.ldexp(product, v_exp + f_exp, out=product)
+        # float64 in, else ldexp's float32 loop overflows on a large product
+        return np.ldexp(modal_from_values(vals, side, overwrite=True, n_modes=n),
+                        v_exp + f_exp, out=product, dtype=np.float64)
 
-    return apply_float32
+    return apply
 
 
 def energy(state, nl: Nonlinearity, g: SourceTerm | None, potential: float | None = None,

@@ -24,13 +24,15 @@ from sinech.analysis import (
 )
 from sinech.errors import DimensionMismatchError, InstabilityError, StepFailureError
 from sinech.integrator import SchemeConfig, State, newton_operator
-from sinech.model import Nonlinearity, SourceTerm, f_eval_dealiased
+from sinech.model import Nonlinearity, SourceTerm, f_eval_dealiased, fprime_sample
 from sinech.spectral import (
     GridSpec,
     ModalField,
     eigenvalues,
+    nodal_values,
     norm_Hs,
     norm_pair,
+    padded_points,
     random_band_limited,
 )
 
@@ -381,7 +383,8 @@ def test_nontrivial_equilibrium_and_sign_symmetry():
 def _jacobian_at(u, nl):
     # the shared Newton operator d + P_N f'(u) with find_equilibrium's d = A
     lam = np.asarray(eigenvalues(u.grid))
-    return newton_operator(u, nl, lam), lam
+    fprime = fprime_sample(nodal_values(u, padded_points(u.grid.n_modes)), nl)
+    return newton_operator(u.grid, lam, fprime), lam
 
 
 def _dense(op, lam):

@@ -50,6 +50,7 @@ from sinech.spectral import (
     ModalField,
     eigenvalue_power,
     eigenvalues,
+    nodal_values,
     norm_Hs,
     norm_pair,
     padded_points,
@@ -447,11 +448,24 @@ def test_scheme_config_validation():
         SchemeConfig(dt=1e-3, newton_tol=0.0)
     with pytest.raises(ValueError):
         SchemeConfig(dt=1e-3, newton_max_iter=0)
-    # time runs forward only, with either scheme
+    # time runs forward only, with either scheme, in the config and in a
+    # step given its own dt, which leaves the stepper as it was
+    grid = GridSpec(8, PI)
+    start = random_pair_state(grid, 3, 1.0, seed=8)
     for scheme in ("imex_cn_ab2", "implicit_newton"):
         for dt in (-1e-3, math.inf, math.nan):
             with pytest.raises(ValueError):
                 SchemeConfig(dt=dt, scheme=scheme)
+        stepper = Stepper(start, DOUBLE_WELL, SourceTerm.zero(grid),
+                          SchemeConfig(dt=1e-2, scheme=scheme))
+        stepper.advance()
+        before = stepper.state.copy()
+        for dt in (-1e-3, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and > 0"):
+                stepper.advance(dt)
+            assert stepper.step_count == 1 and stepper.state.time == before.time
+            assert np.array_equal(stepper.state.u.coeff, before.u.coeff)
+            assert np.array_equal(stepper.state.v.coeff, before.v.coeff)
 
 
 def test_safeguard_trips_on_violent_step():
@@ -600,7 +614,7 @@ def _newton_krylov_system(system):
     nonlinear_term_and_potential(u, nl, values)
     fprime = fprime_sample(values, nl)
     pre = integrator.inverse_diagonal(integrator._preconditioner_diagonal(d, fprime.mean()))
-    return newton_operator(u, nl, d, fprime), pre, random_band_limited(grid, 16, 1.0, seed=6)
+    return newton_operator(grid, d, fprime), pre, random_band_limited(grid, 16, 1.0, seed=6)
 
 
 def _counted_solve(solve, op, rhs, **kw):
@@ -655,7 +669,7 @@ def test_newton_operator_is_the_backward_euler_jacobian(a1, dt):
     stepper = Stepper(State(x, ModalField.zeros(grid)), nl, SourceTerm.zero(grid),
                       SchemeConfig(dt=dt, scheme="implicit_newton"))
     d = stepper._newton_system(dt)[0]
-    apply = newton_operator(x, nl, d)
+    apply = newton_operator(grid, d, fprime_sample(nodal_values(x, padded_points(8)), nl))
     op = np.column_stack([apply(e.reshape(8, 8)).ravel() for e in np.eye(64)])
     lam = np.asarray(eigenvalues(grid)).ravel()
     jacobian = (np.diag(1.0 + dt + dt * dt * lam**2)
@@ -798,9 +812,9 @@ def test_implicit_step_samples_fprime_once_per_inner_solve(monkeypatch):
 
 
 def test_only_loose_inner_solves_apply_a_float32_product(monkeypatch):
-    # the f' sample's dtype picks the product's precision: newton_krylov
-    # hands a float32 copy to inner solves asked for rtol >= _FLOAT32_RTOL
-    # and the float64 sample to tighter ones (rtols scripted on both sides)
+    # newton_krylov builds the operators of inner solves asked for
+    # rtol >= _FLOAT32_RTOL with a float32 product, and those of tighter
+    # ones with a float64 product (rtols scripted on both sides)
     threshold = integrator._FLOAT32_RTOL
     script = [1e-3, threshold, 0.5 * threshold, 1e-12]
     rtols, dtypes = [], []
@@ -809,9 +823,9 @@ def test_only_loose_inner_solves_apply_a_float32_product(monkeypatch):
         rtols.append(script[(len(history) - 1) % len(script)])
         return rtols[-1]
 
-    def operator(u, nl, d, fprime):
-        dtypes.append(fprime.dtype)
-        return newton_operator(u, nl, d, fprime)
+    def operator(grid, d, fprime, dtype):
+        dtypes.append(dtype)
+        return newton_operator(grid, d, fprime, dtype)
 
     monkeypatch.setattr(integrator, "_forcing", forcing)
     monkeypatch.setattr(integrator, "newton_operator", operator)
@@ -825,18 +839,19 @@ def test_implicit_step_takes_a_stiff_linear_term_implicitly(a1, monkeypatch):
     # f = u^3 + a1 u with a1 far above d: a predictor that extrapolates a1 u
     # explicitly left Newton at a residual near 1e49, falling about 3x an
     # iteration, and the step failed after 30 iterations.  The predictor takes
-    # a1 u implicitly, and each step meets the outer tolerance.  At a1 = 1e40
-    # max|f'| is beyond float32, so even the loose solves (the first one of
-    # each step, at rtol 1e-3) keep float64
+    # a1 u implicitly, and each step meets the outer tolerance.  The loose
+    # solves (the first one of each step, at rtol 1e-3) run in float32 even
+    # at a1 = 1e40, where max|f'| is beyond float32: f' is scaled before
+    # the cast
     dtypes = []
 
-    def operator(u, nl, d, fprime):
-        dtypes.append(fprime.dtype)
-        return newton_operator(u, nl, d, fprime)
+    def operator(grid, d, fprime, dtype):
+        dtypes.append(dtype)
+        return newton_operator(grid, d, fprime, dtype)
 
     monkeypatch.setattr(integrator, "newton_operator", operator)
     _steps_meet_the_outer_tolerance(Nonlinearity(1.0, 0.0, a1), 16, 1e-2, steps=3)
-    assert (np.dtype(np.float32) in dtypes) == (a1 < 3.4e38)
+    assert np.float32 in dtypes
 
 
 def test_linear_implicit_step_never_reads_the_newton_values(monkeypatch):
@@ -1032,9 +1047,15 @@ def _drop_key(key):
     lambda header: header.update(n_modes=10**6),          # more than the file holds
     lambda header: header.update(n_modes=math.inf),
     lambda header: header["scheme"].update(dt=-1e-3),       # time runs forward only
+    lambda header: header["scheme"].update(dt=True),        # nested fields keep their types
+    lambda header: header["scheme"].update(newton_max_iter=2.5),
+    lambda header: header["scheme"].update(safeguard_tol=None),
+    lambda header: header["nonlinearity"].update(a3=True),
+    lambda header: header["nonlinearity"].update(a1="x"),
 ], ids=["no-n_modes", "no-side", "no-scheme", "no-nonlinearity", "no-blocks",
         "unknown-block", "no-ut-block", "no-g-block", "huge-n_modes", "inf-n_modes",
-        "negative-dt"])
+        "negative-dt", "bool-dt", "float-newton_max_iter", "null-safeguard_tol", "bool-a3",
+        "str-a1"])
 def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
     grid = GridSpec(4, PI)
     stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
@@ -1048,6 +1069,21 @@ def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
     path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
     with pytest.raises(FileFormatError):
         load_checkpoint(path)
+
+
+def test_checkpoint_null_bounds_are_derived(tmp_path):
+    # lambda_bound, m_bound and r0 may be null, which Nonlinearity reads as
+    # "derive from the coefficients"; no other field may
+    grid = GridSpec(4, PI)
+    stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
+                      SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
+    path = tmp_path / "run.ckpt"
+    save_checkpoint(path, stepper)
+    head, _, rest = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    header["nonlinearity"].update(lambda_bound=None, m_bound=None, r0=None)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+    assert load_checkpoint(path).nl == DOUBLE_WELL
 
 
 @pytest.mark.parametrize("cut", [8, 8 * 4 * 4 - 8, 8 * 4 * 4])
@@ -1230,11 +1266,10 @@ def test_float32_products_allocate_no_padded_grid(monkeypatch):
 
         return wrapper
 
-    def multiplier(u, nl, fprime):
-        dtypes.append(fprime.dtype)
-        return traced(traced(model.fprime_multiplier)(u, nl, fprime))
+    def multiplier(grid, fprime, dtype):
+        dtypes.append(dtype)
+        return traced(traced(model.fprime_multiplier)(grid, fprime, dtype))
 
-    monkeypatch.setattr(integrator, "fprime_float32", traced(model.fprime_float32))
     monkeypatch.setattr(integrator, "fprime_multiplier", multiplier)
     grid = GridSpec(128, PI)
     stepper = Stepper(State(random_band_limited(grid, 8, 1.0, seed=76), ModalField.zeros(grid)),
@@ -1249,7 +1284,7 @@ def test_float32_products_allocate_no_padded_grid(monkeypatch):
             stepper.advance()
     finally:
         tracemalloc.stop()
-    assert np.dtype(np.float32) in dtypes and len(peaks) > 10
+    assert np.float32 in dtypes and len(peaks) > 10
     assert max(peaks) < grid_bytes
 
 

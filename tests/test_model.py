@@ -38,7 +38,6 @@ from sinech.model import (
     diagnostic_F,
     energy,
     f_eval_dealiased,
-    fprime_float32,
     fprime_multiplier,
     fprime_sample,
     higher_functionals,
@@ -238,6 +237,11 @@ def test_f_eval_even_part_bias_shrinks():
     assert e32 <= e16 / 2.5
 
 
+def _fprime(u, nl):
+    # f'(u) on the 2n grid, sampled as a Newton Jacobian samples it
+    return fprime_sample(nodal_values(u, padded_points(u.grid.n_modes)), nl)
+
+
 @pytest.mark.parametrize("nl", [DOUBLE_WELL, Nonlinearity(2.5, 0.0, 0.5)])
 def test_fprime_multiplier_matches_oracle(nl):
     # for odd cubic f, f'(u) v is a sine polynomial of band 3N, so the
@@ -245,7 +249,7 @@ def test_fprime_multiplier_matches_oracle(nl):
     grid = GridSpec(8, PI)
     u = random_band_limited(grid, 8, 2.0, seed=61)
     v = random_band_limited(grid, 8, 1.0, seed=62)
-    fast = fprime_multiplier(u, nl)(v.coeff)
+    fast = fprime_multiplier(grid, _fprime(u, nl))(v.coeff)
     side, m = grid.side, 4 * grid.n_modes
     vals = nl.f_prime(naive_nodal(u.coeff, side, m)) * naive_nodal(v.coeff, side, m)
     slow = naive_modal(vals, side)[:8, :8]
@@ -256,8 +260,9 @@ def test_fprime_multiplier_matches_oracle(nl):
                                 Nonlinearity(0.0, 0.0, 0.0)])
 def test_fprime_sampled_with_f_is_the_multipliers_own(nl):
     # the f'(u) a Newton Jacobian samples from the 2n-grid values its
-    # residual's padded transform left is bitwise the one fprime_multiplier
-    # samples, and f(u) does not change
+    # residual's padded transform left is bitwise f' of u's own values, and
+    # f(u) does not change; the multiplier's power-of-two scalings leave its
+    # product bitwise the unscaled P_n(f'(u) v), at any input scale
     grid = GridSpec(8, PI)
     u = random_band_limited(grid, 8, 2.0, seed=61)
     v = random_band_limited(grid, 8, 1.0, seed=62).coeff
@@ -268,7 +273,13 @@ def test_fprime_sampled_with_f_is_the_multipliers_own(nl):
     assert np.array_equal(fprime, nl.f_prime(nodal_values(u, m)))
     assert np.array_equal(fh.coeff, f_eval_dealiased(u, nl).coeff)
     assert pot == nonlinear_term_and_potential(u, nl)[1]
-    assert np.array_equal(fprime_multiplier(u, nl, fprime)(v), fprime_multiplier(u, nl)(v))
+    for f_scale in (1e-6, 1.0, 3.7, 1e6):
+        apply = fprime_multiplier(grid, f_scale * fprime)
+        for v_scale in (1e-6, 1.0, 3.7, 1e6):
+            w = v_scale * v
+            unscaled = modal_from_values(nodal_values(ModalField(grid, w), m) * (f_scale * fprime),
+                                         grid.side, n_modes=grid.n_modes)
+            assert np.array_equal(apply(w), unscaled)
 
 
 @pytest.mark.parametrize("n", [8, 32, 64])
@@ -333,16 +344,15 @@ def _relative_error(got, ref):
 
 @pytest.mark.parametrize("n", [16, 64, 128])
 def test_float32_product_matches_the_float64_one(n):
-    # a float32 f' sample applies the product in float32 (the padded pair,
+    # a float32 multiplier applies the product in float32 (the padded pair,
     # the pointwise product, the retained block) to within 1e-6 of the
     # float64 product, relative (1.7-1.8e-7 measured), and returns float64
     grid = GridSpec(n, PI)
     nl = Nonlinearity(1.0, 0.0, -3.0)
     u = random_band_limited(grid, 4, 3.0, seed=n)
-    fprime = nl.f_prime(nodal_values(u, padded_points(n)))
-    single = fprime_float32(fprime)
-    assert single.dtype == np.float32 and np.array_equal(single, fprime.astype(np.float32))
-    exact, loose = fprime_multiplier(u, nl, fprime), fprime_multiplier(u, nl, single)
+    fprime = _fprime(u, nl)
+    exact = fprime_multiplier(grid, fprime)
+    loose = fprime_multiplier(grid, fprime, np.float32)
     for seed in range(3):
         v = random_band_limited(grid, n, 1.0, seed=seed).coeff
         ref = exact(v).copy()
@@ -353,33 +363,26 @@ def test_float32_product_matches_the_float64_one(n):
 
 def test_float32_product_raises_no_overflow_warning():
     # f' and v are scaled by the power of two of their max-abs before the
-    # cast, so inputs up to 1e45 and an f' near float32's top do not
-    # overflow; a sample of 1e40, beyond float32, or of 1e-40, below its
-    # normal range, stays float64
+    # cast, so inputs up to 1e45 and samples near float32's top, beyond
+    # it (1e40) or below its normal range (1e-40) overflow nothing: each
+    # float32 product is finite and within 1e-6 of the float64 one
     grid = GridSpec(16, PI)
     u = random_band_limited(grid, 4, 1.0, seed=1)
     v = 1e45 * random_band_limited(grid, 16, 1.0, seed=2).coeff
     fprime = 1.0 + np.abs(nodal_values(u, padded_points(16)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for scale in (1e40, 1e-40):
-            sample = scale * fprime
-            assert fprime_float32(sample) is sample
-        big = fprime * (3e38 / fprime.max())
-        single = fprime_float32(big)
-        assert single.dtype == np.float32
-        ref = fprime_multiplier(u, DOUBLE_WELL, big)(v).copy()
-        got = fprime_multiplier(u, DOUBLE_WELL, single)(v)
-        huge = fprime_multiplier(u, DOUBLE_WELL, 1e40 * fprime)(v)
-    assert np.isfinite(got).all() and _relative_error(got, ref) <= 1e-6
-    assert np.isfinite(huge).all()
+        for sample in (fprime * (3e38 / fprime.max()), 1e40 * fprime, 1e-40 * fprime):
+            ref = fprime_multiplier(grid, sample)(v).copy()
+            got = fprime_multiplier(grid, sample, np.float32)(v)
+            assert np.isfinite(got).all() and _relative_error(got, ref) <= 1e-6
 
 
 @pytest.mark.parametrize("nl", [DOUBLE_WELL, Nonlinearity(1.0, 0.7, -1.0)])
 def test_fprime_multiplier_symmetric(nl):
     # <w, P(f'(u) v)> = <v, P(f'(u) w)>, with or without the even a2 term
     grid = GridSpec(8, PI)
-    apply = fprime_multiplier(random_band_limited(grid, 8, 2.0, seed=61), nl)
+    apply = fprime_multiplier(grid, _fprime(random_band_limited(grid, 8, 2.0, seed=61), nl))
     v = random_band_limited(grid, 8, 1.0, seed=62).coeff
     w = random_band_limited(grid, 8, 1.0, seed=63).coeff
     assert np.vdot(w, apply(v)) == pytest.approx(np.vdot(v, apply(w)), rel=1e-12)

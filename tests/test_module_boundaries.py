@@ -99,16 +99,16 @@ def _blas_name(node) -> str | None:
     return None
 
 
-def _blas_uses(path: Path) -> list:
-    """(line, function, name) for each BLAS or LAPACK use (_blas_name) in
-    the module at path, with the top-level function it sits in ("" at
-    module level)."""
+def _uses(path: Path, name_of) -> list:
+    """(line, function, name) for each node of the module at path that
+    name_of names (else None), with the top-level function it sits in (""
+    at module level)."""
     uses = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not function:
             function = node.name
-        name = _blas_name(node)
+        name = name_of(node)
         if name is not None:
             uses.append((node.lineno, function, name))
         for child in ast.iter_child_nodes(node):
@@ -120,4 +120,21 @@ def _blas_uses(path: Path) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_module_sums_through_blas(path):
-    assert [use for use in _blas_uses(path) if (path.stem,) + use[1:] not in BLAS_ALLOWED] == []
+    assert [use for use in _uses(path, _blas_name)
+            if (path.stem,) + use[1:] not in BLAS_ALLOWED] == []
+
+
+# the one precision choice (a loose inner solve's) and the one product that
+# runs in it; everything else, the stability indicator's operator too, is
+# float64
+FLOAT32_ALLOWED = {("model", "fprime_multiplier"), ("integrator", "newton_krylov")}
+
+
+def _float32_name(node) -> str | None:
+    return "float32" if isinstance(node, ast.Attribute) and node.attr == "float32" else None
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_only_newton_krylov_picks_float32(path):
+    assert [use for use in _uses(path, _float32_name)
+            if (path.stem, use[1]) not in FLOAT32_ALLOWED] == []
