@@ -29,9 +29,10 @@ from . import analysis
 from .errors import ConfigError, FileFormatError, StepFailureError, UnsupportedNonlinearityError
 from .integrator import SchemeConfig, State, energy_equality_residual, horizon_steps, simulate
 from .model import Nonlinearity, SourceTerm, check_assumptions
-from .spectral import (GridSpec, ModalField, apply_power, inner, lambda_max, load_field,
-                       modal_from_values, nodal_values, norm_Hs, padded_points, project,
-                       quadrature_weight, random_band_limited, save_field, sup_norm)
+from .spectral import (GridSpec, ModalField, apply_power, inner, json_fields, json_value,
+                       lambda_max, load_field, modal_from_values, nodal_values, norm_Hs,
+                       padded_points, project, quadrature_weight, random_band_limited,
+                       save_field, sup_norm)
 
 _FIELD_BLOCK = {
     "preset": "zero", "j": 1, "k": 1, "amp": 1.0,
@@ -62,8 +63,10 @@ DEFAULTS = {
 }
 
 
-# The type of a leaf whose default is None, by leaf name.
-_NULLABLE = {"lambda_bound": float, "m_bound": float, "r0": float, "seed": int, "path": str}
+# The type of a leaf whose default is None, by leaf name: a field block's
+# seed and path, and the nonlinearity's bounds by their annotations.
+_NULLABLE = {name: kind for name, (kind, nullable) in json_fields(Nonlinearity).items()
+             if nullable} | {"seed": int, "path": str}
 
 # Ranges, by key; a list key's bound holds for every element.  The CLI
 # runs forward in time only (dt > 0, t_end >= 0); a driver whose verdict
@@ -81,27 +84,18 @@ _NON_NEGATIVE = {
     "lojasiewicz.tol", "absorb.floor",
 }
 
-_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
-
 
 def _leaf(default, val, key: str):
-    """The user's value at key, checked against the type of its default
-    and the key's range.  An integer given for a float is promoted; bools
-    and non-integers are not integers."""
+    """The user's value at key, typed as its default by json_value, and
+    checked against the key's range."""
     if isinstance(default, list):
         if not isinstance(val, list) or not val:
             raise ConfigError(f"expected a non-empty list, got {val!r}", key=key)
         return [_leaf(default[0], x, key) for x in val]
-    if default is None:
-        if val is None:
-            return None
-        kind = _NULLABLE[key.rsplit(".", 1)[-1]]
-    else:
-        kind = type(default)
-    if kind is float and type(val) is int:
-        val = float(val) if abs(val) <= sys.float_info.max else math.inf
-    if type(val) is not kind or (kind is float and not math.isfinite(val)):
-        raise ConfigError(f"expected {_EXPECTED[kind]}, got {val!r}", key=key)
+    if default is None and val is None:
+        return None
+    kind = _NULLABLE[key.rsplit(".", 1)[-1]] if default is None else type(default)
+    val = json_value(val, kind, key)
     if key in _POSITIVE and not val > 0:
         raise ConfigError(f"must be > 0, got {val!r}", key=key)
     if key in _NON_NEGATIVE and not val >= 0:

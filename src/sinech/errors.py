@@ -39,7 +39,8 @@ class CheckpointVersionError(FileFormatError):
 
 
 class ConfigError(ValueError):
-    """Invalid or inconsistent run configuration (CLI exit code 2)."""
+    """Invalid or inconsistent run configuration (CLI exit code 2), or a
+    JSON value that its key does not take (spectral.json_value)."""
 
     def __init__(self, message, key=None):
         if key is not None:

@@ -67,8 +67,8 @@ from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multi
                     fprime_sample, higher_functionals, nonlinear_term_and_potential,
                     square_sum)
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
-                       header_value, padded_points, read_binary, weighted_sum, work_array,
-                       write_binary)
+                       from_json, json_value, padded_points, read_binary, weighted_sum,
+                       work_array, write_binary)
 
 _CKPT_VERSION = 1
 _MINRES_MAXITER = 1000  # inner iterations per Newton direction
@@ -726,31 +726,16 @@ def _checkpoint_blocks(header: dict) -> list:
     return blocks
 
 
-_HEADER_KINDS = {"float": float, "int": int, "str": str}
-
-
-def _from_header(cls, block: dict):
-    """Rebuild a config dataclass from its header block: every field is
-    required and read by header_value as the type it is annotated with;
-    only a field annotated `float | None` may hold null."""
-    values = {}
-    for f in fields(cls):
-        kind, _, optional = f.type.partition(" | ")
-        values[f.name] = (None if optional and block[f.name] is None
-                          else header_value(block, f.name, _HEADER_KINDS[kind]))
-    return cls(**values)
-
-
 def _stepper(header: dict, grid: GridSpec, blocks: dict) -> Stepper:
     """The stepper a header and its blocks describe, built state, scheme,
     nonlinearity, source, so a header with several bad blocks names the
     first of these."""
     state = State(ModalField(grid, blocks["u"]), ModalField(grid, blocks["ut"]),
-                  header_value(header, "time", float))
-    cfg = _from_header(SchemeConfig, header["scheme"])
-    nl = _from_header(Nonlinearity, header["nonlinearity"])
+                  json_value(header["time"], float, "time"))
+    cfg = from_json(SchemeConfig, header["scheme"], "scheme.")
+    nl = from_json(Nonlinearity, header["nonlinearity"], "nonlinearity.")
     return Stepper(state, nl, SourceTerm(ModalField(grid, blocks["g"])), cfg,
-                   step_count=header_value(header, "step_count", int),
+                   step_count=json_value(header["step_count"], int, "step_count"),
                    fhat_prev=blocks.get("fhat_prev"))
 
 

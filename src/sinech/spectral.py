@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 from scipy import fftpack
 
-from .errors import DimensionMismatchError, FileFormatError
-
-_MFLD_VERSION = 1
+from .errors import ConfigError, DimensionMismatchError, FileFormatError
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,9 @@ class GridSpec:
     side: float
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
+        if not 1 <= self.n_modes <= sys.float_info.max:
+            raise ValueError(f"n_modes must be >= 1 and within the float range, "
+                             f"got {self.n_modes}")
         if not (self.side > 0.0):
             raise ValueError(f"side must be > 0, got {self.side}")
         k = math.pi / self.side
@@ -393,18 +393,38 @@ def random_band_limited(grid: GridSpec, band: int, amplitude: float, seed: int) 
 
 
 # ---------------------------------------------------------------------------
-# the binary file format (.mfld snapshots, .ckpt checkpoints)
+# typed JSON values (config leaves, file headers); the binary file format
 # ---------------------------------------------------------------------------
 
-def header_value(header: dict, key: str, kind: type):
-    """header[key] as kind: a JSON integer for int, a finite JSON number
-    for float, a string for str.  Anything else raises ValueError."""
-    val = header[key]
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
+_JSON_KIND = {kind.__name__: kind for kind in _EXPECTED}
+
+
+def json_value(val, kind: type, key: str):
+    """val, the JSON value at the dotted key, as kind: an integer (not a
+    bool) for int, a finite number for float (an integer is promoted, and
+    refused beyond the float range), a string for str.  Anything else
+    raises ConfigError naming key."""
     if kind is float and type(val) is int:
-        val = float(val)
+        val = float(val) if abs(val) <= sys.float_info.max else math.inf
     if type(val) is not kind or (kind is float and not math.isfinite(val)):
-        raise ValueError(f"header key '{key}' holds {val!r}")
+        raise ConfigError(f"expected {_EXPECTED[kind]}, got {val!r}", key=key)
     return val
+
+
+def json_fields(cls) -> dict:
+    """{name: (kind, nullable)} of a dataclass's int, float or str fields, each maybe `| None`."""
+    return {f.name: (_JSON_KIND[f.type.split(" | ")[0]], f.type.endswith(" | None"))
+            for f in fields(cls)}
+
+
+def from_json(cls, block: dict, prefix: str = ""):
+    """cls built from the JSON object block: every field is required and
+    read by json_value as the type it is annotated with, under the dotted
+    key prefix + name; only a nullable field may hold null."""
+    return cls(**{name: None if nullable and block[name] is None
+                  else json_value(block[name], kind, prefix + name)
+                  for name, (kind, nullable) in json_fields(cls).items()})
 
 
 def _check_finite_header(header: dict, prefix: str = "") -> None:
@@ -437,8 +457,8 @@ def read_binary(path, block_names, build):
     returns the names of the blocks in file order; blocks maps each name
     to its array.  The header must be a JSON object with no non-finite
     number anywhere (NaN, Infinity, or a literal beyond the float range),
-    whose n_modes is a JSON integer >= 1 and whose side is a finite
-    number > 0, and the blocks must fill the rest of the file exactly.
+    whose n_modes and side make a GridSpec (read by from_json), and the
+    blocks must fill the rest of the file exactly.
     Any defect, also a KeyError, TypeError or ValueError from block_names
     or build, raises FileFormatError.
     """
@@ -450,7 +470,7 @@ def read_binary(path, block_names, build):
             raise ValueError("the header is not a JSON object")
         _check_finite_header(header)
         names = list(block_names(header))
-        grid = GridSpec(header_value(header, "n_modes", int), header_value(header, "side", float))
+        grid = from_json(GridSpec, header)
         n = grid.n_modes
         size = 8 * n * n
         if len(body) < size * len(names):
@@ -477,7 +497,7 @@ def load_field(path) -> tuple[ModalField, float, str]:
     """Read a .mfld snapshot; returns (field, time, kind).  A malformed
     file raises FileFormatError (see read_binary)."""
     def build(header, grid, blocks):
-        return (ModalField(grid, blocks["coeff"]), header_value(header, "time", float),
-                header_value(header, "kind", str))
+        return (ModalField(grid, blocks["coeff"]), json_value(header["time"], float, "time"),
+                json_value(header["kind"], str, "kind"))
 
     return read_binary(path, lambda header: ["coeff"], build)

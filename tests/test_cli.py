@@ -411,7 +411,8 @@ def _wrong_type(default, key):
     if kind is int:
         wrong += [texts, st.floats()]
     elif kind is float:
-        wrong += [texts, st.sampled_from([math.nan, math.inf, -math.inf])]
+        # a JSON integer beyond the float range is no finite number either
+        wrong += [texts, st.sampled_from([math.nan, math.inf, -math.inf, 10**400, -10**400])]
     else:
         wrong += [st.integers(), st.floats()]
     return st.one_of(wrong)
@@ -454,12 +455,17 @@ def test_wrong_type_for_any_key_exits_2_naming_it(tmp_path_factory, key, default
                   "initial": {"u": {"preset": "random_band", "band": 2}}}, "grid"),
     ("simulate", {"grid": {"n_modes": 4}, "scheme": {"dt": 1e-320}}, "scheme.dt"),
     ("simulate", {"grid": {"n_modes": 4}, "scheme": {"dt": 1e-300}}, "scheme.dt"),
+    ("simulate", {"grid": {"n_modes": 10**400}}, "grid"),
+    ("check", {"check": {"n_modes_list": [10**400]}}, "grid"),
+    ("converge", {"converge": {"n_ref": 10**400}}, "grid"),
 ], ids=["side-huge", "a2-huge", "lambda_bound-huge", "a3-a1-huge", "perturbation-underflow",
         "check-side-tiny", "check-side-huge", "cube-overflow", "cube-underflow",
-        "steps-overflow", "steps-too-many"])
+        "steps-overflow", "steps-too-many", "n_modes-overflow", "check-n_modes-overflow",
+        "n_ref-overflow"])
 def test_value_out_of_the_float_range_names_the_key(tmp_path, capsys, command, overrides, key):
-    # each once ended in an OverflowError or ZeroDivisionError traceback, or (the
-    # cube cases) wrote a NaN or a wrong norm2_final to summary.json and exited 0
+    # each once ended in an OverflowError or ZeroDivisionError traceback (the
+    # n_modes cases: a JSON integer of 10**400), or (the cube cases) wrote a NaN
+    # or a wrong norm2_final to summary.json and exited 0
     cfg = write_config(tmp_path, t_end=0.01, **overrides)
     assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
     assert f"'{key}'" in capsys.readouterr().err

@@ -185,13 +185,19 @@ def test_writers_refuse_what_the_reader_refuses(tmp_path, bad):
 
 
 @pytest.mark.parametrize("block,key", [("scheme", "safeguard_tol"), ("nonlinearity", "a1"),
-                                       ("nonlinearity", "lambda_bound")])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+                                       ("nonlinearity", "lambda_bound"), ("scheme", "dt"),
+                                       ("mfld", "time"), ("mfld", "side"), ("ckpt", "time")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -10**400, True],
+                         ids=["nan", "inf", "-inf", "1e400", "-1e400", "True"])
 def test_non_finite_nested_header_number_names_the_key(tmp_path, block, key, bad):
-    # json.loads reads NaN and Infinity; a checkpoint holding one in its
-    # scheme or nonlinearity would load and fail (or mislead) on resume
-    header, body = _split(CKPT)
-    header[block][key] = bad
+    # json.loads reads NaN and Infinity, and a JSON integer beyond the float
+    # range; a checkpoint holding one in its scheme or nonlinearity would load
+    # and fail (or mislead) on resume.  Block mfld or ckpt: a top-level key
+    # of a snapshot or a checkpoint, named bare.
+    load, blob = (load_field, MFLD) if block == "mfld" else (load_checkpoint, CKPT)
+    header, body = _split(blob)
+    node, dotted = (header[block], f"{block}.{key}") if block in header else (header, key)
+    node[key] = bad
     blob = json.dumps(header).encode() + b"\n" + body
-    with pytest.raises(FileFormatError, match=f"'{block}.{key}'"):
-        _read(tmp_path, load_checkpoint, blob)
+    with pytest.raises(FileFormatError, match=f"'{dotted}'"):
+        _read(tmp_path, load, blob)

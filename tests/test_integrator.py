@@ -1046,6 +1046,7 @@ def _drop_key(key):
     lambda header: header["blocks"].remove("g"),
     lambda header: header.update(n_modes=10**6),          # more than the file holds
     lambda header: header.update(n_modes=math.inf),
+    lambda header: header.update(n_modes=10**400),        # beyond the float range
     lambda header: header["scheme"].update(dt=-1e-3),       # time runs forward only
     lambda header: header["scheme"].update(dt=True),        # nested fields keep their types
     lambda header: header["scheme"].update(newton_max_iter=2.5),
@@ -1054,6 +1055,7 @@ def _drop_key(key):
     lambda header: header["nonlinearity"].update(a1="x"),
 ], ids=["no-n_modes", "no-side", "no-scheme", "no-nonlinearity", "no-blocks",
         "unknown-block", "no-ut-block", "no-g-block", "huge-n_modes", "inf-n_modes",
+        "overflow-n_modes",
         "negative-dt", "bool-dt", "float-newton_max_iter", "null-safeguard_tol", "bool-a3",
         "str-a1"])
 def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
