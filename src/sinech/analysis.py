@@ -31,11 +31,9 @@ that convention so the sum identity holds to roundoff.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import lobpcg
 
 from .errors import InstabilityError, StepFailureError
 from .integrator import (CrankNicolson, SchemeConfig, State, Stepper, horizon_steps,
@@ -364,41 +362,96 @@ class EquilibriumResult:
     residual_history: list = field(default_factory=list)
 
 
+_COLLAPSED = 1e-10  # lobpcg drops a unit vector left shorter than this by orthogonalisation
+
+
+def _orthonormal_to(v: np.ndarray, av: np.ndarray, basis: list) -> bool:
+    """Make v a unit vector orthogonal to the orthonormal (u, A u) pairs of
+    basis, with av = A v following by the same operations, in place: v is
+    scaled to unit length before each of two Gram-Schmidt passes and after
+    the last.  False, and v left unusable, when v is zero or not finite or
+    a pass leaves it shorter than _COLLAPSED."""
+    norm = math.sqrt(dot(v, v))
+    if not 0.0 < norm < math.inf:
+        return False
+    for _ in range(2):
+        v /= norm
+        av /= norm
+        for u, au in basis:
+            c = dot(u, v)
+            v -= c * u
+            av -= c * au
+        norm = math.sqrt(dot(v, v))
+        if not norm > _COLLAPSED:
+            return False
+    v /= norm
+    av /= norm
+    return True
+
+
+def lobpcg(A, x: np.ndarray, *, M, tol: float, maxiter: int) -> tuple[float, float]:
+    """The smallest eigenvalue of the symmetric A by LOBPCG with one vector
+    (Knyazev, SIAM J. Sci. Comput. 23, 2001), preconditioned by the SPD M,
+    from x.  A and M map (n, n) coefficient arrays to new arrays
+    (newton_operator, inverse_diagonal); sums are by spectral.dot.
+
+    An iteration takes the Rayleigh-Ritz step (np.linalg.eigh, at most
+    3 x 3) on span{x, M r, p}: r = A x - rho x with rho = <x, A x> for the
+    unit x, and p the part of the last update outside x.  The basis is
+    orthonormalised by linear combinations (_orthonormal_to), which carry
+    A x and A p along, so an iteration applies A once, to M r; a vector
+    whose orthogonal part collapses is dropped.  Stops when ||r|| <= tol
+    holds again for a freshly applied A x.  Returns (rho, ||r||), with
+    ||r|| > tol after maxiter iterations."""
+    x = x / math.sqrt(dot(x, x))
+    ax, fresh, itn = A(x), True, 0
+    p, ap = np.zeros(x.shape), np.zeros(x.shape)  # no last update yet: dropped as zero
+    while True:
+        rho = dot(x, ax)
+        r = ax - rho * x
+        resid = math.sqrt(dot(r, r))
+        if resid <= tol and not fresh:  # confirm against a fresh A x: the recurrence drifts
+            ax, fresh = A(x), True
+            continue
+        if resid <= tol or itn == maxiter:
+            return rho, resid
+        itn, fresh = itn + 1, False
+        w = M(r)
+        basis = [(x, ax)]
+        for v, av in ((w, A(w)), (p, ap)):
+            if _orthonormal_to(v, av, basis):
+                basis.append((v, av))
+        gram = np.array([[dot(u, av) for _, av in basis] for u, _ in basis])
+        c = np.linalg.eigh(gram)[1][:, 0]  # eigh reads the lower triangle
+        p, ap = np.zeros(x.shape), np.zeros(x.shape)
+        for ci, (v, av) in zip(c[1:], basis[1:]):
+            p += ci * v
+            ap += ci * av
+        x = c[0] * x + p
+        ax = c[0] * ax + ap
+        norm = math.sqrt(dot(x, x))
+        x /= norm
+        ax /= norm
+
+
 def _stability_indicator(op, lam: np.ndarray, tol: float = 1e-12, maxiter: int = 200) -> float:
     """Smallest eigenvalue of the symmetric operator op = A + P_n f'(u*), a
     map of (n, n) coefficient arrays (see integrator.newton_operator), on
-    the full n x n space.
-
-    LOBPCG (Knyazev, SIAM J. Sci. Comput. 23, 2001) preconditioned by
-    A^(-1), from the fixed start e_(1,1) so repeated calls agree
-    bitwise.  Below 5 unknowns LOBPCG would switch to a dense solve
-    with a warning, so that case is solved densely here.  Raises
-    StepFailureError when the eigenresidual (by spectral.dot) stays above tol.
+    the full n x n space: by lobpcg preconditioned by A^(-1), from the
+    fixed start e_(1,1), so repeated calls agree bitwise.  Raises
+    StepFailureError when the eigenresidual stays above tol after maxiter
+    iterations.
     """
-    size = lam.size
-
-    def columns(apply):  # apply to each column of an (n^2, k) block, as LOBPCG passes them
-        return lambda x: np.column_stack([apply(col.reshape(lam.shape)).ravel() for col in x.T])
-
-    block = columns(op)
-    if size < 5:
-        return float(np.linalg.eigvalsh(block(np.eye(size)))[0])
-    x0 = np.eye(size, 1)  # e_(1,1)
-    with warnings.catch_warnings():
-        # non-convergence is checked below and raised, not warned about
-        warnings.simplefilter("ignore", UserWarning)
-        vals, vecs = lobpcg(block, x0, M=columns(inverse_diagonal(lam)), tol=tol,
-                            maxiter=maxiter, largest=False)
-    x = vecs.reshape(lam.shape)
-    r = op(x) - vals[0] * x
-    resid = math.sqrt(dot(r, r))
+    x0 = np.zeros(lam.shape)
+    x0[0, 0] = 1.0  # e_(1,1)
+    value, resid = lobpcg(op, x0, M=inverse_diagonal(lam), tol=tol, maxiter=maxiter)
     if not resid <= tol:
         raise StepFailureError(
             f"stability eigensolve stalled: residual {resid:.3e} > {tol:g} "
             f"after {maxiter} iterations",
             residual_history=[resid],
         )
-    return float(vals[0])
+    return value
 
 
 def _stationary_newton(u: ModalField, nl: Nonlinearity, g: SourceTerm, tol: float, max_iter: int):
@@ -437,8 +490,7 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
         raise InstabilityError("non-finite seed: find_equilibrium needs a finite u")
     grid = seed_field.grid
     lam = np.asarray(eigenvalues(grid))
-    failure, c, (_, pot), values, history = _stationary_newton(seed_field.copy(), nl, g, tol,
-                                                               max_iter)
+    failure, c, (_, pot), values, history = _stationary_newton(seed_field, nl, g, tol, max_iter)
     u_star = ModalField(grid, c)
     e = energy(State(u_star, ModalField.zeros(grid)), nl, g, pot)
     op = newton_operator(grid, lam, fprime_sample(values, nl))

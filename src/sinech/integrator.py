@@ -62,7 +62,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import CheckpointVersionError, InstabilityError, StepFailureError
+from .errors import CheckpointVersionError, ConfigError, InstabilityError, StepFailureError
 from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
                     fprime_sample, higher_functionals, nonlinear_term_and_potential,
                     square_sum)
@@ -214,7 +214,7 @@ def minres(A, b: np.ndarray, *, M, rtol: float, maxiter: int, callback=None):
     """MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12, 1975) for the
     symmetric A x = b on (n, n) coefficient arrays from x = 0,
     preconditioned by the SPD M; A and M are maps of such arrays (see
-    newton_operator), each returning a new array, and sums are by
+    newton_operator) called as A(v, out=y), writing into y, and sums are by
     spectral.dot.  The recurrences and stopping tests are those of
     scipy.sparse.linalg.minres (scipy 1.17, no shift), so it takes as
     many iterations: it stops when ||r|| / (||A|| ||x||) or
@@ -222,11 +222,18 @@ def minres(A, b: np.ndarray, *, M, rtol: float, maxiter: int, callback=None):
     or ||A|| ||x|| eps exceeds ||b||_M, or when the first Lanczos step
     finds b an eigenvector.  Returns (x, info), info
     maxiter when none of these held in maxiter iterations, else 0.
-    callback(x) follows every iteration, with x updated in place."""
+    callback(x) follows every iteration, with x updated in place.
+
+    b is never written.  x, the Lanczos vectors, the pair w and the
+    products live in pooled work arrays, so the x returned is valid until
+    the next solve on this shape."""
     eps = sys.float_info.epsilon
-    x = np.zeros(b.shape)
-    r1 = b  # never written: the Lanczos vectors after it are fresh arrays
-    y = M(r1)
+    x, v, w, w_prev, term = (work_array("minres." + k, b.shape)
+                             for k in ("x", "v", "w", "w_prev", "term"))
+    lanczos = [work_array(f"minres.lanczos{k}", b.shape) for k in range(3)]  # r1, r2, y
+    x.fill(0.0)
+    r1 = b
+    y = M(r1, out=lanczos[0])
     beta1 = dot(r1, y)
     if beta1 < 0.0:
         raise ValueError("indefinite preconditioner")
@@ -235,18 +242,19 @@ def minres(A, b: np.ndarray, *, M, rtol: float, maxiter: int, callback=None):
     beta1 = math.sqrt(beta1)
     beta, oldb, dbar, epsln, phibar = beta1, 0.0, 0.0, 0.0, beta1
     tnorm2, gmax, gmin, cs, sn = 0.0, 0.0, sys.float_info.max, -1.0, 0.0
-    w, w_prev, term = np.zeros(b.shape), np.zeros(b.shape), np.empty(b.shape)
+    w.fill(0.0)
+    w_prev.fill(0.0)
     r2 = r1
     for itn in range(1, maxiter + 1):
         # Lanczos step: v = y / beta, y = A v - (beta / oldb) r1 - (alfa / beta) r2
-        v = y * (1.0 / beta)
-        y = A(v)
+        np.multiply(y, 1.0 / beta, out=v)
+        y = A(v, out=y)
         if itn >= 2:
             y -= np.multiply(r1, beta / oldb, out=term)
         alfa = dot(v, y)
         y -= np.multiply(r2, alfa / beta, out=term)
         r1, r2 = r2, y
-        y = M(r2)
+        y = M(r2, out=next(a for a in lanczos if a is not r1 and a is not r2))
         oldb, beta = beta, dot(r2, y)
         if beta < 0.0:
             raise ValueError("non-symmetric matrix")
@@ -290,9 +298,16 @@ def newton_operator(grid: GridSpec, d: np.ndarray, fprime: np.ndarray, dtype=np.
     """The Jacobian w -> d w + P_n(f'(u) w) of R(x) = d x + P_n f(x) - b at
     x = u on (n, n) coefficient arrays of grid, matrix-free and symmetric,
     for fprime = f'(u) on the 2n grid; its f' product runs in dtype (see
-    model.fprime_multiplier), d w in float64."""
+    model.fprime_multiplier), d w in float64.  Called as op(w, out=y) it
+    writes into y (not w), else into a new array."""
     mult = fprime_multiplier(grid, fprime, dtype)
-    return lambda w: d * w + mult(w)
+
+    def apply(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.multiply(d, w, out=out)
+        out += mult(w)
+        return out
+
+    return apply
 
 
 def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray, solve, stop,
@@ -301,24 +316,30 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
     R(x) = d x + P_n f(x) - b, from u0.
 
     solve is a minres(op, rhs, M=, rtol=, maxiter=) on (n, n) arrays,
-    returning (delta, info); stop(R) returns (||R||, done).  An iterate's
-    residual transform leaves x on the 2n grid in one of two pooled
-    arrays, the accepted iterate's and the line search's, which swap roles
-    at each accepted update; each iteration samples f'(x) from the
-    accepted iterate's (model.fprime_sample) and builds its solve's
-    operator from it, with the f' product in float32 for a solve asked for
-    rtol >= _FLOAT32_RTOL, else in float64.  Returns (failure, x, cached,
-    values, history): why Newton stopped short (None when stop is done),
-    the last accepted iterate with its cached (P_n f(x), int F(x)) and its
-    2n-grid values (pooled, untouched for a3 = 0), and its ||R||s.
+    returning (delta, info); stop(R) returns (||R||, done).  An iterate x,
+    its residual R and u on the 2n grid, which its residual transform
+    leaves, live in one of two sets of pooled arrays, the accepted
+    iterate's and the line search's, which swap roles at each accepted
+    update; each iteration samples f'(x) from the accepted iterate's values
+    (model.fprime_sample) and builds its solve's operator from it, with the
+    f' product in float32 for a solve asked for rtol >= _FLOAT32_RTOL, else
+    in float64.  Returns (failure, x, cached, values, history): why Newton
+    stopped short (None when stop is done), a copy of the last accepted
+    iterate with its cached (P_n f(x), int F(x)) and its 2n-grid values
+    (pooled, untouched for a3 = 0), and its ||R||s.
     """
     grid = u0.grid
     m = padded_points(grid.n_modes, 2)
-    cur, trial = (work_array("newton.values" + k, (m, m)) for k in ("", "_try"))
+    cur, trial = ({"x": work_array("newton.x" + k, b.shape),
+                   "r": work_array("newton.r" + k, b.shape),
+                   "values": work_array("newton.values" + k, (m, m))} for k in ("", "_try"))
 
-    def residual(x, values):
-        fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, values)
-        return d * x + fh.coeff - b, (fh.coeff, pot)
+    def residual(x, slot):  # d x + P_n f(x) - b, summed in that order into slot["r"]
+        fh, pot = nonlinear_term_and_potential(ModalField(grid, x), nl, slot["values"])
+        r = np.multiply(d, x, out=slot["r"])
+        r += fh.coeff
+        r -= b
+        return r, (fh.coeff, pot)
 
     x, failure = u0.coeff, None
     r, cached = residual(x, cur)
@@ -328,7 +349,7 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
         if len(history) > max_iter:
             failure = f"Newton did not reach tol={tol:g} in {max_iter} iterations"
             break
-        fprime = fprime_sample(cur, nl)
+        fprime = fprime_sample(cur["values"], nl)
         pre = inverse_diagonal(_preconditioner_diagonal(d, fprime.mean()))
         rtol = _forcing(history, tol)
         dtype = np.float32 if rtol >= _FLOAT32_RTOL else np.float64
@@ -338,7 +359,8 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
             failure = f"inner MINRES stalled (info={info})"
             break
         for k in range(12):  # halve the update until ||R|| decreases
-            x_try = x + 0.5**k * delta
+            x_try = np.multiply(delta, 0.5**k, out=trial["x"])
+            x_try += x
             r_try, cached_try = residual(x_try, trial)
             rn_try, done = stop(r_try)
             if rn_try < rn:
@@ -348,12 +370,12 @@ def newton_krylov(u0: ModalField, nl: Nonlinearity, d: np.ndarray, b: np.ndarray
             break
         x, r, cached, rn, cur, trial = x_try, r_try, cached_try, rn_try, trial, cur
         history.append(rn)
-    return failure, x, cached, cur, history
+    return failure, x.copy(), cached, cur["values"], history
 
 
 def inverse_diagonal(d: np.ndarray):
-    """The preconditioner w -> w / d for a positive diagonal d."""
-    return lambda w: w / d
+    """The preconditioner w -> w / d for a positive diagonal d, into out if given."""
+    return lambda w, out=None: np.divide(w, d, out=out)
 
 
 def _preconditioner_diagonal(d: np.ndarray, fprime_mean: float) -> np.ndarray:
@@ -734,9 +756,11 @@ def _stepper(header: dict, grid: GridSpec, blocks: dict) -> Stepper:
                   json_value(header["time"], float, "time"))
     cfg = from_json(SchemeConfig, header["scheme"], "scheme.")
     nl = from_json(Nonlinearity, header["nonlinearity"], "nonlinearity.")
+    step_count = json_value(header["step_count"], int, "step_count")
+    if not 0 <= step_count <= 2**53:  # as horizon_steps: step_count * h stays exact
+        raise ConfigError(f"expected an integer in 0..2**53, got {step_count}", key="step_count")
     return Stepper(state, nl, SourceTerm(ModalField(grid, blocks["g"])), cfg,
-                   step_count=json_value(header["step_count"], int, "step_count"),
-                   fhat_prev=blocks.get("fhat_prev"))
+                   step_count=step_count, fhat_prev=blocks.get("fhat_prev"))
 
 
 def load_checkpoint(path) -> Stepper:

@@ -244,6 +244,11 @@ def _binary_exponent(a: np.ndarray) -> int:
     return math.frexp(max(float(a.max()), -float(a.min())))[1]
 
 
+# builds of fprime_multiplier per (dtype, padded size): its pooled scaled f'
+# belongs to the last build of that slot
+_multiplier_builds: dict = {}
+
+
 def fprime_multiplier(grid: GridSpec, fprime: np.ndarray, dtype=np.float64):
     """The dealiased multiplier v -> P_n(f'(u) v) on (n, n) coefficient
     arrays of grid, with f'(u) on the 2n grid as fprime_sample gave it.
@@ -257,12 +262,14 @@ def fprime_multiplier(grid: GridSpec, fprime: np.ndarray, dtype=np.float64):
     inner solves): the padded DST-III/DST-II pair, the pointwise product
     and the retained block, in pooled work arrays.  f' is scaled by the
     power of two of its max-abs into one of them (valid until the next
-    multiplier of this dtype is built), each v by its own, and both
-    scales are undone exactly in the float64 result, a pooled (n, n)
-    array valid until the next product.  Power-of-two scales commute with
-    every rounding, so a product is bitwise the unscaled one in its dtype
-    unless a value leaves the normal range, and a float32 one overflows
-    nothing (see integrator._FLOAT32_RTOL for its error).
+    multiplier of this dtype and grid is built: applying this one then
+    raises RuntimeError, as it would no longer apply its own f'), each v
+    by its own, and both scales are undone exactly in the float64 result,
+    a pooled (n, n) array valid until the next product.  Power-of-two
+    scales commute with every rounding, so a product is bitwise the
+    unscaled one in its dtype unless a value leaves the normal range, and
+    a float32 one overflows nothing (see integrator._FLOAT32_RTOL for its
+    error).
     """
     n, side = grid.n_modes, grid.side
     m = padded_points(n, 2)
@@ -270,8 +277,13 @@ def fprime_multiplier(grid: GridSpec, fprime: np.ndarray, dtype=np.float64):
     scaled_fp = np.ldexp(fprime, -f_exp, out=work_array("fprime.scaled", (m, m), dtype))
     scaled_v, vals = work_array("fprime.w", (n, n)), work_array("fprime.v", (m, m), dtype)
     product = work_array("fprime.product", (n, n))
+    slot = (np.dtype(dtype), m)  # whose scaled f' scaled_fp holds
+    build = _multiplier_builds[slot] = _multiplier_builds.get(slot, 0) + 1
 
     def apply(v: np.ndarray) -> np.ndarray:
+        if _multiplier_builds[slot] != build:
+            raise RuntimeError("stale f' multiplier: another one of its dtype and grid was "
+                               "built since, over the pooled f' it applies")
         v_exp = _binary_exponent(v)
         nodal_values(ModalField(grid, np.ldexp(v, -v_exp, out=scaled_v)), m, out=vals)
         np.multiply(vals, scaled_fp, out=vals)

@@ -57,6 +57,9 @@ class GridSpec:
         k = math.pi / self.side
         lo, hi = 2.0 * k * k, 2.0 * (self.n_modes * k) * (self.n_modes * k)
         if not (lo * lo * lo > 0.0 and hi * hi * hi < math.inf):
+            if 0.0 < lo * lo * lo < math.inf:  # side alone is fine: n_modes takes the top out
+                raise ValueError(f"n_modes {self.n_modes} puts the largest eigenvalue {hi:g} "
+                                 f"of side {self.side:g} or its cube outside the float range")
             raise ValueError(f"side {self.side:g} puts the eigenvalues {lo:g}..{hi:g} of "
                              f"n_modes {self.n_modes} or their cubes outside the float range")
 
@@ -421,10 +424,15 @@ def json_fields(cls) -> dict:
 def from_json(cls, block: dict, prefix: str = ""):
     """cls built from the JSON object block: every field is required and
     read by json_value as the type it is annotated with, under the dotted
-    key prefix + name; only a nullable field may hold null."""
+    key prefix + name; only a nullable field may hold null.  A missing
+    field raises ConfigError naming its dotted key."""
+    kinds = json_fields(cls)
+    for name in kinds:
+        if name not in block:
+            raise ConfigError("missing", key=prefix + name)
     return cls(**{name: None if nullable and block[name] is None
                   else json_value(block[name], kind, prefix + name)
-                  for name, (kind, nullable) in json_fields(cls).items()})
+                  for name, (kind, nullable) in kinds.items()})
 
 
 def _check_finite_header(header: dict, prefix: str = "") -> None:

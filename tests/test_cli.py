@@ -235,7 +235,10 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # calH column used to differ between one and two threads.  Each run
     # gets its own directory and the same relative --output-dir, so even
     # config_effective.json must match.  The implicit run's loose inner
-    # solves apply their f' product in float32.
+    # solves apply their f' product in float32.  The N = 64 equilibrium
+    # relaxes to u* = 0; the N = 128 one lands on the stable well, where the
+    # stability indicator takes a full LOBPCG solve (whose bits, with
+    # scipy's LOBPCG, did not differ between the thread counts either).
     configs = {
         "simulate": {"grid": {"n_modes": 64}, "t_end": 0.05, "sample_every": 5,
                      "initial": {"u": {"preset": "random_band", "band": 4, "amplitude": 1.0}}},
@@ -247,6 +250,10 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
         "equilibrium": {"grid": {"n_modes": 64},
                         "nonlinearity": {"a3": 1.0, "a2": 0.0, "a1": -3.0},
                         "initial": {"u": {"preset": "random_band", "band": 4, "amplitude": 3.0}}},
+        "equilibrium-n128": {"grid": {"n_modes": 128},
+                             "nonlinearity": {"a3": 1.0, "a2": 0.0, "a1": -3.0},
+                             "initial": {"u": {"preset": "single_mode", "j": 1, "k": 1,
+                                               "amp": 2.0}}},
     }
     package_root = str(Path(sinech.__file__).parents[1])
     path = os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])
@@ -263,7 +270,7 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
             digests[threads, name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                                       for p in (cwd / "out").iterdir()}
     assert len(digests["1", "simulate"]) == len(digests["1", "simulate-implicit"]) == 5
-    assert len(digests["1", "equilibrium"]) == 3
+    assert len(digests["1", "equilibrium"]) == len(digests["1", "equilibrium-n128"]) == 3
     for name in configs:
         assert digests["1", name] == digests["2", name]
 

@@ -679,6 +679,27 @@ def test_newton_operator_is_the_backward_euler_jacobian(a1, dt):
     assert smallest >= d.min() - nl.lambda_bound - 1e-12 * np.abs(op).max()
 
 
+def test_a_stale_operator_raises():
+    # an operator's scaled f' lives in a pooled array per dtype and grid,
+    # which the next build of that dtype and grid overwrites: the first
+    # operator then raises instead of applying the second one's f'
+    grid = GridSpec(8, PI)
+    lam = np.asarray(eigenvalues(grid))
+    fprimes = [fprime_sample(nodal_values(random_band_limited(grid, 4, 1.0, seed=s),
+                                          padded_points(8)), DOUBLE_WELL).copy() for s in (1, 2)]
+    w = random_band_limited(grid, 8, 1.0, seed=3).coeff
+    first = newton_operator(grid, lam, fprimes[0])
+    product = first(w)
+    second = newton_operator(grid, lam, fprimes[1])
+    with pytest.raises(RuntimeError, match="stale"):
+        first(w)
+    assert not np.array_equal(second(w), product)
+    newton_operator(grid, lam, fprimes[0], np.float32)(w)  # another dtype's pool
+    newton_operator(GridSpec(16, PI), np.asarray(eigenvalues(GridSpec(16, PI))),
+                    np.ones((padded_points(16),) * 2))  # another grid's
+    second(w)
+
+
 def _steps_meet_the_outer_tolerance(nl, n, dt, steps):
     # each step's backward-Euler residual, recomputed from the two states
     # alone, is within newton_tol, and u_t is (x - c) / dt
@@ -1035,6 +1056,20 @@ def _drop_key(key):
     return edit
 
 
+def _set_naming(key, value):
+    def edit(header):
+        header[key] = value
+        return key
+    return edit
+
+
+def _drop_naming(block, key):
+    def edit(header):
+        del header[block][key]
+        return f"{block}.{key}"
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _drop_key("n_modes"),
     _drop_key("side"),
@@ -1053,11 +1088,16 @@ def _drop_key(key):
     lambda header: header["scheme"].update(safeguard_tol=None),
     lambda header: header["nonlinearity"].update(a3=True),
     lambda header: header["nonlinearity"].update(a1="x"),
+    _set_naming("step_count", -5),                          # a step index counts from 0
+    _set_naming("step_count", 10**400),                     # beyond 2**53, as horizon_steps
+    _drop_naming("scheme", "dt"),
+    _drop_naming("nonlinearity", "a3"),
 ], ids=["no-n_modes", "no-side", "no-scheme", "no-nonlinearity", "no-blocks",
         "unknown-block", "no-ut-block", "no-g-block", "huge-n_modes", "inf-n_modes",
         "overflow-n_modes",
         "negative-dt", "bool-dt", "float-newton_max_iter", "null-safeguard_tol", "bool-a3",
-        "str-a1"])
+        "str-a1", "negative-step_count", "huge-step_count", "no-scheme.dt",
+        "no-nonlinearity.a3"])
 def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
     grid = GridSpec(4, PI)
     stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
@@ -1067,9 +1107,9 @@ def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
     save_checkpoint(path, stepper)
     head, _, rest = path.read_bytes().partition(b"\n")
     header = json.loads(head)
-    edit(header)
+    key = edit(header)  # the key the error must name, for the edits that say
     path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match=None if key is None else f"'{key}'"):
         load_checkpoint(path)
 
 
@@ -1250,11 +1290,9 @@ def test_float32_products_allocate_no_padded_grid(monkeypatch):
     # the float32 product's padded grids and its scaled f' are pooled work
     # arrays: at N = 128 neither building nor applying a loose Jacobian's
     # product allocates a (270, 270) float32 grid (291,600 bytes) afresh.
-    # tracemalloc sees numpy's buffers.  A minor-fault count, as in
-    # test_hot_paths_reuse_work_arrays, cannot show this at N = 128: MINRES's
-    # (n, n) temporaries, 131 KB each, make the allocator grow and trim the
-    # heap top from step to step, 0 to 280 faults a step by the heap's
-    # earlier layout, with the float32 path or without it
+    # tracemalloc sees numpy's buffers.  test_hot_paths_reuse_work_arrays
+    # counts the minor faults of whole implicit steps; this pins the float32
+    # grids themselves
     grid_bytes = 4 * padded_points(128) ** 2
     peaks, dtypes = [], []
 
@@ -1295,11 +1333,13 @@ def _minor_faults() -> int:
 
 
 @pytest.mark.parametrize("n,what", [(128, "step"), (64, "row"), (128, "row"),
-                                    (64, "implicit_step")])
+                                    (64, "implicit_step"), (128, "implicit_step")])
 def test_hot_paths_reuse_work_arrays(n, what):
     # the padded grids of a step, of a Newton matvec and of a log row live
-    # in pooled work arrays; allocating them afresh makes the allocator map
-    # and unmap them, hundreds of minor page faults per step or row
+    # in pooled work arrays, and so do MINRES's (n, n) vectors and Newton's
+    # iterates and residuals; allocating them afresh makes the allocator map
+    # and unmap them (or grow and trim the heap top), hundreds of minor
+    # page faults per step or row
     grid = GridSpec(n, PI)
     st = State(random_band_limited(grid, 8, 1.0, seed=76), ModalField.zeros(grid))
     cfg = (SchemeConfig(dt=0.1, scheme="implicit_newton") if what == "implicit_step"

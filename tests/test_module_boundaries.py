@@ -1,6 +1,9 @@
 """Module boundaries: no sinech module uses another one's private names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,20 +60,30 @@ def _scipy_sparse_imports(path: Path) -> list:
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_only_analysis_imports_from_scipy_sparse_and_only_lobpcg(path):
-    # the solvers' operators are maps of (n, n) arrays, not scipy
-    # LinearOperators; LOBPCG, the stability indicator's eigensolver, is the
-    # one scipy.sparse name the package uses
-    assert _scipy_sparse_imports(path) == (["lobpcg"] if path.stem == "analysis" else [])
+    # now that no module does: the solvers' operators are maps of (n, n)
+    # arrays, not scipy LinearOperators, and both Krylov solvers (MINRES,
+    # LOBPCG) are the package's own
+    assert _scipy_sparse_imports(path) == []
+
+
+def test_the_package_loads_neither_scipy_sparse_nor_scipy_linalg():
+    # importing them costs about 50 ms and 10 MiB in every process
+    code = ("import sys, sinech.cli, sinech.analysis; "
+            "print(sorted({m.split('.')[1] for m in sys.modules "
+            "if m.startswith(('scipy.sparse', 'scipy.linalg'))}))")
+    src = str(Path(sinech.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # sums that call BLAS, whose bits can depend on the thread count; the
 # package's own sums go through spectral.dot and spectral.weighted_sum
 BLAS_SUMS = {"np.linalg.norm", "np.vdot", "np.dot", "np.inner", "np.matmul", "np.tensordot"}
-# the BLAS and LAPACK callers the package keeps, by module and function: the
-# stability indicator's dense fallback for n <= 2 (at most 4 x 4) and its
-# eigensolver, and the log-linear fit
-BLAS_ALLOWED = {("analysis", "_stability_indicator", "np.linalg.eigvalsh"),
-                ("analysis", "_stability_indicator", "lobpcg"),
+# the BLAS and LAPACK callers the package keeps, by module and function:
+# LOBPCG's Rayleigh-Ritz step (at most 3 x 3) and the log-linear fit
+BLAS_ALLOWED = {("analysis", "lobpcg", "np.linalg.eigh"),
                 ("analysis", "_log_linear_fit", "np.polynomial.polynomial.polyfit")}
 
 
@@ -85,7 +98,7 @@ def _dotted(node) -> str:
 
 def _blas_name(node) -> str | None:
     """The BLAS or LAPACK use that node is, if any: a call of a BLAS_SUMS
-    name, of any np.linalg routine, of polyfit or lobpcg, or of a .dot
+    name, of any np.linalg routine, of polyfit, or of a .dot
     method (not spectral.dot, imported by name), or the @ operator."""
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
         return "@"
@@ -93,7 +106,7 @@ def _blas_name(node) -> str | None:
         return None
     name = _dotted(node.func)
     last = name.rsplit(".", 1)[-1]
-    if (name in BLAS_SUMS or name.startswith("np.linalg.") or last in ("polyfit", "lobpcg")
+    if (name in BLAS_SUMS or name.startswith("np.linalg.") or last == "polyfit"
             or (last == "dot" and "." in name)):
         return name
     return None

@@ -534,6 +534,16 @@ def test_grid_validation():
         GridSpec(8, 0.0)
 
 
+@pytest.mark.parametrize("n_modes, side, culprit", [
+    (10**200, PI, "n_modes"),     # the default side: the largest eigenvalue's cube overflows
+    (8, 1e-110, "side"),          # every eigenvalue's cube overflows
+    (8, 1e110, "side"),           # the smallest eigenvalue's cube underflows to 0
+], ids=["huge-n_modes", "tiny-side", "huge-side"])
+def test_grid_out_of_the_float_range_names_its_cause(n_modes, side, culprit):
+    with pytest.raises(ValueError, match=f"^{culprit} "):
+        GridSpec(n_modes, side)
+
+
 def test_modal_field_shape_check():
     grid = GridSpec(8, PI)
     with pytest.raises(ValueError):
