@@ -107,9 +107,9 @@ class State:
 class SchemeConfig:
     """Step size and scheme selection.
 
-    dt must be finite and > 0; safeguard_tol is the maximum tolerated
-    single-step energy increase; newton_* only apply to the implicit
-    scheme.
+    dt must be finite and > 0; safeguard_tol (>= 0) is the maximum
+    tolerated single-step energy increase; newton_* only apply to the
+    implicit scheme.
     """
 
     dt: float
@@ -126,6 +126,8 @@ class SchemeConfig:
             raise ValueError("newton_tol must be > 0")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be >= 1")
+        if not self.safeguard_tol >= 0.0:
+            raise ValueError("safeguard_tol must be >= 0")
 
 
 @dataclass

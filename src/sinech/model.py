@@ -49,7 +49,7 @@ others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,20 +67,20 @@ class Nonlinearity:
     m_bound:      |f''(r)| <= m_bound (1 + |r|).
     r0:           smallest radius with f(r) r >= 0 for all |r| >= r0.
 
-    Derived fields are computed from the coefficients unless explicitly
-    overridden (overrides are *claims*, verified by check_assumptions).
-    The degenerate linear case a3 = 0 (with a2 = 0, a1 >= 0) is accepted
-    so that exact linear oracle problems can run through the same code
-    path; check_assumptions refuses it.  The bounds, and lambda_bound^2
-    (diagnostic_F's constant), must be finite.
+    The bounds are always derived from the coefficients (closed forms for
+    the cubic class), never given.  The degenerate linear case a3 = 0
+    (with a2 = 0, a1 >= 0) is accepted so that exact linear oracle
+    problems can run through the same code path; check_assumptions
+    refuses it.  The bounds, and lambda_bound^2 (diagnostic_F's
+    constant), must be finite.
     """
 
     a3: float
     a2: float
     a1: float
-    lambda_bound: float | None = None
-    m_bound: float | None = None
-    r0: float | None = None
+    lambda_bound: float = field(init=False)
+    m_bound: float = field(init=False)
+    r0: float = field(init=False)
 
     def __post_init__(self):
         if self.a3 < 0.0 or (self.a3 == 0.0 and not (self.a2 == 0.0 and self.a1 >= 0.0)):
@@ -88,12 +88,9 @@ class Nonlinearity:
                 "need a3 > 0 (coercive cubic), or the degenerate linear "
                 f"case a3 = a2 = 0 with a1 >= 0; got ({self.a3}, {self.a2}, {self.a1})"
             )
-        if self.lambda_bound is None:
-            self.lambda_bound = computed_lambda_bound(self.a3, self.a2, self.a1)
-        if self.m_bound is None:
-            self.m_bound = max(abs(2.0 * self.a2), 6.0 * abs(self.a3))
-        if self.r0 is None:
-            self.r0 = computed_r0(self.a3, self.a2, self.a1)
+        self.lambda_bound = computed_lambda_bound(self.a3, self.a2, self.a1)
+        self.m_bound = max(abs(2.0 * self.a2), 6.0 * abs(self.a3))
+        self.r0 = computed_r0(self.a3, self.a2, self.a1)
         if not all(map(math.isfinite, (self.lambda_bound * self.lambda_bound, self.m_bound,
                                        self.r0))):
             raise UnsupportedNonlinearityError(
@@ -356,14 +353,13 @@ class AssumptionReport:
 
 
 def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> AssumptionReport:
-    """Verify the claimed structural bounds of the nonlinearity.
+    """Verify the derived structural bounds of the nonlinearity.
 
     Samples f' on [-1000, 1000] (10^6 + 1 points) against lambda_bound,
     checks the growth bound on f'' and the sign radius r0, and reports
     lambda_1 when a grid is supplied (the relaxed dissipativity condition
-    liminf f(r)/r > -lambda_1 holds for every coercive cubic).
-    Overridden bounds that fail the sampling are flagged, and so is a
-    bound whose sampled values overflow, since those verify nothing.
+    liminf f(r)/r > -lambda_1 holds for every coercive cubic).  A bound
+    whose sampled values overflow is flagged, since those verify nothing.
     """
     if nl.a3 <= 0.0:
         raise UnsupportedNonlinearityError(

@@ -312,29 +312,15 @@ def sup_norm(z: ModalField, refine: int = 4) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator powers, projections, norms
+# resampling, norms
 # ---------------------------------------------------------------------------
-
-def apply_power(z: ModalField, s: float) -> ModalField:
-    """A^s z, diagonal in the sine basis: coeff * eigenvalue^s."""
-    return ModalField(z.grid, z.coeff * eigenvalues(z.grid) ** s)
-
-
-def project(z: ModalField, m: int) -> ModalField:
-    """Galerkin projector P_m: zero all coefficients with j > m or k > m."""
-    n = z.grid.n_modes
-    if not (1 <= m <= n):
-        raise IndexError(f"projection order {m} outside 1..{n}")
-    c = np.zeros_like(z.coeff)
-    c[:m, :m] = z.coeff[:m, :m]
-    return ModalField(z.grid, c)
-
 
 def resample(z: ModalField, n_modes: int) -> ModalField:
     """Re-express z on a grid with n_modes per axis (same side).
 
     Growing the grid embeds the coefficients; shrinking truncates to
-    the retained block (lossy for under-resolved fields).
+    the retained block (lossy for under-resolved fields), so
+    resample(resample(z, m), n) is the Galerkin projector P_m z.
     """
     n = z.grid.n_modes
     new = GridSpec(n_modes, z.grid.side)
@@ -415,24 +401,18 @@ def json_value(val, kind: type, key: str):
     return val
 
 
-def json_fields(cls) -> dict:
-    """{name: (kind, nullable)} of a dataclass's int, float or str fields, each maybe `| None`."""
-    return {f.name: (_JSON_KIND[f.type.split(" | ")[0]], f.type.endswith(" | None"))
-            for f in fields(cls)}
-
-
 def from_json(cls, block: dict, prefix: str = ""):
-    """cls built from the JSON object block: every field is required and
-    read by json_value as the type it is annotated with, under the dotted
-    key prefix + name; only a nullable field may hold null.  A missing
-    field raises ConfigError naming its dotted key."""
-    kinds = json_fields(cls)
+    """cls built from the JSON object block: every init field is required
+    and read by json_value as the type it is annotated with (int, float or
+    str), under the dotted key prefix + name; other keys, also the derived
+    (init=False) fields, are not read.  A missing field raises ConfigError
+    naming its dotted key."""
+    kinds = {f.name: _JSON_KIND[f.type] for f in fields(cls) if f.init}
     for name in kinds:
         if name not in block:
             raise ConfigError("missing", key=prefix + name)
-    return cls(**{name: None if nullable and block[name] is None
-                  else json_value(block[name], kind, prefix + name)
-                  for name, (kind, nullable) in kinds.items()})
+    return cls(**{name: json_value(block[name], kind, prefix + name)
+                  for name, kind in kinds.items()})
 
 
 def _check_finite_header(header: dict, prefix: str = "") -> None:

@@ -1,5 +1,6 @@
 """Verification toolkit: convergence, decomposition, equilibria, probes."""
 
+import json
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from sinech.analysis import (
     _log_linear_fit,
     _super_exponential,
 )
+from sinech.cli import main
 from sinech.errors import DimensionMismatchError, InstabilityError, StepFailureError
 from sinech.integrator import SchemeConfig, State, newton_operator
 from sinech.model import Nonlinearity, SourceTerm, f_eval_dealiased, fprime_sample
@@ -118,6 +120,36 @@ def test_galerkin_nonlinear_gap_decreases():
     assert rep.gaps[1] < rep.gaps[0]
     assert rep.fitted_exponent > 0.0
     assert rep.resolutions == [8, 16] and rep.n_ref == 64
+
+
+def test_galerkin_unstable_resolution_is_reported_and_skipped(monkeypatch, tmp_path):
+    # a resolution whose run goes unstable gets an infinite gap and is
+    # listed as failed; the fit uses the survivors, and `sinech converge`
+    # exits 1
+    grid = GridSpec(4, PI)
+    init = State(random_band_limited(grid, 4, 2.0, seed=33), ModalField.zeros(grid))
+    args = (init, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=1e-3), [4, 8, 16], 32,
+            0.05)
+    clean = galerkin_convergence(*args)
+    real_run = analysis.run
+
+    def run_unstable_at_8(stepper, *rest):
+        if stepper.state.grid.n_modes == 8:
+            raise InstabilityError("forced")
+        return real_run(stepper, *rest)
+
+    monkeypatch.setattr(analysis, "run", run_unstable_at_8)
+    rep = galerkin_convergence(*args)
+    assert rep.failed == [8]
+    assert rep.gaps == [clean.gaps[0], math.inf, clean.gaps[2]]
+    lam4, lam16 = (eigenvalues(GridSpec(n, PI)).max() for n in (4, 16))
+    slope = math.log(rep.gaps[2] / rep.gaps[0]) / math.log(lam16 / lam4)
+    assert rep.fitted_exponent == pytest.approx(-slope, rel=1e-12)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n_modes": 4}, "converge": {
+        "resolutions": [4, 8, 16], "n_ref": 32, "t_star": 0.05, "band": 4}}))
+    assert main(["converge", "--config", str(cfg), "--output-dir", str(tmp_path / "o"),
+                 "--quiet"]) == 1
 
 
 def test_galerkin_validations():
@@ -607,6 +639,20 @@ def test_absorbing_probe_transient_is_inconclusive():
     with pytest.raises(ValueError):
         absorbing_probe([1.0, -1.0], 2, DOUBLE_WELL, SourceTerm.zero(grid),
                         SchemeConfig(dt=5e-3), 1.0)
+
+
+def test_orthonormal_to_drops_a_vector_in_the_span():
+    # a new direction in the span of the basis collapses under
+    # Gram-Schmidt: it is dropped, not normalised from roundoff
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal((4, 4))
+    u /= math.sqrt(float(np.sum(u * u)))
+    basis = [(u, 2.0 * u)]
+    v = 3.0 * u
+    assert analysis._orthonormal_to(v, 2.0 * v, basis) is False
+    w = rng.standard_normal((4, 4))
+    assert analysis._orthonormal_to(w, 2.0 * w, basis) is True
+    assert abs(float(np.sum(w * u))) <= 1e-15 and float(np.sum(w * w)) == pytest.approx(1.0)
 
 
 def test_report_dicts_are_json_ready():

@@ -116,20 +116,14 @@ def test_check_only_unknown_name(tmp_path):
                    "--only", "bogus") == 2
 
 
-def test_check_flags_false_claim(tmp_path):
-    # lambda_bound = 0 claims f' >= 0 everywhere, but a1 = -1 makes
-    # f'(0) = -1: the assumptions check must fail and flip the exit code
-    out = tmp_path / "o"
-    cfg = write_config(
-        tmp_path,
-        nonlinearity={"a3": 1.0, "a2": 0.0, "a1": -1.0, "lambda_bound": 0.0},
-        check={"n_modes_list": [8]},
-    )
-    assert run_cli("check", "--config", cfg, "--output-dir", str(out)) == 1
-    rep = json.loads((out / "check_report.json").read_text())
-    assert rep["all_pass"] is False
-    bad = [r for r in rep["rows"] if not r["pass"]]
-    assert [r["check"] for r in bad] == ["assumptions"]
+def test_check_flags_false_claim(tmp_path, capsys):
+    # the bounds are derived from the coefficients, never given: a config
+    # that claims one (lambda_bound = 0 would claim f' >= 0, false for
+    # a1 = -1) is refused naming the key, as any unknown key
+    for bound in ("lambda_bound", "m_bound", "r0"):
+        cfg = write_config(tmp_path, nonlinearity={"a3": 1.0, "a2": 0.0, "a1": -1.0, bound: 0.0})
+        assert run_cli("check", "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
+        assert f"'nonlinearity.{bound}': unknown key" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -390,6 +384,31 @@ def test_out_of_range_value_names_the_key(tmp_path, capsys, command, overrides, 
     assert f"'{key}'" in capsys.readouterr().err
 
 
+def _snapshot_on_8_modes(tmp_path) -> str:
+    path = tmp_path / "u8.mfld"
+    save_field(path, random_band_limited(GridSpec(8, math.pi), 4, 1.0, seed=1))
+    return str(path)
+
+
+@pytest.mark.parametrize("command,overrides,key", [
+    ("simulate", lambda tmp: {"grid": 3}, "grid"),
+    ("simulate", lambda tmp: {"grid": {"n_modes": 32},
+                              "initial": {"u": {"preset": "random_band", "band": 99}}},
+     "initial.u.band"),
+    ("simulate", lambda tmp: {"initial": {"u": {"preset": "file"}}}, "initial.u.path"),
+    ("simulate", lambda tmp: {"grid": {"n_modes": 32},
+                              "initial": {"u": {"preset": "file",
+                                                "path": _snapshot_on_8_modes(tmp)}}},
+     "initial.u.path"),
+    ("converge", lambda tmp: {"converge": {"resolutions": [8, 4]}}, "converge.resolutions"),
+], ids=["block-not-object", "band-beyond-grid", "file-without-path", "file-on-another-grid",
+        "resolutions-decreasing"])
+def test_refused_combination_names_the_key(tmp_path, capsys, command, overrides, key):
+    cfg = write_config(tmp_path, **overrides(tmp_path))
+    assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def _leaves(tree, path=""):
     for key, val in tree.items():
         here = f"{path}.{key}" if path else key
@@ -400,7 +419,7 @@ def _leaves(tree, path=""):
 
 
 # the leaves whose default is None, and the type each takes when given
-_NULLABLE = {"lambda_bound": float, "m_bound": float, "r0": float, "seed": int, "path": str}
+_NULLABLE = {"seed": int, "path": str}
 
 
 def _wrong_type(default, key):
@@ -447,8 +466,6 @@ def test_wrong_type_for_any_key_exits_2_naming_it(tmp_path_factory, key, default
 @pytest.mark.parametrize("command,overrides,key", [
     ("simulate", {"grid": {"n_modes": 4, "side": 1e300}}, "grid"),
     ("simulate", {"grid": {"n_modes": 4}, "nonlinearity": {"a2": 1e308}}, "nonlinearity"),
-    ("simulate", {"grid": {"n_modes": 4}, "nonlinearity": {"lambda_bound": 1e308}},
-     "nonlinearity"),
     ("simulate", {"grid": {"n_modes": 4}, "nonlinearity": {"a3": 1e308, "a1": -1e308}},
      "nonlinearity"),
     ("lipschitz", {"grid": {"n_modes": 4},
@@ -465,7 +482,7 @@ def test_wrong_type_for_any_key_exits_2_naming_it(tmp_path_factory, key, default
     ("simulate", {"grid": {"n_modes": 10**400}}, "grid"),
     ("check", {"check": {"n_modes_list": [10**400]}}, "grid"),
     ("converge", {"converge": {"n_ref": 10**400}}, "grid"),
-], ids=["side-huge", "a2-huge", "lambda_bound-huge", "a3-a1-huge", "perturbation-underflow",
+], ids=["side-huge", "a2-huge", "a3-a1-huge", "perturbation-underflow",
         "check-side-tiny", "check-side-huge", "cube-overflow", "cube-underflow",
         "steps-overflow", "steps-too-many", "n_modes-overflow", "check-n_modes-overflow",
         "n_ref-overflow"])
@@ -569,10 +586,13 @@ def test_right_typed_config_exits_0_1_or_2(tmp_path_factory, command, body):
 
 
 def test_defaults_pass_their_own_checks():
-    from sinech.cli import _NON_NEGATIVE, _POSITIVE, _merge
+    from sinech.cli import _NON_NEGATIVE, _NULLABLE as cli_nullable, _POSITIVE, _merge
 
     assert _POSITIVE | _NON_NEGATIVE <= dict(_leaves(DEFAULTS)).keys()
     assert _merge(DEFAULTS, DEFAULTS) == DEFAULTS
+    # only a field's seed and path may be null, each typed by _NULLABLE
+    nullable = {key.rsplit(".", 1)[-1] for key, val in _leaves(DEFAULTS) if val is None}
+    assert nullable == _NULLABLE.keys() == cli_nullable.keys()
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])

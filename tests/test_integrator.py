@@ -448,6 +448,9 @@ def test_scheme_config_validation():
         SchemeConfig(dt=1e-3, newton_tol=0.0)
     with pytest.raises(ValueError):
         SchemeConfig(dt=1e-3, newton_max_iter=0)
+    for tol in (-1.0, math.nan):  # -1 once made every step fail the energy safeguard
+        with pytest.raises(ValueError, match="safeguard_tol"):
+            SchemeConfig(dt=1e-3, safeguard_tol=tol)
     # time runs forward only, with either scheme, in the config and in a
     # step given its own dt, which leaves the stepper as it was
     grid = GridSpec(8, PI)
@@ -1086,6 +1089,7 @@ def _drop_naming(block, key):
     lambda header: header["scheme"].update(dt=True),        # nested fields keep their types
     lambda header: header["scheme"].update(newton_max_iter=2.5),
     lambda header: header["scheme"].update(safeguard_tol=None),
+    lambda header: header["scheme"].update(safeguard_tol=-1),
     lambda header: header["nonlinearity"].update(a3=True),
     lambda header: header["nonlinearity"].update(a1="x"),
     _set_naming("step_count", -5),                          # a step index counts from 0
@@ -1095,7 +1099,8 @@ def _drop_naming(block, key):
 ], ids=["no-n_modes", "no-side", "no-scheme", "no-nonlinearity", "no-blocks",
         "unknown-block", "no-ut-block", "no-g-block", "huge-n_modes", "inf-n_modes",
         "overflow-n_modes",
-        "negative-dt", "bool-dt", "float-newton_max_iter", "null-safeguard_tol", "bool-a3",
+        "negative-dt", "bool-dt", "float-newton_max_iter", "null-safeguard_tol",
+        "negative-safeguard_tol", "bool-a3",
         "str-a1", "negative-step_count", "huge-step_count", "no-scheme.dt",
         "no-nonlinearity.a3"])
 def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
@@ -1114,18 +1119,20 @@ def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
 
 
 def test_checkpoint_null_bounds_are_derived(tmp_path):
-    # lambda_bound, m_bound and r0 may be null, which Nonlinearity reads as
-    # "derive from the coefficients"; no other field may
+    # lambda_bound, m_bound and r0 are written but not read: null, or a
+    # claim an earlier version wrote, loads with the bounds derived from
+    # the coefficients
     grid = GridSpec(4, PI)
     stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
                       SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
     path = tmp_path / "run.ckpt"
     save_checkpoint(path, stepper)
     head, _, rest = path.read_bytes().partition(b"\n")
-    header = json.loads(head)
-    header["nonlinearity"].update(lambda_bound=None, m_bound=None, r0=None)
-    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-    assert load_checkpoint(path).nl == DOUBLE_WELL
+    for bound in (None, 0.0):
+        header = json.loads(head)
+        header["nonlinearity"].update(lambda_bound=bound, m_bound=bound, r0=bound)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
+        assert load_checkpoint(path).nl == DOUBLE_WELL
 
 
 @pytest.mark.parametrize("cut", [8, 8 * 4 * 4 - 8, 8 * 4 * 4])

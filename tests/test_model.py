@@ -129,9 +129,9 @@ def test_check_assumptions_values():
     rep3 = check_assumptions(Nonlinearity(1.0, 0.0, -3.0), GridSpec(8, PI))
     assert rep3.lambda_bound == 3.0 and rep3.all_valid
 
-    # overridden bounds are claims and get flagged when false
-    lied = Nonlinearity(1.0, 0.0, -1.0, lambda_bound=0.0)
-    assert not check_assumptions(lied).lambda_bound_valid
+    # the bounds are derived, never given: a claim is refused
+    with pytest.raises(TypeError):
+        Nonlinearity(1.0, 0.0, -1.0, lambda_bound=0.0)
     with pytest.raises(UnsupportedNonlinearityError):
         check_assumptions(Nonlinearity(0.0, 0.0, 1.0))
 
@@ -561,6 +561,20 @@ def test_diagnostic_F_closed_form():
     assert norm_Hs(acc, 0.0) <= 1e-14
     val = diagnostic_F(state, nl, g)
     assert val == pytest.approx(1.0 + 1.0 / 16.0 + c / 2.0 + 0.5, abs=1e-9)
+
+
+def test_diagnostic_F_coercive_with_the_derived_bound():
+    # u = 0, u_t = e_11 (eigenvalue 2), f = u^3 - 3u: u_tt = -e_11, so
+    # ||V||_0^2 = 2 + 1/2, and the derived lambda = 3 gives L = 9/2:
+    # F = 5/4 - 1/8 + 1/16 - 3/2 + 9/4 = 1.9375 >= sigma ||V||_0^2 = 0.3125.
+    # A lambda of 0 would give L = 1 and F = 0.1875, below the floor.
+    grid = GridSpec(8, PI)
+    nl = Nonlinearity(1.0, 0.0, -3.0)
+    state = State(ModalField.zeros(grid), ModalField.single_mode(grid, 1, 1))
+    val = diagnostic_F(state, nl, None)
+    assert nl.lambda_bound == 3.0 and val == pytest.approx(1.9375, rel=1e-14)
+    floor = 0.125 * norm_pair(state.v, acceleration_from_state(state, nl, None), 0.0) ** 2
+    assert floor == pytest.approx(0.3125, rel=1e-14) and val >= floor
 
 
 def test_diagnostic_F_coercivity_sweep():

@@ -35,3 +35,16 @@ def test_minimal_config_passes_the_checks():
     config = json.loads(block)
     merged = _merge(DEFAULTS, config)  # raises ConfigError naming any key that drifted
     assert merged["grid"]["n_modes"] == config["grid"]["n_modes"]
+
+
+def test_config_keys_named_in_the_readme_are_defaults_leaves():
+    # a key renamed or removed in DEFAULTS must not live on in the docs
+    def leaves(tree, path=""):
+        for key, val in tree.items():
+            here = f"{path}.{key}" if path else key
+            yield from leaves(val, here) if isinstance(val, dict) else (here,)
+
+    blocks = "|".join(key for key, val in DEFAULTS.items() if isinstance(val, dict))
+    named = {key for key in re.findall(rf"`((?:{blocks})\.[A-Za-z0-9_.]+)`", README.read_text())
+             if not key.endswith((".json", ".mfld", ".ckpt", ".csv"))}  # file names
+    assert len(named) >= 20 and named <= set(leaves(DEFAULTS)), named - set(leaves(DEFAULTS))

@@ -15,8 +15,8 @@ from sinech.errors import FileFormatError
 from sinech.spectral import (
     GridSpec,
     ModalField,
-    apply_power,
     eigenvalue,
+    eigenvalue_power,
     eigenvalues,
     field_integral,
     gradient_values,
@@ -28,7 +28,6 @@ from sinech.spectral import (
     norm_Hs,
     norm_pair,
     padded_points,
-    project,
     quadrature_weight,
     random_band_limited,
     resample,
@@ -169,25 +168,35 @@ def test_parseval(n, side, seed, extra):
 # ---------------------------------------------------------------------------
 
 def test_apply_power():
+    # A^s z = z * eigenvalue_power(grid, s), the tables the solver weighs by
     grid = GridSpec(8, PI)
     rng = np.random.default_rng(1)
     z = ModalField(grid, rng.standard_normal((8, 8)))
-    assert np.array_equal(apply_power(z, 0.0).coeff, z.coeff)
-    m23 = apply_power(ModalField.single_mode(grid, 2, 3), -1.0)
-    assert m23.coeff[1, 2] == pytest.approx(1.0 / 13.0, rel=1e-14)
+
+    def power(c, s):
+        return c * eigenvalue_power(grid, s)
+
+    assert np.array_equal(power(z.coeff, 0.0), z.coeff)
+    m23 = power(ModalField.single_mode(grid, 2, 3).coeff, -1.0)
+    assert m23[1, 2] == pytest.approx(1.0 / 13.0, rel=1e-14)
     # group law on a seeded (s, t) sweep
-    half = apply_power(apply_power(z, 0.5), -0.5)
-    assert np.abs(half.coeff - z.coeff).max() <= 1e-12
+    half = power(power(z.coeff, 0.5), -0.5)
+    assert np.abs(half - z.coeff).max() <= 1e-12
     for s, t in [(-2.0, 2.0), (1.3, -0.4), (0.7, 0.7), (-1.1, -0.9)]:
-        lhs = apply_power(apply_power(z, s), t)
-        rhs = apply_power(z, s + t)
+        lhs = ModalField(grid, power(power(z.coeff, s), t))
+        rhs = ModalField(grid, power(z.coeff, s + t))
         assert norm_Hs(lhs - rhs, 0.0) <= 1e-12 * norm_Hs(rhs, 0.0)
 
 
 def test_projector():
+    # P_m z = resample(resample(z, m), n), the truncation galerkin_convergence runs
     grid = GridSpec(12, PI)
     rng = np.random.default_rng(2)
     z = ModalField(grid, rng.standard_normal((12, 12)))
+
+    def project(z, m):
+        return resample(resample(z, m), z.grid.n_modes)
+
     assert np.array_equal(project(z, 12).coeff, z.coeff)
     p6 = project(z, 6)
     assert np.array_equal(project(p6, 6).coeff, p6.coeff)
@@ -195,13 +204,13 @@ def test_projector():
     tails = []
     for m in range(1, 13):
         pm = project(z, m)
+        assert pm.grid == grid
         assert abs(inner(pm, z - pm)) <= 1e-12 * norm_Hs(z, 0.0) ** 2
         tails.append(norm_Hs(z - pm, 0.0))
     assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:]))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):  # no P_0: a grid needs a mode
         project(z, 0)
-    with pytest.raises(IndexError):
-        project(z, 13)
+    assert np.array_equal(project(z, 13).coeff, z.coeff)  # m > n embeds and truncates back
 
 
 def test_resample_embed_truncate():
