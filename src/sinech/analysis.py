@@ -77,7 +77,8 @@ def _log_linear_fit(t: np.ndarray, y: np.ndarray):
     Non-positive y values are excluded."""
     mask = y > 0.0
     t, y = t[mask], np.log(y[mask])
-    if t.size < 2:
+    # polyfit scales t by its 2-norm: times whose squares all underflow (0, 5e-324) have none
+    if t.size < 2 or not np.square(t).any():
         return 0.0, 0.0, 0.0
     coef = np.polynomial.polynomial.polyfit(t, y, 1)
     fitted = coef[0] + coef[1] * t
@@ -104,7 +105,7 @@ class ConvergenceReport:
 
 def galerkin_convergence(initial: State, nl: Nonlinearity, g: SourceTerm,
                          cfg: SchemeConfig, resolutions: list, n_ref: int,
-                         t_star: float, sample_every: int = 1) -> ConvergenceReport:
+                         t_star: float) -> ConvergenceReport:
     """Co-run each truncation against a fine reference at identical dt
     and measure the worst pair-norm gap at s = -1 over [0, t_star].
 
@@ -126,10 +127,9 @@ def galerkin_convergence(initial: State, nl: Nonlinearity, g: SourceTerm,
 
     def run_at(n: int):
         st = State(resample(initial.u, n), resample(initial.v, n), initial.time)
-        states = []
-        run(Stepper(st, nl, SourceTerm(resample(g.g_modal, n)), cfg), initial.time + t_star,
-            sample_every, lambda stepper, _: states.append(stepper.state))
-        return states
+        # few rows: _samples keeps up to 2 * rows + 1 states, 1 MiB each at n_ref = 256
+        return _samples(Stepper(st, nl, SourceTerm(resample(g.g_modal, n)), cfg),
+                        initial.time + t_star, 25, lambda s: s.state)
 
     ref_states = run_at(n_ref)
     gaps, failed = [], []
@@ -482,7 +482,8 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     stationarity failures are findings, not crashes.  A non-finite seed
     raises InstabilityError, and a source on another grid
     DimensionMismatchError, both before any solve.  The stability
-    indicator is the smallest eigenvalue of that operator at u* (f' sampled once).
+    indicator is the smallest eigenvalue of that operator at u* (f' sampled once),
+    NaN when its eigensolve stalls after Newton stopped short.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -494,8 +495,14 @@ def find_equilibrium(seed_field: ModalField, nl: Nonlinearity, g: SourceTerm,
     u_star = ModalField(grid, c)
     e = energy(State(u_star, ModalField.zeros(grid)), nl, g, pot)
     op = newton_operator(grid, lam, fprime_sample(values, nl))
-    return EquilibriumResult(u_star, history[-1], len(history) - 1, e,
-                             _stability_indicator(op, lam), failure is None, history)
+    try:
+        indicator = _stability_indicator(op, lam)
+    except StepFailureError:
+        if failure is None:  # a converged u* must have its indicator
+            raise
+        indicator = math.nan
+    return EquilibriumResult(u_star, history[-1], len(history) - 1, e, indicator,
+                             failure is None, history)
 
 
 # ---------------------------------------------------------------------------

@@ -35,13 +35,13 @@ from .spectral import (GridSpec, ModalField, eigenvalue_power, inner, json_value
 
 _FIELD_BLOCK = {
     "preset": "zero", "j": 1, "k": 1, "amp": 1.0,
-    "band": 4, "amplitude": 1.0, "seed": None, "path": None,
+    "band": 4, "amplitude": 1.0, "path": "",
 }
 
 DEFAULTS = {
     "grid": {"n_modes": 32, "side": math.pi},
     "nonlinearity": {"a3": 1.0, "a2": 0.0, "a1": -1.0},
-    "source": {"preset": "zero", "j": 1, "k": 1, "amp": 1.0, "path": None},
+    "source": {"preset": "zero", "j": 1, "k": 1, "amp": 1.0, "path": ""},
     "initial": {"u": dict(_FIELD_BLOCK), "ut": dict(_FIELD_BLOCK, preset="zero")},
     "scheme": {"dt": 1e-3, "scheme": "imex_cn_ab2", "newton_tol": 1e-10,
                "newton_max_iter": 30, "safeguard_tol": 1e-6},
@@ -51,7 +51,7 @@ DEFAULTS = {
     "output_dir": "sinech_out",
     "check": {"n_modes_list": [32, 64, 128]},
     "converge": {"resolutions": [16, 32, 64], "n_ref": 256, "t_star": 0.25,
-                 "band": 8, "amplitude": 2.0, "sample_every": 10},
+                 "band": 8, "amplitude": 2.0},
     "decompose": {"big_l": 10.0, "t_end": 10.0, "max_doublings": 3},
     "equilibrium": {"tol": 1e-10, "max_iter": 50},
     "lojasiewicz": {"t_end": 200.0, "tol": 1e-6},
@@ -61,24 +61,19 @@ DEFAULTS = {
 }
 
 
-# The type of a leaf whose default is None, by leaf name: a field block's
-# seed and path.
-_NULLABLE = {"seed": int, "path": str}
-
 # Ranges, by key; a list key's bound holds for every element.  The CLI
 # runs forward in time only (dt > 0, t_end >= 0); a driver whose verdict
 # compares samples over its horizon needs t_end > 0.
 _POSITIVE = {
     "grid.n_modes", "grid.side", "scheme.dt", "scheme.newton_tol", "scheme.newton_max_iter",
     "sample_every", "check.n_modes_list", "converge.resolutions", "converge.n_ref",
-    "converge.t_star", "converge.band", "converge.sample_every", "decompose.big_l",
-    "decompose.t_end", "equilibrium.tol", "absorb.radii", "absorb.n_per_radius",
-    "absorb.t_end", "lipschitz.perturbation_scale", "lipschitz.t_end",
+    "converge.t_star", "converge.band", "decompose.big_l", "decompose.t_end",
+    "equilibrium.tol", "absorb.radii", "absorb.n_per_radius", "absorb.t_end",
+    "lipschitz.perturbation_scale", "lipschitz.t_end",
 }
 _NON_NEGATIVE = {
-    "t_end", "seed", "initial.u.seed", "initial.ut.seed", "scheme.safeguard_tol",
-    "decompose.max_doublings", "equilibrium.max_iter", "lojasiewicz.t_end",
-    "lojasiewicz.tol", "absorb.floor",
+    "t_end", "seed", "scheme.safeguard_tol", "decompose.max_doublings", "equilibrium.max_iter",
+    "lojasiewicz.t_end", "lojasiewicz.tol", "absorb.floor",
 }
 
 
@@ -89,10 +84,7 @@ def _leaf(default, val, key: str):
         if not isinstance(val, list) or not val:
             raise ConfigError(f"expected a non-empty list, got {val!r}", key=key)
         return [_leaf(default[0], x, key) for x in val]
-    if default is None and val is None:
-        return None
-    kind = _NULLABLE[key.rsplit(".", 1)[-1]] if default is None else type(default)
-    val = json_value(val, kind, key)
+    val = json_value(val, type(default), key)
     if key in _POSITIVE and not val > 0:
         raise ConfigError(f"must be > 0, got {val!r}", key=key)
     if key in _NON_NEGATIVE and not val >= 0:
@@ -158,7 +150,7 @@ def _build_scheme(cfg: dict, span: float) -> SchemeConfig:
     return scheme
 
 
-def _build_field(block: dict, grid: GridSpec, default_seed: int, label: str) -> ModalField:
+def _build_field(block: dict, grid: GridSpec, seed: int, label: str) -> ModalField:
     preset = block["preset"]
     if preset == "zero":
         return ModalField.zeros(grid)
@@ -169,7 +161,6 @@ def _build_field(block: dict, grid: GridSpec, default_seed: int, label: str) -> 
             bad = "j" if not 1 <= block["j"] <= grid.n_modes else "k"
             raise ConfigError(str(exc), key=f"{label}.{bad}") from exc
     if preset == "random_band":
-        seed = default_seed if block["seed"] is None else block["seed"]
         try:
             return random_band_limited(grid, block["band"], block["amplitude"], seed)
         except IndexError as exc:
@@ -216,8 +207,7 @@ def _build_source(cfg: dict, grid: GridSpec) -> SourceTerm:
     if cfg["source"]["preset"] not in ("zero", "single_mode", "file"):
         raise ConfigError(f"unknown preset {cfg['source']['preset']!r}",
                           key="source.preset")
-    block = dict(cfg["source"], band=1, amplitude=0.0, seed=None)
-    return SourceTerm(_build_field(block, grid, cfg["seed"], "source"))
+    return SourceTerm(_build_field(cfg["source"], grid, cfg["seed"], "source"))
 
 
 def _build_state(cfg: dict, grid: GridSpec) -> State:
@@ -244,7 +234,8 @@ def _equilibrium_report(res: analysis.EquilibriumResult) -> dict:
 
 
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    obj = json.loads(json.dumps(obj), parse_constant=lambda _: None)  # non-finite floats as null
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _say(args, *msg) -> None:
@@ -392,10 +383,8 @@ def cmd_converge(cfg: dict, outdir: Path, args) -> int:
     if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
         raise ConfigError("resolutions must be strictly increasing", key="converge.resolutions")
     if n_ref < 2 * max(resolutions):
-        raise ConfigError(
-            f"n_ref={n_ref} must be at least 2*max(resolutions)={2 * max(resolutions)}",
-            key="converge.n_ref",
-        )
+        raise ConfigError(f"n_ref={n_ref} must be at least 2*max(resolutions)="
+                          f"{2 * max(resolutions)}", key="converge.n_ref")
     if band > min(resolutions):
         raise ConfigError("band must not exceed the coarsest resolution",
                           key="converge.band")
@@ -405,10 +394,8 @@ def cmd_converge(cfg: dict, outdir: Path, args) -> int:
     initial = State(random_band_limited(coarse, band, block["amplitude"], cfg["seed"]),
                     ModalField.zeros(coarse))
     g = _build_source(cfg, coarse)
-    rep = analysis.galerkin_convergence(
-        initial, nl, g, _build_scheme(cfg, block["t_star"]), resolutions, n_ref,
-        block["t_star"], sample_every=block["sample_every"],
-    )
+    rep = analysis.galerkin_convergence(initial, nl, g, _build_scheme(cfg, block["t_star"]),
+                                        resolutions, n_ref, block["t_star"])
     _write_json(outdir / "convergence.json", _report("galerkin_convergence", rep))
     finite = [x for x in rep.gaps if math.isfinite(x)]
     monotone = all(b < a for a, b in zip(finite, finite[1:]))
@@ -424,8 +411,13 @@ def cmd_decompose(cfg: dict, outdir: Path, args) -> int:
     scheme = _build_scheme(cfg, block["t_end"])
     if scheme.scheme != "imex_cn_ab2":  # v and w step by the IMEX step's tables
         raise ConfigError("decompose runs the imex_cn_ab2 scheme only", key="scheme.scheme")
-    run = analysis.decompose_with_retries(initial, nl, g, scheme, block["big_l"], block["t_end"],
-                                          max_doublings=block["max_doublings"])
+    # the retries may double L max_doublings times, and v and w step on lam^2 + L
+    big_l, doublings = block["big_l"], block["max_doublings"]
+    if (math.frexp(big_l)[1] + doublings > 1024  # big_l * 2**doublings >= 2**1024
+            or math.ldexp(big_l, doublings) + lambda_max(grid) ** 2 == math.inf):
+        raise ConfigError(f"{big_l:g} doubled {doublings} times overflows", key="decompose.big_l")
+    run = analysis.decompose_with_retries(initial, nl, g, scheme, big_l, block["t_end"],
+                                          max_doublings=doublings)
     _write_json(outdir / "decomposition.json", _report("decomposition", run))
     ok = run.sum_error_rel <= 1e-9 and run.decays
     _say(args, f"decompose: L={run.big_l:g} kappa={run.fitted_kappa:.4f} "

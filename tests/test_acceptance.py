@@ -79,8 +79,7 @@ def test_galerkin_truncation_convergence():
     init = State(random_band_limited(coarse, 8, 2.0, seed=100),
                  ModalField.zeros(coarse))
     rep = galerkin_convergence(init, DOUBLE_WELL, SourceTerm.zero(coarse),
-                               SchemeConfig(dt=1e-3), [16, 32, 64], 256, 0.25,
-                               sample_every=10)
+                               SchemeConfig(dt=1e-3), [16, 32, 64], 256, 0.25)
     assert rep.failed == []
     assert rep.gaps[0] > rep.gaps[1] > rep.gaps[2]
     assert rep.gaps[2] <= 0.25 * rep.gaps[0]

@@ -71,12 +71,33 @@ def test_random_pair_state_deterministic():
     assert np.abs(random_pair_state(grid, 3, 0.0, 0).u.coeff).max() == 0.0
 
 
+def _strict_json(path):
+    """The JSON document at path, refusing NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_log_linear_fit_recovers_exponential():
     t = np.linspace(0.0, 5.0, 60)
     slope, intercept, r2 = _log_linear_fit(t, 3.0 * np.exp(-2.0 * t))
     assert slope == pytest.approx(-2.0, abs=1e-12)
     assert intercept == pytest.approx(math.log(3.0), abs=1e-12)
     assert r2 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_log_linear_fit_without_scalable_times_is_no_fit(tmp_path):
+    # polyfit scales t by its 2-norm, and the squares of 0 and 5e-324 underflow:
+    # no fit, and no RankWarning (sinech lipschitz over a horizon of 5e-324
+    # once printed two, then exited 0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n_modes": 1}, "scheme": {"dt": 1e308},
+                               "lipschitz": {"t_end": 5e-324}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _log_linear_fit(np.array([0.0, 5e-324]), np.array([1.0, 2.0])) == (0.0, 0.0, 0.0)
+        assert main(["lipschitz", "--config", str(cfg), "--output-dir", str(tmp_path / "o"),
+                     "--quiet"]) == 0
 
 
 @pytest.mark.parametrize("rho, flagged", [(lambda t: np.exp(t * t), True),
@@ -150,6 +171,30 @@ def test_galerkin_unstable_resolution_is_reported_and_skipped(monkeypatch, tmp_p
         "resolutions": [4, 8, 16], "n_ref": 32, "t_star": 0.05, "band": 4}}))
     assert main(["converge", "--config", str(cfg), "--output-dir", str(tmp_path / "o"),
                  "--quiet"]) == 1
+    # the report is strict JSON: the failed resolution's gap is null, not Infinity
+    report = _strict_json(tmp_path / "o" / "convergence.json")
+    assert report["failed"] == [8] and report["gaps"][1] is None
+
+
+def test_galerkin_convergence_keeps_a_bounded_number_of_states(monkeypatch):
+    # every run samples through _samples with 25 rows: over 600 steps it
+    # keeps at most 2 * 25 + 1 states, not one a step
+    grid = GridSpec(4, PI)
+    init = State(random_band_limited(grid, 4, 1.0, seed=33), ModalField.zeros(grid))
+    real_run = analysis.run
+    kept = []
+
+    def counting_run(stepper, t_end, sample_every, observe):
+        calls = []
+        real_run(stepper, t_end, sample_every,
+                 lambda s, dissip: (calls.append(s.step_count), observe(s, dissip)))
+        kept.append(calls)
+
+    monkeypatch.setattr(analysis, "run", counting_run)
+    galerkin_convergence(init, DOUBLE_WELL, SourceTerm.zero(grid), SchemeConfig(dt=1e-3),
+                         [4, 8], 16, 0.6)
+    assert len(kept) == 3  # the reference and two truncations
+    assert all(calls[-1] == 600 and len(calls) <= 2 * 25 + 1 for calls in kept)
 
 
 def test_galerkin_validations():
@@ -534,6 +579,33 @@ def test_equilibrium_returns_its_best_iterate(failure, monkeypatch):
     assert float(np.linalg.norm(r)) == pytest.approx(res.residual, rel=1e-12)
     if failure != "max_iter":
         assert np.array_equal(res.u_star.coeff, seed_field.coeff)
+
+
+def test_stalled_eigensolve_is_nan_only_when_newton_stopped_short(monkeypatch):
+    # a stall at an iterate short of u* is part of that finding: the
+    # indicator is NaN; a converged u* whose eigensolve stalls still raises
+    grid = GridSpec(8, PI)
+    g = SourceTerm.zero(grid)
+    monkeypatch.setattr(analysis, "lobpcg", lambda *args, **kwargs: (1.0, 1.0))
+    short = find_equilibrium(random_band_limited(grid, 4, 2.0, seed=9), STIFF_WELL, g,
+                             max_iter=0)
+    assert not short.converged and math.isnan(short.stability_indicator)
+    with pytest.raises(StepFailureError, match="stalled"):
+        find_equilibrium(ModalField.zeros(grid), STIFF_WELL, g)
+
+
+def test_equilibrium_report_survives_a_stalled_eigensolve(tmp_path):
+    # at amp 1e20 Newton stops short and the eigensolve at its iterate
+    # stalls: the run once failed without a report; now it writes both
+    # files, with the indicator null in strict JSON, and exits 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n_modes": 4},
+                               "initial": {"u": {"preset": "single_mode", "amp": 1e20}}}))
+    out = tmp_path / "o"
+    assert main(["equilibrium", "--config", str(cfg), "--output-dir", str(out), "--quiet"]) == 1
+    report = _strict_json(out / "equilibrium.json")
+    assert report["converged"] is False and report["stability_indicator"] is None
+    assert (out / "u_star.mfld").is_file()
 
 
 def test_equilibrium_refuses_a_non_finite_seed(monkeypatch):

@@ -364,7 +364,7 @@ def test_simulate_bad_value_type_names_the_key(tmp_path, capsys, overrides, key)
     ("absorb", {"absorb": {"t_end": 0.0}}, "absorb.t_end"),
     ("lipschitz", {"lipschitz": {"perturbation_scale": 0.0}}, "lipschitz.perturbation_scale"),
     ("equilibrium", {"equilibrium": {"tol": 0.0}}, "equilibrium.tol"),
-    ("simulate", {"initial": {"u": {"preset": "random_band", "seed": -3}}}, "initial.u.seed"),
+    ("simulate", {"seed": -3}, "seed"),
     ("simulate", {"grid": {"n_modes": 8},
                   "initial": {"u": {"preset": "single_mode", "j": 9, "k": 1}}}, "initial.u.j"),
     ("simulate", {"grid": {"n_modes": 8},
@@ -418,11 +418,7 @@ def _leaves(tree, path=""):
             yield here, val
 
 
-# the leaves whose default is None, and the type each takes when given
-_NULLABLE = {"seed": int, "path": str}
-
-
-def _wrong_type(default, key):
+def _wrong_type(default):
     """JSON values of a type the key does not take."""
     texts = st.text(max_size=8)
     objects = st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)
@@ -430,10 +426,8 @@ def _wrong_type(default, key):
         bad_elements = st.lists(st.one_of(texts, st.booleans(), st.none()), min_size=1, max_size=3)
         return st.one_of(texts, st.none(), st.booleans(), st.integers(), st.floats(), objects,
                          bad_elements)
-    kind = _NULLABLE[key.rsplit(".", 1)[-1]] if default is None else type(default)
-    wrong = [st.booleans(), st.lists(st.integers(), max_size=3), objects]
-    if default is not None:
-        wrong.append(st.none())
+    kind = type(default)
+    wrong = [st.booleans(), st.lists(st.integers(), max_size=3), objects, st.none()]
     if kind is int:
         wrong += [texts, st.floats()]
     elif kind is float:
@@ -448,7 +442,7 @@ def _wrong_type(default, key):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
 def test_wrong_type_for_any_key_exits_2_naming_it(tmp_path_factory, key, default, data):
-    value = data.draw(_wrong_type(default, key))
+    value = data.draw(_wrong_type(default))
     body = {} if key == "output_dir" else {"output_dir": str(tmp_path_factory.getbasetemp())}
     node = body
     *blocks, leaf = key.split(".")
@@ -482,14 +476,22 @@ def test_wrong_type_for_any_key_exits_2_naming_it(tmp_path_factory, key, default
     ("simulate", {"grid": {"n_modes": 10**400}}, "grid"),
     ("check", {"check": {"n_modes_list": [10**400]}}, "grid"),
     ("converge", {"converge": {"n_ref": 10**400}}, "grid"),
+    ("decompose", {"grid": {"n_modes": 1}, "scheme": {"dt": 1e308},
+                   "decompose": {"t_end": 1e-320, "big_l": 1e308}}, "decompose.big_l"),
+    ("decompose", {"grid": {"n_modes": 4},
+                   "initial": {"u": {"preset": "single_mode", "amp": 0.5}},
+                   "decompose": {"t_end": 0.01, "big_l": 1e308}}, "decompose.big_l"),
+    ("decompose", {"grid": {"n_modes": 4}, "decompose": {"t_end": 0.01, "max_doublings": 10**400}},
+     "decompose.big_l"),
 ], ids=["side-huge", "a2-huge", "a3-a1-huge", "perturbation-underflow",
         "check-side-tiny", "check-side-huge", "cube-overflow", "cube-underflow",
         "steps-overflow", "steps-too-many", "n_modes-overflow", "check-n_modes-overflow",
-        "n_ref-overflow"])
+        "n_ref-overflow", "big_l-doubled-one-mode", "big_l-doubled", "max_doublings-huge"])
 def test_value_out_of_the_float_range_names_the_key(tmp_path, capsys, command, overrides, key):
     # each once ended in an OverflowError or ZeroDivisionError traceback (the
     # n_modes cases: a JSON integer of 10**400), or (the cube cases) wrote a NaN
-    # or a wrong norm2_final to summary.json and exited 0
+    # or a wrong norm2_final to summary.json and exited 0; the big_l cases
+    # doubled L to inf and exited 1 after numpy overflow warnings
     cfg = write_config(tmp_path, t_end=0.01, **overrides)
     assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 2
     assert f"'{key}'" in capsys.readouterr().err
@@ -524,10 +526,8 @@ def _right_type(key, default):
     if leaf == "scheme":
         return st.sampled_from(["imex_cn_ab2", "implicit_newton", "other"])
     if leaf == "path":
-        return st.sampled_from([None, "no-such-file.mfld"])
-    kind = _NULLABLE[leaf] if default is None else type(default)
-    values = _FLOATS if kind is float else st.integers(-1, 8)
-    return st.one_of(st.none(), values) if default is None else values
+        return st.sampled_from(["", "no-such-file.mfld"])
+    return _FLOATS if type(default) is float else st.integers(-1, 8)
 
 
 _OPTIONAL = {key: default for key, default in _leaves(DEFAULTS)
@@ -586,13 +586,12 @@ def test_right_typed_config_exits_0_1_or_2(tmp_path_factory, command, body):
 
 
 def test_defaults_pass_their_own_checks():
-    from sinech.cli import _NON_NEGATIVE, _NULLABLE as cli_nullable, _POSITIVE, _merge
+    from sinech.cli import _NON_NEGATIVE, _POSITIVE, _merge
 
     assert _POSITIVE | _NON_NEGATIVE <= dict(_leaves(DEFAULTS)).keys()
     assert _merge(DEFAULTS, DEFAULTS) == DEFAULTS
-    # only a field's seed and path may be null, each typed by _NULLABLE
-    nullable = {key.rsplit(".", 1)[-1] for key, val in _leaves(DEFAULTS) if val is None}
-    assert nullable == _NULLABLE.keys() == cli_nullable.keys()
+    # every leaf is typed by its default, so none defaults to null
+    assert all(val is not None for _, val in _leaves(DEFAULTS))
 
 
 @pytest.mark.parametrize("how", ["flag", "config"])
@@ -731,7 +730,7 @@ def test_converge_small_run(tmp_path):
         tmp_path,
         scheme={"dt": 2e-3},
         converge={"resolutions": [8, 16], "n_ref": 32, "band": 4,
-                  "amplitude": 2.0, "t_star": 0.1, "sample_every": 5},
+                  "amplitude": 2.0, "t_star": 0.1},
     )
     assert run_cli("converge", "--config", cfg, "--output-dir", str(out)) == 0
     rep = json.loads((out / "convergence.json").read_text())
