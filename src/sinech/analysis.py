@@ -275,22 +275,19 @@ class LipschitzReport:
 
 def lipschitz_dependence(initial: State, perturbation_scale: float,
                          nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
-                         t_end: float, seed: int = 7,
-                         band: int | None = None) -> LipschitzReport:
+                         t_end: float, seed: int = 7) -> LipschitzReport:
     """Run U to t_end once and U + delta at perturbation_scale and at half
-    of it (both checked before any run), pair their (about 200) samples
-    and track the growth ratio rho(t) of each gap in the s=0 pair norm; fit
-    rho <= c6 exp(c7 t) over the second half of the window (the
-    transient-free regime), flag super-exponential growth, and check c7
-    against the half-scale rate (_c7_stable)."""
+    of it (both on modes <= max(1, N // 4) and checked before any run),
+    pair their (about 200) samples and track the growth ratio rho(t) of
+    each gap in the s=0 pair norm; fit rho <= c6 exp(c7 t) over the second
+    half of the window (the transient-free regime), flag super-exponential
+    growth, and check c7 against the half-scale rate (_c7_stable)."""
     if perturbation_scale <= 0:
         raise ValueError("perturbation_scale must be positive")
     grid = initial.grid
-    if band is None:
-        band = max(1, grid.n_modes // 4)
     perturbed = []
     for scale in (perturbation_scale, perturbation_scale / 2.0):
-        delta = random_pair_state(grid, band, scale, seed)
+        delta = random_pair_state(grid, max(1, grid.n_modes // 4), scale, seed)
         base = norm_pair(delta.u, delta.v, 0.0)
         if not base > 0.0:
             raise ValueError(f"perturbation_scale {scale:g} is too small: "
@@ -332,7 +329,7 @@ def _c7_stable(c7: float, c7_half: float) -> bool:
 # Brezis-Gallouet ratio
 # ---------------------------------------------------------------------------
 
-def bg_ratio(z: ModalField, eps0: float = 1e-30) -> float:
+def bg_ratio(z: ModalField) -> float:
     """||z||_inf / (||z||_V (1 + log^(1/2)(1 + ||z||_DA / ||z||_V))).
 
     Scale-invariant by homogeneity; the claim is that it stays bounded
@@ -340,7 +337,7 @@ def bg_ratio(z: ModalField, eps0: float = 1e-30) -> float:
     nv = norm_Hs(z, 0.5)
     nda = norm_Hs(z, 1.0)
     sup = sup_norm(z)
-    denom = nv * (1.0 + math.sqrt(math.log1p(nda / max(nv, eps0))))
+    denom = nv * (1.0 + math.sqrt(math.log1p(nda / max(nv, 1e-30))))
     return sup / denom if denom > 0 else 0.0
 
 
@@ -349,6 +346,8 @@ def bg_ratio(z: ModalField, eps0: float = 1e-30) -> float:
 # ---------------------------------------------------------------------------
 
 _EQUILIBRIUM_TOL = 1e-10  # find_equilibrium's default stop
+_STABILITY_TOL = 1e-12  # the stability eigensolve's stop on its eigenresidual
+_STABILITY_MAXITER = 200  # and its iteration budget
 
 
 @dataclass
@@ -434,21 +433,22 @@ def lobpcg(A, x: np.ndarray, *, M, tol: float, maxiter: int) -> tuple[float, flo
         ax /= norm
 
 
-def _stability_indicator(op, lam: np.ndarray, tol: float = 1e-12, maxiter: int = 200) -> float:
+def _stability_indicator(op, lam: np.ndarray) -> float:
     """Smallest eigenvalue of the symmetric operator op = A + P_n f'(u*), a
     map of (n, n) coefficient arrays (see integrator.newton_operator), on
     the full n x n space: by lobpcg preconditioned by A^(-1), from the
     fixed start e_(1,1), so repeated calls agree bitwise.  Raises
-    StepFailureError when the eigenresidual stays above tol after maxiter
-    iterations.
+    StepFailureError when the eigenresidual stays above _STABILITY_TOL
+    after _STABILITY_MAXITER iterations.
     """
     x0 = np.zeros(lam.shape)
     x0[0, 0] = 1.0  # e_(1,1)
-    value, resid = lobpcg(op, x0, M=inverse_diagonal(lam), tol=tol, maxiter=maxiter)
-    if not resid <= tol:
+    value, resid = lobpcg(op, x0, M=inverse_diagonal(lam), tol=_STABILITY_TOL,
+                          maxiter=_STABILITY_MAXITER)
+    if not resid <= _STABILITY_TOL:
         raise StepFailureError(
-            f"stability eigensolve stalled: residual {resid:.3e} > {tol:g} "
-            f"after {maxiter} iterations",
+            f"stability eigensolve stalled: residual {resid:.3e} > {_STABILITY_TOL:g} "
+            f"after {_STABILITY_MAXITER} iterations",
             residual_history=[resid],
         )
     return value
@@ -571,11 +571,11 @@ class AbsorbReport:
 
 def absorbing_probe(radii: list, n_per_radius: int, nl: Nonlinearity,
                     g: SourceTerm, cfg: SchemeConfig, t_end: float,
-                    seed: int = 0, band: int | None = None,
-                    floor: float = 1e-3) -> AbsorbReport:
-    """Launch n_per_radius random states per radius (pair norm at s=2
-    pinned to the radius) and compare the tail sups of ||U||_0: a true
-    absorbing set makes them radius-independent.
+                    seed: int = 0, floor: float = 1e-3) -> AbsorbReport:
+    """Launch n_per_radius random states per radius (on modes
+    <= max(1, N // 4), pair norm at s=2 pinned to the radius) and compare
+    the tail sups of ||U||_0: a true absorbing set makes them
+    radius-independent.
 
     Verdicts: pass when the across-radius spread is within 10% or
     everything fell below the floor (a globally attracting equilibrium
@@ -585,8 +585,7 @@ def absorbing_probe(radii: list, n_per_radius: int, nl: Nonlinearity,
     if not radii or any(r <= 0 for r in radii):
         raise ValueError("radii must be positive")
     grid = g.grid
-    if band is None:
-        band = max(1, grid.n_modes // 4)
+    band = max(1, grid.n_modes // 4)
 
     def record(stepper: Stepper):
         u, v = stepper.state.u, stepper.state.v

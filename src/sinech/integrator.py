@@ -191,8 +191,11 @@ def _require_forward(dt: float) -> None:
 def _require_finite(t: float, *arrays: np.ndarray) -> None:
     """InstabilityError (at time t) unless every coefficient is finite.  A
     finite sum proves it in one pass (a nan or an inf never sums to a
-    finite value); only a sum that is not is checked entry by entry."""
-    if not all(math.isfinite(a.sum()) or np.isfinite(a).all() for a in arrays):
+    finite value); only a sum that is not is checked entry by entry.  A
+    sum that overflows, or adds inf to -inf, raises no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = all(math.isfinite(a.sum()) or np.isfinite(a).all() for a in arrays)
+    if not finite:
         raise InstabilityError(
             f"non-finite state at t={t:g}; reduce dt or the resolution/nonlinearity "
             "stiffness",

@@ -54,9 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedNonlinearityError
-from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue, eigenvalue_power,
-                       eigenvalues, field_integral, gradient_values, modal_from_values,
-                       nodal_values, padded_points, quadrature_weight, weighted_sum, work_array)
+from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
+                       field_integral, gradient_values, modal_from_values, nodal_values,
+                       padded_points, quadrature_weight, weighted_sum, work_array)
 
 
 @dataclass
@@ -162,6 +162,13 @@ def _odd_product_integral(side: float, *factors: np.ndarray) -> float:
     return field_integral(prod)
 
 
+# A state that blows up overflows in the evaluations below: they run
+# without numpy's warnings, and the callers' checks (a step's finiteness
+# and energy safeguard, Newton's stop) refuse what they return.
+_OVERFLOW_UNCHECKED = np.errstate(over="ignore", invalid="ignore")
+
+
+@_OVERFLOW_UNCHECKED
 def _f_and_potential(u: ModalField, nl: Nonlinearity, values: np.ndarray | None = None,
                      potential: bool = True) -> tuple[np.ndarray, float | None]:
     """P_n f(u) as a fresh (n, n) array and int F(u) (None without
@@ -226,6 +233,7 @@ def f_eval_dealiased(u: ModalField, nl: Nonlinearity) -> ModalField:
     return ModalField(u.grid, _f_and_potential(u, nl, potential=False)[0])
 
 
+@_OVERFLOW_UNCHECKED
 def fprime_sample(values: np.ndarray, nl: Nonlinearity) -> np.ndarray:
     """f'(u) on the 2n grid from u's values there, in a pooled work array;
     for a3 = 0 it is a1, and values (left untouched then) are not read."""
@@ -277,6 +285,7 @@ def fprime_multiplier(grid: GridSpec, fprime: np.ndarray, dtype=np.float64):
     slot = (np.dtype(dtype), m)  # whose scaled f' scaled_fp holds
     build = _multiplier_builds[slot] = _multiplier_builds.get(slot, 0) + 1
 
+    @_OVERFLOW_UNCHECKED
     def apply(v: np.ndarray) -> np.ndarray:
         if _multiplier_builds[slot] != build:
             raise RuntimeError("stale f' multiplier: another one of its dtype and grid was "
@@ -345,20 +354,17 @@ class AssumptionReport:
     lambda_bound_valid: bool
     m_bound_valid: bool
     r0_valid: bool
-    lambda1: float | None
 
     @property
     def all_valid(self) -> bool:
         return self.lambda_bound_valid and self.m_bound_valid and self.r0_valid
 
 
-def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> AssumptionReport:
+def check_assumptions(nl: Nonlinearity) -> AssumptionReport:
     """Verify the derived structural bounds of the nonlinearity.
 
     Samples f' on [-1000, 1000] (10^6 + 1 points) against lambda_bound,
-    checks the growth bound on f'' and the sign radius r0, and reports
-    lambda_1 when a grid is supplied (the relaxed dissipativity condition
-    liminf f(r)/r > -lambda_1 holds for every coercive cubic).  A bound
+    and checks the growth bound on f'' and the sign radius r0.  A bound
     whose sampled values overflow is flagged, since those verify nothing.
     """
     if nl.a3 <= 0.0:
@@ -374,7 +380,6 @@ def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> Assumpt
                     and np.all(np.abs(fs) <= nl.m_bound * (1.0 + np.abs(r)) + 1e-9))
         r0_ok = bool(np.isfinite(fr).all() and np.all(fr[np.abs(r) >= nl.r0] >= -1e-9))
 
-    lam1 = eigenvalue(grid, 1, 1) if grid is not None else None
     return AssumptionReport(
         lambda_bound=nl.lambda_bound,
         m_bound=nl.m_bound,
@@ -383,7 +388,6 @@ def check_assumptions(nl: Nonlinearity, grid: GridSpec | None = None) -> Assumpt
         lambda_bound_valid=lam_ok,
         m_bound_valid=m_ok,
         r0_valid=r0_ok,
-        lambda1=lam1,
     )
 
 
@@ -484,6 +488,7 @@ class HigherFunctionals:
     h: float
 
 
+@_OVERFLOW_UNCHECKED
 def higher_functionals(state, nl: Nonlinearity, src: SourceTerm | None, shared: dict | None = None,
                        fhat: np.ndarray | None = None) -> HigherFunctionals:
     """Quasi-strong functionals of the flow.

@@ -87,12 +87,6 @@ def eigenvalues(grid: GridSpec) -> np.ndarray:
     return eigenvalue_power(grid, 1.0)
 
 
-def eigenvalue(grid: GridSpec, j: int, k: int) -> float:
-    """Eigenvalue of A = -lap for mode (j, k); indices are 1-based."""
-    _check_mode(grid, j, k)
-    return float(eigenvalues(grid)[j - 1, k - 1])
-
-
 def lambda_max(grid: GridSpec) -> float:
     """Largest resolved eigenvalue, 2*(n_modes*pi/side)^2."""
     return 2.0 * (grid.n_modes * np.pi / grid.side) ** 2
@@ -162,16 +156,9 @@ def quadrature_weight(side: float, n_points: int) -> float:
     return (side / n_points) ** 2
 
 
-def _five_smooth(k: int) -> bool:
-    for p in (2, 3, 5):
-        while k % p == 0:
-            k //= p
-    return k == 1
-
-
 @lru_cache(maxsize=64)
 def padded_points(n_modes: int, factor: int = 2) -> int:
-    """Smallest 5-smooth grid size m > factor * n_modes.
+    """Smallest 5-smooth grid size m > factor * n_modes (scipy's next_fast_len).
 
     Mode k folds onto 2m - k on the cell centres: m > 2n keeps the cubic's
     retained block alias-free and sums band-4n cosines exactly, m > 3n a
@@ -179,10 +166,7 @@ def padded_points(n_modes: int, factor: int = 2) -> int:
     the DST-II/III of length m rides on an FFT of length m, slow when m
     has large prime factors (n_modes = 128, factor 2: 257 is prime).
     """
-    m = factor * n_modes + 1
-    while not _five_smooth(m):
-        m += 1
-    return m
+    return fftpack.next_fast_len(factor * n_modes + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +290,9 @@ def gradient_values(z: ModalField, n_points: int | None = None) -> tuple[np.ndar
     return ux, uy
 
 
-def sup_norm(z: ModalField, refine: int = 4) -> float:
-    """Max |z| over the refine*n_modes cell centres (sup-norm estimate)."""
-    return float(np.abs(nodal_values(z, refine * z.grid.n_modes)).max())
+def sup_norm(z: ModalField) -> float:
+    """Max |z| over the 4 n_modes cell centres (sup-norm estimate)."""
+    return float(np.abs(nodal_values(z, 4 * z.grid.n_modes)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -216,5 +216,5 @@ def test_invariant_suite_and_stated_bounds(tmp_path):
     assert nl.lambda_bound == pytest.approx(1.0)
     assert nl.m_bound == pytest.approx(6.0)
     assert nl.r0 == pytest.approx(1.0)
-    assert check_assumptions(nl, GridSpec(32, PI)).all_valid
+    assert check_assumptions(nl).all_valid
     assert time.perf_counter() <= budget

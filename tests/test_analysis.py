@@ -291,7 +291,7 @@ def test_drivers_snap_to_an_uneven_horizon():
     grid = GridSpec(8, PI)
     init = random_pair_state(grid, 2, 1.0, seed=0)
     g, cfg = SourceTerm.zero(grid), SchemeConfig(dt=1e-3)
-    lip = lipschitz_dependence(init, 1e-3, DOUBLE_WELL, g, cfg, 0.0105, band=2)
+    lip = lipschitz_dependence(init, 1e-3, DOUBLE_WELL, g, cfg, 0.0105)
     dec = decomposition_run(init, DOUBLE_WELL, g, cfg, 10.0, 0.0105)
     for times in (lip.times, dec.times):
         assert len(times) == 11
@@ -304,7 +304,7 @@ def test_drivers_take_no_step_to_a_zero_horizon():
     grid = GridSpec(8, PI)
     init = random_pair_state(grid, 2, 1.0, seed=0)
     g, cfg = SourceTerm.zero(grid), SchemeConfig(dt=1e-3)
-    lip = lipschitz_dependence(init, 1e-3, DOUBLE_WELL, g, cfg, 0.0, band=2)
+    lip = lipschitz_dependence(init, 1e-3, DOUBLE_WELL, g, cfg, 0.0)
     dec = decomposition_run(init, DOUBLE_WELL, g, cfg, 10.0, 0.0)
     assert lip.times == dec.times == [0.0]
     assert lip.rho == [1.0] and dec.sum_error == 0.0
@@ -349,7 +349,7 @@ def test_lipschitz_linear_contraction():
     grid = GridSpec(8, PI)
     init = State(ModalField.zeros(grid), ModalField.zeros(grid))
     rep = lipschitz_dependence(init, 1e-2, LINEAR, SourceTerm.zero(grid),
-                               SchemeConfig(dt=2e-3), 2.0, seed=7, band=4)
+                               SchemeConfig(dt=2e-3), 2.0, seed=7)
     assert rep.rho[0] == 1.0
     assert rep.max_rho <= 1.0 + 1e-10
     assert rep.c7 < 0.0
@@ -362,10 +362,8 @@ def test_lipschitz_scale_robustness():
     g = SourceTerm(random_band_limited(grid, 4, 0.5, seed=40))
     base = random_pair_state(grid, 4, 1.0, seed=50)
     cfg = SchemeConfig(dt=2e-3)
-    ra = lipschitz_dependence(base.copy(), 1e-3, DOUBLE_WELL, g, cfg, 2.0,
-                              seed=8, band=4)
-    rb = lipschitz_dependence(base.copy(), 5e-4, DOUBLE_WELL, g, cfg, 2.0,
-                              seed=8, band=4)
+    ra = lipschitz_dependence(base.copy(), 1e-3, DOUBLE_WELL, g, cfg, 2.0, seed=8)
+    rb = lipschitz_dependence(base.copy(), 5e-4, DOUBLE_WELL, g, cfg, 2.0, seed=8)
     curves = np.abs(np.asarray(ra.rho) - np.asarray(rb.rho))
     assert curves.max() <= 1e-2 * max(ra.max_rho, 1.0)
     assert abs(ra.c7 - rb.c7) <= 0.1 * max(abs(ra.c7), abs(rb.c7))
@@ -521,10 +519,10 @@ def test_stability_indicator_tiny_grids_exact(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_equilibrium_indicator_on_tiny_grids_is_the_dense_eigenvalue(n):
-    # below 5 unknowns find_equilibrium's indicator comes from eigvalsh:
-    # at a nonzero well of u^3 - 3u (|u*| ~ 2.09 on mode (1,1), where
-    # f'(u*) lifts A - 3 to about 2) it is the smallest eigenvalue of the
-    # assembled Newton operator there
+    # on 1 and 4 unknowns find_equilibrium's indicator, by lobpcg, is the
+    # dense eigenvalue: at a nonzero well of u^3 - 3u (|u*| ~ 2.09 on mode
+    # (1,1), where f'(u*) lifts A - 3 to about 2) it is the smallest
+    # eigenvalue of the assembled Newton operator there
     grid = GridSpec(n, PI)
     res = find_equilibrium(ModalField.single_mode(grid, 1, 1, 1.0), STIFF_WELL,
                            SourceTerm.zero(grid))
@@ -535,11 +533,12 @@ def test_equilibrium_indicator_on_tiny_grids_is_the_dense_eigenvalue(n):
     assert res.stability_indicator == pytest.approx(smallest, rel=1e-12)
 
 
-def test_stability_indicator_nonconvergence_raises():
+def test_stability_indicator_nonconvergence_raises(monkeypatch):
     grid = GridSpec(24, PI)
     op, lam = _jacobian_at(random_band_limited(grid, 8, 6.0, seed=2), STIFF_WELL)
+    monkeypatch.setattr(analysis, "_STABILITY_MAXITER", 2)
     with pytest.raises(StepFailureError) as exc:
-        _stability_indicator(op, lam, maxiter=2)
+        _stability_indicator(op, lam)
     assert exc.value.residual_history[-1] > 1e-12
 
 
@@ -691,7 +690,7 @@ def test_absorbing_probe_collapse_passes():
     # so the tails drop under the floor and radii cannot matter
     grid = GridSpec(8, PI)
     rep = absorbing_probe([0.5, 1.0], 2, DOUBLE_WELL, SourceTerm.zero(grid),
-                          SchemeConfig(dt=5e-3), 40.0, seed=1, band=2)
+                          SchemeConfig(dt=5e-3), 40.0, seed=1)
     assert rep.status == "pass" and rep.below_floor
     assert all(s <= rep.floor for s in rep.tail_sup0)
 
@@ -699,11 +698,11 @@ def test_absorbing_probe_collapse_passes():
 def test_absorbing_probe_transient_is_inconclusive():
     grid = GridSpec(8, PI)
     rep = absorbing_probe([1.0, 2.0], 2, DOUBLE_WELL, SourceTerm.zero(grid),
-                          SchemeConfig(dt=5e-3), 4.0, seed=1, band=2)
+                          SchemeConfig(dt=5e-3), 4.0, seed=1)
     assert rep.status == "inconclusive" and not rep.below_floor
     # a single step leaves no sample in [t_end/2, 3 t_end/4): no decay is read there
     rep = absorbing_probe([1.0, 2.0], 1, DOUBLE_WELL, SourceTerm.zero(grid),
-                          SchemeConfig(dt=5e-3), 5e-3, seed=1, band=2)
+                          SchemeConfig(dt=5e-3), 5e-3, seed=1)
     assert rep.status == "fail"
     with pytest.raises(ValueError):
         absorbing_probe([], 2, DOUBLE_WELL, SourceTerm.zero(grid),
@@ -736,7 +735,7 @@ def test_report_dicts_are_json_ready():
     g = SourceTerm.zero(grid)
     init = random_pair_state(grid, 2, 0.5, seed=77)
     rep = lipschitz_dependence(init, 1e-3, DOUBLE_WELL, g,
-                               SchemeConfig(dt=5e-3), 0.5, band=2)
+                               SchemeConfig(dt=5e-3), 0.5)
     eq = find_equilibrium(ModalField.zeros(grid), DOUBLE_WELL, g)
     for d in (_report("lipschitz", rep), _report("equilibrium", eq)):
         assert json.loads(json.dumps(d)) == d

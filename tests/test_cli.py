@@ -697,6 +697,26 @@ def test_short_implicit_steps_stop_at_their_roundoff_floor(tmp_path):
     assert summary["samples"] == 4 and summary["t_final"] == pytest.approx(3e-7)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amp", [1e70, 1e100, 1e200, 1e300])
+@pytest.mark.parametrize("command", ["simulate", "decompose", "lojasiewicz", "lipschitz",
+                                     "converge", "absorb", "equilibrium"])
+def test_a_blow_up_exits_1_without_a_numpy_warning(tmp_path, capsys, command, amp):
+    # data this large overflow in f and int F, f', the f' product or a log
+    # row's squares: the steps end at their finiteness or energy check, and
+    # Newton stops short, so equilibrium reports no convergence; no
+    # evaluation warns on the way
+    cfg = write_config(tmp_path, grid={"n_modes": 4}, t_end=0.01,
+                       initial={"u": {"preset": "single_mode", "amp": amp}},
+                       converge={"resolutions": [4, 8], "n_ref": 16, "band": 2, "t_star": 0.01,
+                                 "amplitude": amp},
+                       decompose={"t_end": 0.01}, lojasiewicz={"t_end": 0.01},
+                       lipschitz={"t_end": 0.01},
+                       absorb={"radii": [amp], "n_per_radius": 1, "t_end": 0.01})
+    assert run_cli(command, "--config", cfg, "--output-dir", str(tmp_path / "o")) == 1
+    assert ("run failed: " in capsys.readouterr().err) == (command != "equilibrium")
+
+
 def test_equilibrium_refuses_a_non_finite_seed(tmp_path, capsys):
     seed_field = random_band_limited(GridSpec(32, math.pi), 4, 1.0, seed=3)
     seed_field.coeff[2, 3] = math.nan

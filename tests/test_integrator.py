@@ -482,6 +482,17 @@ def test_safeguard_trips_on_violent_step():
     assert "dt" in str(exc.value)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_require_finite_raises_without_a_warning():
+    # the one-pass sum of inf and -inf is nan, and numpy's reduce warns of
+    # an invalid value there; the check raises on it, and on nothing else
+    # (a sum that overflows on finite entries), without a warning
+    with pytest.raises(InstabilityError) as exc:
+        integrator._require_finite(0.5, np.array([[math.inf, -math.inf], [1.0, 2.0]]))
+    assert exc.value.time == 0.5
+    integrator._require_finite(0.5, np.full((2, 2), 1e308))
+
+
 def test_safeguard_on_a_non_monotone_implicit_step_says_so():
     # f = u^3 - 60u at dt = 0.1 trips the safeguard in step 1 from these data
     grid = GridSpec(8, PI)

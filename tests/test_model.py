@@ -114,19 +114,17 @@ def test_nonlinearity_class_boundaries():
 
 
 def test_check_assumptions_values():
-    rep = check_assumptions(DOUBLE_WELL, GridSpec(8, PI))
+    rep = check_assumptions(DOUBLE_WELL)
     assert rep.lambda_bound == 1.0    # min f' = f'(0) = -1
     assert rep.m_bound == 6.0         # |f''| = 6|r| <= 6(1+|r|)
     assert rep.r0 == 1.0
     assert rep.all_valid
     assert rep.min_f_prime_sampled >= -rep.lambda_bound - 1e-6
-    assert rep.lambda1 == pytest.approx(2.0, rel=1e-14)
 
     rep2 = check_assumptions(Nonlinearity(1.0, 0.0, 0.0))
     assert rep2.lambda_bound == 0.0 and rep2.r0 == 0.0 and rep2.all_valid
-    assert rep2.lambda1 is None
 
-    rep3 = check_assumptions(Nonlinearity(1.0, 0.0, -3.0), GridSpec(8, PI))
+    rep3 = check_assumptions(Nonlinearity(1.0, 0.0, -3.0))
     assert rep3.lambda_bound == 3.0 and rep3.all_valid
 
     # the bounds are derived, never given: a claim is refused

@@ -151,3 +151,64 @@ def _float32_name(node) -> str | None:
 def test_only_newton_krylov_picks_float32(path):
     assert [use for use in _uses(path, _float32_name)
             if (path.stem, use[1]) not in FLOAT32_ALLOWED] == []
+
+
+# keyword defaults that no call in the package passes, each with its caller
+# outside it
+UNPASSED_DEFAULTS_ALLOWED = {
+    "cli.main.argv": "the console entry point calls main() with none",
+    "integrator.minres.callback": "perfbench/tracer.py passes it to count iterations",
+}
+
+
+def _defaults(path: Path) -> list:
+    """(key, callee, position, name) for each parameter with a default of a
+    module-level function or method of the module at path: key is
+    "module.function.name" (module.Class.method.name for a method), callee
+    the name a call uses (the class's for __init__), position the index of
+    the argument that passes it positionally in such a call (None for a
+    keyword-only parameter)."""
+    out = []
+    tree = ast.parse(path.read_text())
+    owners = [(node, "", 0) for node in tree.body]
+    owners += [(node, cls.name, 1) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body]
+    for node, cls, skip in owners:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args
+        callee = cls if node.name == "__init__" else node.name
+        key = ".".join(filter(None, (path.stem, cls, node.name)))
+        for i in range(len(params) - len(a.defaults), len(params)):
+            out.append((f"{key}.{params[i].arg}", callee, i - skip, params[i].arg))
+        for p, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                out.append((f"{key}.{p.arg}", callee, None, p.arg))
+    return out
+
+
+def _passed(calls: list, callee: str, position, name: str) -> bool:
+    """Whether one of calls, of callee by name or as an attribute, passes the
+    parameter: by keyword, by **, at its position or through a *."""
+    for call in calls:
+        if _dotted(call.func).rsplit(".", 1)[-1] != callee:
+            continue
+        if any(k.arg in (name, None) for k in call.keywords):
+            return True
+        if position is not None and (len(call.args) > position
+                                     or any(isinstance(x, ast.Starred) for x in call.args)):
+            return True
+    return False
+
+
+def test_every_keyword_default_has_a_caller():
+    # a default that no caller overrides is a knob with one setting: it
+    # belongs in the function's body
+    calls = [node for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)]
+    unpassed = {key for path in MODULES for key, callee, position, name in _defaults(path)
+                if not _passed(calls, callee, position, name)}
+    allowed = set(UNPASSED_DEFAULTS_ALLOWED)
+    assert unpassed == allowed, (f"passed by no call: {sorted(unpassed - allowed)}; "
+                                 f"allowed, but passed: {sorted(allowed - unpassed)}")

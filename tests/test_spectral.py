@@ -15,7 +15,6 @@ from sinech.errors import FileFormatError
 from sinech.spectral import (
     GridSpec,
     ModalField,
-    eigenvalue,
     eigenvalue_power,
     eigenvalues,
     field_integral,
@@ -44,13 +43,11 @@ PI = math.pi
 
 def test_eigenvalue_values():
     g = GridSpec(8, PI)
-    assert eigenvalue(g, 1, 1) == pytest.approx(2.0, rel=1e-14)       # 1 + 1
-    assert eigenvalue(g, 2, 3) == pytest.approx(13.0, rel=1e-14)      # 4 + 9
-    assert eigenvalue(GridSpec(8, 2 * PI), 1, 1) == pytest.approx(0.5, rel=1e-14)
-    # table agrees with the scalar accessor
     lam = eigenvalues(g)
     assert lam.shape == (8, 8)
-    assert lam[1, 2] == eigenvalue(g, 2, 3)
+    assert lam[0, 0] == pytest.approx(2.0, rel=1e-14)       # 1 + 1
+    assert lam[1, 2] == pytest.approx(13.0, rel=1e-14)      # 4 + 9
+    assert eigenvalues(GridSpec(8, 2 * PI))[0, 0] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_lambda_max_values():
@@ -62,9 +59,9 @@ def test_lambda_max_values():
 def test_mode_index_bounds():
     g = GridSpec(4, PI)
     with pytest.raises(IndexError):
-        eigenvalue(g, 0, 1)
+        ModalField.single_mode(g, 0, 1)
     with pytest.raises(IndexError):
-        eigenvalue(g, 1, 5)
+        ModalField.single_mode(g, 1, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +243,8 @@ def test_norm_values():
 
 
 def test_sup_norm_single_mode():
-    # 25-point refinement of a 5-mode grid contains the center, where
-    # e_11 attains its max 2/side
-    g5 = GridSpec(5, PI)
-    assert sup_norm(ModalField.single_mode(g5, 1, 1), refine=5) == pytest.approx(
-        2.0 / PI, rel=1e-14
-    )
-    # default refinement gets within grid-sampling error of it
+    # e_11 attains its max 2/side at the centre; the 4N cell centres get
+    # within grid-sampling error of it
     g16 = GridSpec(16, PI)
     s = sup_norm(ModalField.single_mode(g16, 1, 1))
     assert s <= 2.0 / PI + 1e-14
