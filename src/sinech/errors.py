@@ -25,17 +25,13 @@ class StepFailureError(RuntimeError):
 
 
 class InstabilityError(StepFailureError):
-    """A non-finite state (or equilibrium seed), or the energy safeguard
-    tripped: a step increased the energy beyond the configured tolerance.
-    Usually means dt is too large for the resolution/nonlinearity."""
+    """A non-finite state (or equilibrium seed) or energy, or the energy
+    safeguard tripped: a step increased the energy beyond the configured
+    tolerance, which usually means dt is too large for the resolution."""
 
 
 class FileFormatError(RuntimeError):
-    """A snapshot or checkpoint file is malformed or truncated."""
-
-
-class CheckpointVersionError(FileFormatError):
-    """Checkpoint written by an incompatible format version."""
+    """A .mfld snapshot file is malformed or truncated."""
 
 
 class ConfigError(ValueError):

@@ -58,19 +58,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import CheckpointVersionError, ConfigError, InstabilityError, StepFailureError
+from .errors import InstabilityError, StepFailureError
 from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
                     fprime_sample, higher_functionals, nonlinear_term_and_potential,
                     square_sum)
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
-                       from_json, json_value, padded_points, read_binary, weighted_sum,
-                       work_array, write_binary)
+                       padded_points, weighted_sum, work_array)
 
-_CKPT_VERSION = 1
 _MINRES_MAXITER = 1000  # inner iterations per Newton direction
 # Inner solves asked for an rtol of at least _FLOAT32_RTOL apply the
 # Jacobian's f' product in float32 (model.fprime_multiplier).  That product is
@@ -463,22 +461,19 @@ class Stepper:
     stepper-owned array for the log rows: _padded[0] for the current
     state, [1] for the step's new state (an implicit step copies its
     Newton iterate's values there).  A step writes only [1], and its
-    commit swaps the two.  A stepper is also its own checkpoint:
-    save_checkpoint writes it, load_checkpoint reads it back."""
+    commit swaps the two.  A stepper starts at step 0 with no history."""
 
-    def __init__(self, state: State, nl: Nonlinearity, g: SourceTerm,
-                 cfg: SchemeConfig, step_count: int = 0,
-                 fhat_prev: np.ndarray | None = None):
+    def __init__(self, state: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig):
         check_same_grid(state.u, g.g_modal)
         self.state = state.copy()
         self.nl = nl
         self.g = g
         self._g = g if g.g_modal.coeff.any() else None  # g is fixed for the run; None: g = 0
         self.cfg = cfg
-        self.step_count = int(step_count)
+        self.step_count = 0
         self.lam = eigenvalues(state.grid)
         self._cn = CrankNicolson(eigenvalue_power(state.grid, 2.0), self.lam)
-        self._fhat_prev = None if fhat_prev is None else np.array(fhat_prev, dtype=np.float64)
+        self._fhat_prev = None
         self._cur = None  # (fhat, potential) for self.state.u
         self._energy = None  # energy of self.state
         self._sums = {}  # its square sums (model.square_sum), kept for the log row
@@ -606,13 +601,17 @@ class Stepper:
         """One step of size dt (default cfg.dt); returns the dissipation
         increment dt * ||(v_n + v_{n+1})/2||_{V'}^2 of the step.  A dt that
         is not finite and > 0 raises ValueError, as in SchemeConfig.  A failed
-        step changes nothing; its StepFailureError carries t + dt and step."""
+        step changes nothing; its StepFailureError carries t + dt and step.
+        A state whose energy is not finite is refused before any step."""
         h = self.cfg.dt if dt is None else dt
         _require_forward(h)
         e_before = self.energy_total()
         w = self.state.v.coeff
         d = None  # the implicit step's diagonal, once formed
         try:
+            if not math.isfinite(e_before):  # the data overflow: no step size helps
+                raise InstabilityError(f"the energy is not finite ({e_before}) before the step "
+                                       f"from t={self.state.time:g}", time=self.state.time + h)
             if self.cfg.scheme == "imex_cn_ab2":
                 c_new, w_new, cur = self._advance_imex(h)
             else:
@@ -623,8 +622,10 @@ class Stepper:
             sums = {}
             e_after = energy(new, self.nl, self._g, cur[1], sums)
             rise = e_after - e_before
-            if not rise <= self.cfg.safeguard_tol:
+            if not rise <= self.cfg.safeguard_tol:  # a non-finite energy overflowed, not rose
                 raise InstabilityError(
+                    f"the energy is not finite ({e_after}) after the step to t={new.time:g}"
+                    if not math.isfinite(e_after) else
                     f"energy increased by {rise:.3e} in the step to t={new.time:g} "
                     f"(safeguard {self.cfg.safeguard_tol:g}); "
                     "reduce dt or the resolution/nonlinearity stiffness",
@@ -711,67 +712,3 @@ def energy_equality_residual(log: TrajectoryLog, s_idx: int, t_idx: int) -> floa
     y = np.asarray(log.ut_vprime[s_idx : t_idx + 1]) ** 2
     integral = float(np.trapezoid(y, t))
     return abs(log.energy[t_idx] - log.energy[s_idx] + integral)
-
-
-# ---------------------------------------------------------------------------
-# checkpoint files (.ckpt)
-# ---------------------------------------------------------------------------
-
-# the sorted block lists a checkpoint may hold
-_CKPT_LAYOUTS = (["g", "u", "ut"], ["fhat_prev", "g", "u", "ut"])
-
-
-def save_checkpoint(path, stepper: Stepper) -> None:
-    """Write the stepper to a .ckpt file (see spectral.write_binary): the
-    blocks listed in header['blocks'] are u and ut, the source term and,
-    after a step of either scheme, fhat_prev (P_n f of the previous state,
-    which AB2 and the implicit predictor extrapolate from), so the stepper
-    that load_checkpoint returns continues the run bitwise."""
-    state = stepper.state
-    arrays = {"u": state.u.coeff, "ut": state.v.coeff, "g": stepper.g.g_modal.coeff}
-    if stepper._fhat_prev is not None:
-        arrays["fhat_prev"] = stepper._fhat_prev
-    header = {"format": "sinech-checkpoint", "version": _CKPT_VERSION,
-              "n_modes": state.grid.n_modes, "side": state.grid.side,
-              "time": state.time, "step_count": stepper.step_count,
-              "scheme": asdict(stepper.cfg), "nonlinearity": asdict(stepper.nl),
-              "blocks": list(arrays)}
-    write_binary(path, header, arrays.values())
-
-
-def _checkpoint_blocks(header: dict) -> list:
-    """The block names of a checkpoint header, after its format and version."""
-    if header.get("format") != "sinech-checkpoint":
-        raise ValueError("not a checkpoint file")
-    version = header.get("version")
-    if type(version) is not int or version != _CKPT_VERSION:
-        raise CheckpointVersionError(f"checkpoint version {version!r}, "
-                                     f"this reader reads version {_CKPT_VERSION}")
-    blocks = header["blocks"]
-    if not isinstance(blocks, list) or sorted(blocks) not in _CKPT_LAYOUTS:
-        raise ValueError(f"block list {blocks!r} is not u, ut, g and optionally fhat_prev")
-    return blocks
-
-
-def _stepper(header: dict, grid: GridSpec, blocks: dict) -> Stepper:
-    """The stepper a header and its blocks describe, built state, scheme,
-    nonlinearity, source, so a header with several bad blocks names the
-    first of these."""
-    state = State(ModalField(grid, blocks["u"]), ModalField(grid, blocks["ut"]),
-                  json_value(header["time"], float, "time"))
-    cfg = from_json(SchemeConfig, header["scheme"], "scheme.")
-    nl = from_json(Nonlinearity, header["nonlinearity"], "nonlinearity.")
-    step_count = json_value(header["step_count"], int, "step_count")
-    if not 0 <= step_count <= 2**53:  # as horizon_steps: step_count * h stays exact
-        raise ConfigError(f"expected an integer in 0..2**53, got {step_count}", key="step_count")
-    return Stepper(state, nl, SourceTerm(ModalField(grid, blocks["g"])), cfg,
-                   step_count=step_count, fhat_prev=blocks.get("fhat_prev"))
-
-
-def load_checkpoint(path) -> Stepper:
-    """Read a .ckpt file into the Stepper it saved, ready for run; nothing
-    is evaluated on the state until it steps.  A malformed file raises
-    FileFormatError (see spectral.read_binary), one of another format
-    version CheckpointVersionError; header keys the format does not use
-    are ignored."""
-    return read_binary(path, _checkpoint_blocks, _stepper)

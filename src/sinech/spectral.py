@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -366,11 +366,10 @@ def random_band_limited(grid: GridSpec, band: int, amplitude: float, seed: int) 
 
 
 # ---------------------------------------------------------------------------
-# typed JSON values (config leaves, file headers); the binary file format
+# typed JSON values (config leaves, file headers); .mfld snapshot files
 # ---------------------------------------------------------------------------
 
 _EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
-_JSON_KIND = {kind.__name__: kind for kind in _EXPECTED}
 
 
 def json_value(val, kind: type, key: str):
@@ -385,20 +384,6 @@ def json_value(val, kind: type, key: str):
     return val
 
 
-def from_json(cls, block: dict, prefix: str = ""):
-    """cls built from the JSON object block: every init field is required
-    and read by json_value as the type it is annotated with (int, float or
-    str), under the dotted key prefix + name; other keys, also the derived
-    (init=False) fields, are not read.  A missing field raises ConfigError
-    naming its dotted key."""
-    kinds = {f.name: _JSON_KIND[f.type] for f in fields(cls) if f.init}
-    for name in kinds:
-        if name not in block:
-            raise ConfigError("missing", key=prefix + name)
-    return cls(**{name: json_value(block[name], kind, prefix + name)
-                  for name, kind in kinds.items()})
-
-
 def _check_finite_header(header: dict, prefix: str = "") -> None:
     """ValueError naming the first key (dotted into nested objects) that
     holds a non-finite number: json.dumps would write NaN or Infinity,
@@ -410,30 +395,25 @@ def _check_finite_header(header: dict, prefix: str = "") -> None:
             raise ValueError(f"header key '{prefix}{key}' holds {val!r}")
 
 
-def write_binary(path, header: dict, blocks) -> None:
-    """Write header (which carries the grid's n_modes and side) as one
-    UTF-8 JSON line, then each (n_modes, n_modes) block as row-major
-    little-endian float64.  A non-finite number anywhere in the header
-    raises ValueError naming its key, before the file is opened."""
+def save_field(path, z: ModalField, time: float = 0.0, kind: str = "u") -> None:
+    """Write a .mfld snapshot: one UTF-8 JSON header line holding the grid's
+    n_modes and side, time and kind, then the (n_modes, n_modes)
+    coefficients as row-major little-endian float64.  A non-finite time
+    raises ValueError naming it, before the file is opened."""
+    header = {"n_modes": z.grid.n_modes, "side": z.grid.side, "time": float(time),
+              "kind": str(kind)}
     _check_finite_header(header)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for block in blocks:
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(z.coeff, dtype="<f8").tobytes())
 
 
-def read_binary(path, block_names, build):
-    """Read a write_binary file; returns build(header, grid, blocks).
-
-    block_names(header) checks the keys that identify the file kind and
-    returns the names of the blocks in file order; blocks maps each name
-    to its array.  The header must be a JSON object with no non-finite
-    number anywhere (NaN, Infinity, or a literal beyond the float range),
-    whose n_modes and side make a GridSpec (read by from_json), and the
-    blocks must fill the rest of the file exactly.
-    Any defect, also a KeyError, TypeError or ValueError from block_names
-    or build, raises FileFormatError.
-    """
+def load_field(path) -> tuple[ModalField, float, str]:
+    """Read a .mfld snapshot; returns (field, time, kind).  The header must
+    be a JSON object with no non-finite number anywhere, whose n_modes and
+    side make a GridSpec, time is a finite number and kind a string (each
+    read by json_value; other keys are ignored), and the block must fill
+    the rest of the file exactly.  Any defect raises FileFormatError."""
     with open(path, "rb") as fh:
         head, body = fh.readline(), fh.read()  # what the file holds, not what a header claims
     try:
@@ -441,35 +421,15 @@ def read_binary(path, block_names, build):
         if not isinstance(header, dict):
             raise ValueError("the header is not a JSON object")
         _check_finite_header(header)
-        names = list(block_names(header))
-        grid = from_json(GridSpec, header)
+        grid = GridSpec(json_value(header["n_modes"], int, "n_modes"),
+                        json_value(header["side"], float, "side"))
         n = grid.n_modes
-        size = 8 * n * n
-        if len(body) < size * len(names):
-            raise FileFormatError(f"{path}: truncated block '{names[len(body) // size]}'")
-        if len(body) > size * len(names):
-            raise FileFormatError(f"{path}: {len(body) - size * len(names)} bytes "
-                                  "after the last block")
-        blocks = {name: np.frombuffer(body, dtype="<f8", count=n * n, offset=i * size)
-                  .reshape(n, n).copy() for i, name in enumerate(names)}
-        return build(header, grid, blocks)
+        if len(body) < 8 * n * n:
+            raise FileFormatError(f"{path}: truncated block 'coeff'")
+        if len(body) > 8 * n * n:
+            raise FileFormatError(f"{path}: {len(body) - 8 * n * n} bytes after the last block")
+        coeff = np.frombuffer(body, dtype="<f8").reshape(n, n).copy()
+        return (ModalField(grid, coeff), json_value(header["time"], float, "time"),
+                json_value(header["kind"], str, "kind"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(f"{path}: bad header ({exc!r})") from exc
-
-
-def save_field(path, z: ModalField, time: float = 0.0, kind: str = "u") -> None:
-    """Write a .mfld snapshot: the header holds the grid, time and kind;
-    one coefficient block follows."""
-    header = {"n_modes": z.grid.n_modes, "side": z.grid.side, "time": float(time),
-              "kind": str(kind)}
-    write_binary(path, header, [z.coeff])
-
-
-def load_field(path) -> tuple[ModalField, float, str]:
-    """Read a .mfld snapshot; returns (field, time, kind).  A malformed
-    file raises FileFormatError (see read_binary)."""
-    def build(header, grid, blocks):
-        return (ModalField(grid, blocks["coeff"]), json_value(header["time"], float, "time"),
-                json_value(header["kind"], str, "kind"))
-
-    return read_binary(path, lambda header: ["coeff"], build)

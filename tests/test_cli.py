@@ -717,6 +717,21 @@ def test_a_blow_up_exits_1_without_a_numpy_warning(tmp_path, capsys, command, am
     assert ("run failed: " in capsys.readouterr().err) == (command != "equilibrium")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme", ["imex_cn_ab2", "implicit_newton"])
+@pytest.mark.parametrize("amp,cause", [
+    (1e70, "the energy is not finite (nan) after the step to t=0.001 (step 1, t=0.001)"),
+    (1e100, "the energy is not finite (inf) before the step from t=0 (step 1, t=0.001)"),
+], ids=["1e70", "1e100"])
+def test_a_non_finite_energy_exits_1_naming_it(tmp_path, capsys, scheme, amp, cause):
+    # an overflowed energy is not called a rise, and no dt advice is given
+    cfg = write_config(tmp_path, grid={"n_modes": 4}, t_end=0.01,
+                       initial={"u": {"preset": "single_mode", "amp": amp}},
+                       scheme={"dt": 1e-3, "scheme": scheme})
+    assert run_cli("simulate", "--config", cfg, "--output-dir", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"run failed: {cause}\n"
+
+
 def test_equilibrium_refuses_a_non_finite_seed(tmp_path, capsys):
     seed_field = random_band_limited(GridSpec(32, math.pi), 4, 1.0, seed=3)
     seed_field.coeff[2, 3] = math.nan

@@ -1,6 +1,5 @@
-"""Time stepping: oracle accuracy, energy bookkeeping, checkpoints."""
+"""Time stepping: oracle accuracy, energy bookkeeping, failure paths."""
 
-import json
 import math
 import resource
 import tracemalloc
@@ -11,12 +10,7 @@ from oracles import (InsufficientDataError, crank_nicolson_closed_form, exact_li
                      higher_energy_residual, oracle_multiplier_matrix)
 from scipy.sparse.linalg import LinearOperator, minres
 
-from sinech.errors import (
-    CheckpointVersionError,
-    FileFormatError,
-    InstabilityError,
-    StepFailureError,
-)
+from sinech.errors import InstabilityError, StepFailureError
 from sinech import analysis, integrator, model
 from sinech.analysis import find_equilibrium, random_pair_state
 from sinech.integrator import (
@@ -27,11 +21,9 @@ from sinech.integrator import (
     TrajectoryLog,
     energy_equality_residual,
     horizon_steps,
-    load_checkpoint,
     newton_krylov,
     newton_operator,
     run,
-    save_checkpoint,
     simulate,
 )
 from sinech.model import (
@@ -483,6 +475,30 @@ def test_safeguard_trips_on_violent_step():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme", ["imex_cn_ab2", "implicit_newton"])
+@pytest.mark.parametrize("amp,when,energy_before", [
+    (1e70, "after the step to t=0.001", 5.699e278),  # a finite state whose energy overflows
+    (1e100, "before the step from t=0", math.inf),    # data whose energy already does
+], ids=["1e70", "1e100"])
+def test_a_non_finite_energy_is_named_not_called_a_rise(scheme, amp, when, energy_before):
+    # the energy overflowed, so it did not rise, and a smaller dt fails the
+    # same way: the message says so and gives no dt advice; the step is
+    # refused with its end time and index and changes nothing
+    grid = GridSpec(4, PI)
+    stepper = Stepper(_single_mode_state(grid, amp), DOUBLE_WELL, SourceTerm.zero(grid),
+                      SchemeConfig(dt=1e-3, scheme=scheme))
+    for _ in range(2):  # a retry fails the same way
+        with pytest.raises(InstabilityError) as exc:
+            stepper.advance()
+        message = str(exc.value)
+        assert message.startswith("the energy is not finite (") and message.endswith(when)
+        assert "increased" not in message and "dt" not in message
+        assert exc.value.time == 1e-3 and exc.value.step == 1
+        assert stepper.step_count == 0 and stepper.state.time == 0.0
+        assert stepper.energy_total() == pytest.approx(energy_before, rel=1e-3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_require_finite_raises_without_a_warning():
     # the one-pass sum of inf and -inf is nan, and numpy's reduce warns of
     # an invalid value there; the check raises on it, and on nothing else
@@ -927,237 +943,30 @@ def test_newton_scheme_dissipates_nonlinear():
 
 
 # ---------------------------------------------------------------------------
-# checkpointing
+# what a step reads
 # ---------------------------------------------------------------------------
 
-def _run_stepper(stepper, n):
-    for _ in range(n):
-        stepper.advance()
-
-
 @pytest.mark.parametrize("scheme", ["imex_cn_ab2", "implicit_newton"])
-def test_checkpoint_roundtrip_bitwise(tmp_path, scheme):
+def test_state_history_and_count_are_all_a_step_reads(scheme):
+    # a fresh stepper given a running one's state, P_N f of its previous
+    # state and its step count takes bitwise the same next steps: nothing
+    # else that a step reads is carried from one step to the next
     grid = GridSpec(8, PI)
     g = SourceTerm(random_band_limited(grid, 3, 0.5, seed=71))
     cfg = SchemeConfig(dt=1e-3, scheme=scheme)
-    st = random_pair_state(grid, 4, 1.0, seed=70)
-
-    ref = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
-    _run_stepper(ref, 17)
-
-    half = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
-    _run_stepper(half, 7)
-    path = tmp_path / "run.ckpt"
-    save_checkpoint(path, half)
-    resumed = load_checkpoint(path)
-    assert resumed.step_count == 7
-    _run_stepper(resumed, 10)
-
-    assert np.array_equal(resumed.state.u.coeff, ref.state.u.coeff)
-    assert np.array_equal(resumed.state.v.coeff, ref.state.v.coeff)
-    assert resumed.state.time == ref.state.time
-    assert resumed.step_count == ref.step_count == 17
-
-
-def test_implicit_checkpoint_carries_the_predictor_history(tmp_path):
-    # implicit_newton's predictor extrapolates P_N f from the last two
-    # accepted states, so its checkpoints hold fhat_prev too; a checkpoint
-    # without it (as implicit steppers wrote before the extrapolation) still
-    # loads, and its first step starts from the frozen predictor, so the run
-    # is not bitwise but within Newton's 1e-10 stop of the uninterrupted one
-    # (measured: 4.7e-13 relative in u, 4.2e-12 in u_t)
-    grid = GridSpec(8, PI)
-    g = SourceTerm(random_band_limited(grid, 3, 0.5, seed=71))
-    cfg = SchemeConfig(dt=1e-3, scheme="implicit_newton")
-    st = random_pair_state(grid, 4, 1.0, seed=70)
-
-    one = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
-    _run_stepper(one, 1)
-    save_checkpoint(tmp_path / "one.ckpt", one)
-    header = json.loads((tmp_path / "one.ckpt").read_bytes().partition(b"\n")[0])
-    assert header["blocks"] == ["u", "ut", "g", "fhat_prev"]
-
-    ref = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
-    _run_stepper(ref, 17)
-    half = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
-    _run_stepper(half, 7)
-    half._fhat_prev = None
-    path = tmp_path / "no_history.ckpt"
-    save_checkpoint(path, half)
-    assert json.loads(path.read_bytes().partition(b"\n")[0])["blocks"] == ["u", "ut", "g"]
-    resumed = load_checkpoint(path)
-    _run_stepper(resumed, 10)
-    assert resumed.step_count == 17 and resumed.state.time == ref.state.time
-    for new, old, rel in ((resumed.state.u, ref.state.u, 1e-10),
-                          (resumed.state.v, ref.state.v, 1e-9)):
-        assert np.abs(new.coeff - old.coeff).max() <= rel * np.abs(old.coeff).max()
-        assert not np.array_equal(new.coeff, old.coeff)
-
-
-def test_resume_simulation_matches_uninterrupted(tmp_path):
-    # dt a power of two so the resumed horizon re-snaps to the exact
-    # same step and the tail reproduces the uninterrupted run bitwise
-    grid = GridSpec(8, PI)
-    g = SourceTerm.zero(grid)
-    cfg = SchemeConfig(dt=2.0**-10)
-    t_end = 32.0 * 2.0**-10
-    st = random_pair_state(grid, 4, 1.0, seed=73)
-
-    full = simulate(st.copy(), DOUBLE_WELL, g, cfg, t_end)
-
-    half = Stepper(st.copy(), DOUBLE_WELL, g, cfg)
-    _run_stepper(half, 10)
-    path = tmp_path / "half.ckpt"
-    save_checkpoint(path, half)
-    tail = TrajectoryLog()
-    run(load_checkpoint(path), t_end, 1, tail.record)
-    assert tail.final.time == full.final.time == t_end
-    assert np.array_equal(tail.final.u.coeff, full.final.u.coeff)
-    assert np.array_equal(tail.final.v.coeff, full.final.v.coeff)
-
-
-def test_checkpoint_file_corruption(tmp_path):
-    grid = GridSpec(4, PI)
-    stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
-                      SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
-    _run_stepper(stepper, 3)
-    path = tmp_path / "ok.ckpt"
-    save_checkpoint(path, stepper)
-    blob = path.read_bytes()
-
-    trunc = tmp_path / "trunc.ckpt"
-    trunc.write_bytes(blob[:-24])
-    with pytest.raises(FileFormatError):
-        load_checkpoint(trunc)
-
-    head, _, rest = blob.partition(b"\n")
-    bumped = tmp_path / "version.ckpt"
-    bumped.write_bytes(head.replace(b'"version": 1', b'"version": 99') + b"\n" + rest)
-    with pytest.raises(CheckpointVersionError):
-        load_checkpoint(bumped)
-
-    alien = tmp_path / "alien.ckpt"
-    alien.write_bytes(b'{"format": "something-else"}\n' + rest)
-    with pytest.raises(FileFormatError):
-        load_checkpoint(alien)
-
-
-def test_checkpoint_ignores_retired_header_keys(tmp_path):
-    # version-1 files written before rng_seed was dropped still load and
-    # resume bitwise: the loader ignores header keys it does not use
-    grid = GridSpec(8, PI)
-    cfg = SchemeConfig(dt=1e-3)
-    st = random_pair_state(grid, 4, 1.0, seed=72)
-    ref = Stepper(st.copy(), DOUBLE_WELL, SourceTerm.zero(grid), cfg)
-    _run_stepper(ref, 9)
-    half = Stepper(st.copy(), DOUBLE_WELL, SourceTerm.zero(grid), cfg)
-    _run_stepper(half, 4)
-    path = tmp_path / "old.ckpt"
-    save_checkpoint(path, half)
-    head, _, rest = path.read_bytes().partition(b"\n")
-    assert b"rng_seed" not in head
-    path.write_bytes(head.replace(b'"step_count": 4', b'"step_count": 4, "rng_seed": 70')
-                     + b"\n" + rest)
-    resumed = load_checkpoint(path)
-    _run_stepper(resumed, 5)
-    assert np.array_equal(resumed.state.u.coeff, ref.state.u.coeff)
-    assert np.array_equal(resumed.state.v.coeff, ref.state.v.coeff)
-
-
-def _drop_key(key):
-    def edit(header):
-        del header[key]
-    return edit
-
-
-def _set_naming(key, value):
-    def edit(header):
-        header[key] = value
-        return key
-    return edit
-
-
-def _drop_naming(block, key):
-    def edit(header):
-        del header[block][key]
-        return f"{block}.{key}"
-    return edit
-
-
-@pytest.mark.parametrize("edit", [
-    _drop_key("n_modes"),
-    _drop_key("side"),
-    _drop_key("scheme"),
-    _drop_key("nonlinearity"),
-    _drop_key("blocks"),
-    lambda header: header["blocks"].append("rng_state"),   # unknown block
-    lambda header: header["blocks"].remove("ut"),          # u, ut, g are required
-    lambda header: header["blocks"].remove("g"),
-    lambda header: header.update(n_modes=10**6),          # more than the file holds
-    lambda header: header.update(n_modes=math.inf),
-    lambda header: header.update(n_modes=10**400),        # beyond the float range
-    lambda header: header["scheme"].update(dt=-1e-3),       # time runs forward only
-    lambda header: header["scheme"].update(dt=True),        # nested fields keep their types
-    lambda header: header["scheme"].update(newton_max_iter=2.5),
-    lambda header: header["scheme"].update(safeguard_tol=None),
-    lambda header: header["scheme"].update(safeguard_tol=-1),
-    lambda header: header["nonlinearity"].update(a3=True),
-    lambda header: header["nonlinearity"].update(a1="x"),
-    _set_naming("step_count", -5),                          # a step index counts from 0
-    _set_naming("step_count", 10**400),                     # beyond 2**53, as horizon_steps
-    _drop_naming("scheme", "dt"),
-    _drop_naming("nonlinearity", "a3"),
-], ids=["no-n_modes", "no-side", "no-scheme", "no-nonlinearity", "no-blocks",
-        "unknown-block", "no-ut-block", "no-g-block", "huge-n_modes", "inf-n_modes",
-        "overflow-n_modes",
-        "negative-dt", "bool-dt", "float-newton_max_iter", "null-safeguard_tol",
-        "negative-safeguard_tol", "bool-a3",
-        "str-a1", "negative-step_count", "huge-step_count", "no-scheme.dt",
-        "no-nonlinearity.a3"])
-def test_checkpoint_malformed_header_is_file_format_error(tmp_path, edit):
-    grid = GridSpec(4, PI)
-    stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
-                      SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
-    _run_stepper(stepper, 2)
-    path = tmp_path / "run.ckpt"
-    save_checkpoint(path, stepper)
-    head, _, rest = path.read_bytes().partition(b"\n")
-    header = json.loads(head)
-    key = edit(header)  # the key the error must name, for the edits that say
-    path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-    with pytest.raises(FileFormatError, match=None if key is None else f"'{key}'"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_null_bounds_are_derived(tmp_path):
-    # lambda_bound, m_bound and r0 are written but not read: null, or a
-    # claim an earlier version wrote, loads with the bounds derived from
-    # the coefficients
-    grid = GridSpec(4, PI)
-    stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
-                      SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
-    path = tmp_path / "run.ckpt"
-    save_checkpoint(path, stepper)
-    head, _, rest = path.read_bytes().partition(b"\n")
-    for bound in (None, 0.0):
-        header = json.loads(head)
-        header["nonlinearity"].update(lambda_bound=bound, m_bound=bound, r0=bound)
-        path.write_bytes(json.dumps(header).encode() + b"\n" + rest)
-        assert load_checkpoint(path).nl == DOUBLE_WELL
-
-
-@pytest.mark.parametrize("cut", [8, 8 * 4 * 4 - 8, 8 * 4 * 4])
-def test_checkpoint_short_last_block_names_it(tmp_path, cut):
-    grid = GridSpec(4, PI)
-    stepper = Stepper(_single_mode_state(grid), DOUBLE_WELL,
-                      SourceTerm.zero(grid), SchemeConfig(dt=1e-3))
-    _run_stepper(stepper, 2)
-    path = tmp_path / "run.ckpt"
-    save_checkpoint(path, stepper)
-    last = json.loads(path.read_bytes().partition(b"\n")[0])["blocks"][-1]
-    path.write_bytes(path.read_bytes()[:-cut])
-    with pytest.raises(FileFormatError, match=f"truncated block '{last}'"):
-        load_checkpoint(path)
+    running = Stepper(random_pair_state(grid, 4, 1.0, seed=70), DOUBLE_WELL, g, cfg)
+    for _ in range(7):
+        running.advance()
+    fresh = Stepper(running.state, DOUBLE_WELL, g, cfg)
+    fresh._fhat_prev = running._fhat_prev.copy()
+    fresh.step_count = running.step_count
+    for _ in range(10):
+        assert fresh.advance() == running.advance()
+        assert np.array_equal(fresh.state.u.coeff, running.state.u.coeff)
+        assert np.array_equal(fresh.state.v.coeff, running.state.v.coeff)
+        assert fresh.state.time == running.state.time
+        assert fresh.energy_total() == running.energy_total()
+    assert fresh.step_count == running.step_count == 17
 
 
 # ---------------------------------------------------------------------------

@@ -212,3 +212,47 @@ def test_every_keyword_default_has_a_caller():
     allowed = set(UNPASSED_DEFAULTS_ALLOWED)
     assert unpassed == allowed, (f"passed by no call: {sorted(unpassed - allowed)}; "
                                  f"allowed, but passed: {sorted(allowed - unpassed)}")
+
+
+# module-level functions and classes that no code in the package names, each
+# with its caller outside it
+UNCALLED_ALLOWED = {}
+
+
+def _definitions_and_uses(path: Path) -> tuple[list, list]:
+    """"module.name" for each module-level function and class of the module
+    at path, and (name, owner) for each name the module reads (a bare name
+    or an attribute), owner the "module.name" of the module-level
+    definition it sits in (None outside any)."""
+    tree = ast.parse(path.read_text())
+    defs = [f"{path.stem}.{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    uses = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.Name):
+            uses.append((node.id, owner))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for node in tree.body:
+        key = f"{path.stem}.{getattr(node, 'name', '')}"
+        visit(node, key if key in defs else None)
+    return defs, uses
+
+
+def test_every_function_and_class_has_a_caller():
+    # a definition that nothing in the package names is code the system
+    # does not run: give it a caller or delete it
+    defs, uses = [], []
+    for path in MODULES:
+        d, u = _definitions_and_uses(path)
+        defs += d
+        uses += u
+    uncalled = {key for key in defs
+                if not any(name == key.split(".")[1] and owner != key for name, owner in uses)}
+    allowed = set(UNCALLED_ALLOWED)
+    assert uncalled == allowed, (f"named by no code in the package: {sorted(uncalled - allowed)}; "
+                                 f"allowed, but named: {sorted(allowed - uncalled)}")

@@ -21,7 +21,7 @@ def test_quick_start_runs(tmp_path, monkeypatch):
     names = {}
     for block in (quick.replace("t_end=5.0", "t_end=0.05"), *rest):
         exec(compile(block, str(README), "exec"), names)
-    for csv in ("trajectory.csv", "resumed.csv"):  # t = 0 to 0.05, then 0.05 to 0.1
+    for csv in ("trajectory.csv", "tail.csv"):  # t = 0 to 0.05, then 0.05 to 0.1
         rows = (tmp_path / csv).read_text().splitlines()
         assert rows[0].startswith("t,") and len(rows) == 1 + 6
     full = simulate(names["init"], names["nl"], names["g"], SchemeConfig(dt=1e-3), t_end=0.1)
@@ -46,5 +46,5 @@ def test_config_keys_named_in_the_readme_are_defaults_leaves():
 
     blocks = "|".join(key for key, val in DEFAULTS.items() if isinstance(val, dict))
     named = {key for key in re.findall(rf"`((?:{blocks})\.[A-Za-z0-9_.]+)`", README.read_text())
-             if not key.endswith((".json", ".mfld", ".ckpt", ".csv"))}  # file names
+             if not key.endswith((".json", ".mfld", ".csv"))}  # file names
     assert len(named) >= 20 and named <= set(leaves(DEFAULTS)), named - set(leaves(DEFAULTS))

@@ -500,6 +500,13 @@ def _edit_header(key, value):
     return edit
 
 
+def _drop_header_key(key):
+    def edit(header):
+        del header[key]
+        return header
+    return edit
+
+
 @pytest.mark.parametrize("edit", [
     _edit_header("n_modes", "abc"),
     _edit_header("side", -1.0),
@@ -507,18 +514,33 @@ def _edit_header(key, value):
     _edit_header("n_modes", -2),
     _edit_header("n_modes", None),
     _edit_header("n_modes", 10**6),     # would need an 8 TB block
+    _edit_header("n_modes", math.inf),
+    _edit_header("n_modes", 10**400),   # beyond the float range
     _edit_header("time", "later"),
+    _drop_header_key("n_modes"),
+    _drop_header_key("side"),
+    _drop_header_key("kind"),
     lambda header: [header],             # a JSON array, not an object
     lambda header: 8,                    # a bare number
     lambda header: "n_modes side time",  # a string holding the key names
 ], ids=["n_modes-abc", "side-negative", "n_modes-zero", "n_modes-negative",
-        "n_modes-null", "n_modes-huge", "time-text", "array", "number", "string"])
+        "n_modes-null", "n_modes-huge", "n_modes-inf", "n_modes-overflow", "time-text",
+        "no-n_modes", "no-side", "no-kind", "array", "number", "string"])
 def test_field_file_bad_header_is_file_format_error(tmp_path, edit):
     path = tmp_path / "snap.mfld"
     save_field(path, ModalField.zeros(GridSpec(2, PI)))
     head, _, rest = path.read_bytes().partition(b"\n")
     path.write_bytes(json.dumps(edit(json.loads(head))).encode() + b"\n" + rest)
     with pytest.raises(FileFormatError):
+        load_field(path)
+
+
+@pytest.mark.parametrize("cut", [8, 8 * 4 * 4 - 8, 8 * 4 * 4])
+def test_field_file_short_block_names_it(tmp_path, cut):
+    path = tmp_path / "snap.mfld"
+    save_field(path, ModalField.zeros(GridSpec(4, PI)))
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(FileFormatError, match="truncated block 'coeff'"):
         load_field(path)
 
 
