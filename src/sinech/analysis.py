@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InstabilityError, StepFailureError
-from .integrator import (CrankNicolson, SchemeConfig, State, Stepper, horizon_steps,
+from .integrator import (SchemeConfig, SplitStepper, State, Stepper, horizon_steps,
                          inverse_diagonal, minres, newton_krylov, newton_operator, run)
-from .model import Nonlinearity, SourceTerm, energy, f_eval_dealiased, fprime_sample
+from .model import Nonlinearity, SourceTerm, energy, fprime_sample
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalues, lambda_max,
                        norm_Hs, norm_pair, resample, sup_norm, weighted_sum)
 
@@ -177,40 +177,12 @@ class DecompositionRun:
         return self.fitted_kappa > 0 and self.fit_r2 >= 0.9
 
 
-class _Split(Stepper):
-    """The IMEX Stepper of u that, after each accepted step of u, also steps
-    the compact part v (zero data, forced by L ubar + A^(-1) g with ubar the
-    endpoint average of u's step) and the decaying part w (data U_0, forced
-    by the difference of u's and v's AB2 terms); v and w are coefficient
-    pairs (c, c_t), stepped by CrankNicolson.step_ab2 on lam^2 + L."""
-
-    def __init__(self, initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
-                 big_l: float):
-        super().__init__(State(initial.u, initial.v), nl, g, cfg)
-        self.big_l, self._cn_l = big_l, CrankNicolson(self._cn.lam2 + big_l, self.lam)
-        zero = np.zeros(initial.grid.shape)
-        self.v, self.w, self._fv_prev = (zero, zero), (initial.u.coeff, initial.v.coeff), None
-
-    def advance(self, h: float) -> float:
-        c, t = self.state.u.coeff, self.state.time
-        fu, fu_prev, fv_prev = self._ensure_current()[0], self._fhat_prev, self._fv_prev
-        fv = f_eval_dealiased(ModalField(self.state.grid, self.v[0]), self.nl).coeff
-        dissip = super().advance(h)
-        ubar = 0.5 * (c + self.state.u.coeff)
-        self.v = self._cn_l.step_ab2(*self.v, fv, fv_prev, self.g.g_modal.coeff + self.big_l * ubar,
-                                     h, t)
-        diff_prev = None if fv_prev is None else fu_prev - fv_prev
-        self.w = self._cn_l.step_ab2(*self.w, fu - fv, diff_prev, None, h, t)
-        self._fv_prev = fv
-        return dissip
-
-
 def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
                       cfg: SchemeConfig, big_l: float, t_end: float) -> DecompositionRun:
     """Co-evolve the full solution u, the compact part v and the decaying
-    part w (see _Split) from t = 0 to t_end, all with the shared
-    Crank-Nicolson/AB2 discretization, driven by run in the steps of
-    horizon_steps.  About 200 samples are taken, at step_count * h; the
+    part w (see integrator.SplitStepper) from t = 0 to t_end, all with the
+    shared Crank-Nicolson/AB2 discretization, driven by run in the steps
+    of horizon_steps.  About 200 samples are taken, at step_count * h; the
     decay rate is fitted over [0.1 t_end, t_end].
 
     The coupling term L*u enters the v-system Crank-Nicolson style with
@@ -222,17 +194,16 @@ def decomposition_run(initial: State, nl: Nonlinearity, g: SourceTerm,
     """
     if big_l <= 0:
         raise ValueError("big_l must be positive")
-    if cfg.scheme != "imex_cn_ab2":
-        raise ValueError("decomposition_run requires the imex_cn_ab2 scheme")
+    split = SplitStepper(initial, nl, g, cfg, big_l)
     h = horizon_steps(t_end, cfg.dt)[1]
 
-    def record(s: _Split):
+    def record(s: SplitStepper):
         u = (s.state.u, s.state.v)
         v, w = ([ModalField(s.state.grid, c) for c in part] for part in (s.v, s.w))
         err = norm_pair(v[0] + w[0] - u[0], v[1] + w[1] - u[1], 0.0)
         return s.step_count * h, norm_pair(*w, 0.0), err, err / (1.0 + norm_pair(*u, 0.0))
 
-    rows = _samples(_Split(initial, nl, g, cfg, big_l), t_end, 200, record)
+    rows = _samples(split, t_end, 200, record)
     times, trace, errs, rels = (list(col) for col in zip(*rows))
     fit_window = (0.1 * t_end, t_end)
     t_arr, w_arr = np.asarray(times), np.asarray(trace)

@@ -6,7 +6,8 @@ Two schemes:
   2x2 solves in closed form, as propagator tables cached per step size),
   Adams-Bashforth-2 extrapolation of the dealiased nonlinear term at the
   half step, with a single nonlinearity-explicit Euler start-up step;
-  CrankNicolson.step_ab2 is the one home of this rule.
+  CrankNicolson.step_ab2 is the one home of this rule, by which
+  SplitStepper also steps the decomposition's two parts beside u.
   Second order; the linear part is unconditionally stable, the explicit
   part is benign at desk scale as long as dt * lambda_max * |f'| stays
   moderate.  Besides one padded transform pair (the new state's P_n f(u)
@@ -63,9 +64,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import InstabilityError, StepFailureError
-from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, fprime_multiplier,
-                    fprime_sample, higher_functionals, nonlinear_term_and_potential,
-                    square_sum)
+from .model import (Nonlinearity, SourceTerm, diagnostic_F, energy, f_eval_dealiased,
+                    fprime_multiplier, fprime_sample, higher_functionals,
+                    nonlinear_term_and_potential, square_sum)
 from .spectral import (GridSpec, ModalField, check_same_grid, dot, eigenvalue_power, eigenvalues,
                        padded_points, weighted_sum, work_array)
 
@@ -157,11 +158,12 @@ class TrajectoryLog:
 
     def record(self, stepper: "Stepper", dissip_cum: float) -> None:
         """Append one row for the stepper's current state."""
-        s = stepper.state
+        s, fhat = stepper.state, stepper._cur[0]
         # the functionals and the norms share one dict of sums and padded-grid
-        # values, seeded by the step (see Stepper._row_inputs)
-        fhat, shared = stepper._row_inputs()
-        hf = higher_functionals(s, stepper.nl, stepper._g, shared, fhat)
+        # values: the energy's square sums, and u on the 2n grid as the step's
+        # transform left it
+        shared = dict(stepper._sums)
+        hf = higher_functionals(s, stepper.nl, stepper._g, shared, fhat, stepper._padded[0])
         u1, u3, v_1, v1 = (square_sum(shared, name, z, p) for name, z, p in (
             ("u", s.u, 1.0), ("u", s.u, 3.0), ("v", s.v, -1.0), ("v", s.v, 1.0)))
         self.t.append(s.time)
@@ -403,8 +405,8 @@ class CrankNicolson:
 
     the c row is the trapezoid c_new = c + h/2 (w + w_new).  The tables for
     fhat and prev fold in the -lam and AB2 weights: ten n x n passes a
-    step.  This is the one AB2 rule of the package: the stepper's IMEX
-    scheme and the decomposition's compact and decaying parts step by it."""
+    step.  This is the one AB2 rule of the package: Stepper's IMEX scheme
+    and SplitStepper's compact and decaying parts step by it."""
 
     def __init__(self, lam2: np.ndarray, lam: np.ndarray):
         self.lam2, self.lam = lam2, lam
@@ -461,7 +463,8 @@ class Stepper:
     stepper-owned array for the log rows: _padded[0] for the current
     state, [1] for the step's new state (an implicit step copies its
     Newton iterate's values there).  A step writes only [1], and its
-    commit swaps the two.  A stepper starts at step 0 with no history."""
+    commit swaps the two.  A stepper starts at step 0 with no history, its
+    state's P_n f(u), int F(u), energy and square sums evaluated when built."""
 
     def __init__(self, state: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig):
         check_same_grid(state.u, g.g_modal)
@@ -474,11 +477,11 @@ class Stepper:
         self.lam = eigenvalues(state.grid)
         self._cn = CrankNicolson(eigenvalue_power(state.grid, 2.0), self.lam)
         self._fhat_prev = None
-        self._cur = None  # (fhat, potential) for self.state.u
-        self._energy = None  # energy of self.state
-        self._sums = {}  # its square sums (model.square_sum), kept for the log row
         m = padded_points(state.grid.n_modes, 2)
         self._padded = [np.empty((m, m)), np.empty((m, m))]
+        self._cur = self._evaluate(self.state.u.coeff, 0)  # (fhat, potential) for self.state.u
+        self._sums = {}  # the state's square sums (model.square_sum), kept for the log row
+        self._energy = energy(self.state, nl, self._g, self._cur[1], self._sums)
 
     def _evaluate(self, c: np.ndarray, slot: int):
         """(P_n f(u), int F(u)) for the coefficients c, with u on the 2n grid
@@ -487,27 +490,7 @@ class Stepper:
                                                values=self._padded[slot])
         return fh.coeff, pot
 
-    def _ensure_current(self):
-        if self._cur is None:
-            self._cur = self._evaluate(self.state.u.coeff, 0)
-        return self._cur
-
-    def _row_inputs(self) -> tuple[np.ndarray, dict]:
-        """P_n f(u) of the current state and the shared dict of a log row
-        (see model.higher_functionals), seeded with the energy's square sums
-        and with u on the 2n grid as the step's transform left it (a3 = 0
-        leaves none, and no row reads it)."""
-        fhat = self._ensure_current()[0]
-        self.energy_total()
-        shared = dict(self._sums)
-        if self.nl.a3 != 0.0:
-            shared[("u", self._padded[0].shape[0])] = self._padded[0]
-        return fhat, shared
-
     def energy_total(self) -> float:
-        if self._energy is None:
-            self._energy = energy(self.state, self.nl, self._g, self._ensure_current()[1],
-                                  self._sums)
         return self._energy
 
     def ut_vprime(self) -> float:
@@ -520,9 +503,8 @@ class Stepper:
 
     def _advance_imex(self, h: float):
         g = None if self._g is None else self._g.g_modal.coeff
-        c_new, w_new = self._cn.step_ab2(self.state.u.coeff, self.state.v.coeff,
-                                         self._ensure_current()[0], self._fhat_prev, g, h,
-                                         self.state.time)
+        c_new, w_new = self._cn.step_ab2(self.state.u.coeff, self.state.v.coeff, self._cur[0],
+                                         self._fhat_prev, g, h, self.state.time)
         return c_new, w_new, self._evaluate(c_new, 1)
 
     def _newton_system(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -567,7 +549,7 @@ class Stepper:
         b - E + a1 y with y = c + h w = 2 c_n - c_{n-1} (y = c without a
         previous state): extrapolated, a stiff a1 u left Newton far from the
         root (a residual near 1e49 at a1 = 1e20, falling 3x an iteration)."""
-        c, fhat, prev = self.state.u.coeff, self._ensure_current()[0], self._fhat_prev
+        c, fhat, prev = self.state.u.coeff, self._cur[0], self._fhat_prev
         rhs = b - (fhat if prev is None else 2.0 * fhat - prev)
         a1 = self.nl.a1
         if a1 <= 0.0:
@@ -650,6 +632,37 @@ class Stepper:
         return dissip
 
 
+class SplitStepper(Stepper):
+    """The IMEX Stepper of u that, after each accepted step of u, also steps
+    the compact part v (zero data, forced by L ubar + A^(-1) g with ubar the
+    endpoint average of u's step) and the decaying part w (data U_0, forced
+    by the difference of u's and v's AB2 terms); v and w are coefficient
+    pairs (c, c_t), stepped by CrankNicolson.step_ab2 on lam^2 + L, so only
+    imex_cn_ab2 splits (ValueError otherwise).  It starts at t = 0."""
+
+    def __init__(self, initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
+                 big_l: float):
+        if cfg.scheme != "imex_cn_ab2":
+            raise ValueError(f"SplitStepper requires the imex_cn_ab2 scheme, not {cfg.scheme!r}")
+        super().__init__(State(initial.u, initial.v), nl, g, cfg)
+        self.big_l, self._cn_l = big_l, CrankNicolson(self._cn.lam2 + big_l, self.lam)
+        zero = np.zeros(initial.grid.shape)
+        self.v, self.w, self._fv_prev = (zero, zero), (initial.u.coeff, initial.v.coeff), None
+
+    def advance(self, h: float) -> float:
+        c, t = self.state.u.coeff, self.state.time
+        fu, fu_prev, fv_prev = self._cur[0], self._fhat_prev, self._fv_prev
+        fv = f_eval_dealiased(ModalField(self.state.grid, self.v[0]), self.nl).coeff
+        dissip = super().advance(h)
+        ubar = 0.5 * (c + self.state.u.coeff)
+        self.v = self._cn_l.step_ab2(*self.v, fv, fv_prev, self.g.g_modal.coeff + self.big_l * ubar,
+                                     h, t)
+        diff_prev = None if fv_prev is None else fu_prev - fv_prev
+        self.w = self._cn_l.step_ab2(*self.w, fu - fv, diff_prev, None, h, t)
+        self._fv_prev = fv
+        return dissip
+
+
 def horizon_steps(span: float, dt: float) -> tuple[int, float]:
     """(n_steps, h) covering span with steps of about dt > 0: none for an
     empty span, else round(span/dt) >= 1 steps snapped to land on the
@@ -698,17 +711,9 @@ def simulate(initial: State, nl: Nonlinearity, g: SourceTerm, cfg: SchemeConfig,
 # residual estimates on logs
 # ---------------------------------------------------------------------------
 
-def energy_equality_residual(log: TrajectoryLog, s_idx: int, t_idx: int) -> float:
-    """| E(t) - E(s) + int_s^t ||u_t||_{V'}^2 | with the integral by the
-    trapezoid rule over the logged samples."""
-    n = len(log)
-    if not (0 <= s_idx < n and 0 <= t_idx < n):
-        raise IndexError(f"sample indices ({s_idx}, {t_idx}) outside 0..{n - 1}")
-    if s_idx > t_idx:
-        raise ValueError("s_idx must not exceed t_idx")
-    if s_idx == t_idx:
-        return 0.0
-    t = np.asarray(log.t[s_idx : t_idx + 1])
-    y = np.asarray(log.ut_vprime[s_idx : t_idx + 1]) ** 2
-    integral = float(np.trapezoid(y, t))
-    return abs(log.energy[t_idx] - log.energy[s_idx] + integral)
+def energy_equality_residual(log: TrajectoryLog) -> float:
+    """| E(t) - E(s) + int_s^t ||u_t||_{V'}^2 | from the log's first row s to
+    its last t, with the integral by the trapezoid rule over the logged
+    samples (0 for a one-row log)."""
+    integral = float(np.trapezoid(np.asarray(log.ut_vprime) ** 2, np.asarray(log.t)))
+    return abs(log.energy[-1] - log.energy[0] + integral)

@@ -490,7 +490,8 @@ class HigherFunctionals:
 
 @_OVERFLOW_UNCHECKED
 def higher_functionals(state, nl: Nonlinearity, src: SourceTerm | None, shared: dict | None = None,
-                       fhat: np.ndarray | None = None) -> HigherFunctionals:
+                       fhat: np.ndarray | None = None,
+                       values: np.ndarray | None = None) -> HigherFunctionals:
     """Quasi-strong functionals of the flow.
 
         G0 = 1/2 ||U||_2^2 - <g, A u> + 1/2 int f'(u) |lap u|^2
@@ -517,8 +518,10 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm | None, shared: 
     keyed ("sum", name, p)), and u, u_t, A u, A u_t and u^2 on the padded
     grids, keyed (name, m) with name in u, v, au, aut, uu; the grid
     values are pooled work arrays, valid until the next padded-grid
-    evaluation.  A log row seeds it with the energy's square sums and
-    with ("u", m) for the 2n grid from the step's own transform.
+    evaluation.  values, when given, is u on the 2n grid as
+    nonlinear_term_and_potential left it, kept as ("u", m) (not read for
+    a3 = 0).  A log row passes the step's, and seeds shared with the
+    energy's square sums.
     """
     u, v = state.u, state.v
     if src is not None:
@@ -543,6 +546,8 @@ def higher_functionals(state, nl: Nonlinearity, src: SourceTerm | None, shared: 
 
     if a3 != 0.0:  # a3 = 0 forces a2 = 0
         m2 = padded_points(n, 2)
+        if values is not None:
+            shared[("u", m2)] = values
         w2 = quadrature_weight(side, m2)
         fields = (("u", u), ("v", v), ("au", ModalField(u.grid, lam * u.coeff)),
                   ("aut", ModalField(u.grid, lam * v.coeff)))

@@ -384,12 +384,13 @@ def json_value(val, kind: type, key: str):
     return val
 
 
-def _check_finite_header(header: dict, prefix: str = "") -> None:
-    """ValueError naming the first key (dotted into nested objects) that
-    holds a non-finite number: json.dumps would write NaN or Infinity,
-    which is not JSON, and json.loads reads them back."""
-    for key, val in header.items():
-        if isinstance(val, dict):
+def _check_finite_header(header: dict | list, prefix: str = "") -> None:
+    """ValueError naming the first key (dotted into nested objects and
+    lists, a list's index as its key) that holds a non-finite number:
+    json.dumps would write NaN or Infinity, which is not JSON, and
+    json.loads reads them back."""
+    for key, val in header.items() if isinstance(header, dict) else enumerate(header):
+        if isinstance(val, (dict, list)):
             _check_finite_header(val, f"{prefix}{key}.")
         elif isinstance(val, float) and not math.isfinite(val):
             raise ValueError(f"header key '{prefix}{key}' holds {val!r}")

@@ -10,6 +10,7 @@ loaded although they were malformed.
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -110,8 +111,9 @@ def test_mutated_snapshot_raises_or_loads_what_it_holds(tmp_path_factory, blob):
 
 
 def test_valid_files_load_as_written(tmp_path):
-    # an integer side and a header key the format does not use are valid
-    z, time, kind = _read(tmp_path, _with(MFLD, side=3, note="x"))
+    # an integer side and a header key the format does not use, finite
+    # numbers in nested lists and objects included, are valid
+    z, time, kind = _read(tmp_path, _with(MFLD, side=3, note=["x", [1.5, {"b": 2}], []]))
     assert z.grid == GridSpec(8, 3.0) and time == 0.25 and kind == "u"
     z, time, kind = _read(tmp_path, MFLD)
     assert _file_bytes(z, time, kind) == MFLD
@@ -129,16 +131,24 @@ def test_writers_refuse_what_the_reader_refuses(tmp_path, bad):
 
 _BAD_NUMBERS = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1e400": 10**400,
                 "-1e400": -10**400, "True": True}
+# JSON texts for a key the format does not use, each with the dotted key
+# that its non-finite number is named by: lists are walked as objects are
+_BAD_NOTES = {"object": ('{"x": NaN}', "note.x"), "list": ("[NaN]", "note.0"),
+              "list-in-list": ("[[Infinity]]", "note.0.0"),
+              "object-in-list": ('[{"b": NaN}]', "note.0.b"),
+              "1e400-in-list": ("[1e400]", "note.0")}
 
 
-@pytest.mark.parametrize("key,bad", [
-    pytest.param(key, bad, id=f"{name}-mfld-{key}")
-    for key in ("time", "side") for name, bad in _BAD_NUMBERS.items()])
-def test_non_finite_nested_header_number_names_the_key(tmp_path, key, bad):
-    # json.loads reads NaN and Infinity, and a JSON integer beyond the float
-    # range; a snapshot's header holding one is refused, naming the key
+@pytest.mark.parametrize("key,text,named", [
+    pytest.param(key, json.dumps(bad), key, id=f"{name}-mfld-{key}")
+    for key in ("time", "side") for name, bad in _BAD_NUMBERS.items()] + [
+    pytest.param("note", text, named, id=f"{name}-mfld-note")
+    for name, (text, named) in _BAD_NOTES.items()])
+def test_non_finite_nested_header_number_names_the_key(tmp_path, key, text, named):
+    # json.loads reads NaN and Infinity, a number beyond the float range
+    # (1e400 as infinity), and such a JSON integer; a snapshot's header
+    # holding one is refused, naming the key
     header, body = _split(MFLD)
-    header[key] = bad
-    blob = json.dumps(header).encode() + b"\n" + body
-    with pytest.raises(FileFormatError, match=f"'{key}'"):
+    blob = json.dumps(dict(header, **{key: "@"})).replace('"@"', text).encode() + b"\n" + body
+    with pytest.raises(FileFormatError, match=re.escape(f"'{named}'")):
         _read(tmp_path, blob)

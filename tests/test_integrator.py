@@ -263,7 +263,7 @@ def test_energy_equality_residual_orders_linear():
     for dt in (1e-2, 5e-3, 2.5e-3):
         st = _single_mode_state(grid, amp=0.25)
         log = simulate(st, LINEAR, g, SchemeConfig(dt=dt), 1.0)
-        residuals.append(energy_equality_residual(log, 0, len(log) - 1))
+        residuals.append(energy_equality_residual(log))
     orders = [math.log2(a / b) for a, b in zip(residuals, residuals[1:])]
     assert min(orders) >= 1.8
     assert residuals[-1] <= 1e-6
@@ -276,7 +276,7 @@ def test_energy_equality_residual_nonlinear_richardson():
 
     def resid(dt):
         log = simulate(st0.copy(), DOUBLE_WELL, g, SchemeConfig(dt=dt), 0.5)
-        return energy_equality_residual(log, 0, len(log) - 1)
+        return energy_equality_residual(log)
 
     assert resid(2e-3) / resid(1e-3) >= 3.5
 
@@ -284,12 +284,9 @@ def test_energy_equality_residual_nonlinear_richardson():
 def test_energy_equality_residual_contracts():
     grid = GridSpec(4, PI)
     log = simulate(_single_mode_state(grid), LINEAR, SourceTerm.zero(grid),
-                   SchemeConfig(dt=1e-2), 0.1)
-    assert energy_equality_residual(log, 3, 3) == 0.0
-    with pytest.raises(IndexError):
-        energy_equality_residual(log, 0, len(log))
-    with pytest.raises(ValueError):
-        energy_equality_residual(log, 5, 2)
+                   SchemeConfig(dt=1e-2), 0.0)
+    # a one-row log (t_end = 0) balances with nothing to integrate
+    assert len(log) == 1 and energy_equality_residual(log) == 0.0
 
 
 def test_energy_monotone_double_well():
@@ -969,6 +966,21 @@ def test_state_history_and_count_are_all_a_step_reads(scheme):
     assert fresh.step_count == running.step_count == 17
 
 
+@pytest.mark.parametrize("scheme", ["imex_cn_ab2", "implicit_newton"])
+def test_a_stepper_is_evaluated_when_built(scheme):
+    # with no step taken, the energy, the cached (P_n f(u), int F(u)) and u
+    # on the 2n grid are bitwise what the model's functions give the state
+    grid = GridSpec(8, PI)
+    nl = Nonlinearity(1.0, 0.5, -3.0)
+    g = SourceTerm(ModalField.single_mode(grid, 2, 1, 0.3))
+    st = random_pair_state(grid, 4, 1.0, seed=5)
+    stepper = Stepper(st, nl, g, SchemeConfig(dt=1e-3, scheme=scheme))
+    fhat, pot = nonlinear_term_and_potential(st.u, nl)
+    assert np.array_equal(stepper._cur[0], fhat.coeff) and stepper._cur[1] == pot
+    assert np.array_equal(stepper._padded[0], nodal_values(st.u, padded_points(8, 2)))
+    assert stepper.energy_total() == energy(st, nl, g)
+
+
 # ---------------------------------------------------------------------------
 # non-finite states
 # ---------------------------------------------------------------------------
@@ -1006,7 +1018,7 @@ def test_failed_step_keeps_ab2_history():
         st = State(random_band_limited(grid, 4, amp, seed=3), ModalField.zeros(grid))
         stepper = Stepper(st, nl, g, SchemeConfig(dt=big, scheme=scheme))
         fresh = Stepper(st, nl, g, SchemeConfig(dt=dt, scheme=scheme))
-        stepper.energy_total()  # evaluates the current state, leaving its values in _padded[0]
+        # built, a stepper has evaluated its state, leaving its values in _padded[0]
         for _ in range(2):  # the start-up step, then the first with a history
             state, padded = stepper.state, stepper._padded[0].copy()
             with pytest.raises(InstabilityError, match="energy increased"):

@@ -43,6 +43,38 @@ def test_no_module_uses_another_modules_private_names(path):
     assert _private_uses(path) == []
 
 
+def _foreign_private_reads(path: Path) -> list:
+    """"line: x._name" for each read of an underscore attribute (not a
+    dunder) in the module at path that names nothing the module defines
+    (def, class) or assigns (name = ..., x._name = ...): another module's
+    private member."""
+    tree = ast.parse(path.read_text())
+    own = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            own.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            own.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            own.add(node.attr)
+    return [f"{node.lineno}: {_dotted(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and _private(node.attr) and node.attr not in own]
+
+
+# private members read outside the module that owns them
+FOREIGN_PRIVATE_READS_ALLOWED = {}
+
+
+def test_no_module_reads_another_modules_private_members():
+    # a private member is its module's to change: a subclass or caller in
+    # another module that reads one is coupled to that module's internals
+    reads = {f"{path.stem}: {use}" for path in MODULES for use in _foreign_private_reads(path)}
+    allowed = set(FOREIGN_PRIVATE_READS_ALLOWED)
+    assert reads == allowed, (f"foreign private reads: {sorted(reads - allowed)}; "
+                              f"allowed, but gone: {sorted(allowed - reads)}")
+
+
 def _scipy_sparse_imports(path: Path) -> list:
     """The names the module at path imports from scipy.sparse (or its
     submodules), and the scipy.sparse modules it imports whole."""
